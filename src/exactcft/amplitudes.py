@@ -56,7 +56,7 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
 def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> TruncatedSeries:
     """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1, truncated at the cap."""
     u = ("u",)
-    total = TruncatedSeries(u, cap)
+    total = TruncatedSeries.constant(u, cap, -1)
     for n, bk in am.entries.items():
         if n > cap:
             continue
@@ -71,5 +71,5 @@ def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> TruncatedSeries:
         shifted = TruncatedSeries(
             u, cap, {(e[0] + n,): c for e, c in hyp.terms.items()}
         )
-        total = total + shifted * bk
-    return total - TruncatedSeries.constant(u, cap, 1)
+        total.add_scaled(shifted, bk)
+    return total

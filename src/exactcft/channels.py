@@ -45,7 +45,7 @@ def shifted_legendre(h: int) -> MultiPoly:
     arg = MultiPoly.constant(("z",), 1) - 2 * z
     out = MultiPoly(("z",))
     for p, c in legendre_coeffs(h - 1).items():
-        out = out + (arg**p) * c
+        out.add_scaled(arg**p, c)
     return out
 
 

@@ -102,8 +102,7 @@ def verify_chiral_pde(op: ChiralIntertwiner) -> MultiPoly:
         p1 = MultiPoly.var(DVARS, "D1")
         p2 = MultiPoly.var(DVARS, "D2")
         res = p1 * nabla(nabla(poly, 1), 1) + p2 * nabla(nabla(poly, 2), 2)
-        res = res + (op.d1 - op.d2) * (nabla(poly, 1) - nabla(poly, 2))
-        return res
+        return res.add_scaled(nabla(poly, 1) - nabla(poly, 2), op.d1 - op.d2)
     if op.h == 1:
         # constant operator: the relation degenerates (E_1 vanishes at equal dims)
         return poly - MultiPoly.constant(DVARS, op.coeffs.get((0, 0), Fraction(0)))
@@ -151,7 +150,7 @@ def apply_operator_pair(
         cur = rows[p]
         for _ in range(q):
             cur = cur.differentiate(slot2)
-        out = out + cur.scale(c)
+        out.add_scaled(cur, c)
     return out
 
 
@@ -260,7 +259,7 @@ def reduce_wave(
         if tail_order > reliable:
             continue
         mono = PairSum.monomial(points, c, _wave_term_monomial(wave, ells))
-        out = out + reduce_correlator(mono, pair, op, d1, d2)
+        out.add_scaled(reduce_correlator(mono, pair, op, d1, d2))
     return ReducedWave(out.points, out, reliable)
 
 
@@ -290,7 +289,7 @@ def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -
         mono = PairSum.monomial(
             tuple(range(1, n + 1)), c, _wave_term_monomial(wave, ells)
         )
-        out = out + mono.relabel(relabel)
+        out.add_scaled(mono.relabel(relabel))
     return out
 
 

@@ -107,10 +107,10 @@ def cmd_casimir_check(args) -> dict:
 
 def cmd_intertwiner(args) -> dict:
     if args.flavor == "chiral":
-        if args.d1 is None or args.d2 is None:
-            raise ValueError("chiral operators need --d1 and --d2")
         if args.normalized:
             op = chiral_intertwiner_normalized(args.h)
+        elif args.d1 is None or args.d2 is None:
+            raise ValueError("chiral operators need --d1 and --d2 (or --normalized)")
         else:
             op = chiral_intertwiner(args.h, parse_rational(args.d1), parse_rational(args.d2))
         residual_zero = verify_chiral_pde(op).is_zero()
@@ -324,7 +324,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        output = args.handler(args)
+        _run(args, argv)
     except (DegenerateParameterError, SingularDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
@@ -334,7 +334,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    return 0
 
+
+def _run(args, argv: list[str]) -> None:
+    """Run the handler, then write the output, the --out copy and the manifest."""
+    output = args.handler(args)
     payload = canonical_json(output)
     if args.format == "table":
         text = "\n".join(_render_table(output))
@@ -363,7 +368,6 @@ def main(argv=None) -> int:
             fh.write(manifest_text + "\n")
     else:
         print(manifest_text, file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":

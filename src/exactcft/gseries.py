@@ -108,22 +108,27 @@ def _recursion_profiles(cap: int) -> list[dict[int, Fraction]]:
     return profiles
 
 
-def _assemble_from_profiles(profiles: list[dict[int, Fraction]], cap: int) -> TruncatedSeries:
+def _profile_series(n: int, profile: dict[int, Fraction], cap: int) -> TruncatedSeries:
+    """s^n g(w) in the chiral variables, with s = u+ u- and w = u+ + u- - u+ u-."""
     s = TruncatedSeries(GVARS, cap, {(1, 1): Fraction(1)})
     w = TruncatedSeries(
         GVARS, cap, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)}
     )
+    w_poly = TruncatedSeries(GVARS, cap)
+    wpow = TruncatedSeries.constant(GVARS, cap, 1)
+    for j in range(max(profile, default=0) + 1):
+        if j:
+            wpow = wpow * w
+        c = profile.get(j)
+        if c:
+            w_poly.add_scaled(wpow, c)
+    return (s**n) * w_poly
+
+
+def _assemble_from_profiles(profiles: list[dict[int, Fraction]], cap: int) -> TruncatedSeries:
     total = TruncatedSeries(GVARS, cap)
     for n, profile in enumerate(profiles):
-        w_poly = TruncatedSeries.constant(GVARS, cap, 0)
-        wpow = TruncatedSeries.constant(GVARS, cap, 1)
-        for j in range(max(profile, default=0) + 1):
-            if j:
-                wpow = wpow * w
-            c = profile.get(j)
-            if c:
-                w_poly = w_poly + wpow * c
-        total = total + (s**n) * w_poly * Fraction(1, factorial(n))
+        total.add_scaled(_profile_series(n, profile, cap), Fraction(1, factorial(n)))
     return total
 
 
@@ -177,7 +182,7 @@ def _to_sw_components(series: TruncatedSeries) -> dict[int, dict[int, Fraction]]
             mono = e2**lo
         else:
             mono = (e2**lo) * psum(hi - lo)
-        total = total + mono * c
+        total.add_scaled(mono, c)
     out: dict[int, dict[int, Fraction]] = {}
     for (n, j), c in total.terms.items():
         if 2 * n + j > cap:
@@ -212,12 +217,6 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
         raise ValueError("needs cap >= 2 to carry any content")
     comp = _to_sw_components(g.series)
     out_cap = cap - 1
-    s = TruncatedSeries(GVARS, out_cap, {(1, 1): Fraction(1)})
-    w = TruncatedSeries(
-        GVARS,
-        out_cap,
-        {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)},
-    )
     residual = TruncatedSeries(GVARS, out_cap)
     n = 1
     while 2 * n <= out_cap:
@@ -231,14 +230,8 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
             res_n[j] = res_n.get(j, Fraction(0)) - c
         res_n = {j: c for j, c in res_n.items() if c != 0}
         if res_n:
-            w_poly = TruncatedSeries.constant(GVARS, out_cap, 0)
-            wpow = TruncatedSeries.constant(GVARS, out_cap, 1)
-            for j in range(max(res_n) + 1):
-                if j:
-                    wpow = wpow * w
-                c = res_n.get(j)
-                if c:
-                    w_poly = w_poly + wpow * c
-            residual = residual + (s**n) * w_poly * Fraction(1, factorial(n - 1))
+            residual.add_scaled(
+                _profile_series(n, res_n, out_cap), Fraction(1, factorial(n - 1))
+            )
         n += 1
     return residual

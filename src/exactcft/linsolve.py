@@ -35,23 +35,8 @@ def linear_solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
             raise ValueError("matrix is not rectangular")
 
     aug = [row + [b[i]] for i, row in enumerate(rows)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
+    pivots = _rref(aug, n)
+    r = len(pivots)
 
     for i in range(r, m):
         if aug[i][n] != 0:
@@ -61,6 +46,39 @@ def linear_solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
     for i, col in enumerate(pivots):
         particular[col] = aug[i][n]
     return LinearSolution(True, particular, _kernel_basis(aug, pivots, n, r))
+
+
+def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
+    """Bring rows to reduced row echelon form in place, pivoting only in the
+    first ncols columns (later columns ride along, e.g. a right-hand side).
+    Returns the pivot columns; row k holds the pivot of column pivots[k].
+    """
+    m = len(rows)
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][col]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def row_basis(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
+    """A basis of the row space of a rational matrix (its nonzero RREF rows)."""
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    rank = len(_rref(rows, len(rows[0]) if rows else 0))
+    return rows[:rank]
 
 
 def _kernel_basis(aug, pivots, n, rank) -> list[list[Fraction]]:

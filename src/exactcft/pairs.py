@@ -14,7 +14,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
-from .poly import MultiPoly
+from .linsolve import row_basis
+from .poly import MultiPoly, SparseSum
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -32,14 +33,27 @@ def _norm_exps(exps: Mapping[Pair, Fraction]) -> ExpKey:
     return tuple(sorted(out))
 
 
+def _bump(key: ExpKey, add: Mapping[Pair, Fraction]) -> ExpKey:
+    """Exponent key of the monomial key times prod x_pr^add[pr]."""
+    cur = dict(key)
+    for pr, e in add.items():
+        pr = tuple(pr)
+        e = cur.get(pr, Fraction(0)) + Fraction(e)
+        if e:
+            cur[pr] = e
+        else:
+            cur.pop(pr, None)
+    return tuple(sorted(cur.items()))
+
+
 def _frac_part(e: Fraction) -> Fraction:
     return e - (e.numerator // e.denominator)
 
 
-class PairSum:
+class PairSum(SparseSum):
     """Finite sum of pair-difference monomials over a fixed point set."""
 
-    __slots__ = ("points", "terms", "antisym")
+    __slots__ = ("points", "antisym")
 
     def __init__(
         self,
@@ -59,9 +73,7 @@ class PairSum:
                 for (i, j), _ in key:
                     if i not in pts or j not in pts:
                         raise ValueError(f"pair ({i},{j}) outside points {self.points}")
-                self.terms[key] = self.terms.get(key, Fraction(0)) + c
-                if self.terms[key] == 0:
-                    del self.terms[key]
+                self.add_term(key, c)
 
     # -- constructors ---------------------------------------------------
 
@@ -85,79 +97,38 @@ class PairSum:
         for key in sorted(self.terms):
             yield self.terms[key], dict(key)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def is_structurally_zero(self) -> bool:
         return not self.terms
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_compat(self, other: "PairSum"):
+    def _empty(self) -> "PairSum":
+        return PairSum(self.points, None, self.antisym)
+
+    def _coerce(self, other: "PairSum") -> "PairSum":
         if self.points != other.points or self.antisym != other.antisym:
             raise ValueError("PairSum operands live on different point sets")
-
-    def __add__(self, other: "PairSum") -> "PairSum":
-        self._check_compat(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = PairSum(self.points, None, self.antisym)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "PairSum":
-        res = PairSum(self.points, None, self.antisym)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "PairSum") -> "PairSum":
-        return self + (-other)
-
-    def scale(self, factor) -> "PairSum":
-        f = Fraction(factor)
-        res = PairSum(self.points, None, self.antisym)
-        if f != 0:
-            res.terms = {k: c * f for k, c in self.terms.items()}
-        return res
+        return other
 
     def mul_monomial(self, coeff, exps: Mapping[Pair, Fraction]) -> "PairSum":
         coeff = Fraction(coeff)
-        add = dict(exps)
-        out: dict[ExpKey, Fraction] = {}
+        res = self._empty()
         for key, c in self.terms.items():
-            cur = dict(key)
-            for pr, e in add.items():
-                pr = tuple(pr)
-                cur[pr] = cur.get(pr, Fraction(0)) + Fraction(e)
-                if cur[pr] == 0:
-                    del cur[pr]
-            k2 = tuple(sorted(cur.items()))
-            s = out.get(k2, Fraction(0)) + c * coeff
-            if s == 0:
-                out.pop(k2, None)
-            else:
-                out[k2] = s
-        res = PairSum(self.points, None, self.antisym)
-        res.terms = out
+            res.add_term(_bump(key, exps), c * coeff)
         return res
 
     def __mul__(self, other: "PairSum") -> "PairSum":
-        self._check_compat(other)
-        res = PairSum.zero(self.points, self.antisym)
+        self._coerce(other)
+        res = self._empty()
         for c, exps in other:
-            res = res + self.mul_monomial(c, exps)
+            res.add_scaled(self.mul_monomial(c, exps))
         return res
 
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self, point: int) -> "PairSum":
         """d/dx_point, with x_ij = x_i - x_j."""
-        out: dict[ExpKey, Fraction] = {}
+        res = self._empty()
         for key, c in self.terms.items():
             exps = dict(key)
             for (i, j), e in key:
@@ -171,14 +142,7 @@ class PairSum:
                 new[(i, j)] = e - 1
                 if new[(i, j)] == 0:
                     del new[(i, j)]
-                k2 = tuple(sorted(new.items()))
-                s = out.get(k2, Fraction(0)) + c * e * sign
-                if s == 0:
-                    out.pop(k2, None)
-                else:
-                    out[k2] = s
-        res = PairSum(self.points, None, self.antisym)
-        res.terms = out
+                res.add_term(tuple(sorted(new.items())), c * e * sign)
         return res
 
     def merge_adjacent(self, i: int) -> "PairSum":
@@ -190,7 +154,7 @@ class PairSum:
         j = i + 1
         if i not in self.points or j not in self.points:
             raise ValueError(f"points {i},{j} not both present")
-        out: dict[ExpKey, Fraction] = {}
+        res = PairSum([p for p in self.points if p != j], None, self.antisym)
         for key, c in self.terms.items():
             exps = dict(key)
             e_diag = exps.pop((i, j), Fraction(0))
@@ -210,14 +174,7 @@ class PairSum:
                     # order flips cannot happen for adjacent merges
                     raise ConsistencyError("adjacent merge flipped a pair ordering")
                 merged[(a2, b2)] = merged.get((a2, b2), Fraction(0)) + e
-            k2 = tuple(sorted((p, e) for p, e in merged.items() if e != 0))
-            s = out.get(k2, Fraction(0)) + c
-            if s == 0:
-                out.pop(k2, None)
-            else:
-                out[k2] = s
-        res = PairSum([p for p in self.points if p != j], None, self.antisym)
-        res.terms = out
+            res.add_term(tuple(sorted((p, e) for p, e in merged.items() if e != 0)), c)
         return res
 
     def relabel(self, mapping: Mapping[int, int]) -> "PairSum":
@@ -226,7 +183,7 @@ class PairSum:
         new_points = sorted(mapping[p] for p in self.points)
         if len(set(new_points)) != len(self.points):
             raise ValueError("relabeling must be injective")
-        out: dict[ExpKey, Fraction] = {}
+        res = PairSum(new_points, None, self.antisym)
         for key, c in self.terms.items():
             sign = Fraction(1)
             exps: dict[Pair, Fraction] = {}
@@ -242,14 +199,7 @@ class PairSum:
                         if e.numerator % 2:
                             sign = -sign
                 exps[(a2, b2)] = exps.get((a2, b2), Fraction(0)) + e
-            k2 = tuple(sorted((p, e) for p, e in exps.items() if e != 0))
-            s = out.get(k2, Fraction(0)) + c * sign
-            if s == 0:
-                out.pop(k2, None)
-            else:
-                out[k2] = s
-        res = PairSum(new_points, None, self.antisym)
-        res.terms = out
+            res.add_term(tuple(sorted((p, e) for p, e in exps.items() if e != 0)), c * sign)
         return res
 
     # -- exact function-level comparisons ----------------------------------
@@ -310,10 +260,11 @@ class PairSum:
             chain_cache[(pr, n)] = val
             return val
 
+        one = MultiPoly.constant(zvars, 1)
         total = MultiPoly(zvars)
         for key, c in terms.items():
             exps = dict(key)
-            term_poly = MultiPoly.constant(zvars, c)
+            term_poly = one
             for pr in set(exps) | set(base):
                 rel = exps.get(pr, Fraction(0)) - base.get(pr, Fraction(0))
                 if rel.denominator != 1 or rel < 0:
@@ -322,7 +273,7 @@ class PairSum:
                     )
                 if rel:
                     term_poly = term_poly * chain_power(pr, int(rel))
-            total = total + term_poly
+            total.add_scaled(term_poly, c)
         return total
 
     def _z_poly_literal(self, exps: Mapping[Pair, Fraction]) -> MultiPoly:
@@ -334,12 +285,12 @@ class PairSum:
         return all(self._z_poly(g).is_zero() for g in self._classes().values())
 
     def equals_function(self, other: "PairSum") -> bool:
-        self._check_compat(other)
+        self._coerce(other)
         return (self - other).is_zero_function()
 
     def proportional_to(self, other: "PairSum") -> Fraction | None:
         """Return nonzero lam with self = lam * other as functions, or None."""
-        self._check_compat(other)
+        self._coerce(other)
         g1, g2 = self._classes(), other._classes()
         lam: Fraction | None = None
         for ck in set(g1) | set(g2):
@@ -427,13 +378,6 @@ class FactoredLaurent:
     def exponent(self, pair: Pair) -> Fraction:
         return self.pair_factors.get(tuple(pair), Fraction(0))
 
-    def mul(self, other: "FactoredLaurent") -> "FactoredLaurent":
-        exps = dict(self.pair_factors)
-        for pr, e in other.pair_factors.items():
-            exps[pr] = exps.get(pr, Fraction(0)) + e
-        num = self.constant_numerator() * other.constant_numerator()
-        return FactoredLaurent(exps, num)
-
     def to_pair_sum(self, points: Iterable[int], antisym: bool = True) -> PairSum:
         return PairSum.monomial(points, self.constant_numerator(), self.pair_factors, antisym)
 
@@ -462,14 +406,14 @@ class FactoredLaurent:
         return f"{format_rational(self.constant_numerator())}*[{mono or '1'}]"
 
 
-class TwoChiralSum:
+class TwoChiralSum(SparseSum):
     """Finite sum c * M_plus(x_{ij,+}) * M_minus(x_{ij,-}) over one point set.
 
     Integer exponents only; supports the exact bilinear zero test used to
     verify 2D factorizations.
     """
 
-    __slots__ = ("points", "terms")
+    __slots__ = ("points",)
 
     def __init__(self, points: Iterable[int], terms: Mapping[tuple[ExpKey, ExpKey], Fraction] | None = None):
         self.points = tuple(sorted(points))
@@ -483,72 +427,34 @@ class TwoChiralSum:
                     for _, e in side:
                         if e.denominator != 1:
                             raise ValueError("TwoChiralSum requires integer exponents")
-                self.terms[key] = self.terms.get(key, Fraction(0)) + c
-                if self.terms[key] == 0:
-                    del self.terms[key]
+                self.add_term(key, c)
 
     @classmethod
     def monomial(cls, points, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
         return cls(points, {(_norm_exps(exps_plus), _norm_exps(exps_minus)): Fraction(coeff)})
 
-    def __add__(self, other: "TwoChiralSum") -> "TwoChiralSum":
+    def _empty(self) -> "TwoChiralSum":
+        return TwoChiralSum(self.points)
+
+    def _coerce(self, other: "TwoChiralSum") -> "TwoChiralSum":
         if self.points != other.points:
             raise ValueError("point sets differ")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        res = TwoChiralSum(self.points)
-        res.terms = out
-        return res
-
-    def __neg__(self) -> "TwoChiralSum":
-        res = TwoChiralSum(self.points)
-        res.terms = {k: -c for k, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "TwoChiralSum") -> "TwoChiralSum":
-        return self + (-other)
-
-    def scale(self, f) -> "TwoChiralSum":
-        f = Fraction(f)
-        res = TwoChiralSum(self.points)
-        if f != 0:
-            res.terms = {k: c * f for k, c in self.terms.items()}
-        return res
+        return other
 
     def mul_monomial(self, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
-        res = TwoChiralSum(self.points)
-        addP, addM = dict(exps_plus), dict(exps_minus)
-        out: dict[tuple[ExpKey, ExpKey], Fraction] = {}
+        coeff = Fraction(coeff)
+        res = self._empty()
         for (kp, km), c in self.terms.items():
-            def bump(key: ExpKey, add: dict) -> ExpKey:
-                cur = dict(key)
-                for pr, e in add.items():
-                    pr = tuple(pr)
-                    cur[pr] = cur.get(pr, Fraction(0)) + Fraction(e)
-                    if cur[pr] == 0:
-                        del cur[pr]
-                return tuple(sorted(cur.items()))
-
-            key2 = (bump(kp, addP), bump(km, addM))
-            s = out.get(key2, Fraction(0)) + c * Fraction(coeff)
-            if s == 0:
-                out.pop(key2, None)
-            else:
-                out[key2] = s
-        res.terms = out
+            res.add_term((_bump(kp, exps_plus), _bump(km, exps_minus)), c * coeff)
         return res
 
     def is_zero_function(self) -> bool:
         """Exact test of sum_t c_t A_t(z+) B_t(z-) = 0.
 
-        Expand the minus side per term, row-reduce the coefficient vectors over
-        the term index, then require each basis combination of plus sides to be
-        the zero polynomial. Complete proof, no sampling.
+        Expand the minus side per term, take a basis of the span of its
+        coefficient vectors over the term index, then require each basis
+        combination of plus sides to be the zero polynomial. Complete proof,
+        no sampling.
         """
         if not self.terms:
             return True
@@ -580,29 +486,11 @@ class TwoChiralSum:
         for t, poly in enumerate(polysM):
             for exps, c in poly.terms.items():
                 rows.setdefault(exps, [Fraction(0)] * len(items))[t] = c
-        # exact row reduction to a basis of the span
-        basis: list[list[Fraction]] = []
-        pivots: list[int] = []
-        for vec in rows.values():
-            v = list(vec)
-            for bv, p in zip(basis, pivots):
-                if v[p] != 0:
-                    f = v[p]
-                    v = [a - f * b for a, b in zip(v, bv)]
-            lead = next((k for k, a in enumerate(v) if a != 0), None)
-            if lead is None:
-                continue
-            inv = 1 / v[lead]
-            v = [a * inv for a in v]
-            basis.append(v)
-            pivots.append(lead)
-
         zvars = tuple(f"z{k}" for k in range(1, len(self.points)))
-        for lam in basis:
+        for lam in row_basis(list(rows.values())):
             acc = MultiPoly(zvars)
-            for t, (c, w) in enumerate(zip(coeffs, lam)):
-                if w != 0:
-                    acc = acc + polysP[t] * (c * w)
+            for c, w, poly in zip(coeffs, lam, polysP):
+                acc.add_scaled(poly, c * w)
             if not acc.is_zero():
                 return False
         return True

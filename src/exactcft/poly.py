@@ -1,13 +1,14 @@
-"""Multivariate polynomials over exact rationals.
+"""Sparse sums over exact rationals, and multivariate polynomials on top.
 
-Terms live in a dict keyed by exponent tuples; zero coefficients are never
-stored, and iteration/serialization follows graded-lexicographic order so
-output is deterministic.
+Polynomial terms live in a dict keyed by exponent tuples; zero coefficients
+are never stored, and iteration/serialization follows graded-lexicographic
+order so output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NegativeExponentError, VariableMismatchError
@@ -18,16 +19,86 @@ def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-class MultiPoly:
+class SparseSum:
+    """A finite sum of coefficient * basis element over exact rationals.
+
+    Terms live in a dict keyed by whatever names the basis element; zero
+    coefficients are never stored. ``add_term`` is the one place that prunes
+    them, and ``add_scaled`` accumulates in place, so a sum built up in a loop
+    costs one pass per addend instead of one copy of the whole dict. Only call
+    the in-place methods on a sum the caller has just built, never on an
+    argument or a cached object. Subclasses give the key meaning through
+    ``_empty`` (a zero in the same space) and ``_coerce`` (the compatibility
+    check on the other operand).
+    """
+
+    __slots__ = ("terms",)
+
+    def _empty(self):
+        raise NotImplementedError
+
+    def _coerce(self, other):
+        raise NotImplementedError
+
+    def _start(self, other):
+        """A fresh copy of self to accumulate other into."""
+        out = self._empty()
+        out.terms = dict(self.terms)
+        return out
+
+    def add_term(self, key, coeff: Fraction) -> None:
+        """In place: add coeff to the coefficient of key."""
+        s = self.terms.get(key, 0) + coeff
+        if s:
+            self.terms[key] = s
+        else:
+            self.terms.pop(key, None)
+
+    def add_scaled(self, other, factor=1):
+        """In place: self += other * factor (other is not self). Returns self."""
+        other = self._coerce(other)
+        f = Fraction(factor)
+        if f:
+            for key, c in other.terms.items():
+                self.add_term(key, c * f)
+        return self
+
+    def __add__(self, other):
+        return self._start(other).add_scaled(other)
+
+    def __sub__(self, other):
+        return self._start(other).add_scaled(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, factor):
+        f = Fraction(factor)
+        out = self._empty()
+        if f:
+            out.terms = {k: c * f for k, c in self.terms.items()}
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+
+class MultiPoly(SparseSum):
     """Polynomial in named variables with Fraction coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables",)
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise VariableMismatchError(f"duplicate variable names in {self.variables}")
-        clean: dict[tuple[int, ...], Fraction] = {}
+        self.terms: dict[tuple[int, ...], Fraction] = {}
         if terms:
             nv = len(self.variables)
             for exps, coeff in terms.items():
@@ -38,21 +109,13 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise NegativeExponentError(f"negative exponent in {exps}")
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+                self.add_term(exps, Fraction(coeff))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, variables: Iterable[str], value) -> "MultiPoly":
         variables = tuple(variables)
-        value = Fraction(value)
-        if value == 0:
-            return cls(variables)
         return cls(variables, {(0,) * len(variables): value})
 
     @classmethod
@@ -64,17 +127,14 @@ class MultiPoly:
 
     # -- basics -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _empty(self) -> "MultiPoly":
+        return MultiPoly(self.variables)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
             return self.variables == other.variables and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.constant(self.variables, other)
+            return self == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):
@@ -105,67 +165,38 @@ class MultiPoly:
     # -- ring operations ----------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":
+        """other as an element of self's ring: same variables, or a constant."""
         if isinstance(other, MultiPoly):
             if other.variables != self.variables:
                 raise VariableMismatchError(
                     f"variable sets differ: {self.variables} vs {other.variables}"
                 )
             return other
-        return MultiPoly.constant(self.variables, other)
+        out = self._empty()
+        out.add_term((0,) * len(self.variables), Fraction(other))
+        return out
 
-    def __add__(self, other) -> "MultiPoly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        p = MultiPoly(self.variables)
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MultiPoly":
-        p = MultiPoly(self.variables)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+    __radd__ = SparseSum.__add__
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            p = MultiPoly(self.variables)
-            if c != 0:
-                p.terms = {e: k * c for e, k in self.terms.items()}
-            return p
+            return self.scale(other)
         other = self._coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = self._empty()
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        p = MultiPoly(self.variables)
-        p.terms = out
-        return p
+                out.add_term(tuple(map(add, e1, e2)), c1 * c2)
+        return out
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise NegativeExponentError("negative power of a polynomial")
-        out = MultiPoly.constant(self.variables, 1)
+        out = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -179,20 +210,12 @@ class MultiPoly:
     def differentiate(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         idx = self.variables.index(name)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out = self._empty()
         for exps, c in self.terms.items():
             k = exps[idx]
-            if k == 0:
-                continue
-            e = exps[:idx] + (k - 1,) + exps[idx + 1 :]
-            s = out.get(e, Fraction(0)) + c * k
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        p = MultiPoly(self.variables)
-        p.terms = out
-        return p
+            if k:
+                out.add_term(exps[:idx] + (k - 1,) + exps[idx + 1 :], c * k)
+        return out
 
     def substitute(self, name: str, value: "MultiPoly | Fraction | int") -> "MultiPoly":
         """Replace a variable by a polynomial (over the same variable set) or a constant."""
@@ -201,14 +224,14 @@ class MultiPoly:
             value = MultiPoly.constant(self.variables, value)
         else:
             value = self._coerce(value)
-        out = MultiPoly(self.variables)
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(self.variables, 1)}
+        out = self._empty()
+        powers: dict[int, MultiPoly] = {0: self._coerce(1)}
         for exps, c in self.terms.items():
             k = exps[idx]
             if k not in powers:
                 powers[k] = value**k
             rest = MultiPoly(self.variables, {exps[:idx] + (0,) + exps[idx + 1 :]: c})
-            out = out + rest * powers[k]
+            out.add_scaled(rest * powers[k])
         return out
 
     def eval(self, values: Mapping[str, Fraction]) -> Fraction:

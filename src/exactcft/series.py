@@ -1,20 +1,23 @@
 """Multivariate formal power series truncated at a total-degree cap.
 
-The cap is a hard ceiling across all series variables: products drop every
-term whose total order exceeds the smaller cap of the two factors.
+The cap is a hard ceiling across all series variables: sums and products
+take the smaller cap of the two operands and drop every term past it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from operator import add
+from typing import Iterable, Mapping
 
-from .errors import VariableMismatchError
-from .special import format_rational, parse_rational
+from .poly import MultiPoly
+from .special import parse_rational
 
 
-class TruncatedSeries:
-    __slots__ = ("variables", "cap", "terms")
+class TruncatedSeries(MultiPoly):
+    """A MultiPoly that never holds a term of total order above its cap."""
+
+    __slots__ = ("cap",)
 
     def __init__(
         self,
@@ -22,30 +25,17 @@ class TruncatedSeries:
         cap: int,
         terms: Mapping[tuple[int, ...], Fraction] | None = None,
     ):
-        self.variables: tuple[str, ...] = tuple(variables)
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         self.cap = cap
-        clean: dict[tuple[int, ...], Fraction] = {}
+        super().__init__(variables, terms)
         if terms:
-            nv = len(self.variables)
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nv or any(e < 0 for e in exps):
-                    raise VariableMismatchError(f"bad exponent tuple {exps}")
-                if sum(exps) > cap:
-                    continue
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + c
-                    if clean[exps] == 0:
-                        del clean[exps]
-        self.terms = clean
+            self.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
 
     @classmethod
     def constant(cls, variables: Iterable[str], cap: int, value) -> "TruncatedSeries":
         variables = tuple(variables)
-        return cls(variables, cap, {(0,) * len(variables): Fraction(value)})
+        return cls(variables, cap, {(0,) * len(variables): value})
 
     @classmethod
     def var(cls, variables: Iterable[str], cap: int, name: str) -> "TruncatedSeries":
@@ -54,101 +44,38 @@ class TruncatedSeries:
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
         return cls(variables, cap, {exps: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _empty(self) -> "TruncatedSeries":
+        return TruncatedSeries(self.variables, self.cap)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _start(self, other) -> "TruncatedSeries":
+        return self.truncate(min(self.cap, self._coerce(other).cap))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
-            return (
-                self.variables == other.variables
-                and self.cap == other.cap
-                and self.terms == other.terms
-            )
+            return self.cap == other.cap and super().__eq__(other)
         return NotImplemented
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        return iter(self.sorted_terms())
-
-    def _coerce(self, other) -> "TruncatedSeries":
-        if isinstance(other, TruncatedSeries):
-            if other.variables != self.variables:
-                raise VariableMismatchError(
-                    f"series variables differ: {self.variables} vs {other.variables}"
-                )
-            return other
-        return TruncatedSeries.constant(self.variables, self.cap, other)
-
-    def __add__(self, other) -> "TruncatedSeries":
+    def add_scaled(self, other, factor=1) -> "TruncatedSeries":
+        """In place: self += other * factor, dropping terms past self.cap."""
         other = self._coerce(other)
-        cap = min(self.cap, other.cap)
-        out = TruncatedSeries(self.variables, cap)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        for e, c in other.terms.items():
-            if sum(e) > cap:
-                continue
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out.terms = terms
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TruncatedSeries":
-        out = TruncatedSeries(self.variables, self.cap)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other) -> "TruncatedSeries":
-        return self + (-self._coerce(other))
+        if other.cap > self.cap:
+            other = other.truncate(self.cap)
+        return super().add_scaled(other, factor)
 
     def __mul__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            out = TruncatedSeries(self.variables, self.cap)
-            if c != 0:
-                out.terms = {e: k * c for e, k in self.terms.items()}
-            return out
+            return self.scale(other)
         other = self._coerce(other)
-        cap = min(self.cap, other.cap)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        out = TruncatedSeries(self.variables, min(self.cap, other.cap))
+        right = [(e, sum(e), c) for e, c in other.terms.items()]
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            if d1 > cap:
-                continue
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > cap:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = TruncatedSeries(self.variables, cap)
-        out.terms = terms
+            room = out.cap - sum(e1)
+            for e2, d2, c2 in right:
+                if d2 <= room:
+                    out.add_term(tuple(map(add, e1, e2)), c1 * c2)
         return out
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "TruncatedSeries":
-        if n < 0:
-            raise ValueError("negative power of a truncated series")
-        out = TruncatedSeries.constant(self.variables, self.cap, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def truncate(self, cap: int) -> "TruncatedSeries":
         out = TruncatedSeries(self.variables, cap)
@@ -158,37 +85,20 @@ class TruncatedSeries:
     def scale_exponent(self, name: str, shift: int) -> "TruncatedSeries":
         """Multiply by var^shift (shift >= 0), dropping terms past the cap."""
         idx = self.variables.index(name)
-        out = TruncatedSeries(self.variables, self.cap)
-        terms = {}
+        out = self._empty()
         for e, c in self.terms.items():
             e2 = e[:idx] + (e[idx] + shift,) + e[idx + 1 :]
             if sum(e2) <= self.cap:
-                terms[e2] = c
-        out.terms = terms
-        return out
-
-    def euler(self, name: str) -> "TruncatedSeries":
-        """Euler operator u d/du acting term-by-term."""
-        idx = self.variables.index(name)
-        out = TruncatedSeries(self.variables, self.cap)
-        out.terms = {e: c * e[idx] for e, c in self.terms.items() if e[idx]}
+                out.terms[e2] = c
         return out
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
-        out = TruncatedSeries(self.variables, self.cap)
-        terms = {}
+        out = self._empty()
         for e, c in self.terms.items():
             v = fn(e, c)
             if v != 0:
-                terms[e] = v
-        out.terms = terms
+                out.terms[e] = v
         return out
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exponents": list(e), "coeff": format_rational(c)}
-            for e, c in self.sorted_terms()
-        ]
 
     @classmethod
     def from_json(cls, variables: Iterable[str], cap: int, data: list[dict]) -> "TruncatedSeries":
@@ -196,14 +106,5 @@ class TruncatedSeries:
         return cls(variables, cap, terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return f"O(^{self.cap + 1})"
-        bits = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in zip(self.variables, exps)
-                if e
-            )
-            bits.append(f"{format_rational(c)}*{mono}" if mono else format_rational(c))
-        return " + ".join(bits) + f" + O(^{self.cap + 1})"
+        tail = f"O(^{self.cap + 1})"
+        return tail if not self.terms else f"{super().__repr__()} + {tail}"

@@ -16,6 +16,7 @@ from itertools import product as iproduct
 
 from .errors import ConsistencyError
 from .pairs import PairSum, TwoChiralSum
+from .poly import MultiPoly
 from .series import TruncatedSeries
 from .special import format_rational
 
@@ -101,40 +102,15 @@ def build_structure(name: str) -> SixPointStructure:
 def _u_polynomial(name: str) -> dict[tuple[int, int, int, int], Fraction]:
     """Numerator over the denominator (1-u+)(1-u-)(1-u'+)(1-u'-), keyed by
     exponents of (u+, u-, u'+, u'-)."""
-
-    def poly_mul(p, q):
-        out: dict[tuple[int, int, int, int], Fraction] = {}
-        for e1, c1 in p.items():
-            for e2, c2 in q.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return {e: c for e, c in out.items() if c != 0}
-
-    sum12 = {
-        (1, 0, 0, 0): Fraction(1),
-        (0, 1, 0, 0): Fraction(1),
-        (1, 1, 0, 0): Fraction(-1),
-    }
-    sum56 = {
-        (0, 0, 1, 0): Fraction(1),
-        (0, 0, 0, 1): Fraction(1),
-        (0, 0, 1, 1): Fraction(-1),
-    }
-    diff12 = {(1, 0, 0, 0): Fraction(1), (0, 1, 0, 0): Fraction(-1)}
-    diff56 = {(0, 0, 1, 0): Fraction(1), (0, 0, 0, 1): Fraction(-1)}
+    up, um, upp, upm = (MultiPoly.var(SERIES_VARS, v) for v in SERIES_VARS)
+    sums = (up + um - up * um) * (upp + upm - upp * upm)
+    diffs = (up - um) * (upp - upm)
     if name == "B":
-        return poly_mul(sum12, sum56)
+        return sums.terms
     if name == "BminusHalfE":
-        return poly_mul(diff12, diff56)
+        return diffs.terms
     if name == "E6":
-        b = poly_mul(sum12, sum56)
-        bme = poly_mul(diff12, diff56)
-        out = {e: 2 * c for e, c in b.items()}
-        for e, c in bme.items():
-            out[e] = out.get(e, Fraction(0)) - 2 * c
-            if out[e] == 0:
-                del out[e]
-        return out
+        return (sums - diffs).scale(2).terms
     raise ValueError(f"no 2D closed form registered for {name!r}")
 
 
@@ -212,7 +188,7 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
         both = dict(exps)
         for pr, e in inv_pref.items():
             both[pr] = both.get(pr, Fraction(0)) + e
-        lhs = lhs + TwoChiralSum.monomial(POINTS, coeff, both, both)
+        lhs.add_scaled(TwoChiralSum.monomial(POINTS, coeff, both, both))
     # multiply by the denominator in Ptolemy-monomial form, one factor per
     # chirality and channel
     lhs = lhs.mul_monomial(1, ONE_MINUS_U1, {})
@@ -223,7 +199,7 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     rhs = TwoChiralSum(POINTS)
     for key, c in numerator.items():
         plus, minus = _u_monomial_exps(key)
-        rhs = rhs + TwoChiralSum.monomial(POINTS, c, plus, minus)
+        rhs.add_scaled(TwoChiralSum.monomial(POINTS, c, plus, minus))
 
     if not (lhs - rhs).is_zero_function():
         raise ConsistencyError(

@@ -20,7 +20,13 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    """Inverse of format_rational; raises ValueError on anything else."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational as a string, got {text!r}")
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def pochhammer(x, n: int) -> Fraction:
@@ -32,24 +38,6 @@ def pochhammer(x, n: int) -> Fraction:
     for k in range(n):
         out *= x + k
     return out
-
-
-def falling(x, n: int) -> Fraction:
-    """Falling factorial x(x-1)...(x-n+1)."""
-    if n < 0:
-        raise ValueError(f"falling order must be >= 0, got {n}")
-    x = Fraction(x)
-    out = Fraction(1)
-    for k in range(n):
-        out *= x - k
-    return out
-
-
-def binomial_general(x, m: int) -> Fraction:
-    """Generalized binomial coefficient C(x, m) for rational x."""
-    from math import factorial
-
-    return falling(x, m) / factorial(m)
 
 
 def gauss_2f1_coeff(a, b, c, ell: int) -> Fraction:

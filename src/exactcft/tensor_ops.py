@@ -100,9 +100,9 @@ def gradv(f: MultiPoly) -> InvVector:
 def dot_basis(x: InvVector, basis_index: int) -> MultiPoly:
     g = _gram()
     comps = (x.a, x.b, x.c)
-    out = iconst(0)
+    out = ipoly()
     for k in range(3):
-        out = out + comps[k] * g[k][basis_index]
+        out.add_scaled(comps[k] * g[k][basis_index])
     return out
 
 
@@ -179,7 +179,7 @@ def harmonic_project(poly: MultiPoly, v_deg: int | None = None) -> MultiPoly:
             alpha = -alpha / (4 * k * (n - k + 1))
             vpow = vpow * vgen
             current = lapv(current)
-        out = out + vpow * current * alpha
+        out.add_scaled(vpow * current, alpha)
     return out
 
 
@@ -234,7 +234,7 @@ def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
             if num == 0:
                 continue
             coeff = num * pochhammer(kd + j, L - j) / factorial(j)
-            out = out + zpow * coeff
+            out.add_scaled(zpow, coeff)
         return out
     if kappa == 0 and delta == 0:
         raise DegenerateParameterError(
@@ -404,7 +404,7 @@ def _bracket(kappa: int, L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
     for delta, rp in rpoly_by_delta.items():
         total = ipoly()
         for (j,), fj in rp.terms.items():
-            total = total + (minus**j) * (plus ** (L - j)) * fj
+            total.add_scaled((minus**j) * (plus ** (L - j)), fj)
         out[delta] = harmonic_project(total, L)
     return out
 
@@ -448,7 +448,7 @@ def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorI
     total = ipoly()
     for (m, n), c in table.entries.items():
         mono = (t12 ** (kappa - m - n)) * (b1**m) * (b2**n)
-        total = total + mono * bras[m - n] * c
+        total.add_scaled(mono * bras[m - n], c)
     return TensorIntertwiner(kappa, L, total)
 
 
@@ -488,7 +488,7 @@ def rank_zero_closed_form(L: int) -> MultiPoly:
             c = -c
         if c == 0:
             continue
-        total = total + harmonic_project((s1**p) * (s2**q), L) * c
+        total.add_scaled(harmonic_project((s1**p) * (s2**q), L), c)
     return total
 
 
@@ -531,8 +531,7 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
     for vec in sol.kernel:
         poly = ipoly()
         for x, bp in zip(vec, basis_polys):
-            if x != 0:
-                poly = poly + bp * x
+            poly.add_scaled(bp, x)
         out.append(TensorIntertwiner(kappa, L, poly))
     return out
 
@@ -544,5 +543,5 @@ def twist_table_poly(kappa: int, L: int, seed=Fraction(1)) -> MultiPoly:
     for (m, n), c in table.entries.items():
         rp = radial_poly(kappa, L, m - n)
         for (j,), fj in rp.terms.items():
-            out = out + MultiPoly(("p", "q", "r"), {(m, n, j): c * fj})
+            out.add_term((m, n, j), c * fj)
     return out

@@ -138,8 +138,23 @@ class ChiralWave:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChiralWave":
-        spec = WaveSpec.from_json(data["spec"])
+        """Inverse of to_json; malformed input raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("wave JSON must be an object")
+        missing = [k for k in ("spec", "cap", "prefactor", "series") if k not in data]
+        if missing:
+            raise ValueError(f"wave JSON lacks {', '.join(missing)}")
         cap = data["cap"]
+        if type(cap) is not int or cap < 0:
+            raise ValueError(f"wave JSON cap must be a non-negative integer, got {cap!r}")
+        spec = WaveSpec.from_json(data["spec"])
+        nvars = spec.n - 3
+        for item in data["series"]:
+            exps = item["exponents"]
+            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
+                raise ValueError(
+                    f"series exponents {exps!r} are not {nvars} non-negative integers"
+                )
         series = TruncatedSeries.from_json(wave_series_vars(spec.n), cap, data["series"])
         factors = {
             tuple(int(v) for v in key.split(",")): parse_rational(val)

@@ -182,3 +182,52 @@ def test_tensor_intertwiner_cli(capsys):
     )
     assert code == 0
     assert json.loads(out)["kernel_dimension"] == 1
+
+
+def _one_line_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error: ")
+
+
+def test_positivity_out_into_missing_directory(tmp_path, capsys):
+    _one_line_usage_error(*run_cli(
+        capsys,
+        "exotic", "positivity", "--structure", "B", "--hmax", "3", "--kmax", "0",
+        "--out", str(tmp_path / "no-such-dir" / "report.json"),
+    ))
+
+
+def test_wave_zero_denominator(capsys):
+    _one_line_usage_error(*run_cli(
+        capsys, "wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "1/0", "--cap", "2"
+    ))
+
+
+def test_reduce_rejects_string_cap(tmp_path, capsys):
+    bad = {
+        "spec": {"n": 4, "dims": ["1", "1", "1", "1"], "proj": ["1", "2", "1"]},
+        "cap": "x",
+        "prefactor": {"numerator": "1", "factors": {}},
+        "series": [],
+    }
+    wave_path = tmp_path / "bad-cap.json"
+    wave_path.write_text(json.dumps(bad))
+    _one_line_usage_error(*run_cli(
+        capsys, "reduce", "--wave", str(wave_path), "--pair", "1,2", "--h", "2"
+    ))
+
+
+def test_normalized_chiral_needs_no_dimensions(capsys):
+    code, out, _ = run_cli(capsys, "intertwiner", "chiral", "--h", "10", "--normalized")
+    assert code == 0
+    assert json.loads(out)["kind"] == "D"
+    code, with_dims, _ = run_cli(
+        capsys, "intertwiner", "chiral", "--h", "10", "--normalized", "--d1", "0", "--d2", "0"
+    )
+    assert code == 0
+    assert with_dims == out
+    code, _, err = run_cli(capsys, "intertwiner", "chiral", "--h", "10")
+    assert code == 2
+    assert "--d1" in err

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcft.linsolve import linear_solve_exact, mat_vec, symmetric_inertia
+from exactcft.linsolve import linear_solve_exact, mat_vec, row_basis, symmetric_inertia
 
 
 def test_identity_system():
@@ -88,3 +88,23 @@ def test_inertia_counts_sum_to_dimension(rows):
     sym = [[rows[i][j] + rows[j][i] for j in range(3)] for i in range(3)]
     p, n, z = symmetric_inertia(sym)
     assert p + n + z == 3
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), matrix_entries)
+matrices = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(sparse_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=5
+    )
+)
+
+
+@given(matrices)
+@settings(max_examples=40, deadline=None)
+def test_rank_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    rank = sympy.Matrix(rows).rank()
+    basis = row_basis(rows)
+    assert len(basis) == rank
+    assert linear_solve_exact(rows, [0] * len(rows)).kernel_dim == len(rows[0]) - rank
+    # the basis spans the same space: stacking it on the rows adds no rank
+    assert sympy.Matrix(rows + basis).rank() == rank

@@ -77,3 +77,13 @@ def test_power():
 def test_json_round_trip():
     p = MultiPoly(VARS, {(1, 2): Fraction(3, 7), (0, 0): -2})
     assert MultiPoly.from_json(VARS, p.to_json()) == p
+
+
+@given(poly_strategy(), poly_strategy(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@settings(max_examples=40, deadline=None)
+def test_add_scaled_is_in_place_add(a, b, c):
+    expected = a + b * c
+    b_terms = dict(b.terms)
+    assert a.add_scaled(b, c) is a
+    assert a == expected
+    assert b.terms == b_terms

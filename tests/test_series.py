@@ -48,11 +48,37 @@ def test_series_product_matches_poly_product(t1, t2):
     assert (s1 * s2).terms == truncated
 
 
-def test_euler_operator():
-    s = TruncatedSeries(U, 3, {(0,): 5, (2,): 7})
-    assert s.euler("u") == TruncatedSeries(U, 3, {(2,): 14})
-
-
 def test_json_round_trip():
     s = TruncatedSeries(U, 4, {(3,): Fraction(9, 10), (0,): 1})
     assert TruncatedSeries.from_json(U, 4, s.to_json()) == s
+
+
+series_terms = st.dictionaries(
+    st.tuples(st.integers(0, 6)),
+    st.fractions(max_denominator=5, min_value=-3, max_value=3),
+    max_size=6,
+)
+
+
+@given(
+    series_terms,
+    series_terms,
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.fractions(max_denominator=4, min_value=-2, max_value=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_add_scaled_is_in_place_add(t1, t2, cap1, cap2, c):
+    a = TruncatedSeries(U, cap1, t1)
+    b = TruncatedSeries(U, cap2, t2)
+    expected = a + b * c
+    b_terms = dict(b.terms)
+    a.add_scaled(b, c)
+    assert a.cap == cap1
+    assert all(sum(e) <= cap1 for e in a.terms)
+    assert b.terms == b_terms
+    # the sum takes the smaller cap; past it, a keeps only its own terms
+    assert a.truncate(min(cap1, cap2)) == expected
+    assert {e: v for e, v in a.terms.items() if sum(e) > cap2} == {
+        e: v for e, v in TruncatedSeries(U, cap1, t1).terms.items() if sum(e) > cap2
+    }

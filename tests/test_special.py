@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from exactcft.errors import DegenerateParameterError
 from exactcft.special import (
-    binomial_general,
     format_rational,
     gauss_2f1_coeff,
     legendre_coeffs,
@@ -67,8 +66,3 @@ def test_rational_round_trip():
     assert format_rational(Fraction(-2)) == "-2"
     assert parse_rational("9/10") == Fraction(9, 10)
     assert parse_rational("-7") == -7
-
-
-def test_binomial_general():
-    assert binomial_general(Fraction(-1, 2), 2) == Fraction(3, 8)
-    assert binomial_general(4, 2) == 6

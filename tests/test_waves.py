@@ -161,3 +161,37 @@ def test_wave_json_round_trip():
     assert back.spec == wave.spec
     assert back.series == wave.series
     assert back.prefactor == wave.prefactor
+
+
+def _malformed(good: dict, **changes) -> dict:
+    bad = dict(good)
+    for key, value in changes.items():
+        if value is None:
+            bad.pop(key)
+        else:
+            bad[key] = value
+    return bad
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"cap": "x"},
+        {"cap": -1},
+        {"cap": 2.5},
+        {"cap": True},
+        {"spec": None},
+        {"series": None},
+        {"series": [{"exponents": [0, 0], "coeff": "1"}]},
+        {"series": [{"exponents": [-1], "coeff": "1"}]},
+    ],
+)
+def test_wave_json_rejects_malformed_input(change):
+    good = chiral_wave_series(WaveSpec.from_middle((1, 1, 1, 1), (2,)), 3).to_json()
+    with pytest.raises(ValueError):
+        ChiralWave.from_json(_malformed(good, **change))
+
+
+def test_wave_json_rejects_non_object():
+    with pytest.raises(ValueError):
+        ChiralWave.from_json([])
