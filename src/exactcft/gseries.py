@@ -108,14 +108,21 @@ def _recursion_profiles(cap: int) -> list[dict[int, Fraction]]:
     return profiles
 
 
-def _profile_series(n: int, profile: dict[int, Fraction], cap: int) -> TruncatedSeries:
-    """s^n g(w) in the chiral variables, with s = u+ u- and w = u+ + u- - u+ u-."""
+def _s_and_w(cap: int) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """s = u+ u- and w = u+ + u- - u+ u- as series in the chiral variables."""
     s = TruncatedSeries(GVARS, cap, {(1, 1): Fraction(1)})
     w = TruncatedSeries(
         GVARS, cap, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)}
     )
-    w_poly = TruncatedSeries(GVARS, cap)
-    wpow = TruncatedSeries.constant(GVARS, cap, 1)
+    return s, w
+
+
+def _profile_series(
+    n: int, profile: dict[int, Fraction], s: TruncatedSeries, w: TruncatedSeries
+) -> TruncatedSeries:
+    """s^n g(w) for the w-profile g, with s and w from _s_and_w."""
+    w_poly = TruncatedSeries(GVARS, w.cap)
+    wpow = TruncatedSeries.constant(GVARS, w.cap, 1)
     for j in range(max(profile, default=0) + 1):
         if j:
             wpow = wpow * w
@@ -126,9 +133,10 @@ def _profile_series(n: int, profile: dict[int, Fraction], cap: int) -> Truncated
 
 
 def _assemble_from_profiles(profiles: list[dict[int, Fraction]], cap: int) -> TruncatedSeries:
+    s, w = _s_and_w(cap)
     total = TruncatedSeries(GVARS, cap)
     for n, profile in enumerate(profiles):
-        total.add_scaled(_profile_series(n, profile, cap), Fraction(1, factorial(n)))
+        total.add_scaled(_profile_series(n, profile, s, w), Fraction(1, factorial(n)))
     return total
 
 
@@ -217,6 +225,7 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
         raise ValueError("needs cap >= 2 to carry any content")
     comp = _to_sw_components(g.series)
     out_cap = cap - 1
+    s, w = _s_and_w(out_cap)
     residual = TruncatedSeries(GVARS, out_cap)
     n = 1
     while 2 * n <= out_cap:
@@ -231,7 +240,7 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
         res_n = {j: c for j, c in res_n.items() if c != 0}
         if res_n:
             residual.add_scaled(
-                _profile_series(n, res_n, out_cap), Fraction(1, factorial(n - 1))
+                _profile_series(n, res_n, s, w), Fraction(1, factorial(n - 1))
             )
         n += 1
     return residual

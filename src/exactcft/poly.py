@@ -132,7 +132,11 @@ class MultiPoly(SparseSum):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.variables == other.variables and self.terms == other.terms
+            return (
+                type(self) is type(other)
+                and self.variables == other.variables
+                and self.terms == other.terms
+            )
         if isinstance(other, (int, Fraction)):
             return self == self._coerce(other)
         return NotImplemented
@@ -167,6 +171,10 @@ class MultiPoly(SparseSum):
     def _coerce(self, other) -> "MultiPoly":
         """other as an element of self's ring: same variables, or a constant."""
         if isinstance(other, MultiPoly):
+            if type(other) is not type(self):
+                raise VariableMismatchError(
+                    f"cannot combine {type(self).__name__} with {type(other).__name__}"
+                )
             if other.variables != self.variables:
                 raise VariableMismatchError(
                     f"variable sets differ: {self.variables} vs {other.variables}"
@@ -176,7 +184,7 @@ class MultiPoly(SparseSum):
         out.add_term((0,) * len(self.variables), Fraction(other))
         return out
 
-    __radd__ = SparseSum.__add__
+    __add__ = __radd__ = SparseSum.__add__
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self

@@ -56,9 +56,12 @@ class TruncatedSeries(MultiPoly):
         return NotImplemented
 
     def add_scaled(self, other, factor=1) -> "TruncatedSeries":
-        """In place: self += other * factor, dropping terms past self.cap."""
+        """In place: self += other * factor, at the smaller of the two caps."""
         other = self._coerce(other)
-        if other.cap > self.cap:
+        if other.cap < self.cap:
+            self.cap = other.cap
+            self.terms = {e: c for e, c in self.terms.items() if sum(e) <= self.cap}
+        elif other.cap > self.cap:
             other = other.truncate(self.cap)
         return super().add_scaled(other, factor)
 

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -73,12 +74,20 @@ def test_add_scaled_is_in_place_add(t1, t2, cap1, cap2, c):
     b = TruncatedSeries(U, cap2, t2)
     expected = a + b * c
     b_terms = dict(b.terms)
-    a.add_scaled(b, c)
-    assert a.cap == cap1
-    assert all(sum(e) <= cap1 for e in a.terms)
+    assert a.add_scaled(b, c) is a
+    # the accumulator takes the smaller cap and drops every term past it
+    assert a == expected
+    assert a.cap == min(cap1, cap2)
+    assert all(sum(e) <= a.cap for e in a.terms)
     assert b.terms == b_terms
-    # the sum takes the smaller cap; past it, a keeps only its own terms
-    assert a.truncate(min(cap1, cap2)) == expected
-    assert {e: v for e, v in a.terms.items() if sum(e) > cap2} == {
-        e: v for e, v in TruncatedSeries(U, cap1, t1).terms.items() if sum(e) > cap2
-    }
+
+
+def test_series_and_polynomial_do_not_mix():
+    s = TruncatedSeries(U, 3, {(1,): 1})
+    p = MultiPoly(U, {(1,): 1})
+    assert s != p and p != s
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(VariableMismatchError):
+            op(s, p)
+        with pytest.raises(VariableMismatchError):
+            op(p, s)
