@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DegenerateParameterError
 from .series import TruncatedSeries
 from .special import format_rational, gauss_2f1_coeff
 
@@ -44,6 +45,8 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
     """Solve the expansion of 1 into the hypergeometric tower, exactly."""
     if cap_n < 0:
         raise ValueError("cap_n must be >= 0")
+    if h < 1 or h_prime < 1:
+        raise DegenerateParameterError("only chiral dimensions h >= 1 occur")
     entries: dict[int, Fraction] = {0: Fraction(1)}
     for m in range(1, cap_n + 1):
         acc = Fraction(0)

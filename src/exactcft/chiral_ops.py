@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import DegenerateParameterError
-from .pairs import PairSum
+from .pairs import ExpKey, PairSum, bump, norm_exps
 from .poly import MultiPoly
 from .special import format_rational, pochhammer
-from .waves import ChiralWave, WaveSpec, chiral_wave_series
+from .waves import ChiralWave, WaveSpec, chiral_wave_series, cross_ratio
 
 DVARS = ("D1", "D2")
 
@@ -207,25 +207,12 @@ class ReducedWave:
     reliable_cap: int
 
 
-def _wave_term_monomial(wave: ChiralWave, ells: tuple[int, ...]) -> dict:
-    """Exponent map of prefactor * prod u_k^{l_k} over points 1..n."""
-    n = wave.spec.n
-    exps: dict[tuple[int, int], Fraction] = dict(wave.prefactor.pair_factors)
-
-    def bump(i: int, j: int, v: int):
-        if v == 0:
-            return
-        key = (i, j)
-        exps[key] = exps.get(key, Fraction(0)) + v
-        if exps[key] == 0:
-            del exps[key]
-
+def _wave_term(wave: ChiralWave, ells: tuple[int, ...]) -> ExpKey:
+    """Exponent key of prefactor * prod u_k^{l_k} over points 1..n."""
+    key = norm_exps(wave.prefactor.pair_factors)
     for k, lk in enumerate(ells, start=1):
-        bump(k, k + 1, lk)
-        bump(k + 2, k + 3, lk)
-        bump(k, k + 2, -lk)
-        bump(k + 1, k + 3, -lk)
-    return exps
+        key = bump(key, cross_ratio(k), lk)
+    return key
 
 
 def reduce_wave(
@@ -258,7 +245,7 @@ def reduce_wave(
         tail_order = sum(ells[1:]) if first else sum(ells[:-1])
         if tail_order > reliable:
             continue
-        mono = PairSum.monomial(points, c, _wave_term_monomial(wave, ells))
+        mono = PairSum(points, {_wave_term(wave, ells): c})
         out.add_scaled(reduce_correlator(mono, pair, op, d1, d2))
     return ReducedWave(out.points, out, reliable)
 
@@ -286,9 +273,7 @@ def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -
     relabel = {k + 1: points[k] for k in range(n)}
     out = PairSum.zero(sorted(points))
     for ells, c in wave.series.terms.items():
-        mono = PairSum.monomial(
-            tuple(range(1, n + 1)), c, _wave_term_monomial(wave, ells)
-        )
+        mono = PairSum(range(1, n + 1), {_wave_term(wave, ells): c})
         out.add_scaled(mono.relabel(relabel))
     return out
 

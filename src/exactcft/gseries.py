@@ -3,16 +3,19 @@
 Two independent routes: the closed coefficient formula in the chiral
 variables, and the order-by-order ODE recursion in s with t-profiles carried
 as truncated power series in w = 1 - t (they are hypergeometric, not
-polynomial, so only truncations are available). The biharmonicity check works
-on the s-graded recursion instances; its order-n component couples the
-profiles of orders n-1 and n, so order 0 carries no condition.
+polynomial, so only truncations are available). A profile g_n(w) of a
+cap-C series is a TruncatedSeries in ("w",) with cap C - 2n; the ODE
+operators are compositions of series products and derivatives, and since a
+derivative lowers the cap by one, each result carries exactly the orders its
+input determines. The biharmonicity check works on the s-graded recursion
+instances; its order-n component couples the profiles of orders n-1 and n,
+so order 0 carries no condition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import factorial
 
 from .poly import MultiPoly
@@ -20,6 +23,7 @@ from .series import TruncatedSeries
 
 GVARS = ("u_plus", "u_minus")
 SW = ("s", "w")
+W = ("w",)
 
 
 @dataclass(frozen=True)
@@ -46,65 +50,51 @@ def closed_coefficient(a: int, b: int) -> Fraction:
 
 
 def _closed_series(cap: int) -> TruncatedSeries:
-    terms = {}
-    for a, b in iproduct(range(cap + 1), repeat=2):
-        if a + b > cap:
-            continue
-        c = closed_coefficient(a, b)
-        if c != 0:
-            terms[(a, b)] = c
-    return TruncatedSeries(GVARS, cap, terms)
+    return TruncatedSeries.from_coefficients(GVARS, cap, lambda e: closed_coefficient(*e))
 
 
 # -- w-profile machinery -----------------------------------------------------
-# profiles g_n(w) are truncated power series in w, stored as {j: coeff}
 
 
-def _t_euler(profile: dict[int, Fraction], order: int) -> dict[int, Fraction]:
-    """t d/dt = -(1-w) d/dw on truncated w-series, exact to `order`."""
-    out: dict[int, Fraction] = {}
-    for j, c in profile.items():
-        # -(d/dw): -(j+1) c_{j+1} w^j ; +w d/dw: j c_j w^j
-        if j - 1 >= 0:
-            out[j - 1] = out.get(j - 1, Fraction(0)) - j * c
-        out[j] = out.get(j, Fraction(0)) + j * c
-    return {j: c for j, c in out.items() if j <= order and c != 0}
+def _one_minus_w(cap: int) -> TruncatedSeries:
+    return TruncatedSeries(W, cap, {(0,): Fraction(1), (1,): Fraction(-1)})
 
 
-def _recursion_rhs(prev: dict[int, Fraction], n: int, order: int) -> dict[int, Fraction]:
-    """(1 - t d/dt)(n + t d/dt) g_{n-1}, exact to `order`."""
-    inner = {j: n * c for j, c in prev.items()}
-    te = _t_euler(prev, order + 1)
-    for j, c in te.items():
-        inner[j] = inner.get(j, Fraction(0)) + c
-    out = dict(inner)
-    te2 = _t_euler(inner, order)
-    for j, c in te2.items():
-        out[j] = out.get(j, Fraction(0)) - c
-    return {j: c for j, c in out.items() if j <= order and c != 0}
+def _t_euler(profile: TruncatedSeries) -> TruncatedSeries:
+    """t d/dt = -(1-w) d/dw."""
+    return -(_one_minus_w(profile.cap) * profile.differentiate("w"))
 
 
-def _solve_profile(rhs: dict[int, Fraction], n: int, order: int) -> dict[int, Fraction]:
-    """Solve (1 + (n+1)(1-w) + w(1-w) d/dw) g_n = rhs up to w^order.
+def _recursion_rhs(prev: TruncatedSeries, n: int) -> TruncatedSeries:
+    """(1 - t d/dt)(n + t d/dt) g_{n-1}, two orders below the cap of g_{n-1}."""
+    inner = prev.scale(n) + _t_euler(prev)
+    return inner - _t_euler(inner)
+
+
+def _lhs_op(profile: TruncatedSeries, n: int) -> TruncatedSeries:
+    """(1 + (n+1)(1-w) + w(1-w) d/dw) g_n, one order below the cap of g_n."""
+    one_minus_w = _one_minus_w(profile.cap)
+    w_one_minus_w = (1 - one_minus_w) * one_minus_w
+    return profile * (one_minus_w.scale(n + 1) + 1) + w_one_minus_w * profile.differentiate("w")
+
+
+def _solve_profile(rhs: TruncatedSeries, n: int) -> TruncatedSeries:
+    """Solve (1 + (n+1)(1-w) + w(1-w) d/dw) g_n = rhs at the cap of rhs.
 
     Coefficient matching is triangular: (n+2+j) gamma_j = (n+j) gamma_{j-1} + rhs_j.
     """
-    gamma: dict[int, Fraction] = {}
+    gamma = TruncatedSeries(W, rhs.cap)
     prev = Fraction(0)
-    for j in range(order + 1):
-        val = ((n + j) * prev + rhs.get(j, Fraction(0))) / (n + 2 + j)
-        if val != 0:
-            gamma[j] = val
-        prev = val
+    for j in range(rhs.cap + 1):
+        prev = ((n + j) * prev + rhs.coefficient((j,))) / (n + 2 + j)
+        gamma.add_term((j,), prev)
     return gamma
 
 
-def _recursion_profiles(cap: int) -> list[dict[int, Fraction]]:
-    profiles = [{0: Fraction(1)}]
+def _recursion_profiles(cap: int) -> list[TruncatedSeries]:
+    profiles = [TruncatedSeries.constant(W, cap, 1)]
     for n in range(1, cap // 2 + 1):
-        order = cap - 2 * n
-        rhs = _recursion_rhs(profiles[n - 1], n, order)
-        profiles.append(_solve_profile(rhs, n, order))
+        profiles.append(_solve_profile(_recursion_rhs(profiles[n - 1], n), n))
     return profiles
 
 
@@ -118,21 +108,21 @@ def _s_and_w(cap: int) -> tuple[TruncatedSeries, TruncatedSeries]:
 
 
 def _profile_series(
-    n: int, profile: dict[int, Fraction], s: TruncatedSeries, w: TruncatedSeries
+    n: int, profile: TruncatedSeries, s: TruncatedSeries, w: TruncatedSeries
 ) -> TruncatedSeries:
     """s^n g(w) for the w-profile g, with s and w from _s_and_w."""
     w_poly = TruncatedSeries(GVARS, w.cap)
     wpow = TruncatedSeries.constant(GVARS, w.cap, 1)
-    for j in range(max(profile, default=0) + 1):
+    for j in range(profile.total_degree() + 1):
         if j:
             wpow = wpow * w
-        c = profile.get(j)
+        c = profile.coefficient((j,))
         if c:
             w_poly.add_scaled(wpow, c)
     return (s**n) * w_poly
 
 
-def _assemble_from_profiles(profiles: list[dict[int, Fraction]], cap: int) -> TruncatedSeries:
+def _assemble_from_profiles(profiles: list[TruncatedSeries], cap: int) -> TruncatedSeries:
     s, w = _s_and_w(cap)
     total = TruncatedSeries(GVARS, cap)
     for n, profile in enumerate(profiles):
@@ -158,8 +148,9 @@ def completion_series(cap: int, method: str = "closed") -> BiharmonicSeries:
 # -- biharmonicity check ------------------------------------------------------
 
 
-def _to_sw_components(series: TruncatedSeries) -> dict[int, dict[int, Fraction]]:
-    """Profiles g_n(w) (with the n! removed) of a symmetric double series.
+def _to_sw_components(series: TruncatedSeries) -> list[TruncatedSeries]:
+    """Profiles g_n(w) (with the n! removed) of a symmetric double series;
+    g_n is known through w^(cap - 2n).
 
     Uses s = u+ u-, e1 = u+ + u- = w + s and the power-sum recursion to
     rewrite monomial symmetric functions exactly.
@@ -191,25 +182,10 @@ def _to_sw_components(series: TruncatedSeries) -> dict[int, dict[int, Fraction]]
         else:
             mono = (e2**lo) * psum(hi - lo)
         total.add_scaled(mono, c)
-    out: dict[int, dict[int, Fraction]] = {}
-    for (n, j), c in total.terms.items():
-        if 2 * n + j > cap:
-            continue
-        out.setdefault(n, {})[j] = c
-    return out
-
-
-def _lhs_op(profile: dict[int, Fraction], n: int, order: int) -> dict[int, Fraction]:
-    """(1 + (n+1)(1-w) + w(1-w) d/dw) g_n, exact to `order`."""
-    out: dict[int, Fraction] = {}
-    for j, c in profile.items():
-        out[j] = out.get(j, Fraction(0)) + (n + 2) * c
-        out[j + 1] = out.get(j + 1, Fraction(0)) - (n + 1) * c
-        # w(1-w) d/dw: j c_j w^j - j c_j w^{j+1}
-        if j:
-            out[j] = out.get(j, Fraction(0)) + j * c
-            out[j + 1] = out.get(j + 1, Fraction(0)) - j * c
-    return {j: c for j, c in out.items() if j <= order and c != 0}
+    return [
+        TruncatedSeries(W, cap - 2 * n, {(j,): c for (m, j), c in total.terms.items() if m == n})
+        for n in range(cap // 2 + 1)
+    ]
 
 
 def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
@@ -227,20 +203,13 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
     out_cap = cap - 1
     s, w = _s_and_w(out_cap)
     residual = TruncatedSeries(GVARS, out_cap)
-    n = 1
-    while 2 * n <= out_cap:
-        order = cap - 2 * n - 1
+    for n in range(1, out_cap // 2 + 1):
         # profiles carry 1/n!; the recursion relates g_n = n! [s^n] to g_{n-1}
-        gn = {j: c * factorial(n) for j, c in comp.get(n, {}).items()}
-        gprev = {j: c * factorial(n - 1) for j, c in comp.get(n - 1, {}).items()}
-        res_n = _lhs_op(gn, n, order)
-        rhs = _recursion_rhs(gprev, n, order)
-        for j, c in rhs.items():
-            res_n[j] = res_n.get(j, Fraction(0)) - c
-        res_n = {j: c for j, c in res_n.items() if c != 0}
+        res_n = _lhs_op(comp[n].scale(factorial(n)), n) - _recursion_rhs(
+            comp[n - 1].scale(factorial(n - 1)), n
+        )
         if res_n:
             residual.add_scaled(
                 _profile_series(n, res_n, s, w), Fraction(1, factorial(n - 1))
             )
-        n += 1
     return residual

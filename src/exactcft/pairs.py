@@ -22,7 +22,8 @@ Pair = tuple[int, int]
 ExpKey = tuple[tuple[Pair, Fraction], ...]
 
 
-def _norm_exps(exps: Mapping[Pair, Fraction]) -> ExpKey:
+def norm_exps(exps: Mapping[Pair, Fraction]) -> ExpKey:
+    """Exponent key of prod x_pr^exps[pr]: sorted, zero exponents dropped."""
     out = []
     for (i, j), e in exps.items():
         if i >= j:
@@ -33,17 +34,60 @@ def _norm_exps(exps: Mapping[Pair, Fraction]) -> ExpKey:
     return tuple(sorted(out))
 
 
-def _bump(key: ExpKey, add: Mapping[Pair, Fraction]) -> ExpKey:
-    """Exponent key of the monomial key times prod x_pr^add[pr]."""
+def bump(key: ExpKey, add: Mapping[Pair, Fraction], times=1) -> ExpKey:
+    """Exponent key of the monomial key times (prod x_pr^add[pr])^times."""
     cur = dict(key)
     for pr, e in add.items():
         pr = tuple(pr)
-        e = cur.get(pr, Fraction(0)) + Fraction(e)
+        e = cur.get(pr, Fraction(0)) + Fraction(e) * times
         if e:
             cur[pr] = e
         else:
             cur.pop(pr, None)
     return tuple(sorted(cur.items()))
+
+
+def _zvars(points: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(f"z{k}" for k in range(1, len(points)))
+
+
+def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> Iterator[MultiPoly]:
+    """Each monomial of keys over one shared base, in adjacent differences.
+
+    The base takes per pair the least exponent across keys, absence counting
+    as 0, and every monomial is divided by it: a common factor changes
+    neither zeroness nor any linear relation among the expansions. Keys that
+    agree modulo integers on every pair (a pair with a fractional exponent
+    then appears in every key) leave non-negative integer relative exponents,
+    each expanded through x_{p_a} - x_{p_b} = z_a + ... + z_{b-1} over the
+    sorted points. Yields one polynomial per key, in order.
+    """
+    dicts = [dict(key) for key in keys]
+    pairs = {pr for d in dicts for pr in d}
+    base = {pr: min(d.get(pr, Fraction(0)) for d in dicts) for pr in pairs}
+    zvars = _zvars(points)
+    idx = {p: k for k, p in enumerate(points)}
+    chain_cache: dict[tuple[Pair, int], MultiPoly] = {}
+
+    def chain_power(pr: Pair, n: int) -> MultiPoly:
+        got = chain_cache.get((pr, n))
+        if got is None:
+            lin = MultiPoly(zvars)
+            for m in range(idx[pr[0]], idx[pr[1]]):
+                lin.add_term(tuple(int(k == m) for k in range(len(zvars))), Fraction(1))
+            got = chain_cache[(pr, n)] = lin**n
+        return got
+
+    one = MultiPoly.constant(zvars, 1)
+    for d in dicts:
+        poly = one
+        for pr, b in base.items():
+            rel = d.get(pr, Fraction(0)) - b
+            if rel.denominator != 1:
+                raise ConsistencyError("relative exponent within a class must be an integer")
+            if rel:
+                poly = poly * chain_power(pr, int(rel))
+        yield poly
 
 
 def _frac_part(e: Fraction) -> Fraction:
@@ -89,7 +133,7 @@ class PairSum(SparseSum):
         exps: Mapping[Pair, Fraction],
         antisym: bool = True,
     ) -> "PairSum":
-        return cls(points, {_norm_exps(exps): Fraction(coeff)}, antisym)
+        return cls(points, {norm_exps(exps): Fraction(coeff)}, antisym)
 
     # -- iteration ------------------------------------------------------
 
@@ -114,7 +158,7 @@ class PairSum(SparseSum):
         coeff = Fraction(coeff)
         res = self._empty()
         for key, c in self.terms.items():
-            res.add_term(_bump(key, exps), c * coeff)
+            res.add_term(bump(key, exps), c * coeff)
         return res
 
     def __mul__(self, other: "PairSum") -> "PairSum":
@@ -214,72 +258,13 @@ class PairSum(SparseSum):
             groups.setdefault(ck, {})[key] = c
         return groups
 
-    def _z_poly(self, terms: Mapping[ExpKey, Fraction], rebase: bool = True) -> MultiPoly:
-        """Expand an integer-class group in adjacent-difference coordinates.
-
-        With rebase=True a common monomial is cleared first so all relative
-        exponents are non-negative; zeroness and ratios are unaffected. With
-        rebase=False the exponents must already be non-negative integers.
-        """
-        pts = self.points
-        zvars = tuple(f"z{k}" for k in range(1, len(pts)))
-        idx = {p: k for k, p in enumerate(pts)}
-
-        # Per pair: min exponent across terms, treating absence as 0. A pair
-        # with fractional exponents appears in every term of the class, so the
-        # relative exponents below always come out as non-negative integers.
-        dicts = [dict(key) for key in terms]
-        base: dict[Pair, Fraction] = {}
-        if rebase:
-            for d in dicts:
-                for pr in d:
-                    base.setdefault(pr, None)
-            for pr in base:
-                present = [d[pr] for d in dicts if pr in d]
-                m = min(present)
-                if len(present) < len(dicts):
-                    m = min(m, Fraction(0))
-                base[pr] = m
-
-        chain_cache: dict[tuple[Pair, int], MultiPoly] = {}
-
-        def chain_power(pr: Pair, n: int) -> MultiPoly:
-            got = chain_cache.get((pr, n))
-            if got is not None:
-                return got
-            a, b = idx[pr[0]], idx[pr[1]]
-            # x_{p_a} - x_{p_b} = z_a + z_{a+1} + ... + z_{b-1}
-            lin = MultiPoly(
-                zvars,
-                {
-                    tuple(1 if k == m else 0 for k in range(len(zvars))): Fraction(1)
-                    for m in range(a, b)
-                },
-            )
-            val = lin**n
-            chain_cache[(pr, n)] = val
-            return val
-
-        one = MultiPoly.constant(zvars, 1)
-        total = MultiPoly(zvars)
-        for key, c in terms.items():
-            exps = dict(key)
-            term_poly = one
-            for pr in set(exps) | set(base):
-                rel = exps.get(pr, Fraction(0)) - base.get(pr, Fraction(0))
-                if rel.denominator != 1 or rel < 0:
-                    raise ConsistencyError(
-                        "relative exponent within a class must be a non-negative integer"
-                    )
-                if rel:
-                    term_poly = term_poly * chain_power(pr, int(rel))
-            total.add_scaled(term_poly, c)
+    def _z_poly(self, terms: Mapping[ExpKey, Fraction]) -> MultiPoly:
+        """Expand an integer-class group in adjacent-difference coordinates,
+        up to the common base monomial of _adjacent_expansions."""
+        total = MultiPoly(_zvars(self.points))
+        for poly, c in zip(_adjacent_expansions(self.points, terms), terms.values()):
+            total.add_scaled(poly, c)
         return total
-
-    def _z_poly_literal(self, exps: Mapping[Pair, Fraction]) -> MultiPoly:
-        """Expand one monomial with non-negative integer exponents, as given."""
-        group = {tuple(sorted((pr, Fraction(e)) for pr, e in exps.items() if e != 0)): Fraction(1)}
-        return self._z_poly(group, rebase=False)
 
     def is_zero_function(self) -> bool:
         return all(self._z_poly(g).is_zero() for g in self._classes().values())
@@ -293,13 +278,16 @@ class PairSum(SparseSum):
         self._coerce(other)
         g1, g2 = self._classes(), other._classes()
         lam: Fraction | None = None
+        zvars = _zvars(self.points)
         for ck in set(g1) | set(g2):
             t1 = g1.get(ck, {})
             t2 = g2.get(ck, {})
-            # expand with a shared base by building both polys over the union support
-            union: dict[ExpKey, Fraction] = {k: Fraction(0) for k in set(t1) | set(t2)}
-            p1 = self._z_poly({**union, **t1})
-            p2 = self._z_poly({**union, **t2})
+            # one expansion of the union support, weighted by each side
+            union = list(set(t1) | set(t2))
+            p1, p2 = MultiPoly(zvars), MultiPoly(zvars)
+            for key, poly in zip(union, _adjacent_expansions(self.points, union)):
+                p1.add_scaled(poly, t1.get(key, 0))
+                p2.add_scaled(poly, t2.get(key, 0))
             if p2.is_zero():
                 if not p1.is_zero():
                     return None
@@ -345,45 +333,24 @@ class FactoredLaurent:
     """A single factored monomial: numerator * prod x_{ij}^{e_ij}.
 
     Pair exponents may be rational; they stay symbolic. The numerator is a
-    polynomial in the point coordinates themselves (usually a constant).
+    rational constant.
     """
 
     __slots__ = ("numerator", "pair_factors")
 
-    def __init__(
-        self,
-        pair_factors: Mapping[Pair, Fraction],
-        numerator: MultiPoly | Fraction | int = 1,
-    ):
-        self.pair_factors: dict[Pair, Fraction] = {}
-        for (i, j), e in pair_factors.items():
-            if i >= j:
-                raise ValueError(f"pair must be ordered, got ({i},{j})")
-            e = Fraction(e)
-            if e != 0:
-                self.pair_factors[(i, j)] = e
-        if isinstance(numerator, MultiPoly):
-            self.numerator = numerator
-        else:
-            self.numerator = MultiPoly.constant((), Fraction(numerator))
-
-    def constant_numerator(self) -> Fraction:
-        if self.numerator.variables == ():
-            return self.numerator.coefficient(())
-        if self.numerator.total_degree() <= 0:
-            exps = (0,) * len(self.numerator.variables)
-            return self.numerator.coefficient(exps)
-        raise ValueError("numerator is not constant")
+    def __init__(self, pair_factors: Mapping[Pair, Fraction], numerator: Fraction | int = 1):
+        self.pair_factors: dict[Pair, Fraction] = dict(norm_exps(pair_factors))
+        self.numerator = Fraction(numerator)
 
     def exponent(self, pair: Pair) -> Fraction:
         return self.pair_factors.get(tuple(pair), Fraction(0))
 
     def to_pair_sum(self, points: Iterable[int], antisym: bool = True) -> PairSum:
-        return PairSum.monomial(points, self.constant_numerator(), self.pair_factors, antisym)
+        return PairSum.monomial(points, self.numerator, self.pair_factors, antisym)
 
     def to_json(self) -> dict:
         return {
-            "numerator": format_rational(self.constant_numerator()),
+            "numerator": format_rational(self.numerator),
             "factors": {
                 f"{i},{j}": format_rational(e)
                 for (i, j), e in sorted(self.pair_factors.items())
@@ -393,17 +360,14 @@ class FactoredLaurent:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FactoredLaurent):
             return NotImplemented
-        return (
-            self.pair_factors == other.pair_factors
-            and self.constant_numerator() == other.constant_numerator()
-        )
+        return self.pair_factors == other.pair_factors and self.numerator == other.numerator
 
     def __repr__(self) -> str:
         mono = " ".join(
             f"x{i}{j}^{format_rational(e)}"
             for (i, j), e in sorted(self.pair_factors.items())
         )
-        return f"{format_rational(self.constant_numerator())}*[{mono or '1'}]"
+        return f"{format_rational(self.numerator)}*[{mono or '1'}]"
 
 
 class TwoChiralSum(SparseSum):
@@ -431,7 +395,7 @@ class TwoChiralSum(SparseSum):
 
     @classmethod
     def monomial(cls, points, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
-        return cls(points, {(_norm_exps(exps_plus), _norm_exps(exps_minus)): Fraction(coeff)})
+        return cls(points, {(norm_exps(exps_plus), norm_exps(exps_minus)): Fraction(coeff)})
 
     def _empty(self) -> "TwoChiralSum":
         return TwoChiralSum(self.points)
@@ -445,7 +409,7 @@ class TwoChiralSum(SparseSum):
         coeff = Fraction(coeff)
         res = self._empty()
         for (kp, km), c in self.terms.items():
-            res.add_term((_bump(kp, exps_plus), _bump(km, exps_minus)), c * coeff)
+            res.add_term((bump(kp, exps_plus), bump(km, exps_minus)), c * coeff)
         return res
 
     def is_zero_function(self) -> bool:
@@ -456,42 +420,19 @@ class TwoChiralSum(SparseSum):
         combination of plus sides to be the zero polynomial. Complete proof,
         no sampling.
         """
-        if not self.terms:
-            return True
         items = sorted(self.terms.items())
-        coeffs = [c for _, c in items]
-        keysP = [k[0] for k, _ in items]
-        keysM = [k[1] for k, _ in items]
-        helper = PairSum(self.points)
-
-        def expand(keys: list[ExpKey]) -> list[MultiPoly]:
-            base: dict[Pair, Fraction] = {}
-            for key in keys:
-                seen = dict(key)
-                for pr in set(base) | set(seen):
-                    base[pr] = min(base.get(pr, Fraction(0)), seen.get(pr, Fraction(0)))
-            polys = []
-            for key in keys:
-                shifted = {k: Fraction(0) for k in base}
-                shifted.update(dict(key))
-                rel = {pr: shifted.get(pr, Fraction(0)) - base[pr] for pr in base}
-                polys.append(helper._z_poly_literal(rel))
-            return polys
-
-        polysM = expand(keysM)
-        polysP = expand(keysP)
-
         # rows: for each minus-monomial, the vector of its coefficients per term
         rows: dict[tuple[int, ...], list[Fraction]] = {}
-        for t, poly in enumerate(polysM):
+        minus = _adjacent_expansions(self.points, [km for (_, km), _ in items])
+        for t, poly in enumerate(minus):
             for exps, c in poly.terms.items():
                 rows.setdefault(exps, [Fraction(0)] * len(items))[t] = c
-        zvars = tuple(f"z{k}" for k in range(1, len(self.points)))
+        plus = list(_adjacent_expansions(self.points, [kp for (kp, _), _ in items]))
         for lam in row_basis(list(rows.values())):
-            acc = MultiPoly(zvars)
-            for c, w, poly in zip(coeffs, lam, polysP):
+            acc = MultiPoly(_zvars(self.points))
+            for (_, c), w, poly in zip(items, lam, plus):
                 acc.add_scaled(poly, c * w)
-            if not acc.is_zero():
+            if acc:
                 return False
         return True
 

@@ -7,8 +7,9 @@ take the smaller cap of the two operands and drop every term past it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import add
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .poly import MultiPoly
 from .special import parse_rational
@@ -43,6 +44,24 @@ class TruncatedSeries(MultiPoly):
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
         return cls(variables, cap, {exps: Fraction(1)})
+
+    @classmethod
+    def from_coefficients(
+        cls, variables: Iterable[str], cap: int, coeff: Callable[[tuple[int, ...]], Fraction]
+    ) -> "TruncatedSeries":
+        """sum coeff(e) * x^e over every exponent tuple e of total order <= cap.
+
+        Stars and bars: nv bars among cap + nv slots, the gaps between them
+        read off as the exponents, meet each such tuple once (in lex order).
+        """
+        out = cls(variables, cap)
+        nv = len(out.variables)
+        for bars in combinations(range(cap + nv), nv):
+            exps = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+            c = coeff(exps)
+            if c:
+                out.terms[exps] = Fraction(c)
+        return out
 
     def _empty(self) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, self.cap)
@@ -79,6 +98,10 @@ class TruncatedSeries(MultiPoly):
         return out
 
     __rmul__ = __mul__
+
+    def differentiate(self, name: str) -> "TruncatedSeries":
+        """Partial derivative; it is exact only through cap - 1, its new cap."""
+        return super().differentiate(name).truncate(self.cap - 1)
 
     def truncate(self, cap: int) -> "TruncatedSeries":
         out = TruncatedSeries(self.variables, cap)

@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 
 from .errors import ConsistencyError
-from .pairs import PairSum, TwoChiralSum
+from .pairs import PairSum, TwoChiralSum, bump
 from .poly import MultiPoly
 from .series import TruncatedSeries
 from .special import format_rational
+from .waves import cross_ratio
 
 POINTS = (1, 2, 3, 4, 5, 6)
 
-# chiral cross ratios and Ptolemy complements, as pair-exponent maps
-U1 = {(1, 2): 1, (3, 4): 1, (1, 3): -1, (2, 4): -1}
-U3 = {(3, 4): 1, (5, 6): 1, (3, 5): -1, (4, 6): -1}
+# Ptolemy complements 1 - u_1 and 1 - u_3 of the chiral cross ratios, as
+# pair-exponent maps
 ONE_MINUS_U1 = {(1, 4): 1, (2, 3): 1, (1, 3): -1, (2, 4): -1}
 ONE_MINUS_U3 = {(3, 6): 1, (4, 5): 1, (3, 5): -1, (4, 6): -1}
 
@@ -152,24 +151,6 @@ class ChiralRestriction:
         }
 
 
-def _u_monomial_exps(key: tuple[int, int, int, int]):
-    a, b, c, d = key
-    plus: dict[tuple[int, int], Fraction] = {}
-    minus: dict[tuple[int, int], Fraction] = {}
-
-    def bump(target, mapping, k):
-        for pr, e in mapping.items():
-            target[pr] = target.get(pr, Fraction(0)) + e * k
-            if target[pr] == 0:
-                del target[pr]
-
-    bump(plus, U1, a)
-    bump(minus, U1, b)
-    bump(plus, U3, c)
-    bump(minus, U3, d)
-    return plus, minus
-
-
 def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     """Restrict the 4D monomials to 2D and verify the closed factored form.
 
@@ -183,12 +164,9 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     numerator = _u_polynomial(structure.name)
 
     lhs = TwoChiralSum(POINTS)
-    inv_pref = {pr: -e for pr, e in PREFACTOR_2D.items()}
-    for coeff, exps in structure.monomials:
-        both = dict(exps)
-        for pr, e in inv_pref.items():
-            both[pr] = both.get(pr, Fraction(0)) + e
-        lhs.add_scaled(TwoChiralSum.monomial(POINTS, coeff, both, both))
+    for key, coeff in structure.monomials.terms.items():
+        both = bump(key, PREFACTOR_2D, -1)
+        lhs.add_term((both, both), coeff)
     # multiply by the denominator in Ptolemy-monomial form, one factor per
     # chirality and channel
     lhs = lhs.mul_monomial(1, ONE_MINUS_U1, {})
@@ -196,10 +174,12 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     lhs = lhs.mul_monomial(1, ONE_MINUS_U3, {})
     lhs = lhs.mul_monomial(1, {}, ONE_MINUS_U3)
 
+    u1, u3 = cross_ratio(1), cross_ratio(3)
     rhs = TwoChiralSum(POINTS)
-    for key, c in numerator.items():
-        plus, minus = _u_monomial_exps(key)
-        rhs.add_scaled(TwoChiralSum.monomial(POINTS, c, plus, minus))
+    for (a, b, c, d), coeff in numerator.items():
+        plus = bump(bump((), u1, a), u3, c)
+        minus = bump(bump((), u1, b), u3, d)
+        rhs.add_term((plus, minus), coeff)
 
     if not (lhs - rhs).is_zero_function():
         raise ConsistencyError(
@@ -212,18 +192,11 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
 def completion_series_2d(cap: int) -> TruncatedSeries:
     """Series of the tetraharmonic completion: the odd-weighted double sum
     sum (a-b)/(a+b) u+^a u-^b times the primed copy."""
-    terms: dict[tuple[int, int, int, int], Fraction] = {}
-    for a, b in iproduct(range(cap + 1), repeat=2):
-        if a + b == 0 or a + b > cap:
-            continue
-        w1 = Fraction(a - b, a + b)
-        if w1 == 0:
-            continue
-        for c, d in iproduct(range(cap + 1 - a - b), repeat=2):
-            if c + d == 0 or a + b + c + d > cap:
-                continue
-            w2 = Fraction(c - d, c + d)
-            if w2 == 0:
-                continue
-            terms[(a, b, c, d)] = w1 * w2
-    return TruncatedSeries(SERIES_VARS, cap, terms)
+
+    def weight(e: tuple[int, int, int, int]) -> Fraction:
+        a, b, c, d = e
+        if a + b == 0 or c + d == 0:
+            return Fraction(0)
+        return Fraction(a - b, a + b) * Fraction(c - d, c + d)
+
+    return TruncatedSeries.from_coefficients(SERIES_VARS, cap, weight)

@@ -12,13 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
 from math import factorial
 
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
 from .series import TruncatedSeries
 from .special import format_rational, parse_rational, pochhammer
+
+
+def _expect(value, kind: type, what: str):
+    """value, if it is a kind (dict or list); else ValueError naming what."""
+    if not isinstance(value, kind):
+        shape = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {shape}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,14 +104,25 @@ class WaveSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "WaveSpec":
-        return cls(
-            tuple(parse_rational(d) for d in data["dims"]),
-            tuple(parse_rational(a) for a in data["proj"]),
+        """Inverse of to_json; malformed input raises ValueError."""
+        data = _expect(data, dict, "spec")
+        spec = cls(
+            tuple(parse_rational(d) for d in _expect(data.get("dims"), list, "spec.dims")),
+            tuple(parse_rational(a) for a in _expect(data.get("proj"), list, "spec.proj")),
         )
+        n = data.get("n")
+        if type(n) is not int or n != spec.n:
+            raise ValueError(f"spec.n = {n!r} disagrees with {spec.n} dims")
+        return spec
 
 
 def wave_series_vars(n: int) -> tuple[str, ...]:
     return tuple(f"u{k}" for k in range(1, n - 2))
+
+
+def cross_ratio(k: int) -> dict[tuple[int, int], int]:
+    """Pair exponents of u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3})."""
+    return {(k, k + 1): 1, (k + 2, k + 3): 1, (k, k + 2): -1, (k + 1, k + 3): -1}
 
 
 def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:
@@ -119,7 +137,7 @@ def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:
         exps[(j, j + 2)] = spec.d(j + 1) - spec.a(j) - spec.a(j + 1)
     for i in range(1, n):
         exps[(i, i + 1)] = -(spec.d(i) + spec.d(i + 1) - spec.a(i - 1) - spec.a(i + 1))
-    return FactoredLaurent({pr: e for pr, e in exps.items() if e != 0})
+    return FactoredLaurent(exps)
 
 
 @dataclass(frozen=True)
@@ -139,8 +157,7 @@ class ChiralWave:
     @classmethod
     def from_json(cls, data: dict) -> "ChiralWave":
         """Inverse of to_json; malformed input raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError("wave JSON must be an object")
+        data = _expect(data, dict, "wave JSON")
         missing = [k for k in ("spec", "cap", "prefactor", "series") if k not in data]
         if missing:
             raise ValueError(f"wave JSON lacks {', '.join(missing)}")
@@ -149,18 +166,27 @@ class ChiralWave:
             raise ValueError(f"wave JSON cap must be a non-negative integer, got {cap!r}")
         spec = WaveSpec.from_json(data["spec"])
         nvars = spec.n - 3
-        for item in data["series"]:
-            exps = item["exponents"]
-            if len(exps) != nvars or any(type(e) is not int or e < 0 for e in exps):
+        terms = {}
+        for item in _expect(data["series"], list, "series"):
+            exps = _expect(item, dict, "series item").get("exponents")
+            if (
+                not isinstance(exps, list)
+                or len(exps) != nvars
+                or any(type(e) is not int or e < 0 for e in exps)
+            ):
                 raise ValueError(
                     f"series exponents {exps!r} are not {nvars} non-negative integers"
                 )
-        series = TruncatedSeries.from_json(wave_series_vars(spec.n), cap, data["series"])
+            terms[tuple(exps)] = parse_rational(item.get("coeff"))
+        series = TruncatedSeries(wave_series_vars(spec.n), cap, terms)
+        pre_data = _expect(data["prefactor"], dict, "prefactor")
         factors = {
             tuple(int(v) for v in key.split(",")): parse_rational(val)
-            for key, val in data["prefactor"]["factors"].items()
+            for key, val in _expect(pre_data.get("factors"), dict, "prefactor.factors").items()
         }
-        pre = FactoredLaurent(factors, parse_rational(data["prefactor"]["numerator"]))
+        pre = FactoredLaurent(factors, parse_rational(pre_data.get("numerator")))
+        if pre != wave_prefactor(spec):
+            raise ValueError("wave JSON prefactor is not the factored prefactor of its spec")
         return cls(spec, pre, series)
 
 
@@ -195,19 +221,9 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
     prod_j (a_j + a_{j+1} - d_{j+1})_{l_{j-1}+l_j} / prod_k l_k! (2 a_{k+1})_{l_k}.
     For n = 3 there are no cross ratios and the series is identically 1.
     """
-    if cap < 0:
-        raise ValueError("cap must be >= 0")
-    n = spec.n
-    nvars = n - 3
-    vars_ = wave_series_vars(n)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for ells in iproduct(range(cap + 1), repeat=nvars):
-        if sum(ells) > cap:
-            continue
-        c = wave_coefficient(spec, ells)
-        if c != 0:
-            terms[ells] = c
-    series = TruncatedSeries(vars_, cap, terms)
+    series = TruncatedSeries.from_coefficients(
+        wave_series_vars(spec.n), cap, lambda ells: wave_coefficient(spec, ells)
+    )
     return ChiralWave(spec, wave_prefactor(spec), series)
 
 

@@ -1,6 +1,9 @@
 from fractions import Fraction
 
+import pytest
+
 from exactcft.amplitudes import fourpoint_amplitudes, reconstruction_residual
+from exactcft.errors import DegenerateParameterError
 
 F = Fraction
 
@@ -43,3 +46,9 @@ def test_json_shape():
     js = am.to_json()
     assert js["amplitudes"]["3/2"] == "1"
     assert js["amplitudes"]["5/2"] == "-4/3"
+
+
+@pytest.mark.parametrize("h, hp", [(-1, 2), (0, 2), (2, 0), (0, 0)])
+def test_weights_below_one_are_degenerate(h, hp):
+    with pytest.raises(DegenerateParameterError, match="h >= 1"):
+        fourpoint_amplitudes(h, hp, 2)

@@ -219,6 +219,44 @@ def test_reduce_rejects_string_cap(tmp_path, capsys):
     ))
 
 
+GOOD_WAVE4 = {
+    "spec": {"n": 4, "dims": ["1", "1", "1", "1"], "proj": ["1", "2", "1"]},
+    "cap": 0,
+    "prefactor": {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2"}},
+    "series": [{"exponents": [0], "coeff": "1"}],
+}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"spec": []}, {"series": ["x"]}, {"prefactor": []}],
+    ids=["spec", "series", "prefactor"],
+)
+def test_reduce_rejects_non_object_nodes(tmp_path, capsys, change):
+    wave_path = tmp_path / "bad.json"
+    wave_path.write_text(json.dumps({**GOOD_WAVE4, **change}))
+    _one_line_usage_error(*run_cli(
+        capsys, "reduce", "--wave", str(wave_path), "--pair", "1,2", "--h", "2"
+    ))
+
+
+def test_reduce_accepts_the_unchanged_wave(tmp_path, capsys):
+    wave_path = tmp_path / "good.json"
+    wave_path.write_text(json.dumps(GOOD_WAVE4))
+    code, _, _ = run_cli(capsys, "reduce", "--wave", str(wave_path), "--pair", "1,2", "--h", "2")
+    assert code == 0
+
+
+@pytest.mark.parametrize("h", ["-1", "0"])
+def test_amplitudes_reject_weight_below_one(capsys, h):
+    code, out, err = run_cli(
+        capsys, "exotic", "amplitudes", "--h", h, "--hprime", "2", "--cap", "2"
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: only chiral dimensions h >= 1 occur\n"
+
+
 def test_normalized_chiral_needs_no_dimensions(capsys):
     code, out, _ = run_cli(capsys, "intertwiner", "chiral", "--h", "10", "--normalized")
     assert code == 0

@@ -1,0 +1,75 @@
+"""Golden SHA-256 digests of the README CLI examples.
+
+Each example runs through ``cli.main`` in-process and the digest of its
+stdout is pinned, so a refactor that moves any byte of the output fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from exactcft.cli import main
+
+WAVE4 = ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "6")
+
+EXAMPLES = {
+    "wave-n4": ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "2"),
+    "casimir-n6": ("casimir-check", "--n", "6", "--dims", "1,1,2,2,1,1",
+                   "--proj", "3/2,2,5/2", "--cap", "6"),
+    "chiral": ("intertwiner", "chiral", "--h", "2", "--d1", "1", "--d2", "1"),
+    "tensor": ("intertwiner", "tensor", "--kappa", "1", "--L", "2"),
+    "tensor-kernel": ("intertwiner", "tensor", "--kappa", "1", "--L", "0",
+                      "--d1", "3", "--d2", "1"),
+    "wave-json": WAVE4,
+    "build-E6": ("exotic", "build", "--name", "E6"),
+    "restrict": ("exotic", "restrict", "--name", "BminusHalfE", "--cap", "6"),
+    "g-recursion": ("exotic", "g", "--cap", "12", "--method", "recursion", "--check-biharmonic"),
+    "coeff": ("exotic", "coeff", "--hplus", "2", "--hminus", "1", "--structure", "H"),
+    "exotic-reduce": ("exotic", "reduce", "--structure", "B", "--hplus", "2", "--hminus", "1",
+                      "--hplusprime", "2", "--hminusprime", "1"),
+    "amplitudes": ("exotic", "amplitudes", "--h", "2", "--hprime", "2", "--cap", "8"),
+    "positivity": ("exotic", "positivity", "--structure", "B", "--hmax", "4", "--kmax", "2"),
+}
+
+DIGESTS = {
+    "amplitudes": "43f115a0f346e6d261e31f9b056c0a5b184bf083de091189c0a93df4b1a8346d",
+    "build-E6": "e9082bbe2911a33a70384f44b5cd852b9505fe6179785617d68207c794232f91",
+    "casimir-n6": "280a0f37ccf60d2fb45d63f8698b42954d7ab4da67adff909a0ee7bbadf77d86",
+    "chiral": "f1d301c7ff35407dd2e909907204d390c7a9dd600cae00277636479f30758a69",
+    "coeff": "a4f46eadab8e018d04376e7cdac8ab6654a34198c91c6900ea9f99b1185a918d",
+    "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
+    "g-recursion": "6e2ea709862c6879c467a02e4c30e941b2784fe66cdb0fb952ea2d3bc1ca238a",
+    "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",
+    "reduce": "3a585c1c367cc98d44adcc9712e9841c9158fa1150d7c9c34a45a97eb6d98cd5",
+    "restrict": "12cab93c08db991a080004dca8e4b092bbdaef6552a02e9dffc3b7feb3dc49fa",
+    "tensor": "e91eba58961f2e8c43c50b002cc67d20986b352061105305ea5b5e4a3fad18b9",
+    "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
+    "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",
+    "wave-n4": "71c9ac1a0e54b0d6745077251c750055cad2067efb42404a81df5774dcf11f18",
+}
+
+
+def _stdout(capsys, argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_readme_example_digest(capsys, name):
+    out = _stdout(capsys, EXAMPLES[name])
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_readme_reduce_digest(capsys, tmp_path):
+    wave = tmp_path / "wave.json"
+    wave.write_text(_stdout(capsys, WAVE4), encoding="utf-8")
+    out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", "1,2", "--h", "2"))
+    assert json.loads(out)["matches_reduced_wave"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["reduce"]
+
+
+def test_positivity_out_file_matches_stdout(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    out = _stdout(capsys, EXAMPLES["positivity"] + ("--out", str(report)))
+    assert report.read_text(encoding="utf-8") == out

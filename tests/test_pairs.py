@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactcft.errors import SingularDiagonalError
@@ -196,3 +196,16 @@ def test_add_scaled_is_in_place_add(ma, mb, c):
     a.add_scaled(b, c)
     assert a.terms == expected.terms
     assert b.terms == b_terms
+
+
+@given(
+    pair_sums,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda c: c != 0),
+)
+@settings(max_examples=40, deadline=None)
+def test_proportional_to_own_multiple(m, c):
+    # classes with half-integer exponents expand over one shared base per side
+    p = _pair_sum(m)
+    assume(not p.is_zero_function())
+    assert p.proportional_to(p.scale(c)) == 1 / c
+    assert p.scale(c).proportional_to(p) == c

@@ -1,5 +1,7 @@
 import operator
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from exactcft.errors import VariableMismatchError
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
+from exactcft.waves import WaveSpec, chiral_wave_series
 
 U = ("u",)
 
@@ -91,3 +94,58 @@ def test_series_and_polynomial_do_not_mix():
             op(s, p)
         with pytest.raises(VariableMismatchError):
             op(p, s)
+
+
+def _filtered_product_oracle(nv, cap, coeff):
+    """The enumeration from_coefficients replaces: filter the full box."""
+    terms = {}
+    for e in product(range(cap + 1), repeat=nv):
+        if sum(e) <= cap and coeff(e) != 0:
+            terms[e] = Fraction(coeff(e))
+    return terms
+
+
+@pytest.mark.parametrize("nv", range(5))
+@pytest.mark.parametrize("cap", range(7))
+def test_from_coefficients_matches_filtered_product(nv, cap):
+    variables = tuple(f"x{k}" for k in range(nv))
+
+    def coeff(e):
+        # zero on some tuples, so pruning is exercised too
+        return Fraction(sum((k + 1) * x for k, x in enumerate(e)) % 3, 1 + sum(e))
+
+    s = TruncatedSeries.from_coefficients(variables, cap, coeff)
+    oracle = _filtered_product_oracle(nv, cap, coeff)
+    assert s.cap == cap
+    assert list(s.terms.items()) == list(oracle.items())  # same lex order
+    full = TruncatedSeries.from_coefficients(variables, cap, lambda e: 1)
+    assert len(full) == comb(cap + nv, nv)
+
+
+def test_three_point_wave_has_no_variables():
+    # nv = 0 above; the n = 3 wave has no cross ratios and one constant term
+    wave = chiral_wave_series(WaveSpec((1, 2, 3), (1, 3)), 5)
+    assert wave.series == TruncatedSeries.constant((), 5, 1)
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.fractions(max_denominator=5, min_value=-3, max_value=3),
+        max_size=8,
+    ),
+    st.integers(1, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_differentiate_lowers_cap(terms, cap):
+    uv = ("u", "v")
+    s = TruncatedSeries(uv, cap, terms)
+    d = s.differentiate("u")
+    assert d.cap == cap - 1
+    poly = MultiPoly(uv, s.terms).differentiate("u")
+    assert d.terms == {e: c for e, c in poly.terms.items() if sum(e) <= cap - 1}
+
+
+def test_differentiate_needs_cap_one():
+    with pytest.raises(ValueError):
+        TruncatedSeries.constant(U, 0, 1).differentiate("u")

@@ -184,10 +184,25 @@ def _malformed(good: dict, **changes) -> dict:
         {"series": None},
         {"series": [{"exponents": [0, 0], "coeff": "1"}]},
         {"series": [{"exponents": [-1], "coeff": "1"}]},
+        {"series": [{"exponents": 0, "coeff": "1"}]},
+        {"series": [{"exponents": [0]}]},
+        {"series": ["x"]},
+        {"series": {}},
+        {"spec": []},
+        {"spec": {"n": 4, "dims": "1111", "proj": ["1", "2", "1"]}},
+        {"spec": {"n": 4, "dims": ["1", "1", "1", "1"], "proj": "121"}},
+        {"spec": {"n": 5, "dims": ["1", "1", "1", "1"], "proj": ["1", "2", "1"]}},
+        {"spec": {"dims": ["1", "1", "1", "1"], "proj": ["1", "2", "1"]}},
+        {"prefactor": []},
+        {"prefactor": {"numerator": "1", "factors": []}},
+        {"prefactor": {"numerator": "2", "factors": {"1,3": "-2", "2,4": "-2"}}},
+        {"prefactor": {"numerator": "1", "factors": {"1,3": "-2"}}},
+        {"prefactor": {"numerator": "1", "factors": {"3,1": "-2", "2,4": "-2"}}},
     ],
 )
 def test_wave_json_rejects_malformed_input(change):
     good = chiral_wave_series(WaveSpec.from_middle((1, 1, 1, 1), (2,)), 3).to_json()
+    assert good["prefactor"] == {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2"}}
     with pytest.raises(ValueError):
         ChiralWave.from_json(_malformed(good, **change))
 
