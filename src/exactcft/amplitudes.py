@@ -58,21 +58,9 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
 
 def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> TruncatedSeries:
     """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1, truncated at the cap."""
-    u = ("u",)
-    total = TruncatedSeries.constant(u, cap, -1)
+    total = TruncatedSeries.constant(("u",), cap, -1)
     for n, bk in am.entries.items():
-        if n > cap:
-            continue
-        hyp = TruncatedSeries(
-            u,
-            cap - n,
-            {
-                (ell,): gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell)
-                for ell in range(cap - n + 1)
-            },
-        )
-        shifted = TruncatedSeries(
-            u, cap, {(e[0] + n,): c for e, c in hyp.terms.items()}
-        )
-        total.add_scaled(shifted, bk)
+        for ell in range(cap - n + 1):
+            c = gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell)
+            total.add_term((n + ell,), bk * c)
     return total

@@ -13,20 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cache
 
 from .chiral_ops import chiral_intertwiner_normalized, reduce_correlator
 from .errors import DegenerateParameterError
 from .pairs import PairSum
 from .poly import MultiPoly
-from .special import legendre_coeffs, pochhammer
+from .special import gauss_2f1_coeff, legendre_coeffs
 
 
 def reduction_coefficient(a: int, h: int) -> Fraction:
     """c_{a,h} = (h)_a (1-h)_a / a!^2."""
     if a < 0 or h < 1:
         raise ValueError("need a >= 0 and h >= 1")
-    return pochhammer(h, a) * pochhammer(1 - h, a) / Fraction(factorial(a) ** 2)
+    return gauss_2f1_coeff(h, 1 - h, 1, a)
 
 
 def reduction_generating_poly(h: int) -> MultiPoly:
@@ -73,12 +73,14 @@ def structure_weight(structure: str, a: int, b: int) -> Fraction:
     raise ValueError(f"unknown weighting {structure!r}")
 
 
+@cache
 def channel_coefficients(h_plus: int, h_minus: int, weighting: str) -> Fraction:
     """One channel's reduction constant, from the finite first-principles sums.
 
     (-1)^{h+ + h-} sum_{a+b>0} w(a,b) c_{a,h+} c_{b,h-}, organized through the
     generating polynomial F and, for the odd weighting, the exactly integrated
-    tails G_b(1).
+    tails G_b(1). Cached: every caller asks for a few small weight pairs many
+    times, and the Fraction result is immutable.
     """
     if h_plus < 1 or h_minus < 1:
         raise DegenerateParameterError("only chiral dimensions h >= 1 occur")
@@ -181,12 +183,7 @@ class ReferenceFourPoint:
     h_plus_prime: int
     h_minus_prime: int
 
-    def chiral_exponents(self, primed: bool, minus: bool) -> dict:
-        h = (
-            (self.h_minus_prime if minus else self.h_plus_prime)
-            if primed
-            else (self.h_minus if minus else self.h_plus)
-        )
+    def chiral_exponents(self, minus: bool) -> dict:
         hp = self.h_minus_prime if minus else self.h_plus_prime
         hu = self.h_minus if minus else self.h_plus
         # x34^{h + h' - 3} / ((x-x3)^h (x-x4)^h (x3-x')^{h'} (x4-x')^{h'})

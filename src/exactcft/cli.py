@@ -142,10 +142,7 @@ def cmd_intertwiner(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    source = args.wave or args.input
-    if not source:
-        raise ValueError("reduce needs --wave (or --input) pointing at wave JSON")
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(args.wave, "r", encoding="utf-8") as fh:
         wave = ChiralWave.from_json(json.load(fh))
     i, j = (int(x) for x in args.pair.split(","))
     op = chiral_intertwiner(args.h, wave.spec.d(i), wave.spec.d(j))
@@ -207,7 +204,7 @@ def cmd_exotic(args) -> dict:
                 "plus_exponents": {
                     f"{i},{j}": format_rational(e)
                     for (i, j), e in sorted(
-                        ref.chiral_exponents(primed=False, minus=False).items()
+                        ref.chiral_exponents(minus=False).items()
                     )
                 },
             },
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--manifest", metavar="PATH", default=None)
-    parser.add_argument("--input", metavar="PATH", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     wave = sub.add_parser("wave", help="n-point chiral partial wave series")
@@ -272,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     ite.set_defaults(handler=cmd_intertwiner)
 
     red = sub.add_parser("reduce", help="channel reduction of a wave JSON")
-    red.add_argument("--wave", metavar="PATH")
+    red.add_argument("--wave", metavar="PATH", required=True)
     red.add_argument("--pair", default="1,2")
     red.add_argument("--h", type=int, required=True)
     red.set_defaults(handler=cmd_reduce)

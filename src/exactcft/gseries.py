@@ -160,14 +160,18 @@ def _to_sw_components(series: TruncatedSeries) -> list[TruncatedSeries]:
         if series.coefficient((b, a)) != c:
             raise ValueError("series is not symmetric under chirality swap")
 
+    # s^n w^j starts at u-degree 2n + j and e1, e2 never lower it, so each
+    # power sum drops its terms past the cap as it is formed
     e1 = MultiPoly(SW, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
     e2 = MultiPoly(SW, {(1, 0): Fraction(1)})
     pcache = [MultiPoly.constant(SW, 2), e1]
 
     def psum(k: int) -> MultiPoly:
         while len(pcache) <= k:
-            m = len(pcache)
-            pcache.append(e1 * pcache[m - 1] - e2 * pcache[m - 2])
+            p = e1 * pcache[-1] - e2 * pcache[-2]
+            pcache.append(
+                MultiPoly(SW, {(n, j): c for (n, j), c in p.terms.items() if 2 * n + j <= cap})
+            )
         return pcache[k]
 
     total = MultiPoly(SW)
@@ -177,11 +181,10 @@ def _to_sw_components(series: TruncatedSeries) -> list[TruncatedSeries]:
         if (hi, lo) in seen:
             continue
         seen.add((hi, lo))
-        if hi == lo:
-            mono = e2**lo
-        else:
-            mono = (e2**lo) * psum(hi - lo)
-        total.add_scaled(mono, c)
+        # e2^lo times p_{hi-lo}, or times 1 on the diagonal
+        p = psum(hi - lo) if hi > lo else MultiPoly.constant(SW, 1)
+        for (n, j), d in p.terms.items():
+            total.add_term((n + lo, j), c * d)
     return [
         TruncatedSeries(W, cap - 2 * n, {(j,): c for (m, j), c in total.terms.items() if m == n})
         for n in range(cap // 2 + 1)

@@ -405,13 +405,6 @@ class TwoChiralSum(SparseSum):
             raise ValueError("point sets differ")
         return other
 
-    def mul_monomial(self, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
-        coeff = Fraction(coeff)
-        res = self._empty()
-        for (kp, km), c in self.terms.items():
-            res.add_term((bump(kp, exps_plus), bump(km, exps_minus)), c * coeff)
-        return res
-
     def is_zero_function(self) -> bool:
         """Exact test of sum_t c_t A_t(z+) B_t(z-) = 0.
 

@@ -1,11 +1,18 @@
 """Positivity data of the restricted six-point structures.
 
-For each middle-channel weight pair (k+, k-), the amplitude matrix between
-helicity pairs carries the channel constants of the chosen structure times
-the chiral 4-point expansion coefficients. After projecting onto odd helicity
-and a fixed helicity sign, each block is symmetric with exact rational
-entries; the report carries the blocks and their exact inertia and stops
-there, with no admissibility verdict.
+For each middle-channel weight pair (k+, k-) = (3/2 + n+, 3/2 + n-), the
+block entry between the helicity labels r = (h+, h-) and c = (h+', h-') is
+
+    W(r, c) * B^{k+}(h+, h+') * B^{k-}(h-, h-'),
+
+with W the product of the two labels' channel constants (for E2 the twist-2
+exotic combination) and B the chiral 4-point amplitudes. W depends only on
+the label pair and each amplitude table only on its unordered weight pair,
+so a report builds one weight matrix per helicity sign and one table per
+weight pair, whatever the number of (k+, k-) blocks. After projecting onto
+odd helicity and a fixed helicity sign, each block is symmetric with exact
+rational entries; the report carries the blocks and their exact inertia and
+stops there, with no admissibility verdict.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .amplitudes import AmplitudeMatrix, fourpoint_amplitudes
-from .channels import channel_coefficients
+from .channels import channel_coefficients, twist_two_exotic_coefficient
 from .errors import ConsistencyError
 from .linsolve import symmetric_inertia
 from .special import format_rational
@@ -35,12 +42,6 @@ def helicity_labels(h_max: int, sign: int) -> list[tuple[int, int]]:
             if sign < 0 and h < 0:
                 out.append((hp, hm))
     return sorted(out)
-
-
-def _channel_constant(structure: str, hp: int, hm: int) -> Fraction:
-    if structure in ("B", "H"):
-        return channel_coefficients(hp, hm, structure)
-    raise ValueError(f"unknown structure {structure!r}")
 
 
 @dataclass(frozen=True)
@@ -93,37 +94,11 @@ class PositivityReport:
         }
 
 
-class _AmplitudeCache:
-    def __init__(self, cap_n: int):
-        self.cap_n = cap_n
-        self._tables: dict[tuple[int, int], AmplitudeMatrix] = {}
-
-    def value(self, h: int, h_prime: int, n: int) -> Fraction:
-        key = (min(h, h_prime), max(h, h_prime))
-        table = self._tables.get(key)
-        if table is None:
-            table = fourpoint_amplitudes(key[0], key[1], self.cap_n)
-            self._tables[key] = table
-        return table.value(n)
-
-
-def _entry(
-    structure: str,
-    cache: _AmplitudeCache,
-    row: tuple[int, int],
-    col: tuple[int, int],
-    n_plus: int,
-    n_minus: int,
-) -> Fraction:
-    hp, hm = row
-    hpp, hmp = col
-    bb = cache.value(hp, hpp, n_plus) * cache.value(hm, hmp, n_minus)
+def _weight(structure: str, row: tuple[int, int], col: tuple[int, int]) -> Fraction:
+    """Product of the channel constants of two helicity labels."""
     if structure == "E2":
-        cb = _channel_constant("B", hp, hm) * _channel_constant("B", hpp, hmp)
-        ch = _channel_constant("H", hp, hm) * _channel_constant("H", hpp, hmp)
-        return 2 * (cb - ch) * bb
-    c = _channel_constant(structure, hp, hm) * _channel_constant(structure, hpp, hmp)
-    return c * bb
+        return twist_two_exotic_coefficient(*row, *col)
+    return channel_coefficients(*row, structure) * channel_coefficients(*col, structure)
 
 
 def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityReport:
@@ -140,18 +115,29 @@ def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityRepor
         raise ValueError("h_max must be >= 2 to contain any odd helicity pair")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    cache = _AmplitudeCache(k_max)
+    tables: dict[tuple[int, int], AmplitudeMatrix] = {}
+
+    def amplitude(h: int, h_prime: int, n: int) -> Fraction:
+        key = (min(h, h_prime), max(h, h_prime))
+        if key not in tables:
+            tables[key] = fourpoint_amplitudes(*key, k_max)
+        return tables[key].value(n)
+
+    sides = {}
+    for sign in (1, -1):
+        labels = helicity_labels(h_max, sign)
+        sides[sign] = labels, [[_weight(structure, r, c) for c in labels] for r in labels]
     blocks = []
     for n_plus in range(k_max + 1):
         for n_minus in range(k_max + 1):
             for sign in (1, -1):
-                labels = helicity_labels(h_max, sign)
+                labels, weights = sides[sign]
                 rows = [
                     [
-                        _entry(structure, cache, r, c, n_plus, n_minus)
-                        for c in labels
+                        w * amplitude(r[0], c[0], n_plus) * amplitude(r[1], c[1], n_minus)
+                        for c, w in zip(labels, weight_row)
                     ]
-                    for r in labels
+                    for r, weight_row in zip(labels, weights)
                 ]
                 for i in range(len(labels)):
                     for j in range(len(labels)):

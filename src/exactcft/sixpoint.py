@@ -22,10 +22,13 @@ from .waves import cross_ratio
 
 POINTS = (1, 2, 3, 4, 5, 6)
 
-# Ptolemy complements 1 - u_1 and 1 - u_3 of the chiral cross ratios, as
-# pair-exponent maps
-ONE_MINUS_U1 = {(1, 4): 1, (2, 3): 1, (1, 3): -1, (2, 4): -1}
-ONE_MINUS_U3 = {(3, 6): 1, (4, 5): 1, (3, 5): -1, (4, 6): -1}
+# (1 - u_1)(1 - u_3) of one chirality as a pair-exponent map, each factor
+# in its Ptolemy form x14 x23 / (x13 x24) and x36 x45 / (x35 x46); the two
+# factors share no pair
+PTOLEMY_DENOMINATOR = {
+    (1, 4): 1, (2, 3): 1, (1, 3): -1, (2, 4): -1,
+    (3, 6): 1, (4, 5): 1, (3, 5): -1, (4, 6): -1,
+}
 
 # common prefactor of the restricted structures:
 # 1/(X12^2 X13 X24 X34 X35 X46 X56^2)
@@ -123,17 +126,8 @@ class ChiralRestriction:
 
     def series(self, cap: int) -> TruncatedSeries:
         """Expand numerator / ((1-u+)(1-u-)(1-u'+)(1-u'-)) to the cap."""
-        geo = TruncatedSeries.constant(SERIES_VARS, cap, 1)
-        for idx in range(4):
-            one_var = TruncatedSeries(
-                SERIES_VARS,
-                cap,
-                {
-                    tuple(k if i == idx else 0 for i in range(4)): Fraction(1)
-                    for k in range(cap + 1)
-                },
-            )
-            geo = geo * one_var
+        # the product of the four geometric series has every coefficient 1
+        geo = TruncatedSeries.from_coefficients(SERIES_VARS, cap, lambda e: 1)
         num = TruncatedSeries(SERIES_VARS, cap, self.numerator)
         return num * geo
 
@@ -163,25 +157,19 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     """
     numerator = _u_polynomial(structure.name)
 
-    lhs = TwoChiralSum(POINTS)
+    # left side minus right side, one term at a time; a 4D monomial restricts
+    # to the same monomial in both chiralities
+    diff = TwoChiralSum(POINTS)
     for key, coeff in structure.monomials.terms.items():
-        both = bump(key, PREFACTOR_2D, -1)
-        lhs.add_term((both, both), coeff)
-    # multiply by the denominator in Ptolemy-monomial form, one factor per
-    # chirality and channel
-    lhs = lhs.mul_monomial(1, ONE_MINUS_U1, {})
-    lhs = lhs.mul_monomial(1, {}, ONE_MINUS_U1)
-    lhs = lhs.mul_monomial(1, ONE_MINUS_U3, {})
-    lhs = lhs.mul_monomial(1, {}, ONE_MINUS_U3)
-
+        both = bump(bump(key, PREFACTOR_2D, -1), PTOLEMY_DENOMINATOR)
+        diff.add_term((both, both), coeff)
     u1, u3 = cross_ratio(1), cross_ratio(3)
-    rhs = TwoChiralSum(POINTS)
     for (a, b, c, d), coeff in numerator.items():
         plus = bump(bump((), u1, a), u3, c)
         minus = bump(bump((), u1, b), u3, d)
-        rhs.add_term((plus, minus), coeff)
+        diff.add_term((plus, minus), -coeff)
 
-    if not (lhs - rhs).is_zero_function():
+    if not diff.is_zero_function():
         raise ConsistencyError(
             f"2D restriction of {structure.name} does not factor over the"
             f" common prefactor (non-factorizable remainder)"

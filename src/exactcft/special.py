@@ -5,6 +5,7 @@ series coefficients, and the "num/den" string form used by every serializer.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .errors import DegenerateParameterError
 
@@ -42,8 +43,6 @@ def pochhammer(x, n: int) -> Fraction:
 
 def gauss_2f1_coeff(a, b, c, ell: int) -> Fraction:
     """Taylor coefficient (a)_l (b)_l / (l! (c)_l) of the Gauss series 2F1(a,b;c;z)."""
-    from math import factorial
-
     denom = pochhammer(c, ell)
     if denom == 0:
         raise DegenerateParameterError(

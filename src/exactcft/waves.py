@@ -17,7 +17,7 @@ from math import factorial
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
 from .series import TruncatedSeries
-from .special import format_rational, parse_rational, pochhammer
+from .special import format_rational, gauss_2f1_coeff, parse_rational, pochhammer
 
 
 def _expect(value, kind: type, what: str):
@@ -230,15 +230,9 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
 def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
     """Hypergeometric oracle: sum_l (a+b)_l (a+c)_l u^l / (l! (2a)_l)."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    terms: dict[tuple[int], Fraction] = {}
-    for ell in range(cap + 1):
-        denom = pochhammer(2 * a, ell)
-        if denom == 0:
-            raise DegenerateParameterError(f"(2a)_{ell} vanishes for a = {a}")
-        val = pochhammer(a + b, ell) * pochhammer(a + c, ell) / (factorial(ell) * denom)
-        if val != 0:
-            terms[(ell,)] = val
-    return TruncatedSeries(("u",), cap, terms)
+    return TruncatedSeries.from_coefficients(
+        ("u",), cap, lambda e: gauss_2f1_coeff(a + b, a + c, 2 * a, e[0])
+    )
 
 
 def wave_leading_shifts(spec: WaveSpec) -> tuple[Fraction, Fraction, Fraction]:

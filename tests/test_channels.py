@@ -124,7 +124,7 @@ def test_twist_two_exotic_pattern():
 def test_reference_four_point_exponents():
     series = restrict_2d(build_structure("B")).series(6)
     _, ref = reduce_sixpoint(series, 2, 1, 3, 1)
-    plus = ref.chiral_exponents(primed=False, minus=False)
+    plus = ref.chiral_exponents(minus=False)
     assert plus[(2, 3)] == 2 + 3 - 3
     assert plus[(1, 2)] == -2
     assert plus[(2, 4)] == -3

@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the README CLI examples.
+"""Golden SHA-256 digests of the README CLI examples and of larger six-point runs.
 
 Each example runs through ``cli.main`` in-process and the digest of its
 stdout is pinned, so a refactor that moves any byte of the output fails here.
@@ -30,6 +30,12 @@ EXAMPLES = {
                       "--hplusprime", "2", "--hminusprime", "1"),
     "amplitudes": ("exotic", "amplitudes", "--h", "2", "--hprime", "2", "--cap", "8"),
     "positivity": ("exotic", "positivity", "--structure", "B", "--hmax", "4", "--kmax", "2"),
+    "positivity-H": ("exotic", "positivity", "--structure", "H", "--hmax", "6", "--kmax", "1"),
+    "positivity-E2": ("exotic", "positivity", "--structure", "E2", "--hmax", "4", "--kmax", "1"),
+    "restrict-E6": ("exotic", "restrict", "--name", "E6", "--cap", "8"),
+    "g-closed": ("exotic", "g", "--cap", "24", "--method", "closed", "--check-biharmonic"),
+    "exotic-reduce-H": ("exotic", "reduce", "--structure", "H", "--hplus", "4", "--hminus", "1",
+                        "--hplusprime", "1", "--hminusprime", "2", "--cap", "12"),
 }
 
 DIGESTS = {
@@ -39,10 +45,15 @@ DIGESTS = {
     "chiral": "f1d301c7ff35407dd2e909907204d390c7a9dd600cae00277636479f30758a69",
     "coeff": "a4f46eadab8e018d04376e7cdac8ab6654a34198c91c6900ea9f99b1185a918d",
     "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
+    "exotic-reduce-H": "bca2e104b8464fc6040583e73d15aafc5993583254aa542dd7c7d50dc9107202",
+    "g-closed": "b83de07bc1c99e85053936b8f6741fd01a67705df74b017f7986feb2aa3b5b8a",
     "g-recursion": "6e2ea709862c6879c467a02e4c30e941b2784fe66cdb0fb952ea2d3bc1ca238a",
     "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",
+    "positivity-E2": "f9f3f97e30fe714355ed2b2a0c6ab24e478409faf92d2783aa2fb16e0920b317",
+    "positivity-H": "3126d0856417c9f6a7557a1e35734024dda1937843fac4e4eac976c8ed6064d0",
     "reduce": "3a585c1c367cc98d44adcc9712e9841c9158fa1150d7c9c34a45a97eb6d98cd5",
     "restrict": "12cab93c08db991a080004dca8e4b092bbdaef6552a02e9dffc3b7feb3dc49fa",
+    "restrict-E6": "83a7636465e4c8ab89e77f7f88912a1d29c35ff9945c2bb493cf07f0c6cb12f2",
     "tensor": "e91eba58961f2e8c43c50b002cc67d20986b352061105305ea5b5e4a3fad18b9",
     "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
     "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",

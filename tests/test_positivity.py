@@ -1,7 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from exactcft.channels import channel_coefficients
+from exactcft.cli import canonical_json
 from exactcft.positivity import helicity_labels, positivity_report
 
 F = Fraction
@@ -69,3 +72,19 @@ def test_bad_parameters():
         positivity_report("X", 4, 1)
     with pytest.raises(ValueError):
         positivity_report("B", 1, 1)
+
+
+def test_large_report_digest():
+    # SHA-256 of the canonical JSON of the hmax = 10, kmax = 4 report; it
+    # runs in well under a second only while channel constants and amplitude
+    # tables are computed once per report, not once per entry
+    rep = positivity_report("H", 10, 4)
+    digest = hashlib.sha256(canonical_json(rep.to_json()).encode()).hexdigest()
+    assert digest == "091edce65db0fb0cdef827eaf0f7ad7233af1bc509e72df10132fd56d1ebf16f"
+
+
+def test_channel_constants_computed_once_per_label():
+    channel_coefficients.cache_clear()
+    positivity_report("H", 6, 1)
+    labels = helicity_labels(6, 1) + helicity_labels(6, -1)
+    assert channel_coefficients.cache_info().misses <= len(labels)

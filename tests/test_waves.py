@@ -86,6 +86,8 @@ def test_fourpoint_reference_values():
     assert s.coefficient((1,)) == 1
     trivial = fourpoint_reference(3, -3, 1, 6)
     assert trivial.terms == {(0,): F(1)}
+    with pytest.raises(DegenerateParameterError):
+        fourpoint_reference(0, 1, 1, 2)  # (2a)_1 = 0
 
 
 def test_fourpoint_reference_cross_checks_wave():
