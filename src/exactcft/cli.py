@@ -121,8 +121,9 @@ def cmd_intertwiner(args) -> dict:
             "intertwines": residual_zero,
         }
     if args.d1 is not None or args.d2 is not None:
-        d1 = parse_rational(args.d1 if args.d1 is not None else "0")
-        d2 = parse_rational(args.d2 if args.d2 is not None else "0")
+        if args.d1 is None or args.d2 is None:
+            raise ValueError("tensor kernel solves need both --d1 and --d2")
+        d1, d2 = parse_rational(args.d1), parse_rational(args.d2)
         basis = solve_intertwiner_space(args.kappa, args.L, d1, d2)
         return {
             "kappa": args.kappa,
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse strips the value of '--opt=--' and stores an empty list
+    if any(isinstance(v, list) for v in vars(args).values()):
+        parser.error("an option was given '--' as its value")
     try:
         _run(args, argv)
     except (DegenerateParameterError, SingularDiagonalError) as exc:

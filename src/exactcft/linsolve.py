@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+from .poly import SparseSum
 
 
 @dataclass(frozen=True)
@@ -18,40 +20,70 @@ class LinearSolution:
         return len(self.kernel)
 
 
-def linear_solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
+class _Row(SparseSum):
+    """A sparse matrix row: column index -> nonzero Fraction."""
+
+    __slots__ = ()
+
+    def __init__(self):
+        self.terms: dict[int, Fraction] = {}
+
+    def _empty(self) -> "_Row":
+        return _Row()
+
+    def _coerce(self, other: "_Row") -> "_Row":
+        return other
+
+
+def _sparse_rows(rows: Sequence[Mapping[int, object]], ncols: int) -> list[_Row]:
+    out = []
+    for entries in rows:
+        row = _Row()
+        for col, v in entries.items():
+            if not 0 <= col < ncols:
+                raise ValueError(f"column {col} is outside 0..{ncols - 1}")
+            row.add_term(col, Fraction(v))
+        out.append(row)
+    return out
+
+
+def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Sequence) -> LinearSolution:
     """Solve A x = b over Q by Gaussian elimination.
 
-    Returns a solvability flag, one particular solution (free variables set to
-    zero), and a deterministic basis of the null space.
+    A has ncols columns and is given as sparse rows {column: value}; absent
+    columns are zero. Returns a solvability flag, one particular solution
+    (free variables set to zero), and a deterministic basis of the null space.
     """
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    b = [Fraction(v) for v in rhs]
-    m = len(rows)
-    if len(b) != m:
-        raise ValueError(f"rhs length {len(b)} does not match {m} rows")
-    n = len(rows[0]) if m else 0
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not rectangular")
+    if len(rhs) != len(rows):
+        raise ValueError(f"rhs length {len(rhs)} does not match {len(rows)} rows")
+    aug = _sparse_rows(rows, ncols)
+    for row, b in zip(aug, rhs):
+        row.add_term(ncols, Fraction(b))  # the right-hand side rides along
+    pivots = _rref(aug, ncols)
 
-    aug = [row + [b[i]] for i, row in enumerate(rows)]
-    pivots = _rref(aug, n)
-    r = len(pivots)
+    kernel = []
+    for fc in sorted(set(range(ncols)).difference(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, col in zip(aug, pivots):
+            if fc in row.terms:
+                vec[col] = -row.terms[fc]
+        kernel.append(vec)
 
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return LinearSolution(False, None, _kernel_basis(aug, pivots, n, r))
-
-    particular = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        particular[col] = aug[i][n]
-    return LinearSolution(True, particular, _kernel_basis(aug, pivots, n, r))
+    if any(row.terms for row in aug[len(pivots):]):
+        return LinearSolution(False, None, kernel)
+    particular = [Fraction(0)] * ncols
+    for row, col in zip(aug, pivots):
+        particular[col] = row.terms.get(ncols, Fraction(0))
+    return LinearSolution(True, particular, kernel)
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
-    """Bring rows to reduced row echelon form in place, pivoting only in the
-    first ncols columns (later columns ride along, e.g. a right-hand side).
-    Returns the pivot columns; row k holds the pivot of column pivots[k].
+def _rref(rows: list[_Row], ncols: int) -> list[int]:
+    """Bring sparse rows to reduced row echelon form in place, pivoting only
+    in columns 0..ncols-1 (later columns ride along, e.g. a right-hand side).
+    The pivot of each column is the first row at or after the current one
+    with a nonzero there. Returns the pivot columns; row k holds the pivot of
+    column pivots[k].
     """
     m = len(rows)
     pivots: list[int] = []
@@ -59,45 +91,25 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> list[int]:
     for col in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][col] != 0), None)
+        piv = next((i for i in range(r, m) if col in rows[i].terms), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
+        rows[r] = rows[r].scale(1 / rows[r].terms[col])
         for i in range(m):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rows[r])]
+            if i != r and col in rows[i].terms:
+                rows[i].add_scaled(rows[r], -rows[i].terms[col])
         pivots.append(col)
         r += 1
     return pivots
 
 
-def row_basis(matrix: Sequence[Sequence]) -> list[list[Fraction]]:
-    """A basis of the row space of a rational matrix (its nonzero RREF rows)."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = len(_rref(rows, len(rows[0]) if rows else 0))
-    return rows[:rank]
-
-
-def _kernel_basis(aug, pivots, n, rank) -> list[list[Fraction]]:
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -aug[i][fc]
-        basis.append(vec)
-    return basis
-
-
-def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> list[Fraction]:
-    return [
-        sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
-        for row in matrix
-    ]
+def row_basis(rows: Sequence[Mapping[int, object]], ncols: int) -> list[dict[int, Fraction]]:
+    """A basis of the row space of a rational matrix given as sparse rows
+    over ncols columns: its nonzero RREF rows, again as {column: value}."""
+    reduced = _sparse_rows(rows, ncols)
+    rank = len(_rref(reduced, ncols))
+    return [row.terms for row in reduced[:rank]]
 
 
 def symmetric_inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:

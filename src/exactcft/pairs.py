@@ -415,16 +415,16 @@ class TwoChiralSum(SparseSum):
         """
         items = sorted(self.terms.items())
         # rows: for each minus-monomial, the vector of its coefficients per term
-        rows: dict[tuple[int, ...], list[Fraction]] = {}
+        rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
         minus = _adjacent_expansions(self.points, [km for (_, km), _ in items])
         for t, poly in enumerate(minus):
             for exps, c in poly.terms.items():
-                rows.setdefault(exps, [Fraction(0)] * len(items))[t] = c
+                rows.setdefault(exps, {})[t] = c
         plus = list(_adjacent_expansions(self.points, [kp for (kp, _), _ in items]))
-        for lam in row_basis(list(rows.values())):
+        for lam in row_basis(list(rows.values()), len(items)):
             acc = MultiPoly(_zvars(self.points))
-            for (_, c), w, poly in zip(items, lam, plus):
-                acc.add_scaled(poly, c * w)
+            for t, w in lam.items():
+                acc.add_scaled(plus[t], items[t][1] * w)
             if acc:
                 return False
         return True

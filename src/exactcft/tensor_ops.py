@@ -264,40 +264,34 @@ class CoefficientTable:
 
 
 def _recursion_rows(kappa: int, L: int):
-    """All instances of the two recursions over m + n <= kappa."""
+    """All instances of the two recursions over m + n <= kappa, as sparse rows
+    over the columns pos[(m, n)]; coefficients outside the triangle drop out."""
     index = [(m, n) for m in range(kappa + 1) for n in range(kappa + 1 - m)]
     pos = {mn: k for k, mn in enumerate(index)}
     rows = []
 
-    def add_row(coeffs: dict[tuple[int, int], Fraction]):
-        row = [Fraction(0)] * len(index)
-        nonzero = False
-        for mn, c in coeffs.items():
-            m, n = mn
-            if c == 0 or m < 0 or n < 0 or m + n > kappa:
-                continue
-            row[pos[mn]] += c
-            nonzero = True
-        if nonzero:
+    def add_row(coeffs: dict[tuple[int, int], int]):
+        row = {pos[mn]: c for mn, c in coeffs.items() if c and mn in pos}
+        if row:
             rows.append(row)
 
     for m, n in index:
         k = kappa - m - n
         add_row(
             {
-                (m + 1, n): Fraction(4 * (m * m - 1)),
-                (m, n): Fraction(2 * k * (L + kappa - 1 - m + n)),
-                (m, n - 1): Fraction(-k * (k + 1)),
+                (m + 1, n): 4 * (m * m - 1),
+                (m, n): 2 * k * (L + kappa - 1 - m + n),
+                (m, n - 1): -k * (k + 1),
             }
         )
         add_row(
             {
-                (m, n + 1): Fraction(4 * (n * n - 1)),
-                (m, n): Fraction(2 * k * (L + kappa - 1 + m - n)),
-                (m - 1, n): Fraction(-k * (k + 1)),
+                (m, n + 1): 4 * (n * n - 1),
+                (m, n): 2 * k * (L + kappa - 1 + m - n),
+                (m - 1, n): -k * (k + 1),
             }
         )
-    return index, rows
+    return pos, rows
 
 
 def coefficient_table(kappa: int, L: int, seed=Fraction(1)) -> CoefficientTable:
@@ -313,23 +307,14 @@ def coefficient_table(kappa: int, L: int, seed=Fraction(1)) -> CoefficientTable:
     seed = Fraction(seed)
     if seed == 0:
         raise ValueError("seed must be nonzero")
-    index, rows = _recursion_rows(kappa, L)
-    pos = {mn: k for k, mn in enumerate(index)}
-    seed_row = [Fraction(0)] * len(index)
-    seed_row[pos[(0, 0)]] = Fraction(1)
-    rows_all = rows + [seed_row]
-    rhs = [Fraction(0)] * len(rows) + [seed]
-    sol = linear_solve_exact(rows_all, rhs)
+    pos, rows = _recursion_rows(kappa, L)
+    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [seed])
     if not sol.solvable:
         raise ConsistencyError(
             f"recursion system admits no solution with c_00 != 0 at"
             f" kappa={kappa}, L={L}"
         )
-    entries = {
-        mn: sol.particular[pos[mn]]
-        for mn in index
-        if sol.particular[pos[mn]] != 0
-    }
+    entries = {mn: sol.particular[k] for mn, k in pos.items() if sol.particular[k] != 0}
     table = CoefficientTable(kappa, L, entries, sol.kernel_dim)
     _check_recursions(table)
     return table
@@ -337,14 +322,11 @@ def coefficient_table(kappa: int, L: int, seed=Fraction(1)) -> CoefficientTable:
 
 def coefficient_table_kernel(kappa: int, L: int) -> list[CoefficientTable]:
     """Basis of the full homogeneous solution space of the recursions."""
-    index, rows = _recursion_rows(kappa, L)
-    pos = {mn: k for k, mn in enumerate(index)}
-    if not rows:
-        rows = [[Fraction(0)] * len(index)]
-    sol = linear_solve_exact(rows, [Fraction(0)] * len(rows))
+    pos, rows = _recursion_rows(kappa, L)
+    sol = linear_solve_exact(rows, len(pos), [0] * len(rows))
     out = []
     for vec in sol.kernel:
-        entries = {mn: vec[pos[mn]] for mn in index if vec[pos[mn]] != 0}
+        entries = {mn: vec[k] for mn, k in pos.items() if vec[k] != 0}
         table = CoefficientTable(kappa, L, entries, sol.kernel_dim)
         _check_recursions(table)
         out.append(table)
@@ -428,7 +410,7 @@ def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorI
         bra = _bracket(0, L, {0: rp})
         return TensorIntertwiner(0, L, bra[0])
     try:
-        tables = [coefficient_table(kappa, L, seed)]
+        table = coefficient_table(kappa, L, seed)
     except ConsistencyError:
         # the recursions force c_00 = 0 here; take the full solution space
         # with every free coefficient set to the seed
@@ -440,8 +422,7 @@ def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorI
             for mn, c in t.entries.items():
                 combined[mn] = combined.get(mn, Fraction(0)) + c * Fraction(seed)
         combined = {mn: c for mn, c in combined.items() if c != 0}
-        tables = [CoefficientTable(kappa, L, combined, kernel[0].kernel_dim)]
-    table = tables[0]
+        table = CoefficientTable(kappa, L, combined, kernel[0].kernel_dim)
     deltas = {m - n for (m, n) in table.entries}
     rps = {d: radial_poly(kappa, L, d) for d in deltas}
     bras = _bracket(kappa, L, rps)
@@ -513,20 +494,14 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
             for beta in range(kappa + 1 - alpha):
                 gamma = kappa - alpha - beta
                 basis_polys.append(s_h * (t12**alpha) * (b1**beta) * (b2**gamma))
-    residuals = [tensor_pde_residual(p, gap) for p in basis_polys]
-    monos: dict[tuple[int, tuple[int, ...]], int] = {}
-    for res in residuals:
-        for ci, comp in enumerate((res.a, res.b, res.c)):
-            for exps in comp.terms:
-                monos.setdefault((ci, exps), len(monos))
-    rows = [[Fraction(0)] * len(basis_polys) for _ in range(len(monos))]
-    for col, res in enumerate(residuals):
+    # one row per (component, monomial) of the residual, one column per ansatz
+    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
+    for col, p in enumerate(basis_polys):
+        res = tensor_pde_residual(p, gap)
         for ci, comp in enumerate((res.a, res.b, res.c)):
             for exps, c in comp.terms.items():
-                rows[monos[(ci, exps)]][col] = c
-    if not rows:
-        rows = [[Fraction(0)] * len(basis_polys)]
-    sol = linear_solve_exact(rows, [Fraction(0)] * len(rows))
+                rows.setdefault((ci, exps), {})[col] = c
+    sol = linear_solve_exact(list(rows.values()), len(basis_polys), [0] * len(rows))
     out = []
     for vec in sol.kernel:
         poly = ipoly()

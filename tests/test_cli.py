@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactcft.cli import main
 
@@ -266,3 +270,103 @@ def test_normalized_chiral_needs_no_dimensions(capsys):
     code, _, err = run_cli(capsys, "intertwiner", "chiral", "--h", "10")
     assert code == 2
     assert "--d1" in err
+
+
+@pytest.mark.parametrize("dimension", [("--d1", "3"), ("--d2", "1")], ids=["d1", "d2"])
+def test_tensor_kernel_needs_both_dimensions(capsys, dimension):
+    _one_line_usage_error(*run_cli(
+        capsys, "intertwiner", "tensor", "--kappa", "2", "--L", "1", *dimension
+    ))
+
+
+# -- argv fuzzing --------------------------------------------------------------
+
+MALFORMED = ("", "x", "1.5", "1/0", "--")
+
+
+def _ints(hi):
+    """Small integer tokens from -2 to hi, now and then malformed text."""
+    return st.sampled_from([str(k) for k in range(-2, hi + 1)] * 3 + list(MALFORMED))
+
+
+RATIONALS = st.sampled_from(("1", "2", "3", "3/2", "5/2", "0", "-1", "-1/2") * 3 + MALFORMED)
+RATIONAL_LISTS = st.lists(RATIONALS, max_size=6).map(",".join)
+
+
+POINTS = st.sampled_from((4, 5, 3, 2, 0, -1))  # n; the first ones give real waves
+
+
+def _rational_lists(size):
+    """Mostly lists of the length the command needs, sometimes of any length."""
+    return st.lists(RATIONALS, min_size=size, max_size=size).map(",".join) | RATIONAL_LISTS
+
+
+def _opt(flag, values):
+    """Give the option one drawn value, or now and then leave it out. The value
+    is attached with '=' so that one starting with '-' stays a value."""
+    return st.tuples(st.integers(0, 4), values).map(lambda t: [f"{flag}={t[1]}"] if t[0] else [])
+
+
+def _argv(*words_and_options):
+    words = [w for w in words_and_options if isinstance(w, str)]
+    options = [o for o in words_and_options if not isinstance(o, str)]
+    return st.tuples(st.sampled_from(([], ["--format", "table"])), *options).map(
+        lambda parts: parts[0] + words + [tok for part in parts[1:] for tok in part]
+    )
+
+
+def _argvs(wave_paths):
+    def wave(n):
+        return [_opt("--n", st.just(str(n))), _opt("--dims", _rational_lists(max(n, 0))),
+                _opt("--proj", _rational_lists(max(n - 3, 0))), _opt("--cap", _ints(4))]
+
+    names = st.sampled_from(("E6", "B", "BminusHalfE", "x"))
+    structures = st.sampled_from(("B", "H", "E2", "x"))
+    flag = st.sampled_from(([], ["--normalized"], ["--check-biharmonic"]))
+    return st.one_of(
+        POINTS.flatmap(lambda n: _argv("wave", *wave(n))),
+        POINTS.flatmap(lambda n: _argv("casimir-check", *wave(n), _opt("--which", _ints(4)))),
+        _argv("intertwiner", "chiral", _opt("--h", _ints(4)), _opt("--d1", RATIONALS),
+              _opt("--d2", RATIONALS), flag),
+        _argv("intertwiner", "tensor", _opt("--kappa", _ints(2)), _opt("--L", _ints(2)),
+              _opt("--d1", RATIONALS), _opt("--d2", RATIONALS)),
+        _argv("reduce", _opt("--wave", st.sampled_from(wave_paths)),
+              _opt("--pair", st.sampled_from(("1,2", "2,3", "3,4", "0,1", "2,1", "1", "x,y"))),
+              _opt("--h", _ints(4))),
+        _argv("exotic", "build", _opt("--name", names)),
+        _argv("exotic", "g", _opt("--cap", _ints(4)),
+              _opt("--method", st.sampled_from(("closed", "recursion", "x"))), flag),
+        _argv("exotic", "coeff", _opt("--hplus", _ints(4)), _opt("--hminus", _ints(4)),
+              _opt("--structure", structures)),
+        _argv("exotic", "restrict", _opt("--name", names), _opt("--cap", _ints(4))),
+        _argv("exotic", "reduce", _opt("--structure", structures),
+              *(_opt(f"--{w}", _ints(4)) for w in ("hplus", "hminus", "hplusprime", "hminusprime")),
+              _opt("--cap", _ints(4))),
+        _argv("exotic", "amplitudes", _opt("--h", _ints(4)), _opt("--hprime", _ints(4)),
+              _opt("--cap", _ints(4))),
+        _argv("exotic", "positivity", _opt("--structure", structures),
+              _opt("--hmax", _ints(4)), _opt("--kmax", _ints(2))),
+    )
+
+
+@pytest.fixture(scope="module")
+def wave_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("waves")
+    good, broken = folder / "good.json", folder / "broken.json"
+    good.write_text(json.dumps(GOOD_WAVE4))
+    broken.write_text("{")
+    return [str(good), str(broken), str(folder / "missing.json"), str(folder)]
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_ends_in_a_documented_exit_code(wave_paths, data):
+    argv = data.draw(_argvs(wave_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of the README CLI examples and of larger six-point runs.
+"""Golden SHA-256 digests of the README CLI examples and of larger six-point
+and kernel-solve runs.
 
 Each example runs through ``cli.main`` in-process and the digest of its
 stdout is pinned, so a refactor that moves any byte of the output fails here.
@@ -36,6 +37,9 @@ EXAMPLES = {
     "g-closed": ("exotic", "g", "--cap", "24", "--method", "closed", "--check-biharmonic"),
     "exotic-reduce-H": ("exotic", "reduce", "--structure", "H", "--hplus", "4", "--hminus", "1",
                         "--hplusprime", "1", "--hminusprime", "2", "--cap", "12"),
+    # the tall sparse kernel systems of the operators benchmark and beyond it
+    "kernel-gap2": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "3", "--d2", "1"),
+    "kernel-k5": ("intertwiner", "tensor", "--kappa", "5", "--L", "4", "--d1", "3", "--d2", "1"),
 }
 
 DIGESTS = {
@@ -48,6 +52,8 @@ DIGESTS = {
     "exotic-reduce-H": "bca2e104b8464fc6040583e73d15aafc5993583254aa542dd7c7d50dc9107202",
     "g-closed": "b83de07bc1c99e85053936b8f6741fd01a67705df74b017f7986feb2aa3b5b8a",
     "g-recursion": "6e2ea709862c6879c467a02e4c30e941b2784fe66cdb0fb952ea2d3bc1ca238a",
+    "kernel-gap2": "f8c6a111f932f5ce3ac99a0668c282c2c6952058af8443441669aea27c9fad9d",
+    "kernel-k5": "67e692d57839419fda5ac2781ebcf9659df3aca6499de50c0365c0be49f4f24e",
     "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",
     "positivity-E2": "f9f3f97e30fe714355ed2b2a0c6ab24e478409faf92d2783aa2fb16e0920b317",
     "positivity-H": "3126d0856417c9f6a7557a1e35734024dda1937843fac4e4eac976c8ed6064d0",
