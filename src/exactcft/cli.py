@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -145,7 +146,7 @@ def cmd_intertwiner(args) -> dict:
 def cmd_reduce(args) -> dict:
     with open(args.wave, "r", encoding="utf-8") as fh:
         wave = ChiralWave.from_json(json.load(fh))
-    i, j = (int(x) for x in args.pair.split(","))
+    i, j = args.pair
     op = chiral_intertwiner(args.h, wave.spec.d(i), wave.spec.d(j))
     reduced = reduce_wave(wave, (i, j), op)
     is_zero = reduced.terms.is_zero_function()
@@ -226,8 +227,27 @@ def cmd_exotic(args) -> dict:
 # -- parser and dispatch -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting '-' and a digit, such as
+    '-1/2' or '-1/2,0', as a value: no option name starts that way. Subparsers
+    inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _pair(text: str) -> tuple[int, int]:
+    """'i,j' as two ints; argparse names the option when this raises."""
+    try:
+        i, j = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers 'i,j', got {text!r}") from None
+    return i, j
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exactcft",
         description="Exact chiral partial waves, intertwining operators, and"
         " six-point positivity data.",
@@ -270,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     red = sub.add_parser("reduce", help="channel reduction of a wave JSON")
     red.add_argument("--wave", metavar="PATH", required=True)
-    red.add_argument("--pair", default="1,2")
+    red.add_argument("--pair", type=_pair, default="1,2")
     red.add_argument("--h", type=int, required=True)
     red.set_defaults(handler=cmd_reduce)
 

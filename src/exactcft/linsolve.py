@@ -20,25 +20,10 @@ class LinearSolution:
         return len(self.kernel)
 
 
-class _Row(SparseSum):
-    """A sparse matrix row: column index -> nonzero Fraction."""
-
-    __slots__ = ()
-
-    def __init__(self):
-        self.terms: dict[int, Fraction] = {}
-
-    def _empty(self) -> "_Row":
-        return _Row()
-
-    def _coerce(self, other: "_Row") -> "_Row":
-        return other
-
-
-def _sparse_rows(rows: Sequence[Mapping[int, object]], ncols: int) -> list[_Row]:
+def _sparse_rows(rows: Sequence[Mapping[int, object]], ncols: int) -> list[SparseSum]:
     out = []
     for entries in rows:
-        row = _Row()
+        row = SparseSum()
         for col, v in entries.items():
             if not 0 <= col < ncols:
                 raise ValueError(f"column {col} is outside 0..{ncols - 1}")
@@ -78,7 +63,7 @@ def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Se
     return LinearSolution(True, particular, kernel)
 
 
-def _rref(rows: list[_Row], ncols: int) -> list[int]:
+def _rref(rows: list[SparseSum], ncols: int) -> list[int]:
     """Bring sparse rows to reduced row echelon form in place, pivoting only
     in columns 0..ncols-1 (later columns ride along, e.g. a right-hand side).
     The pivot of each column is the first row at or after the current one

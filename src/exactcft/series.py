@@ -9,10 +9,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import MultiPoly
 from .special import parse_rational
+
+
+def _exponent_tuples(nv: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Every nv-tuple of non-negative exponents with sum <= cap, once, in lex order.
+
+    Stars and bars: nv bars among cap + nv slots, the gaps between them read
+    off as the exponents.
+    """
+    for bars in combinations(range(cap + nv), nv):
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 class TruncatedSeries(MultiPoly):
@@ -49,18 +59,41 @@ class TruncatedSeries(MultiPoly):
     def from_coefficients(
         cls, variables: Iterable[str], cap: int, coeff: Callable[[tuple[int, ...]], Fraction]
     ) -> "TruncatedSeries":
-        """sum coeff(e) * x^e over every exponent tuple e of total order <= cap.
-
-        Stars and bars: nv bars among cap + nv slots, the gaps between them
-        read off as the exponents, meet each such tuple once (in lex order).
-        """
+        """sum coeff(e) * x^e over every exponent tuple e of total order <= cap."""
         out = cls(variables, cap)
-        nv = len(out.variables)
-        for bars in combinations(range(cap + nv), nv):
-            exps = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+        for exps in _exponent_tuples(len(out.variables), cap):
             c = coeff(exps)
             if c:
                 out.terms[exps] = Fraction(c)
+        return out
+
+    @classmethod
+    def from_ratios(
+        cls,
+        variables: Iterable[str],
+        cap: int,
+        ratio: Callable[[tuple[int, ...], int], Fraction],
+    ) -> "TruncatedSeries":
+        """The series with constant term 1 and c(e + 1_k) = c(e) * ratio(e, k).
+
+        Each tuple takes its coefficient from the tuple whose last nonzero
+        exponent k is one lower, which comes earlier in the lex order. ratio
+        is called for every tuple, also after a zero coefficient, so it can
+        raise on a vanishing denominator. Zero terms stay in the dict, which
+        is the memo of the walk, until the last tuple is done.
+        """
+        out = cls(variables, cap)
+        terms = out.terms
+        walk = _exponent_tuples(len(out.variables), cap)
+        terms[next(walk)] = Fraction(1)
+        for exps in walk:
+            k = len(exps) - 1
+            while not exps[k]:
+                k -= 1
+            prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
+            terms[exps] = terms[prev] * ratio(prev, k)
+        if not all(terms.values()):
+            out.terms = {e: c for e, c in terms.items() if c}
         return out
 
     def _empty(self) -> "TruncatedSeries":

@@ -19,7 +19,7 @@ from math import factorial
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
-from .poly import MultiPoly
+from .poly import MultiPoly, SparseSum
 from .special import format_rational, legendre_coeffs, pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
@@ -417,12 +417,10 @@ def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorI
         kernel = coefficient_table_kernel(kappa, L)
         if not kernel:
             raise
-        combined: dict[tuple[int, int], Fraction] = {}
+        combined = SparseSum()
         for t in kernel:
-            for mn, c in t.entries.items():
-                combined[mn] = combined.get(mn, Fraction(0)) + c * Fraction(seed)
-        combined = {mn: c for mn, c in combined.items() if c != 0}
-        table = CoefficientTable(kappa, L, combined, kernel[0].kernel_dim)
+            combined.add_scaled(SparseSum(t.entries), seed)
+        table = CoefficientTable(kappa, L, combined.terms, kernel[0].kernel_dim)
     deltas = {m - n for (m, n) in table.entries}
     rps = {d: radial_poly(kappa, L, d) for d in deltas}
     bras = _bracket(kappa, L, rps)

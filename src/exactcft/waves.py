@@ -2,8 +2,10 @@
 
 A wave is a factored prefactor in nearest- and next-nearest-neighbour
 coordinate differences times a power series in the chain of cross ratios
-u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3}), with every coefficient
-an explicit product of rising factorials. The quadratic Casimir eigenvalue
+u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3}). Every coefficient is
+an explicit product of rising factorials (wave_coefficient); the series is
+built from its term ratio, each coefficient from a neighbour that differs by
+one in a single exponent (chiral_wave_series). The quadratic Casimir eigenvalue
 equations in invariant (Euler-operator) form provide the verification route
 for n up to 6.
 """
@@ -218,12 +220,37 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
     """The general chiral n-point partial wave, exactly truncated.
 
     The coefficient of prod u_k^{l_k} is
-    prod_j (a_j + a_{j+1} - d_{j+1})_{l_{j-1}+l_j} / prod_k l_k! (2 a_{k+1})_{l_k}.
+    prod_j (A_j)_{l_{j-1}+l_j} / prod_k l_k! (B_k)_{l_k}, with
+    A_j = a_j + a_{j+1} - d_{j+1} and B_k = 2 a_{k+1} (see wave_coefficient).
+    The series is built by its term ratio: raising l_k by one multiplies the
+    coefficient by
+    (A_k + l_{k-1} + l_k)(A_{k+1} + l_k + l_{k+1}) / ((l_k + 1)(B_k + l_k)),
+    a few multiplications per term instead of 2n - 5 rising factorials.
     For n = 3 there are no cross ratios and the series is identically 1.
     """
-    series = TruncatedSeries.from_coefficients(
-        wave_series_vars(spec.n), cap, lambda ells: wave_coefficient(spec, ells)
-    )
+    n = spec.n
+    orders = range(cap + 1)
+    # 1-based: numer[j][m] = A_j + m for j = 1..n-2, denom[k][m] = (m + 1)(B_k + m)
+    # for k = 1..n-3; an order m of a tuple before the last one stays below cap
+    numer = [None] + [
+        [spec.a(j) + spec.a(j + 1) - spec.d(j + 1) + m for m in orders] for j in range(1, n - 1)
+    ]
+    denom = [None] + [
+        [(m + 1) * (2 * spec.a(k + 1) + m) for m in orders] for k in range(1, n - 2)
+    ]
+
+    def ratio(ells: tuple[int, ...], i: int) -> Fraction:
+        k = i + 1
+        # l_{k-1}, l_k, l_{k+1} with the boundary l_0 = l_{n-2} = 0
+        before, lk, after = ((0,) + ells + (0,))[k - 1 : k + 2]
+        den = denom[k][lk]
+        if den == 0:
+            raise DegenerateParameterError(
+                f"(2 a_{k + 1})_{lk + 1} vanishes: a_{k + 1} = {spec.a(k + 1)} is degenerate"
+            )
+        return numer[k][before + lk] * numer[k + 1][lk + after] / den
+
+    series = TruncatedSeries.from_ratios(wave_series_vars(n), cap, ratio)
     return ChiralWave(spec, wave_prefactor(spec), series)
 
 

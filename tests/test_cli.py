@@ -279,6 +279,47 @@ def test_tensor_kernel_needs_both_dimensions(capsys, dimension):
     ))
 
 
+def _result(capsys, argv):
+    """Exit code, stdout, and stderr without the manifest's echo of the argv."""
+    code, out, err = run_cli(capsys, *argv)
+    if code == 0:
+        manifest = json.loads(err)
+        del manifest["command"]
+        return code, out, manifest
+    return code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (("intertwiner", "chiral", "--h", "2", "--d2", "0"), "--d1", "-1/2"),
+        (("wave", "--n", "5", "--dims", "1,1,1,1,1"), "--proj", "-1/2,0"),
+        (("wave", "--n", "4", "--dims", "1,1,1,1", "--cap", "3"), "--proj", "-5/2"),
+        (("intertwiner", "tensor", "--kappa", "1", "--L", "1", "--d2", "1"), "--d1", "-3/2"),
+    ],
+    ids=["chiral-d1", "wave-proj-list", "wave-proj", "tensor-d1"],
+)
+def test_negative_rational_is_a_value(capsys, argv, option, value):
+    attached = _result(capsys, argv + (f"{option}={value}",))
+    assert _result(capsys, argv + (option, value)) == attached
+    assert attached[0] in (0, 3)
+
+
+@pytest.mark.parametrize("pair", ["1", "x,y"])
+def test_malformed_pair_names_the_option(tmp_path, capsys, pair):
+    wave_path = tmp_path / "good.json"
+    wave_path.write_text(json.dumps(GOOD_WAVE4))
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--wave", str(wave_path), "--pair", pair, "--h", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1] == (
+        f"exactcft reduce: error: argument --pair: expected two integers 'i,j', got {pair!r}"
+    )
+    assert "Traceback" not in captured.err
+
+
 # -- argv fuzzing --------------------------------------------------------------
 
 MALFORMED = ("", "x", "1.5", "1/0", "--")
@@ -303,8 +344,11 @@ def _rational_lists(size):
 
 def _opt(flag, values):
     """Give the option one drawn value, or now and then leave it out. The value
-    is attached with '=' so that one starting with '-' stays a value."""
-    return st.tuples(st.integers(0, 4), values).map(lambda t: [f"{flag}={t[1]}"] if t[0] else [])
+    is attached with '=' or passed as the next token, so that values starting
+    with '-' are read both ways."""
+    return st.tuples(st.integers(0, 4), st.booleans(), values).map(
+        lambda t: ([f"{flag}={t[2]}"] if t[1] else [flag, t[2]]) if t[0] else []
+    )
 
 
 def _argv(*words_and_options):

@@ -1,5 +1,5 @@
-"""Golden SHA-256 digests of the README CLI examples and of larger six-point
-and kernel-solve runs.
+"""Golden SHA-256 digests of the README CLI examples and of larger six-point,
+kernel-solve, assembled-operator and wave runs.
 
 Each example runs through ``cli.main`` in-process and the digest of its
 stdout is pinned, so a refactor that moves any byte of the output fails here.
@@ -40,9 +40,19 @@ EXAMPLES = {
     # the tall sparse kernel systems of the operators benchmark and beyond it
     "kernel-gap2": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "3", "--d2", "1"),
     "kernel-k5": ("intertwiner", "tensor", "--kappa", "5", "--L", "4", "--d1", "3", "--d2", "1"),
+    # assembled operators whose recursions force c_00 = 0: the kernel-sum branch
+    "assembled-4-3": ("intertwiner", "tensor", "--kappa", "4", "--L", "3"),
+    "assembled-8-4": ("intertwiner", "tensor", "--kappa", "8", "--L", "4"),
+    # the waves benchmark's n = 8 and n = 10 series (d1 = d2 = 1)
+    "wave-n8": ("wave", "--n", "8", "--dims", "1,1,2,2,1,1,2,2",
+                "--proj", "2,2,5/2,2,3/2", "--cap", "8"),
+    "wave-n10": ("wave", "--n", "10", "--dims", "1,1,2,2,1,1,2,2,1,1",
+                 "--proj", "2,2,5/2,2,3/2,2,5/2", "--cap", "8"),
 }
 
 DIGESTS = {
+    "assembled-4-3": "6ef1b495392192f6d0fa1a1bfe1468f7d6fb6e4124db0793cb1b4fc9ecc627d1",
+    "assembled-8-4": "cc160260021ef8c77ba6fd60cbd5983f981de49b7bff3e2e743b62bcaa2a805e",
     "amplitudes": "43f115a0f346e6d261e31f9b056c0a5b184bf083de091189c0a93df4b1a8346d",
     "build-E6": "e9082bbe2911a33a70384f44b5cd852b9505fe6179785617d68207c794232f91",
     "casimir-n6": "280a0f37ccf60d2fb45d63f8698b42954d7ab4da67adff909a0ee7bbadf77d86",
@@ -63,6 +73,8 @@ DIGESTS = {
     "tensor": "e91eba58961f2e8c43c50b002cc67d20986b352061105305ea5b5e4a3fad18b9",
     "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
     "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",
+    "wave-n10": "2324686dbee6f53ec1703788bed3489dfb2e86fcc1995c0de59118e2eecd7f1d",
+    "wave-n8": "cebde68d656a1a47137559fa490fd08e12fc972eed73f38bf49316b7982a8c27",
     "wave-n4": "71c9ac1a0e54b0d6745077251c750055cad2067efb42404a81df5774dcf11f18",
 }
 

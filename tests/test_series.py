@@ -122,6 +122,40 @@ def test_from_coefficients_matches_filtered_product(nv, cap):
     assert len(full) == comb(cap + nv, nv)
 
 
+@pytest.mark.parametrize("nv", range(5))
+@pytest.mark.parametrize("cap", range(7))
+def test_from_ratios_matches_closed_coefficients(nv, cap):
+    # c(e + 1_k) / c(e) = (t_k - e_k) / (e_k + 1) gives prod_k binom(t_k, e_k),
+    # which vanishes past e_k = t_k: zero terms are dropped but still feed
+    # the tuples after them
+    tops = (2, 5, 1, 3)[:nv]
+    variables = tuple(f"x{k}" for k in range(nv))
+    s = TruncatedSeries.from_ratios(
+        variables, cap, lambda e, k: Fraction(tops[k] - e[k], e[k] + 1)
+    )
+
+    def closed(e):
+        out = 1
+        for t, x in zip(tops, e):
+            out *= comb(t, x)
+        return out
+
+    oracle = TruncatedSeries.from_coefficients(variables, cap, closed)
+    assert s.cap == cap
+    assert list(s.terms.items()) == list(oracle.terms.items())  # same lex order
+
+
+def test_from_ratios_calls_ratio_after_a_zero_term():
+    def ratio(e, k):
+        if e[k] == 2:
+            raise ZeroDivisionError(f"pole at {e}")
+        return Fraction(1 - e[k])  # every term past x^1 is zero
+
+    assert TruncatedSeries.from_ratios(U, 2, ratio).terms == {(0,): 1, (1,): 1}
+    with pytest.raises(ZeroDivisionError, match=r"pole at \(2,\)"):
+        TruncatedSeries.from_ratios(U, 3, ratio)
+
+
 def test_three_point_wave_has_no_variables():
     # nv = 0 above; the n = 3 wave has no cross ratios and one constant term
     wave = chiral_wave_series(WaveSpec((1, 2, 3), (1, 3)), 5)

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactcft.errors import DegenerateParameterError
+from exactcft.series import TruncatedSeries
 from exactcft.special import gauss_2f1_coeff
 from exactcft.waves import (
     ChiralWave,
@@ -12,7 +15,9 @@ from exactcft.waves import (
     chiral_wave_series,
     fourpoint_reference,
     wave_leading_shifts,
+    wave_coefficient,
     wave_prefactor,
+    wave_series_vars,
 )
 
 F = Fraction
@@ -78,6 +83,64 @@ def test_degenerate_projection_rejected():
         chiral_wave_series(spec, 2)
     # cap 0 never touches the degenerate denominators
     assert chiral_wave_series(spec, 0).series.coefficient((0,)) == 1
+
+
+def _closed_form_series(spec: WaveSpec, cap: int) -> TruncatedSeries:
+    """The series term by term from the closed rising-factorial product."""
+    return TruncatedSeries.from_coefficients(
+        wave_series_vars(spec.n), cap, lambda ells: wave_coefficient(spec, ells)
+    )
+
+
+# positive dimensions whose projections keep every 2 a_k off the non-positive
+# integers, so no denominator vanishes; numerators may still vanish
+DIMS = st.sampled_from([F(1), F(2), F(3), F(1, 2), F(3, 2), F(5, 2), F(7, 3)])
+PROJ = st.sampled_from([F(1), F(2), F(3), F(3, 2), F(5, 2), F(1, 3), F(-1, 3), F(-3, 4)])
+
+
+@given(n=st.integers(4, 8), cap=st.integers(0, 6), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_ratio_walk_matches_closed_form(n, cap, data):
+    dims = data.draw(st.lists(DIMS, min_size=n, max_size=n), label="dims")
+    middle = data.draw(st.lists(PROJ, min_size=n - 3, max_size=n - 3), label="middle")
+    spec = WaveSpec.from_middle(dims, middle)
+    series = chiral_wave_series(spec, cap).series
+    assert series == _closed_form_series(spec, cap)
+    for ells, c in series.terms.items():
+        assert c == wave_coefficient(spec, ells)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 6, 10])
+def test_terminating_wave_keeps_deriving_past_zero_terms(cap):
+    # every A_j = 2 + 2 - 5 = -1 except the two ends, so (A_j)_m = 0 for m >= 2
+    spec = WaveSpec.from_middle((1, 5, 5, 5, 5, 5, 1), (2, 2, 2, 2))
+    series = chiral_wave_series(spec, cap).series
+    assert len(series) == 8
+    assert all(series.terms.values())
+    assert series == _closed_form_series(spec, cap)
+
+
+def test_interior_degenerate_projection():
+    # 2 a_3 = -1: (2 a_3)_2 = (-1)(0) is the first vanishing denominator
+    spec = WaveSpec.from_middle((1, 1, 1, 1, 1, 1), (2, F(-1, 2), 2))
+    message = "(2 a_3)_2 vanishes: a_3 = -1/2 is degenerate"
+    for cap in (2, 3, 5):
+        with pytest.raises(DegenerateParameterError) as walk:
+            chiral_wave_series(spec, cap)
+        with pytest.raises(DegenerateParameterError) as closed:
+            _closed_form_series(spec, cap)
+        assert str(walk.value) == str(closed.value) == message
+    assert chiral_wave_series(spec, 1).series == _closed_form_series(spec, 1)
+
+
+def test_pole_after_a_zero_term_still_raises():
+    # A_1 = d1 + a2 - d2 = 0 zeroes every term from u^1 on; (2 a_2)_3 = (-2)(-1)(0)
+    spec = WaveSpec.from_middle((1, 0, 1, 1), (-1,))
+    assert chiral_wave_series(spec, 2).series.terms == {(0,): 1}
+    with pytest.raises(DegenerateParameterError, match=r"^\(2 a_2\)_3 vanishes: a_2 = -1 is"):
+        chiral_wave_series(spec, 3)
+    with pytest.raises(DegenerateParameterError, match=r"^\(2 a_2\)_3 vanishes"):
+        _closed_form_series(spec, 3)
 
 
 def test_fourpoint_reference_values():
