@@ -12,11 +12,15 @@ singular limits), 4 internal consistency failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
 from fractions import Fraction
+
+try:  # the built-in module: hashlib would load OpenSSL's libcrypto for one digest
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import __version__
 from .amplitudes import fourpoint_amplitudes, reconstruction_residual
@@ -380,7 +384,7 @@ def _run(args, argv: list[str]) -> None:
             if k not in ("handler",) and v is not None
         },
         "tool_version": __version__,
-        "output_digest": hashlib.sha256(payload.encode()).hexdigest(),
+        "output_digest": sha256(payload.encode()).hexdigest(),
     }
     manifest_text = canonical_json(manifest)
     if args.manifest:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
 from .linsolve import row_basis
-from .poly import MultiPoly, SparseSum
+from .poly import MultiPoly, SparseSum, _combination_terms, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -51,7 +51,7 @@ def _zvars(points: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(f"z{k}" for k in range(1, len(points)))
 
 
-def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> Iterator[MultiPoly]:
+def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> list[dict]:
     """Each monomial of keys over one shared base, in adjacent differences.
 
     The base takes per pair the least exponent across keys, absence counting
@@ -60,25 +60,32 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> Ite
     agree modulo integers on every pair (a pair with a fractional exponent
     then appears in every key) leave non-negative integer relative exponents,
     each expanded through x_{p_a} - x_{p_b} = z_a + ... + z_{b-1} over the
-    sorted points. Yields one polynomial per key, in order.
+    sorted points. Returns one integer-coefficient dict {z exponents: int}
+    per key, in order.
     """
     dicts = [dict(key) for key in keys]
     pairs = {pr for d in dicts for pr in d}
     base = {pr: min(d.get(pr, Fraction(0)) for d in dicts) for pr in pairs}
-    zvars = _zvars(points)
+    nz = len(points) - 1
+    one = {(0,) * nz: 1}
     idx = {p: k for k, p in enumerate(points)}
-    chain_cache: dict[tuple[Pair, int], MultiPoly] = {}
+    chain_cache: dict[tuple[Pair, int], dict] = {}
 
-    def chain_power(pr: Pair, n: int) -> MultiPoly:
+    def chain_power(pr: Pair, n: int) -> dict:
         got = chain_cache.get((pr, n))
         if got is None:
-            lin = MultiPoly(zvars)
-            for m in range(idx[pr[0]], idx[pr[1]]):
-                lin.add_term(tuple(int(k == m) for k in range(len(zvars))), Fraction(1))
-            got = chain_cache[(pr, n)] = lin**n
+            if n == 0:
+                got = one
+            else:
+                lin = {
+                    tuple(int(k == m) for k in range(nz)): 1
+                    for m in range(idx[pr[0]], idx[pr[1]])
+                }
+                got = _int_product(chain_power(pr, n - 1), lin)
+            chain_cache[(pr, n)] = got
         return got
 
-    one = MultiPoly.constant(zvars, 1)
+    out = []
     for d in dicts:
         poly = one
         for pr, b in base.items():
@@ -86,8 +93,16 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> Ite
             if rel.denominator != 1:
                 raise ConsistencyError("relative exponent within a class must be an integer")
             if rel:
-                poly = poly * chain_power(pr, int(rel))
-        yield poly
+                poly = _int_product(poly, chain_power(pr, int(rel)))
+        out.append(poly)
+    return out
+
+
+def _combination(points: tuple[int, ...], expansions, weights: Mapping) -> MultiPoly:
+    """sum weights[k] * expansions[k] as a polynomial in the z variables."""
+    out = MultiPoly(_zvars(points))
+    out.terms = _combination_terms(expansions, weights)
+    return out
 
 
 def _frac_part(e: Fraction) -> Fraction:
@@ -261,10 +276,8 @@ class PairSum(SparseSum):
     def _z_poly(self, terms: Mapping[ExpKey, Fraction]) -> MultiPoly:
         """Expand an integer-class group in adjacent-difference coordinates,
         up to the common base monomial of _adjacent_expansions."""
-        total = MultiPoly(_zvars(self.points))
-        for poly, c in zip(_adjacent_expansions(self.points, terms), terms.values()):
-            total.add_scaled(poly, c)
-        return total
+        expansions = dict(zip(terms, _adjacent_expansions(self.points, terms)))
+        return _combination(self.points, expansions, terms)
 
     def is_zero_function(self) -> bool:
         return all(self._z_poly(g).is_zero() for g in self._classes().values())
@@ -278,16 +291,14 @@ class PairSum(SparseSum):
         self._coerce(other)
         g1, g2 = self._classes(), other._classes()
         lam: Fraction | None = None
-        zvars = _zvars(self.points)
         for ck in set(g1) | set(g2):
             t1 = g1.get(ck, {})
             t2 = g2.get(ck, {})
             # one expansion of the union support, weighted by each side
             union = list(set(t1) | set(t2))
-            p1, p2 = MultiPoly(zvars), MultiPoly(zvars)
-            for key, poly in zip(union, _adjacent_expansions(self.points, union)):
-                p1.add_scaled(poly, t1.get(key, 0))
-                p2.add_scaled(poly, t2.get(key, 0))
+            expansions = dict(zip(union, _adjacent_expansions(self.points, union)))
+            p1 = _combination(self.points, expansions, t1)
+            p2 = _combination(self.points, expansions, t2)
             if p2.is_zero():
                 if not p1.is_zero():
                     return None
@@ -415,17 +426,14 @@ class TwoChiralSum(SparseSum):
         """
         items = sorted(self.terms.items())
         # rows: for each minus-monomial, the vector of its coefficients per term
-        rows: dict[tuple[int, ...], dict[int, Fraction]] = {}
+        rows: dict[tuple[int, ...], dict[int, int]] = {}
         minus = _adjacent_expansions(self.points, [km for (_, km), _ in items])
         for t, poly in enumerate(minus):
-            for exps, c in poly.terms.items():
+            for exps, c in poly.items():
                 rows.setdefault(exps, {})[t] = c
-        plus = list(_adjacent_expansions(self.points, [kp for (kp, _), _ in items]))
+        plus = _adjacent_expansions(self.points, [kp for (kp, _), _ in items])
         for lam in row_basis(list(rows.values()), len(items)):
-            acc = MultiPoly(_zvars(self.points))
-            for t, w in lam.items():
-                acc.add_scaled(plus[t], items[t][1] * w)
-            if acc:
+            if _combination_terms(plus, {t: items[t][1] * w for t, w in lam.items()}):
                 return False
         return True
 

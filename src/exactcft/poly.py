@@ -3,11 +3,20 @@
 Polynomial terms live in a dict keyed by exponent tuples; zero coefficients
 are never stored, and iteration/serialization follows graded-lexicographic
 order so output is deterministic.
+
+Products and linear combinations run on integers: each operand (or the
+weights) is scaled once to integer numerators over the least common
+denominator of its coefficients, the multiply-accumulate loop works on Python
+ints, and each output term becomes one Fraction. Exact rationals are
+canonical, so the result is the one Fraction arithmetic gives. The int dicts
+are private to the kernel: every ``.terms`` value of a public object is a
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -17,6 +26,58 @@ from .special import format_rational, parse_rational
 
 def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
+
+
+def _int_numerators(terms: Mapping) -> tuple[int, dict]:
+    """(D, {key: n}) with terms[key] == n / D and D the least common denominator."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
+
+
+def _over(numerators: Mapping, den: int) -> dict:
+    """{key: Fraction(n, den)} for every nonzero integer numerator n."""
+    return {k: Fraction(n, den) for k, n in numerators.items() if n}
+
+
+def _int_product(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
+    """The product of two int dicts keyed by exponent tuples, as an int dict.
+
+    With a cap, only pairs of total degree <= cap contribute. Cancelled keys
+    may hold 0.
+    """
+    out: dict = {}
+    get = out.get
+    rows = [(e, sum(e), c) for e, c in right.items()]
+    for e1, a in left.items():
+        room = inf if cap is None else cap - sum(e1)
+        for e2, d2, b in rows:
+            if d2 <= room:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + a * b
+    return out
+
+
+def _product_terms(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
+    """The Fraction terms of the product of two Fraction term dicts."""
+    d1, a = _int_numerators(left)
+    d2, b = _int_numerators(right)
+    return _over(_int_product(a, b, cap), d1 * d2)
+
+
+def _combination_terms(parts, weights: Mapping) -> dict:
+    """The Fraction terms of sum weights[k] * parts[k] over int dicts parts[k].
+
+    The weights are scaled once to integers over their least common
+    denominator, the sum runs on ints, and each output key is divided once.
+    """
+    den, nums = _int_numerators(weights)
+    acc: dict = {}
+    get = acc.get
+    for k, n in nums.items():
+        if n:
+            for e, c in parts[k].items():
+                acc[e] = get(e, 0) + n * c
+    return _over(acc, den)
 
 
 class SparseSum:
@@ -196,11 +257,8 @@ class MultiPoly(SparseSum):
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = self._coerce(other)
         out = self._empty()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out.add_term(tuple(map(add, e1, e2)), c1 * c2)
+        out.terms = _product_terms(self.terms, self._coerce(other).terms)
         return out
 
     __rmul__ = __mul__

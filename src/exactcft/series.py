@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .poly import MultiPoly
+from .poly import MultiPoly, _product_terms
 from .special import parse_rational
 
 
@@ -122,12 +121,7 @@ class TruncatedSeries(MultiPoly):
             return self.scale(other)
         other = self._coerce(other)
         out = TruncatedSeries(self.variables, min(self.cap, other.cap))
-        right = [(e, sum(e), c) for e, c in other.terms.items()]
-        for e1, c1 in self.terms.items():
-            room = out.cap - sum(e1)
-            for e2, d2, c2 in right:
-                if d2 <= room:
-                    out.add_term(tuple(map(add, e1, e2)), c1 * c2)
+        out.terms = _product_terms(self.terms, other.terms, out.cap)
         return out
 
     __rmul__ = __mul__

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import ConsistencyError, DegenerateParameterError
@@ -79,10 +80,11 @@ class InvVector:
         return InvVector(self.a * f, self.b * f, self.c * f)
 
 
-# gram[i][j] = basis_i . basis_j over basis order (d1, d2, v)
-def _gram() -> list[list[MultiPoly]]:
+# gram[i][j] = basis_i . basis_j over basis order (d1, d2, v); built once, read only
+@cache
+def _gram() -> tuple[tuple[MultiPoly, ...], ...]:
     t12, b1, b2, s1, s2, V = (igen(n) for n in IVARS)
-    return [[b1, t12, s1], [t12, b2, s2], [s1, s2, V]]
+    return ((b1, t12, s1), (t12, b2, s2), (s1, s2, V))
 
 
 def grad1(f: MultiPoly) -> InvVector:

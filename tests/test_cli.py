@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -26,6 +27,13 @@ def test_wave_example(capsys):
     manifest = json.loads(err)
     assert manifest["tool_version"]
     assert len(manifest["output_digest"]) == 64
+
+
+def test_manifest_digest_is_sha256_of_the_payload(capsys):
+    _, out, err = run_cli(capsys, "exotic", "coeff", "--hplus", "2", "--hminus", "1",
+                          "--structure", "H")
+    payload = out.removesuffix("\n")
+    assert json.loads(err)["output_digest"] == hashlib.sha256(payload.encode()).hexdigest()
 
 
 def test_determinism(capsys):

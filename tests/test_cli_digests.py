@@ -13,6 +13,9 @@ import pytest
 from exactcft.cli import main
 
 WAVE4 = ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "6")
+# the waves benchmark's n = 6 wave (d1 = d2 = 1), reduced on a matched and a
+# mismatched pair
+WAVE6 = ("wave", "--n", "6", "--dims", "1,1,2,2,1,1", "--proj", "2,2,5/2", "--cap", "8")
 
 EXAMPLES = {
     "wave-n4": ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "2"),
@@ -35,6 +38,8 @@ EXAMPLES = {
     "positivity-E2": ("exotic", "positivity", "--structure", "E2", "--hmax", "4", "--kmax", "1"),
     "restrict-E6": ("exotic", "restrict", "--name", "E6", "--cap", "8"),
     "g-closed": ("exotic", "g", "--cap", "24", "--method", "closed", "--check-biharmonic"),
+    "g-recursion-24": ("exotic", "g", "--cap", "24", "--method", "recursion",
+                       "--check-biharmonic"),
     "exotic-reduce-H": ("exotic", "reduce", "--structure", "H", "--hplus", "4", "--hminus", "1",
                         "--hplusprime", "1", "--hminusprime", "2", "--cap", "12"),
     # the tall sparse kernel systems of the operators benchmark and beyond it
@@ -61,12 +66,15 @@ DIGESTS = {
     "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
     "exotic-reduce-H": "bca2e104b8464fc6040583e73d15aafc5993583254aa542dd7c7d50dc9107202",
     "g-closed": "b83de07bc1c99e85053936b8f6741fd01a67705df74b017f7986feb2aa3b5b8a",
+    "g-recursion-24": "02fba28483462ea131b329b17f81ef63b4cd0aa13ef498c95966fd1c5d09dfe7",
     "g-recursion": "6e2ea709862c6879c467a02e4c30e941b2784fe66cdb0fb952ea2d3bc1ca238a",
     "kernel-gap2": "f8c6a111f932f5ce3ac99a0668c282c2c6952058af8443441669aea27c9fad9d",
     "kernel-k5": "67e692d57839419fda5ac2781ebcf9659df3aca6499de50c0365c0be49f4f24e",
     "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",
     "positivity-E2": "f9f3f97e30fe714355ed2b2a0c6ab24e478409faf92d2783aa2fb16e0920b317",
     "positivity-H": "3126d0856417c9f6a7557a1e35734024dda1937843fac4e4eac976c8ed6064d0",
+    "reduce-matched": "03ab9518d8703ceb29e3d28f9d67b76c0663dd486e1fbf7321ff92d77d427862",
+    "reduce-mismatched": "e790be902388453ec9af8cf02a462ec6ff9ed728f1cabb5261b6d418e9af5449",
     "reduce": "3a585c1c367cc98d44adcc9712e9841c9158fa1150d7c9c34a45a97eb6d98cd5",
     "restrict": "12cab93c08db991a080004dca8e4b092bbdaef6552a02e9dffc3b7feb3dc49fa",
     "restrict-E6": "83a7636465e4c8ab89e77f7f88912a1d29c35ff9945c2bb493cf07f0c6cb12f2",
@@ -96,6 +104,14 @@ def test_readme_reduce_digest(capsys, tmp_path):
     out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", "1,2", "--h", "2"))
     assert json.loads(out)["matches_reduced_wave"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS["reduce"]
+
+
+@pytest.mark.parametrize("pair, kind", [("1,2", "matched"), ("5,6", "mismatched")])
+def test_benchmark_reduce_digest(capsys, tmp_path, pair, kind):
+    wave = tmp_path / "wave.json"
+    wave.write_text(_stdout(capsys, WAVE6), encoding="utf-8")
+    out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", pair, "--h", "2"))
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"reduce-{kind}"]
 
 
 def test_positivity_out_file_matches_stdout(capsys, tmp_path):
