@@ -1,12 +1,20 @@
-"""Exact linear solving and symmetric inertia over the rationals."""
+"""Exact linear solving and symmetric inertia over the rationals.
+
+Linear systems are eliminated fraction-free: each sparse rational row is
+scaled once to integers over its least common denominator, the elimination
+runs on Python ints, and each entry of a reduced row becomes one Fraction at
+the end. Exact rationals are canonical, so the reduced rows are the ones
+Fraction elimination gives.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
-from .poly import SparseSum
+from .poly import _int_numerators
 
 
 @dataclass(frozen=True)
@@ -20,16 +28,24 @@ class LinearSolution:
         return len(self.kernel)
 
 
-def _sparse_rows(rows: Sequence[Mapping[int, object]], ncols: int) -> list[SparseSum]:
-    out = []
-    for entries in rows:
-        row = SparseSum()
-        for col, v in entries.items():
-            if not 0 <= col < ncols:
-                raise ValueError(f"column {col} is outside 0..{ncols - 1}")
-            row.add_term(col, Fraction(v))
-        out.append(row)
-    return out
+def _int_row(entries: Mapping[int, object], ncols: int, rhs=0) -> dict[int, int]:
+    """A sparse rational row {column: value}, with a nonzero rhs riding along
+    in column ncols, as a primitive integer row: scaled to its least common
+    denominator, then divided by the gcd of its numerators. Zeros are dropped."""
+    row = {}
+    for col, v in entries.items():
+        if not 0 <= col < ncols:
+            raise ValueError(f"column {col} is outside 0..{ncols - 1}")
+        row[col] = v if type(v) is int else Fraction(v)
+    if rhs:
+        row[ncols] = rhs if type(rhs) is int else Fraction(rhs)
+    _, nums = _int_numerators(row)
+    return _primitive({col: n for col, n in nums.items() if n})
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return row if g < 2 else {col: v // g for col, v in row.items()}
 
 
 def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Sequence) -> LinearSolution:
@@ -41,9 +57,7 @@ def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Se
     """
     if len(rhs) != len(rows):
         raise ValueError(f"rhs length {len(rhs)} does not match {len(rows)} rows")
-    aug = _sparse_rows(rows, ncols)
-    for row, b in zip(aug, rhs):
-        row.add_term(ncols, Fraction(b))  # the right-hand side rides along
+    aug = [_int_row(row, ncols, b) for row, b in zip(rows, rhs)]
     pivots = _rref(aug, ncols)
 
     kernel = []
@@ -51,24 +65,33 @@ def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Se
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, col in zip(aug, pivots):
-            if fc in row.terms:
-                vec[col] = -row.terms[fc]
+            if fc in row:
+                vec[col] = -row[fc]
         kernel.append(vec)
 
-    if any(row.terms for row in aug[len(pivots):]):
+    if any(aug[len(pivots):]):
         return LinearSolution(False, None, kernel)
     particular = [Fraction(0)] * ncols
     for row, col in zip(aug, pivots):
-        particular[col] = row.terms.get(ncols, Fraction(0))
+        particular[col] = row.get(ncols, Fraction(0))
     return LinearSolution(True, particular, kernel)
 
 
-def _rref(rows: list[SparseSum], ncols: int) -> list[int]:
-    """Bring sparse rows to reduced row echelon form in place, pivoting only
-    in columns 0..ncols-1 (later columns ride along, e.g. a right-hand side).
-    The pivot of each column is the first row at or after the current one
-    with a nonzero there. Returns the pivot columns; row k holds the pivot of
-    column pivots[k].
+def _rref(rows: list[dict], ncols: int) -> list[int]:
+    """Bring primitive integer rows {column: int} to reduced row echelon form
+    in place, pivoting only in columns 0..ncols-1 (later columns ride along,
+    e.g. a right-hand side). The pivot of each column is the first row at or
+    after the current one with a nonzero there. Returns the pivot columns;
+    row k holds the pivot of column pivots[k].
+
+    Elimination is fraction-free: a row loses its entry in the pivot column
+    by cross-multiplication with the pivot row, and then the gcd of its
+    entries is divided out. Each row stays a nonzero multiple of the row that
+    Fraction elimination would hold, so the pivots are the same. At the end
+    each pivot row is divided by its pivot, one Fraction per entry, which
+    gives the unique reduced rows. The rows after the pivot rows stay integer
+    and hold nothing but ride-along entries, where Fraction elimination holds
+    nonzeros.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -76,25 +99,41 @@ def _rref(rows: list[SparseSum], ncols: int) -> list[int]:
     for col in range(ncols):
         if r == m:
             break
-        piv = next((i for i in range(r, m) if col in rows[i].terms), None)
+        piv = next((i for i in range(r, m) if col in rows[i]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = rows[r].scale(1 / rows[r].terms[col])
+        prow = rows[r]
+        p = prow[col]
         for i in range(m):
-            if i != r and col in rows[i].terms:
-                rows[i].add_scaled(rows[r], -rows[i].terms[col])
+            row = rows[i]
+            a = row.get(col)
+            if a is None or i == r:
+                continue
+            g = gcd(p, a)
+            mp, ma = p // g, a // g
+            new = row if mp == 1 else {k: v * mp for k, v in row.items()}
+            get = new.get
+            for k, v in prow.items():
+                s = get(k, 0) - ma * v
+                if s:
+                    new[k] = s
+                else:
+                    del new[k]
+            rows[i] = _primitive(new)
         pivots.append(col)
         r += 1
+    for k, col in enumerate(pivots):
+        p = rows[k][col]
+        rows[k] = {c: Fraction(v, p) for c, v in rows[k].items()}
     return pivots
 
 
 def row_basis(rows: Sequence[Mapping[int, object]], ncols: int) -> list[dict[int, Fraction]]:
     """A basis of the row space of a rational matrix given as sparse rows
     over ncols columns: its nonzero RREF rows, again as {column: value}."""
-    reduced = _sparse_rows(rows, ncols)
-    rank = len(_rref(reduced, ncols))
-    return [row.terms for row in reduced[:rank]]
+    reduced = [_int_row(row, ncols) for row in rows]
+    return reduced[:len(_rref(reduced, ncols))]
 
 
 def symmetric_inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:

@@ -30,6 +30,15 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _pair_key(key: str) -> tuple[int, int]:
+    """The pair (i, j) named by a prefactor.factors key 'i,j'."""
+    try:
+        i, j = (int(v) for v in key.split(","))
+    except ValueError:
+        raise ValueError(f"prefactor.factors key {key!r} is not 'i,j' with integers i and j") from None
+    return i, j
+
+
 @dataclass(frozen=True)
 class WaveSpec:
     """Field dimensions d_1..d_n and projection dimensions a_1..a_{n-1}.
@@ -179,11 +188,13 @@ class ChiralWave:
                 raise ValueError(
                     f"series exponents {exps!r} are not {nvars} non-negative integers"
                 )
+            if tuple(exps) in terms:
+                raise ValueError(f"series lists the exponent tuple {tuple(exps)} twice")
             terms[tuple(exps)] = parse_rational(item.get("coeff"))
         series = TruncatedSeries(wave_series_vars(spec.n), cap, terms)
         pre_data = _expect(data["prefactor"], dict, "prefactor")
         factors = {
-            tuple(int(v) for v in key.split(",")): parse_rational(val)
+            _pair_key(key): parse_rational(val)
             for key, val in _expect(pre_data.get("factors"), dict, "prefactor.factors").items()
         }
         pre = FactoredLaurent(factors, parse_rational(pre_data.get("numerator")))

@@ -422,3 +422,113 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(wave_paths, data):
             code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# -- wave JSON fuzzing -----------------------------------------------------------
+
+WAVE6_ARGV = ("wave", "--n", "6", "--dims", "1,1,2,2,1,1", "--proj", "2,2,5/2", "--cap", "2")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["1", "-2", "3/2", "1/0", "x"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+BAD_FACTOR_KEYS = st.sampled_from(
+    ["x,y", "1,2,3", "1", "", ",", "1,,2", "a,b,c", "2,1", "-1,3", "1,3 ", "1.5,2"]
+) | st.text(max_size=5)
+# paths into the wave JSON; an int indexes a list, "*" stands for a drawn series item
+PATHS = [
+    ("spec",), ("cap",), ("prefactor",), ("series",),
+    ("spec", "n"), ("spec", "dims"), ("spec", "proj"), ("spec", "dims", 0), ("spec", "proj", 2),
+    ("prefactor", "numerator"), ("prefactor", "factors"), ("prefactor", "factors", "1,3"),
+    ("series", "*"), ("series", "*", "exponents"), ("series", "*", "coeff"),
+    ("series", "*", "exponents", 0),
+]
+
+
+def _mutations(series_len):
+    path = st.tuples(st.sampled_from(PATHS), st.integers(0, series_len - 1)).map(
+        lambda t: tuple(t[1] if step == "*" else step for step in t[0])
+    )
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("drop"), path),
+            st.tuples(st.just("set"), path, JSON_VALUES),
+            st.tuples(st.just("duplicate"), st.integers(0, series_len - 1)),
+            st.tuples(st.just("factor"), BAD_FACTOR_KEYS, JSON_VALUES | st.just("1")),
+        ),
+        min_size=1, max_size=3,
+    )
+
+
+def _mutate(wave, mutation):
+    """Apply one mutation in place; one whose path no longer exists is skipped."""
+    kind, *args = mutation
+    if kind == "duplicate":
+        series = wave.get("series")
+        if isinstance(series, list) and args[0] < len(series):
+            series.append(json.loads(json.dumps(series[args[0]])))
+        return
+    if kind == "factor":
+        kind, args = "set", [("prefactor", "factors", args[0]), args[1]]
+    *parents, last = args[0]
+    node = wave
+    for step in parents:
+        try:
+            node = node[step]
+        except (KeyError, IndexError, TypeError):
+            return
+    if isinstance(node, dict) and isinstance(last, str) or (
+        isinstance(node, list) and isinstance(last, int) and last < len(node)
+    ):
+        if kind == "set":
+            node[last] = args[1]
+        elif isinstance(node, list) or last in node:
+            del node[last]
+
+
+@pytest.fixture(scope="module")
+def wave6(tmp_path_factory):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(WAVE6_ARGV)) == 0
+    return json.loads(out.getvalue()), tmp_path_factory.mktemp("wave-fuzz") / "wave.json"
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_wave_json_ends_in_exit_0_or_2(wave6, data):
+    good, path = wave6
+    wave = json.loads(json.dumps(good))
+    for mutation in data.draw(_mutations(len(good["series"])), label="mutations"):
+        _mutate(wave, mutation)
+    path.write_text(json.dumps(wave), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", "--wave", str(path), "--pair", "1,2", "--h", "2"])
+    assert code in (0, 2), err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) == 1
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+def test_reduce_rejects_a_repeated_series_tuple(wave6, capsys):
+    good, path = wave6
+    wave = json.loads(json.dumps(good))
+    wave["series"].append({**wave["series"][1], "coeff": "7"})
+    path.write_text(json.dumps(wave), encoding="utf-8")
+    code, out, err = run_cli(capsys, "reduce", "--wave", str(path), "--pair", "1,2", "--h", "2")
+    _one_line_usage_error(code, out, err)
+    assert str(tuple(good["series"][1]["exponents"])) in err
+
+
+@pytest.mark.parametrize("key", ["x,y", "1,2,3", "1", ""])
+def test_reduce_names_a_malformed_factor_key(wave6, capsys, key):
+    good, path = wave6
+    wave = json.loads(json.dumps(good))
+    wave["prefactor"]["factors"][key] = "1"
+    path.write_text(json.dumps(wave), encoding="utf-8")
+    code, out, err = run_cli(capsys, "reduce", "--wave", str(path), "--pair", "1,2", "--h", "2")
+    _one_line_usage_error(code, out, err)
+    assert "prefactor.factors" in err and repr(key) in err

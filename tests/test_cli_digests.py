@@ -45,6 +45,8 @@ EXAMPLES = {
     # the tall sparse kernel systems of the operators benchmark and beyond it
     "kernel-gap2": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "3", "--d2", "1"),
     "kernel-k5": ("intertwiner", "tensor", "--kappa", "5", "--L", "4", "--d1", "3", "--d2", "1"),
+    # the operators benchmark's zero-gap shape
+    "kernel-equal": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "2", "--d2", "2"),
     # assembled operators whose recursions force c_00 = 0: the kernel-sum branch
     "assembled-4-3": ("intertwiner", "tensor", "--kappa", "4", "--L", "3"),
     "assembled-8-4": ("intertwiner", "tensor", "--kappa", "8", "--L", "4"),
@@ -68,6 +70,7 @@ DIGESTS = {
     "g-closed": "b83de07bc1c99e85053936b8f6741fd01a67705df74b017f7986feb2aa3b5b8a",
     "g-recursion-24": "02fba28483462ea131b329b17f81ef63b4cd0aa13ef498c95966fd1c5d09dfe7",
     "g-recursion": "6e2ea709862c6879c467a02e4c30e941b2784fe66cdb0fb952ea2d3bc1ca238a",
+    "kernel-equal": "c2c6a5cbccc0d422142d4fe7fe3865aba3f8ebe7a67044f8de37358096236730",
     "kernel-gap2": "f8c6a111f932f5ce3ac99a0668c282c2c6952058af8443441669aea27c9fad9d",
     "kernel-k5": "67e692d57839419fda5ac2781ebcf9659df3aca6499de50c0365c0be49f4f24e",
     "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcft.linsolve import linear_solve_exact, row_basis, symmetric_inertia
+from exactcft.linsolve import _int_row, _rref, linear_solve_exact, row_basis, symmetric_inertia
 from exactcft.tensor_ops import coefficient_table_kernel
 
 
@@ -192,6 +192,96 @@ def test_sparse_systems_match_sympy(system, data):
     assert other.solvable == solvable
     assert (other.particular is None) == (not solvable)
     assert other.kernel == sol.kernel
+
+
+def gauss_jordan(matrix, ncols):
+    """Plain Fraction Gauss-Jordan on dense rows, in place, pivoting in
+    columns 0..ncols-1 only: the pivot of a column is the first row at or after
+    the current one with a nonzero there. Returns the pivot columns."""
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(matrix)) if matrix[i][col] != 0), None)
+        if piv is None:
+            continue
+        matrix[r], matrix[piv] = matrix[piv], matrix[r]
+        p = matrix[r][col]
+        matrix[r] = [v / p for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[col] != 0:
+                f = row[col]
+                matrix[i] = [v - f * w for v, w in zip(row, matrix[r])]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def oracle_solve(matrix, ncols, rhs):
+    """(solvable, particular, kernel) read off the Fraction Gauss-Jordan form."""
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    pivots = gauss_jordan(aug, ncols)
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[fc] = Fraction(1)
+            for row, col in zip(aug, pivots):
+                vec[col] = -row[fc]
+            kernel.append(vec)
+    if any(row[ncols] != 0 for row in aug[len(pivots):]):
+        return False, None, kernel
+    particular = [Fraction(0)] * ncols
+    for row, col in zip(aug, pivots):
+        particular[col] = row[ncols]
+    return True, particular, kernel
+
+
+# rows with mixed denominators and plain ints, then zero rows and multiples of
+# earlier rows mixed in, and a right-hand side riding along
+mixed_entries = st.one_of(
+    st.integers(-6, 6), st.fractions(min_value=-5, max_value=5, max_denominator=12)
+)
+integer_kernel_systems = st.integers(1, 7).flatmap(
+    lambda ncols: st.tuples(
+        st.just(ncols),
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), mixed_entries, max_size=4), max_size=7),
+        st.lists(st.tuples(st.integers(0, 9), st.fractions(min_value=-3, max_value=3, max_denominator=5)), max_size=4),
+        st.lists(mixed_entries, min_size=11, max_size=11),
+    )
+)
+
+
+@given(integer_kernel_systems)
+@settings(max_examples=200, deadline=None)
+def test_integer_rref_matches_fraction_gauss_jordan(system):
+    ncols, rows, copies, rhs_pool = system
+    rows = list(rows)
+    for index, factor in copies:  # a zero row when factor is 0 or nothing is there to copy
+        source = rows[index % len(rows)] if rows else {}
+        rows.append({c: factor * v for c, v in source.items()})
+    rhs = rhs_pool[: len(rows)]
+    matrix = dense(rows, ncols)
+
+    expected = [row + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    expected_pivots = gauss_jordan(expected, ncols)
+    aug = [_int_row(row, ncols, b) for row, b in zip(rows, rhs)]
+    assert _rref(aug, ncols) == expected_pivots
+    rank = len(expected_pivots)
+    for got, want in zip(aug[:rank], expected):
+        assert got == {c: v for c, v in enumerate(want) if v != 0}
+        assert all(type(v) is Fraction for v in got.values())
+    for got, want in zip(aug[rank:], expected[rank:]):  # only the rhs can be left
+        assert set(got) == {c for c, v in enumerate(want) if v != 0}
+
+    sol = linear_solve_exact(rows, ncols, rhs)
+    solvable, particular, kernel = oracle_solve(matrix, ncols, rhs)
+    assert (sol.solvable, sol.particular, sol.kernel) == (solvable, particular, kernel)
+
+    basis_rows = dense(rows, ncols)
+    basis_pivots = gauss_jordan(basis_rows, ncols)
+    assert row_basis(rows, ncols) == [
+        {c: v for c, v in enumerate(row) if v != 0} for row in basis_rows[: len(basis_pivots)]
+    ]
 
 
 def _sign_changes(coeffs):
