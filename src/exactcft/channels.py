@@ -197,6 +197,12 @@ class ReferenceFourPoint:
         }
 
 
+def reduction_order(h_plus: int, h_minus: int, h_plus_prime: int, h_minus_prime: int) -> int:
+    """The highest series order reduce_sixpoint reads: c_{a,h} vanishes for
+    a >= h, so only terms with a < h+, b < h-, c < h'+, d < h'- count."""
+    return h_plus + h_minus + h_plus_prime + h_minus_prime - 4
+
+
 def reduce_sixpoint(
     structure2d, h_plus: int, h_minus: int, h_plus_prime: int, h_minus_prime: int
 ) -> tuple[Fraction, ReferenceFourPoint]:
@@ -206,9 +212,10 @@ def reduce_sixpoint(
     u+, u-, u'+, u'-). Each term collapses through the per-term identity with
     coefficient (-1)^{h-1} c_{a,h} per chirality and channel, always onto the
     same reference 4-point function; the finite resummation is the returned
-    scalar. The series cap must cover the support a < h+, b < h-, etc.
+    scalar. The series cap must cover the support a < h+, b < h-, etc., up to
+    reduction_order.
     """
-    needed = h_plus + h_minus + h_plus_prime + h_minus_prime - 4
+    needed = reduction_order(h_plus, h_minus, h_plus_prime, h_minus_prime)
     if structure2d.cap < needed:
         raise ValueError(
             f"series cap {structure2d.cap} too small; need at least {needed}"

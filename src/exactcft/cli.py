@@ -24,7 +24,7 @@ except ImportError:
 
 from . import __version__
 from .amplitudes import fourpoint_amplitudes, reconstruction_residual
-from .channels import channel_coefficients, reduce_sixpoint
+from .channels import channel_coefficients, reduce_sixpoint, reduction_order
 from .chiral_ops import (
     chiral_intertwiner,
     chiral_intertwiner_normalized,
@@ -195,16 +195,18 @@ def cmd_exotic(args) -> dict:
             out["series"] = r.series(args.cap).to_json()
         return out
     if args.exotic_cmd == "reduce":
+        weights = (args.hplus, args.hminus, args.hplusprime, args.hminusprime)
+        # the series is built only as far as the reduction reads it; a negative
+        # order (some h < 1) and a negative cap are left for the callees to refuse
+        order = min(args.cap, max(reduction_order(*weights), 0))
         if args.structure == "B":
-            series = restrict_2d(build_structure("B")).series(args.cap)
+            series = restrict_2d(build_structure("B")).series(order)
         else:
-            series = completion_series_2d(args.cap)
-        coeff, ref = reduce_sixpoint(
-            series, args.hplus, args.hminus, args.hplusprime, args.hminusprime
-        )
+            series = completion_series_2d(order)
+        coeff, ref = reduce_sixpoint(series, *weights)
         return {
             "structure": args.structure,
-            "weights": [args.hplus, args.hminus, args.hplusprime, args.hminusprime],
+            "weights": list(weights),
             "coefficient": format_rational(coeff),
             "reference": {
                 "plus_exponents": {

@@ -4,12 +4,15 @@ Two independent routes: the closed coefficient formula in the chiral
 variables, and the order-by-order ODE recursion in s with t-profiles carried
 as truncated power series in w = 1 - t (they are hypergeometric, not
 polynomial, so only truncations are available). A profile g_n(w) of a
-cap-C series is a TruncatedSeries in ("w",) with cap C - 2n; the ODE
-operators are compositions of series products and derivatives, and since a
-derivative lowers the cap by one, each result carries exactly the orders its
-input determines. The biharmonicity check works on the s-graded recursion
-instances; its order-n component couples the profiles of orders n-1 and n,
-so order 0 carries no condition.
+cap-C series is the list of its coefficients g_n[j] of w^j, j <= C - 2n. The
+ODE operators act on these coefficients directly: each is a two-term map
+(t d/dt sends g_j to j g_j - (j+1) g_{j+1}), and since it reads g_{j+1} the
+result is one order shorter, so it carries exactly the orders its input
+determines. A family of profiles becomes a double series as one integer
+combination of the powers s^n w^j in the chiral variables. The
+biharmonicity check works on the s-graded recursion instances; its order-n
+component couples the profiles of orders n-1 and n, so order 0 carries no
+condition.
 """
 
 from __future__ import annotations
@@ -18,12 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .poly import MultiPoly
+from .poly import _combination_terms, _int_product
 from .series import TruncatedSeries
 
 GVARS = ("u_plus", "u_minus")
-SW = ("s", "w")
-W = ("w",)
 
 
 @dataclass(frozen=True)
@@ -54,80 +55,73 @@ def _closed_series(cap: int) -> TruncatedSeries:
 
 
 # -- w-profile machinery -----------------------------------------------------
+# A profile is a list of coefficients [g_0, g_1, ...] of powers of w.
 
 
-def _one_minus_w(cap: int) -> TruncatedSeries:
-    return TruncatedSeries(W, cap, {(0,): Fraction(1), (1,): Fraction(-1)})
+def _t_euler(g: list) -> list:
+    """t d/dt = -(1-w) d/dw: g_j -> j g_j - (j+1) g_{j+1}."""
+    return [j * g[j] - (j + 1) * g[j + 1] for j in range(len(g) - 1)]
 
 
-def _t_euler(profile: TruncatedSeries) -> TruncatedSeries:
-    """t d/dt = -(1-w) d/dw."""
-    return -(_one_minus_w(profile.cap) * profile.differentiate("w"))
+def _recursion_rhs(prev: list, n: int) -> list:
+    """(1 - t d/dt)(n + t d/dt) g_{n-1}, two orders shorter than g_{n-1}."""
+    inner = [n * c + d for c, d in zip(prev, _t_euler(prev))]
+    return [c - d for c, d in zip(inner, _t_euler(inner))]
 
 
-def _recursion_rhs(prev: TruncatedSeries, n: int) -> TruncatedSeries:
-    """(1 - t d/dt)(n + t d/dt) g_{n-1}, two orders below the cap of g_{n-1}."""
-    inner = prev.scale(n) + _t_euler(prev)
-    return inner - _t_euler(inner)
+def _lhs_op(g: list, n: int) -> list:
+    """(1 + (n+1)(1-w) + w(1-w) d/dw) g_n: g_j -> (n+2+j) g_j - (n+j) g_{j-1},
+    one order shorter than g_n."""
+    return [(n + 2 + j) * g[j] - (n + j) * (g[j - 1] if j else 0) for j in range(len(g) - 1)]
 
 
-def _lhs_op(profile: TruncatedSeries, n: int) -> TruncatedSeries:
-    """(1 + (n+1)(1-w) + w(1-w) d/dw) g_n, one order below the cap of g_n."""
-    one_minus_w = _one_minus_w(profile.cap)
-    w_one_minus_w = (1 - one_minus_w) * one_minus_w
-    return profile * (one_minus_w.scale(n + 1) + 1) + w_one_minus_w * profile.differentiate("w")
-
-
-def _solve_profile(rhs: TruncatedSeries, n: int) -> TruncatedSeries:
-    """Solve (1 + (n+1)(1-w) + w(1-w) d/dw) g_n = rhs at the cap of rhs.
+def _solve_profile(rhs: list, n: int) -> list:
+    """Solve _lhs_op(g, n) = rhs at the length of rhs.
 
     Coefficient matching is triangular: (n+2+j) gamma_j = (n+j) gamma_{j-1} + rhs_j.
     """
-    gamma = TruncatedSeries(W, rhs.cap)
+    gamma = []
     prev = Fraction(0)
-    for j in range(rhs.cap + 1):
-        prev = ((n + j) * prev + rhs.coefficient((j,))) / (n + 2 + j)
-        gamma.add_term((j,), prev)
+    for j, r in enumerate(rhs):
+        prev = ((n + j) * prev + r) / (n + 2 + j)
+        gamma.append(prev)
     return gamma
 
 
-def _recursion_profiles(cap: int) -> list[TruncatedSeries]:
-    profiles = [TruncatedSeries.constant(W, cap, 1)]
+def _recursion_profiles(cap: int) -> list[list]:
+    profiles = [[Fraction(1)] + [Fraction(0)] * cap]
     for n in range(1, cap // 2 + 1):
         profiles.append(_solve_profile(_recursion_rhs(profiles[n - 1], n), n))
     return profiles
 
 
-def _s_and_w(cap: int) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """s = u+ u- and w = u+ + u- - u+ u- as series in the chiral variables."""
-    s = TruncatedSeries(GVARS, cap, {(1, 1): Fraction(1)})
-    w = TruncatedSeries(
-        GVARS, cap, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(-1)}
+def _sw_series(weights: dict, cap: int) -> TruncatedSeries:
+    """sum weights[n, j] s^n w^j in the chiral variables, truncated at the cap,
+    with s = u+ u- and w = u+ + u- - u+ u-.
+
+    The integer powers of w are built once (truncated at the cap), and each
+    s^n shifts both exponents by n; the weighted sum is one integer combination.
+    """
+    used = [k for k, v in weights.items() if v]
+    w = {(1, 0): 1, (0, 1): 1, (1, 1): -1}
+    wpow = [{(0, 0): 1}]
+    for _ in range(max((j for _, j in used), default=0)):
+        wpow.append(_int_product(wpow[-1], w, cap))
+    parts = {
+        (n, j): {(a + n, b + n): c for (a, b), c in wpow[j].items() if a + b + 2 * n <= cap}
+        for n, j in used
+    }
+    out = TruncatedSeries(GVARS, cap)
+    out.terms = _combination_terms(parts, weights)
+    return out
+
+
+def _assemble_from_profiles(profiles: list[list], cap: int) -> TruncatedSeries:
+    """sum_n s^n g_n(w) / n!."""
+    return _sw_series(
+        {(n, j): Fraction(c, factorial(n)) for n, g in enumerate(profiles) for j, c in enumerate(g)},
+        cap,
     )
-    return s, w
-
-
-def _profile_series(
-    n: int, profile: TruncatedSeries, s: TruncatedSeries, w: TruncatedSeries
-) -> TruncatedSeries:
-    """s^n g(w) for the w-profile g, with s and w from _s_and_w."""
-    w_poly = TruncatedSeries(GVARS, w.cap)
-    wpow = TruncatedSeries.constant(GVARS, w.cap, 1)
-    for j in range(profile.total_degree() + 1):
-        if j:
-            wpow = wpow * w
-        c = profile.coefficient((j,))
-        if c:
-            w_poly.add_scaled(wpow, c)
-    return (s**n) * w_poly
-
-
-def _assemble_from_profiles(profiles: list[TruncatedSeries], cap: int) -> TruncatedSeries:
-    s, w = _s_and_w(cap)
-    total = TruncatedSeries(GVARS, cap)
-    for n, profile in enumerate(profiles):
-        total.add_scaled(_profile_series(n, profile, s, w), Fraction(1, factorial(n)))
-    return total
 
 
 def completion_series(cap: int, method: str = "closed") -> BiharmonicSeries:
@@ -148,47 +142,52 @@ def completion_series(cap: int, method: str = "closed") -> BiharmonicSeries:
 # -- biharmonicity check ------------------------------------------------------
 
 
-def _to_sw_components(series: TruncatedSeries) -> list[TruncatedSeries]:
+def _power_sums(kmax: int, cap: int) -> list[dict]:
+    """p_k = u+^k + u-^k for k <= kmax as int dicts keyed by (n, j) of s^n w^j,
+    without the terms of 2n + j > cap.
+
+    e1 = u+ + u- = w + s and e2 = s, and p_k = e1 p_{k-1} - e2 p_{k-2}. s^n w^j
+    starts at u-degree 2n + j and e1, e2 never lower it, so each power sum
+    drops its terms past the cap as it is formed.
+    """
+    e1 = {(1, 0): 1, (0, 1): 1}
+    sums = [{(0, 0): 2}, e1]
+    for _ in range(2, kmax + 1):
+        p = _int_product(e1, sums[-1])
+        for (n, j), c in sums[-2].items():
+            p[n + 1, j] = p.get((n + 1, j), 0) - c
+        sums.append({(n, j): c for (n, j), c in p.items() if c and 2 * n + j <= cap})
+    return sums
+
+
+def _to_sw_components(series: TruncatedSeries) -> list[list]:
     """Profiles g_n(w) (with the n! removed) of a symmetric double series;
     g_n is known through w^(cap - 2n).
 
-    Uses s = u+ u-, e1 = u+ + u- = w + s and the power-sum recursion to
-    rewrite monomial symmetric functions exactly.
+    Each monomial symmetric function u+^hi u-^lo + u+^lo u-^hi is s^lo p_{hi-lo}
+    (s^lo alone on the diagonal), with s = u+ u- and the power sums p_k in s
+    and w; the sum over the series is one integer combination of them.
     """
     cap = series.cap
     for (a, b), c in series.terms.items():
         if series.coefficient((b, a)) != c:
             raise ValueError("series is not symmetric under chirality swap")
 
-    # s^n w^j starts at u-degree 2n + j and e1, e2 never lower it, so each
-    # power sum drops its terms past the cap as it is formed
-    e1 = MultiPoly(SW, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    e2 = MultiPoly(SW, {(1, 0): Fraction(1)})
-    pcache = [MultiPoly.constant(SW, 2), e1]
-
-    def psum(k: int) -> MultiPoly:
-        while len(pcache) <= k:
-            p = e1 * pcache[-1] - e2 * pcache[-2]
-            pcache.append(
-                MultiPoly(SW, {(n, j): c for (n, j), c in p.terms.items() if 2 * n + j <= cap})
-            )
-        return pcache[k]
-
-    total = MultiPoly(SW)
-    seen = set()
-    for (a, b), c in series.terms.items():
-        hi, lo = max(a, b), min(a, b)
-        if (hi, lo) in seen:
-            continue
-        seen.add((hi, lo))
-        # e2^lo times p_{hi-lo}, or times 1 on the diagonal
-        p = psum(hi - lo) if hi > lo else MultiPoly.constant(SW, 1)
-        for (n, j), d in p.terms.items():
-            total.add_term((n + lo, j), c * d)
-    return [
-        TruncatedSeries(W, cap - 2 * n, {(j,): c for (m, j), c in total.terms.items() if m == n})
-        for n in range(cap // 2 + 1)
-    ]
+    weights = {(a, b): c for (a, b), c in series.terms.items() if a >= b}
+    sums = _power_sums(max((a - b for a, b in weights), default=0), cap)
+    parts = {
+        (a, b): (
+            {(n + b, j): d for (n, j), d in sums[a - b].items() if 2 * (n + b) + j <= cap}
+            if a > b
+            else {(b, 0): 1}
+        )
+        for a, b in weights
+    }
+    total = _combination_terms(parts, weights)
+    profiles = [[Fraction(0)] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
+    for (n, j), c in total.items():
+        profiles[n][j] = c
+    return profiles
 
 
 def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
@@ -204,15 +203,11 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
         raise ValueError("needs cap >= 2 to carry any content")
     comp = _to_sw_components(g.series)
     out_cap = cap - 1
-    s, w = _s_and_w(out_cap)
-    residual = TruncatedSeries(GVARS, out_cap)
+    weights = {}
     for n in range(1, out_cap // 2 + 1):
         # profiles carry 1/n!; the recursion relates g_n = n! [s^n] to g_{n-1}
-        res_n = _lhs_op(comp[n].scale(factorial(n)), n) - _recursion_rhs(
-            comp[n - 1].scale(factorial(n - 1)), n
-        )
-        if res_n:
-            residual.add_scaled(
-                _profile_series(n, res_n, s, w), Fraction(1, factorial(n - 1))
-            )
-    return residual
+        lhs = _lhs_op([c * factorial(n) for c in comp[n]], n)
+        rhs = _recursion_rhs([c * factorial(n - 1) for c in comp[n - 1]], n)
+        for j, (x, y) in enumerate(zip(lhs, rhs)):
+            weights[n, j] = (x - y) / factorial(n - 1)
+    return _sw_series(weights, out_cap)

@@ -31,14 +31,19 @@ def parse_rational(text: str) -> Fraction:
 
 
 def pochhammer(x, n: int) -> Fraction:
-    """Rising factorial (x)_n = x(x+1)...(x+n-1); (x)_0 = 1."""
+    """Rising factorial (x)_n = x(x+1)...(x+n-1); (x)_0 = 1.
+
+    For x = p/q this is (p)(p+q)...(p+(n-1)q) / q^n: the product runs on
+    integers and the result is one Fraction.
+    """
     if n < 0:
         raise ValueError(f"pochhammer order must be >= 0, got {n}")
     x = Fraction(x)
-    out = Fraction(1)
+    p, q = x.numerator, x.denominator
+    out = 1
     for k in range(n):
-        out *= x + k
-    return out
+        out *= p + k * q
+    return Fraction(out, q**n)
 
 
 def gauss_2f1_coeff(a, b, c, ell: int) -> Fraction:
@@ -48,7 +53,12 @@ def gauss_2f1_coeff(a, b, c, ell: int) -> Fraction:
         raise DegenerateParameterError(
             f"2F1 coefficient pole: ({c})_{ell} = 0"
         )
-    return pochhammer(a, ell) * pochhammer(b, ell) / (factorial(ell) * denom)
+    pa, pb = pochhammer(a, ell), pochhammer(b, ell)
+    # one reduction for the whole quotient
+    return Fraction(
+        pa.numerator * pb.numerator * denom.denominator,
+        pa.denominator * pb.denominator * denom.numerator * factorial(ell),
+    )
 
 
 def legendre_coeffs(L: int) -> dict[int, Fraction]:

@@ -31,11 +31,16 @@ def _expect(value, kind: type, what: str):
 
 
 def _pair_key(key: str) -> tuple[int, int]:
-    """The pair (i, j) named by a prefactor.factors key 'i,j'."""
+    """The pair (i, j) named by a prefactor.factors key 'i,j', written as to_json
+    writes it; int() alone would read '01,3' and ' 1,3' as the pair of '1,3'."""
     try:
         i, j = (int(v) for v in key.split(","))
+        if key != f"{i},{j}":
+            raise ValueError
     except ValueError:
-        raise ValueError(f"prefactor.factors key {key!r} is not 'i,j' with integers i and j") from None
+        raise ValueError(
+            f"prefactor.factors key {key!r} is not 'i,j' with integers i and j in plain form"
+        ) from None
     return i, j
 
 

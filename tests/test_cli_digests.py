@@ -42,6 +42,15 @@ EXAMPLES = {
                        "--check-biharmonic"),
     "exotic-reduce-H": ("exotic", "reduce", "--structure", "H", "--hplus", "4", "--hminus", "1",
                         "--hplusprime", "1", "--hminusprime", "2", "--cap", "12"),
+    # the sixpoint benchmark's amplitude tower and its widest reduction
+    # window (h+ + h- + h'+ + h'- - 4 = 8) at the benchmark cap
+    "amplitudes-3-4": ("exotic", "amplitudes", "--h", "3", "--hprime", "4", "--cap", "16"),
+    "exotic-reduce-B-2343": ("exotic", "reduce", "--structure", "B", "--hplus", "2",
+                             "--hminus", "3", "--hplusprime", "4", "--hminusprime", "3",
+                             "--cap", "12"),
+    "exotic-reduce-H-2343": ("exotic", "reduce", "--structure", "H", "--hplus", "2",
+                             "--hminus", "3", "--hplusprime", "4", "--hminusprime", "3",
+                             "--cap", "12"),
     # the tall sparse kernel systems of the operators benchmark and beyond it
     "kernel-gap2": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "3", "--d2", "1"),
     "kernel-k5": ("intertwiner", "tensor", "--kappa", "5", "--L", "4", "--d1", "3", "--d2", "1"),
@@ -60,12 +69,15 @@ EXAMPLES = {
 DIGESTS = {
     "assembled-4-3": "6ef1b495392192f6d0fa1a1bfe1468f7d6fb6e4124db0793cb1b4fc9ecc627d1",
     "assembled-8-4": "cc160260021ef8c77ba6fd60cbd5983f981de49b7bff3e2e743b62bcaa2a805e",
+    "amplitudes-3-4": "fd289335a2cfed6d30d0d7cf867584f94375185604e0f33d339031dc7ae169f7",
     "amplitudes": "43f115a0f346e6d261e31f9b056c0a5b184bf083de091189c0a93df4b1a8346d",
     "build-E6": "e9082bbe2911a33a70384f44b5cd852b9505fe6179785617d68207c794232f91",
     "casimir-n6": "280a0f37ccf60d2fb45d63f8698b42954d7ab4da67adff909a0ee7bbadf77d86",
     "chiral": "f1d301c7ff35407dd2e909907204d390c7a9dd600cae00277636479f30758a69",
     "coeff": "a4f46eadab8e018d04376e7cdac8ab6654a34198c91c6900ea9f99b1185a918d",
     "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
+    "exotic-reduce-B-2343": "9540f7db8cfebbad072e5b4625119972eba0ad6b97782357b0489402e34243ae",
+    "exotic-reduce-H-2343": "bb0b27dc89e784f1d627e0c9db2dcda5133d9716df1c4c49c4b533296f61c96d",
     "exotic-reduce-H": "bca2e104b8464fc6040583e73d15aafc5993583254aa542dd7c7d50dc9107202",
     "g-closed": "b83de07bc1c99e85053936b8f6741fd01a67705df74b017f7986feb2aa3b5b8a",
     "g-recursion-24": "02fba28483462ea131b329b17f81ef63b4cd0aa13ef498c95966fd1c5d09dfe7",
@@ -121,3 +133,24 @@ def test_positivity_out_file_matches_stdout(capsys, tmp_path):
     report = tmp_path / "report.json"
     out = _stdout(capsys, EXAMPLES["positivity"] + ("--out", str(report)))
     assert report.read_text(encoding="utf-8") == out
+
+
+REDUCE_2343 = ("exotic", "reduce", "--hplus", "2", "--hminus", "3",
+               "--hplusprime", "4", "--hminusprime", "3")
+
+
+@pytest.mark.parametrize("structure", ["B", "H"])
+@pytest.mark.parametrize("argv, code, message", [
+    (("exotic", "reduce", "--hplus", "0", "--hminus", "1", "--hplusprime", "2",
+      "--hminusprime", "1", "--cap", "12"), 3, "only chiral dimensions h >= 1 occur"),
+    # the reduction window h+ + h- + h'+ + h'- - 4 is negative here
+    (("exotic", "reduce", "--hplus", "0", "--hminus", "1", "--hplusprime", "1",
+      "--hminusprime", "1", "--cap", "12"), 3, "only chiral dimensions h >= 1 occur"),
+    (REDUCE_2343 + ("--cap", "-1"), 2, "cap must be >= 0, got -1"),
+    (REDUCE_2343 + ("--cap", "7"), 2, "series cap 7 too small; need at least 8"),
+], ids=["hplus-0", "window-negative", "cap-negative", "cap-below-window"])
+def test_exotic_reduce_errors(capsys, structure, argv, code, message):
+    assert main(list(argv) + ["--structure", structure]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

@@ -1,13 +1,18 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactcft import gseries
 from exactcft.gseries import (
     BiharmonicSeries,
     closed_coefficient,
     completion_series,
     verify_biharmonic,
 )
+from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
 
 F = Fraction
@@ -72,3 +77,186 @@ def test_closed_coefficient_function():
     assert closed_coefficient(0, 0) == 1
     assert closed_coefficient(4, 0) == 0
     assert closed_coefficient(1, 2) == F(2 * 2, 3 * 8)
+
+
+# -- the integer profile machinery against the series-composition forms ------
+
+W = ("w",)
+GVARS = ("u_plus", "u_minus")
+SW = ("s", "w")
+
+# mixed denominators, zero often
+coeffs = st.one_of(st.just(F(0)), st.fractions(F(-7), F(7), max_denominator=12))
+
+
+def _w_series(g):
+    """The profile list g as a TruncatedSeries in w with cap len(g) - 1."""
+    return TruncatedSeries(W, len(g) - 1, {(j,): c for j, c in enumerate(g)})
+
+
+def _coeffs(series):
+    return [series.coefficient((j,)) for j in range(series.cap + 1)]
+
+
+def _one_minus_w(cap):
+    return TruncatedSeries(W, cap, {(0,): F(1), (1,): F(-1)})
+
+
+def oracle_t_euler(profile):
+    """t d/dt = -(1-w) d/dw, as a series product."""
+    return -(_one_minus_w(profile.cap) * profile.differentiate("w"))
+
+
+def oracle_recursion_rhs(prev, n):
+    inner = prev.scale(n) + oracle_t_euler(prev)
+    return inner - oracle_t_euler(inner)
+
+
+def oracle_lhs_op(profile, n):
+    one_minus_w = _one_minus_w(profile.cap)
+    w_one_minus_w = (1 - one_minus_w) * one_minus_w
+    return profile * (one_minus_w.scale(n + 1) + 1) + w_one_minus_w * profile.differentiate("w")
+
+
+def oracle_profile_series(n, profile, cap):
+    """s^n g(w) in the chiral variables by repeated series products."""
+    s = TruncatedSeries(GVARS, cap, {(1, 1): F(1)})
+    w = TruncatedSeries(GVARS, cap, {(1, 0): F(1), (0, 1): F(1), (1, 1): F(-1)})
+    w_poly = TruncatedSeries(GVARS, cap)
+    wpow = TruncatedSeries.constant(GVARS, cap, 1)
+    for j in range(profile.total_degree() + 1):
+        if j:
+            wpow = wpow * w
+        c = profile.coefficient((j,))
+        if c:
+            w_poly.add_scaled(wpow, c)
+    return (s**n) * w_poly
+
+
+def oracle_power_sum(k, cap):
+    """p_k = u+^k + u-^k in s and w by MultiPoly products, terms of 2n + j > cap dropped."""
+    e1 = MultiPoly(SW, {(1, 0): F(1), (0, 1): F(1)})
+    e2 = MultiPoly(SW, {(1, 0): F(1)})
+    sums = [MultiPoly.constant(SW, 2), e1]
+    while len(sums) <= k:
+        p = e1 * sums[-1] - e2 * sums[-2]
+        sums.append(MultiPoly(SW, {(n, j): c for (n, j), c in p.terms.items() if 2 * n + j <= cap}))
+    return sums[k]
+
+
+def oracle_sw_components(series):
+    """The w-profiles of a symmetric double series through MultiPoly power sums."""
+    cap = series.cap
+    total = MultiPoly(SW)
+    for (a, b), c in series.terms.items():
+        if a >= b:
+            p = oracle_power_sum(a - b, cap) if a > b else MultiPoly.constant(SW, 1)
+            for (n, j), d in p.terms.items():
+                total.add_term((n + b, j), c * d)
+    return [
+        TruncatedSeries(W, cap - 2 * n, {(j,): c for (m, j), c in total.terms.items() if m == n})
+        for n in range(cap // 2 + 1)
+    ]
+
+
+def oracle_verify(series):
+    cap = series.cap
+    comp = oracle_sw_components(series)
+    residual = TruncatedSeries(GVARS, cap - 1)
+    for n in range(1, (cap - 1) // 2 + 1):
+        res_n = oracle_lhs_op(comp[n].scale(factorial(n)), n) - oracle_recursion_rhs(
+            comp[n - 1].scale(factorial(n - 1)), n
+        )
+        residual.add_scaled(oracle_profile_series(n, res_n, cap - 1), F(1, factorial(n - 1)))
+    return residual
+
+
+profiles = st.integers(0, 12).flatmap(lambda cap: st.lists(coeffs, min_size=cap + 1, max_size=cap + 1))
+
+
+@given(profiles, st.integers(0, 12))
+@settings(max_examples=80, deadline=None)
+def test_profile_operators_match_series_compositions(g, n):
+    cap = len(g) - 1
+    for got, order, oracle in (
+        (gseries._t_euler(g), 1, oracle_t_euler),
+        (gseries._lhs_op(g, n), 1, lambda p: oracle_lhs_op(p, n)),
+        (gseries._recursion_rhs(g, n), 2, lambda p: oracle_recursion_rhs(p, n)),
+    ):
+        # each map is exact through `order` fewer coefficients than its input
+        assert len(got) == max(cap + 1 - order, 0)
+        if cap >= order:
+            assert got == _coeffs(oracle(_w_series(g)))
+
+
+@pytest.mark.parametrize("cap", range(13))
+def test_profile_operators_send_zero_to_zero(cap):
+    zero = [F(0)] * (cap + 1)
+    assert not any(gseries._t_euler(zero) + gseries._lhs_op(zero, 3))
+    assert not any(gseries._recursion_rhs(zero, 2))
+
+
+def test_solve_profile_inverts_lhs_op():
+    rhs = [F(1, j + 2) - j for j in range(9)]
+    for n in range(1, 5):
+        # the solution at the length of rhs is exact one order below it
+        assert gseries._lhs_op(gseries._solve_profile(rhs, n), n) == rhs[:-1]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_profile_assembly_matches_series_products(data):
+    cap = data.draw(st.integers(0, 12), label="cap")
+    family = [
+        data.draw(st.lists(coeffs, min_size=cap - 2 * n + 1, max_size=cap - 2 * n + 1))
+        for n in range(cap // 2 + 1)
+    ]
+    expected = TruncatedSeries(GVARS, cap)
+    for n, g in enumerate(family):
+        expected.add_scaled(oracle_profile_series(n, _w_series(g), cap), F(1, factorial(n)))
+    got = gseries._assemble_from_profiles(family, cap)
+    assert got == expected
+    assert all(type(c) is F for c in got.terms.values())
+
+
+def test_zero_profiles_assemble_to_zero():
+    for cap in range(13):
+        family = [[F(0)] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
+        assert gseries._assemble_from_profiles(family, cap) == TruncatedSeries(GVARS, cap)
+
+
+@pytest.mark.parametrize("cap", range(13))
+def test_power_sums_match_multipoly_products(cap):
+    sums = gseries._power_sums(cap, cap)
+    for k in range(cap + 1):
+        expected = oracle_power_sum(k, cap)
+        assert {e: F(c) for e, c in sums[k].items()} == expected.terms
+        assert all(type(c) is int for c in sums[k].values())
+
+
+symmetric_series = st.integers(0, 12).flatmap(
+    lambda cap: st.dictionaries(
+        st.tuples(st.integers(0, cap), st.integers(0, cap)).filter(
+            lambda e: e[0] >= e[1] and sum(e) <= cap
+        ),
+        coeffs,
+        max_size=20,
+    ).map(
+        lambda half: TruncatedSeries(
+            GVARS, cap, {**half, **{(b, a): c for (a, b), c in half.items()}}
+        )
+    )
+)
+
+
+@given(symmetric_series)
+@settings(max_examples=80, deadline=None)
+def test_sw_components_match_multipoly_power_sums(series):
+    got = gseries._to_sw_components(series)
+    assert got == [_coeffs(p) for p in oracle_sw_components(series)]
+
+
+@given(symmetric_series.filter(lambda s: s.cap >= 2))
+@settings(max_examples=40, deadline=None)
+def test_biharmonic_residual_matches_series_composition(series):
+    assert verify_biharmonic(BiharmonicSeries(series)) == oracle_verify(series)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -270,6 +271,16 @@ def test_wave_json_rejects_malformed_input(change):
     assert good["prefactor"] == {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2"}}
     with pytest.raises(ValueError):
         ChiralWave.from_json(_malformed(good, **change))
+
+
+@pytest.mark.parametrize("key", ["01,3", " 1,3", "1,3 ", "1, 3", "+1,3", "1,03"])
+def test_wave_json_rejects_a_second_spelling_of_a_factor_key(key):
+    # int() reads each key as a pair the JSON already has; a second spelling
+    # must not silently replace the first value
+    good = chiral_wave_series(WaveSpec.from_middle((1, 1, 1, 1), (2,)), 3).to_json()
+    factors = {"1,3": "-2", "2,4": "-2", key: "-2"}
+    with pytest.raises(ValueError, match="prefactor.factors key " + re.escape(repr(key))):
+        ChiralWave.from_json(_malformed(good, prefactor={"numerator": "1", "factors": factors}))
 
 
 def test_wave_json_rejects_non_object():
