@@ -215,14 +215,14 @@ def reduce_sixpoint(
     scalar. The series cap must cover the support a < h+, b < h-, etc., up to
     reduction_order.
     """
+    for hh in (h_plus, h_minus, h_plus_prime, h_minus_prime):
+        if hh < 1:
+            raise DegenerateParameterError("only chiral dimensions h >= 1 occur")
     needed = reduction_order(h_plus, h_minus, h_plus_prime, h_minus_prime)
     if structure2d.cap < needed:
         raise ValueError(
             f"series cap {structure2d.cap} too small; need at least {needed}"
         )
-    for hh in (h_plus, h_minus, h_plus_prime, h_minus_prime):
-        if hh < 1:
-            raise DegenerateParameterError("only chiral dimensions h >= 1 occur")
     sign = Fraction(-1) ** (h_plus + h_minus + h_plus_prime + h_minus_prime)
     total = Fraction(0)
     for (a, b, c, d), w in structure2d.terms.items():

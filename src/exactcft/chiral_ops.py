@@ -115,22 +115,6 @@ def verify_chiral_pde(op: ChiralIntertwiner) -> MultiPoly:
     return poly * lc_ref - ref * lc_op
 
 
-def proportionality_to_difference_derivative(op: ChiralIntertwiner, h: int) -> Fraction | None:
-    """Nonzero ratio op / (nab1 - nab2) E_h(d, d), or None."""
-    ref = nabla(chiral_intertwiner(h, 0, 0).as_poly(), 1) - nabla(
-        chiral_intertwiner(h, 0, 0).as_poly(), 2
-    )
-    poly = op.as_poly()
-    if ref.is_zero() or poly.is_zero():
-        return None
-    _, lc_ref = ref.leading()
-    _, lc_op = poly.leading()
-    lam = lc_op / lc_ref
-    if poly - ref * lam == MultiPoly(DVARS):
-        return lam
-    return None
-
-
 # ---------------------------------------------------------------------------
 # reduction of explicit correlators
 # ---------------------------------------------------------------------------

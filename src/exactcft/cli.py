@@ -98,8 +98,12 @@ def cmd_wave(args) -> dict:
 
 def cmd_casimir_check(args) -> dict:
     spec = _spec_from_args(args)
+    last = spec.n - 3  # one equation per cross ratio u_1..u_{n-3}
+    if last >= 1 and not 0 <= args.which <= last:
+        raise ValueError(f"--which must be in 0..{last} for n = {spec.n}, got {args.which}")
     wave = chiral_wave_series(spec, args.cap)
-    which = [1, 2, 3] if args.which == 0 else [args.which]
+    # n = 3 asks for equation 1 too, which casimir_residual refuses
+    which = [args.which] if args.which else range(1, max(last, 1) + 1)
     out = {"spec": spec.to_json(), "cap": args.cap, "residuals": {}}
     for w in which:
         res = casimir_residual(spec, wave, w, args.cap)
@@ -274,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     cas.add_argument("--dims", required=True)
     cas.add_argument("--proj", default="")
     cas.add_argument("--cap", type=int, default=6)
-    cas.add_argument("--which", type=int, choices=(0, 1, 2, 3), default=0,
-                     help="equation number; 0 runs all three")
+    cas.add_argument("--which", type=int, default=0,
+                     help="equation k in 1..n-3 (cross ratio u_k); 0 runs all of them")
     cas.set_defaults(handler=cmd_casimir_check)
 
     itw = sub.add_parser("intertwiner", help="intertwining operator tables")

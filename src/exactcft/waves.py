@@ -5,9 +5,9 @@ coordinate differences times a power series in the chain of cross ratios
 u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3}). Every coefficient is
 an explicit product of rising factorials (wave_coefficient); the series is
 built from its term ratio, each coefficient from a neighbour that differs by
-one in a single exponent (chiral_wave_series). The quadratic Casimir eigenvalue
-equations in invariant (Euler-operator) form provide the verification route
-for n up to 6.
+one in a single exponent (chiral_wave_series). The quadratic Casimir equations
+in invariant (Euler-operator) form, one per cross ratio, verify the wave for
+every n >= 4 (casimir_residual).
 """
 
 from __future__ import annotations
@@ -100,16 +100,6 @@ class WaveSpec:
     def reversed(self) -> "WaveSpec":
         """Hermitean conjugation relabeling i -> n+1-i."""
         return WaveSpec(self.field_dims[::-1], self.proj_dims[::-1])
-
-    def padded(self, n_target: int) -> "WaveSpec":
-        """Embed into more points by appending trivial fields of dimension 0."""
-        if n_target < self.n:
-            raise ValueError("cannot pad downward")
-        extra = n_target - self.n
-        return WaveSpec(
-            self.field_dims + (Fraction(0),) * extra,
-            self.proj_dims + (Fraction(0),) * extra,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -278,74 +268,56 @@ def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
     )
 
 
-def wave_leading_shifts(spec: WaveSpec) -> tuple[Fraction, Fraction, Fraction]:
-    """Exponents (a2 - d3, a3, a4 - d4) of the wave relative to the 6-point
-    normalization that divides out the two 3-point prefactor clusters."""
-    s = spec.padded(6)
-    return (s.a(2) - s.d(3), s.a(3), s.a(4) - s.d(4))
-
-
-def _pad_series(series: TruncatedSeries, cap: int) -> TruncatedSeries:
-    """View an n<6 wave series as a series in (u1, u2, u3)."""
-    vars6 = wave_series_vars(6)
-    terms = {}
-    for exps, c in series.terms.items():
-        padded = tuple(exps) + (0,) * (3 - len(exps))
-        terms[padded] = c
-    return TruncatedSeries(vars6, cap, terms)
-
-
 def casimir_residual(
     eq_spec: WaveSpec, wave: ChiralWave, which: int, cap: int
 ) -> TruncatedSeries:
-    """Exact residual LHS - RHS of one invariant Casimir eigenvalue equation.
+    """Exact residual of the invariant Casimir equation of the cross ratio u_k,
+    k = which in 1..n-3 (Rosenhaus, arXiv:1810.03244). With c(e) the
+    coefficient of prod u^e (e_0 = e_{n-2} = 0), its coefficient at e is
 
-    The equation parameters come from eq_spec (so a deliberately wrong
-    eigenvalue can be probed); the normalization shifts come from the wave's
-    own spec. Both are embedded into six points by trailing trivial fields.
-    Euler operators act term-by-term, so the residual of an exactly truncated
-    wave is exact through the requested cap.
+        (e_k + s_k + a'_{k+1} - 1)(e_k + s_k - a'_{k+1}) c(e)
+          - (e_{k-1} + e_k - 1 + H_k)(e_k - 1 + e_{k+1} + H_{k+1}) c(e - 1_k).
+
+    Primed parameters come from eq_spec (so a wrong eigenvalue can be probed),
+    the rest from the wave's spec: s_k = a_{k+1} and H_j = A_j, with
+    A_j = a_j + a_{j+1} - d_{j+1}, except at the ends, where the equation's
+    outer dimensions enter through D_i = d'_i - d_i: s_1 gains D_3, H_1 gains
+    D_1 - D_2 + D_3, s_{n-3} gains D_{n-2} and H_{n-2} gains
+    D_n - D_{n-1} + D_{n-2}. The equation acts term by term, so the residual
+    of an exactly truncated wave is exact through the requested cap.
     """
-    if which not in (1, 2, 3):
-        raise ValueError("which must be 1, 2 or 3")
-    n = wave.spec.n
-    if n > 6:
-        raise DegenerateParameterError(
-            "invariant Casimir form is available for n <= 6 only"
-        )
+    s, q = wave.spec, eq_spec
+    n = s.n
     if n < 4:
-        raise DegenerateParameterError("casimir check needs n >= 4 (pad trivially)")
-    if wave.prefactor != wave_prefactor(wave.spec):
+        raise DegenerateParameterError(
+            f"casimir check needs n >= 4; a {n}-point wave has no cross ratio"
+        )
+    if q.n != n:
+        raise ValueError(f"equation spec has {q.n} points, the wave {n}")
+    if not 1 <= which <= n - 3:
+        raise ValueError(f"which must be in 1..{n - 3} for n = {n}, got {which}")
+    if wave.prefactor != wave_prefactor(s):
         raise ValueError("wave prefactor does not follow the factored convention")
 
-    eq = eq_spec.padded(6)
-    alpha = wave_leading_shifts(wave.spec)
-    cap = min(cap, wave.series.cap)
-    f = _pad_series(wave.series.truncate(cap), cap)
-    vars6 = f.variables
+    k = which
+    moved = {i: q.d(i) - s.d(i) for i in (1, 2, 3, n - 2, n - 1, n)}  # D_i
+    shift = s.a(k + 1)
+    left = s.a(k) + s.a(k + 1) - s.d(k + 1)
+    right = s.a(k + 1) + s.a(k + 2) - s.d(k + 2)
+    if k == 1:
+        shift += moved[3]
+        left += moved[1] - moved[2] + moved[3]
+    if k == n - 3:
+        shift += moved[n - 2]
+        right += moved[n] - moved[n - 1] + moved[n - 2]
+    up, down = shift + q.a(k + 1) - 1, shift - q.a(k + 1)
 
-    def euler_plus(series: TruncatedSeries, var_idx: int, const: Fraction) -> TruncatedSeries:
-        sh = alpha[var_idx] + const
-        return series.map_coefficients(lambda e, c: c * (e[var_idx] + sh))
+    def raised(e: tuple[int, ...], c: Fraction) -> Fraction:
+        # the coefficient that c(e) contributes at e + 1_k
+        before, ek, after = ((0,) + e + (0,))[k - 1 : k + 2]
+        return c * (before + ek + left) * (ek + after + right)
 
-    def euler_pair_plus(
-        series: TruncatedSeries, i1: int, i2: int, const: Fraction
-    ) -> TruncatedSeries:
-        sh = alpha[i1] + alpha[i2] + const
-        return series.map_coefficients(lambda e, c: c * (e[i1] + e[i2] + sh))
-
-    d = eq.d
-    a = eq.a
-    if which == 1:
-        lhs = euler_plus(euler_plus(f, 0, d(3) + a(2) - 1), 0, d(3) - a(2))
-        rhs = euler_plus(euler_pair_plus(f, 0, 1, Fraction(0)), 0, d(1) - d(2) + d(3))
-        rhs = rhs.scale_exponent(vars6[0], 1)
-    elif which == 2:
-        lhs = euler_plus(euler_plus(f, 1, a(3) - 1), 1, -a(3))
-        rhs = euler_pair_plus(euler_pair_plus(f, 1, 2, Fraction(0)), 1, 0, Fraction(0))
-        rhs = rhs.scale_exponent(vars6[1], 1)
-    else:
-        lhs = euler_plus(euler_plus(f, 2, d(4) + a(4) - 1), 2, d(4) - a(4))
-        rhs = euler_plus(euler_pair_plus(f, 2, 1, Fraction(0)), 2, d(6) - d(5) + d(4))
-        rhs = rhs.scale_exponent(vars6[2], 1)
+    f = wave.series.truncate(min(cap, wave.series.cap))
+    lhs = f.map_coefficients(lambda e, c: c * (e[k - 1] + up) * (e[k - 1] + down))
+    rhs = f.map_coefficients(raised).scale_exponent(f.variables[k - 1], 1)
     return lhs - rhs

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.pairs import PairSum
-from exactcft.waves import WaveSpec, chiral_wave_series
+from exactcft.waves import WaveSpec, casimir_residual, chiral_wave_series
 
 F = Fraction
 
@@ -103,3 +103,17 @@ def test_five_point_eigenvalues_every_slot():
     assert_terminates(spec, 2)
     for i, side in ((1, "left"), (2, "left"), (2, "right"), (3, "left"), (3, "right"), (4, "right")):
         assert eigen_residual(spec, 2, i, side).is_zero_function(), (i, side)
+
+
+def test_seven_point_eigenvalues_every_slot_and_invariant_form():
+    # every A_j but the two ends is 2 + 2 - 5 = -1, so the series is a
+    # polynomial (8 terms) and both forms of the equations hold exactly
+    spec = WaveSpec.from_middle((1, 5, 5, 5, 5, 5, 1), (2, 2, 2, 2))
+    assert_terminates(spec, 2)
+    slots = [(1, "left"), (6, "right")]
+    slots += [(i, side) for i in range(2, 6) for side in ("left", "right")]
+    for i, side in slots:
+        assert eigen_residual(spec, 2, i, side).is_zero_function(), (i, side)
+    wave = chiral_wave_series(spec, 6)
+    for k in range(1, 5):
+        assert casimir_residual(spec, wave, k, 6).is_zero(), k

@@ -8,7 +8,6 @@ from exactcft.chiral_ops import (
     chiral_intertwiner,
     chiral_intertwiner_normalized,
     match_reduction,
-    proportionality_to_difference_derivative,
     reduce_correlator,
     reduce_wave,
     three_point_structure,
@@ -17,7 +16,7 @@ from exactcft.chiral_ops import (
 )
 from exactcft.errors import DegenerateParameterError
 from exactcft.pairs import PairSum
-from exactcft.waves import WaveSpec, chiral_wave_series
+from exactcft.waves import WaveSpec, casimir_residual, chiral_wave_series
 
 F = Fraction
 
@@ -69,10 +68,11 @@ def test_pde_detects_perturbation():
 
 
 def test_normalized_relation_to_difference_derivative():
+    # for h >= 2 the kind-"D" residual vanishes exactly when the operator is a
+    # multiple of (nab1 - nab2) E_h(0, 0); so with a nonzero operator the multiple is nonzero
     for h in (2, 3, 4):
         op = chiral_intertwiner_normalized(h)
-        lam = proportionality_to_difference_derivative(op, h)
-        assert lam is not None and lam != 0
+        assert op.kind == "D" and not op.as_poly().is_zero()
         assert verify_chiral_pde(op).is_zero()
     # h = 1 is the constant operator
     assert verify_chiral_pde(chiral_intertwiner_normalized(1)).is_zero()
@@ -216,12 +216,14 @@ def test_five_point_wave_reduction_last_pair():
 
 
 def test_seven_point_wave_verified_by_reduction():
-    # beyond six points no invariant Casimir system is available; correctness
-    # is checked by collapsing the first pair onto the six-point wave
+    # checked twice: by the invariant Casimir equations of all four cross
+    # ratios, and by collapsing the first pair onto the six-point wave
     spec = WaveSpec.from_middle(
         (1, 2, 1, 1, 2, 1, 1), (F(5, 2), 2, F(3, 2), 2)
     )
     wave = chiral_wave_series(spec, 4)
+    for k in range(1, 5):
+        assert casimir_residual(spec, wave, k, 4).is_zero(), k
     # a2 = 5/2 is fractional: low integer weights annihilate, and weights
     # past the pole bound are genuinely singular on the diagonal
     red = reduce_wave(wave, (1, 2), chiral_intertwiner(2, 1, 2))

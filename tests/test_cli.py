@@ -73,6 +73,36 @@ def test_casimir_check(capsys):
     assert all(v["zero"] for v in data["residuals"].values())
 
 
+@pytest.mark.parametrize("n, dims, proj", [
+    ("4", "1,1,1,1", "2"),
+    ("5", "1,2,1,2,1", "2,5/2"),
+    ("7", "1,5,5,5,5,5,1", "2,2,2,2"),
+    ("8", "1,1,2,2,1,1,2,2", "2,2,5/2,2,3/2"),
+])
+def test_casimir_check_runs_one_equation_per_cross_ratio(capsys, n, dims, proj):
+    base = ("casimir-check", "--n", n, "--dims", dims, "--proj", proj, "--cap", "3")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0
+    residuals = json.loads(out)["residuals"]
+    assert sorted(residuals) == [str(k) for k in range(1, int(n) - 2)]
+    assert all(v == {"zero": True, "terms": []} for v in residuals.values())
+    code, out, _ = run_cli(capsys, *base, "--which", str(int(n) - 3))
+    assert code == 0
+    assert list(json.loads(out)["residuals"]) == [str(int(n) - 3)]
+    for which in ("-1", str(int(n) - 2)):
+        code, out, err = run_cli(capsys, *base, "--which", which)
+        assert (code, out) == (2, "")
+        assert err == f"error: --which must be in 0..{int(n) - 3} for n = {n}, got {which}\n"
+
+
+@pytest.mark.parametrize("which", ["0", "1", "5"])
+def test_casimir_check_refuses_three_points(capsys, which):
+    code, out, err = run_cli(capsys, "casimir-check", "--n", "3", "--dims", "1,1,1",
+                             "--which", which)
+    assert (code, out) == (3, "")
+    assert err == "error: casimir check needs n >= 4; a 3-point wave has no cross ratio\n"
+
+
 def test_reduce_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "5"
@@ -342,7 +372,7 @@ RATIONALS = st.sampled_from(("1", "2", "3", "3/2", "5/2", "0", "-1", "-1/2") * 3
 RATIONAL_LISTS = st.lists(RATIONALS, max_size=6).map(",".join)
 
 
-POINTS = st.sampled_from((4, 5, 3, 2, 0, -1))  # n; the first ones give real waves
+POINTS = st.sampled_from((4, 5, 7, 3, 2, 0, -1))  # n; the first ones give real waves
 
 
 def _rational_lists(size):

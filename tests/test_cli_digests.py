@@ -21,6 +21,9 @@ EXAMPLES = {
     "wave-n4": ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "2"),
     "casimir-n6": ("casimir-check", "--n", "6", "--dims", "1,1,2,2,1,1",
                    "--proj", "3/2,2,5/2", "--cap", "6"),
+    # the terminating seven-point wave: a polynomial, exact at any cap
+    "casimir-n7": ("casimir-check", "--n", "7", "--dims", "1,5,5,5,5,5,1",
+                   "--proj", "2,2,2,2", "--cap", "6"),
     "chiral": ("intertwiner", "chiral", "--h", "2", "--d1", "1", "--d2", "1"),
     "tensor": ("intertwiner", "tensor", "--kappa", "1", "--L", "2"),
     "tensor-kernel": ("intertwiner", "tensor", "--kappa", "1", "--L", "0",
@@ -64,6 +67,11 @@ EXAMPLES = {
                 "--proj", "2,2,5/2,2,3/2", "--cap", "8"),
     "wave-n10": ("wave", "--n", "10", "--dims", "1,1,2,2,1,1,2,2,1,1",
                  "--proj", "2,2,5/2,2,3/2,2,5/2", "--cap", "8"),
+    # and their Casimir residuals, all n - 3 equations of each
+    "casimir-n8": ("casimir-check", "--n", "8", "--dims", "1,1,2,2,1,1,2,2",
+                   "--proj", "2,2,5/2,2,3/2", "--cap", "8"),
+    "casimir-n10": ("casimir-check", "--n", "10", "--dims", "1,1,2,2,1,1,2,2,1,1",
+                    "--proj", "2,2,5/2,2,3/2,2,5/2", "--cap", "8"),
 }
 
 DIGESTS = {
@@ -72,7 +80,10 @@ DIGESTS = {
     "amplitudes-3-4": "fd289335a2cfed6d30d0d7cf867584f94375185604e0f33d339031dc7ae169f7",
     "amplitudes": "43f115a0f346e6d261e31f9b056c0a5b184bf083de091189c0a93df4b1a8346d",
     "build-E6": "e9082bbe2911a33a70384f44b5cd852b9505fe6179785617d68207c794232f91",
+    "casimir-n10": "7b33532f94d050aea8d53058cc149b4124c81e25ebe5c3394f8f37a2964271b5",
     "casimir-n6": "280a0f37ccf60d2fb45d63f8698b42954d7ab4da67adff909a0ee7bbadf77d86",
+    "casimir-n7": "8a359ce550ee1e1c7b0ed91675387be1162ea7a314a3a15476e2283c12af3f7d",
+    "casimir-n8": "44f7a08519eb5ecf91cc1bc325814171d07f9dd1b5edd50b4cb8e4d1f01e38a0",
     "chiral": "f1d301c7ff35407dd2e909907204d390c7a9dd600cae00277636479f30758a69",
     "coeff": "a4f46eadab8e018d04376e7cdac8ab6654a34198c91c6900ea9f99b1185a918d",
     "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
@@ -146,9 +157,15 @@ REDUCE_2343 = ("exotic", "reduce", "--hplus", "2", "--hminus", "3",
     # the reduction window h+ + h- + h'+ + h'- - 4 is negative here
     (("exotic", "reduce", "--hplus", "0", "--hminus", "1", "--hplusprime", "1",
       "--hminusprime", "1", "--cap", "12"), 3, "only chiral dimensions h >= 1 occur"),
+    # a weight below 1 is refused before the cap is compared with the window
+    (("exotic", "reduce", "--hplus", "0", "--hminus", "9", "--hplusprime", "9",
+      "--hminusprime", "1"), 3, "only chiral dimensions h >= 1 occur"),
+    (("exotic", "reduce", "--hplus", "0", "--hminus", "9", "--hplusprime", "9",
+      "--hminusprime", "1", "--cap", "20"), 3, "only chiral dimensions h >= 1 occur"),
     (REDUCE_2343 + ("--cap", "-1"), 2, "cap must be >= 0, got -1"),
     (REDUCE_2343 + ("--cap", "7"), 2, "series cap 7 too small; need at least 8"),
-], ids=["hplus-0", "window-negative", "cap-negative", "cap-below-window"])
+], ids=["hplus-0", "window-negative", "hplus-0-default-cap", "hplus-0-cap-20", "cap-negative",
+        "cap-below-window"])
 def test_exotic_reduce_errors(capsys, structure, argv, code, message):
     assert main(list(argv) + ["--structure", structure]) == code
     captured = capsys.readouterr()

@@ -15,7 +15,6 @@ from exactcft.waves import (
     casimir_residual,
     chiral_wave_series,
     fourpoint_reference,
-    wave_leading_shifts,
     wave_coefficient,
     wave_prefactor,
     wave_series_vars,
@@ -168,8 +167,29 @@ def test_fourpoint_reference_cross_checks_wave():
 SIX = WaveSpec.from_middle((1, 1, 2, 2, 1, 1), (F(3, 2), F(2), F(5, 2)))
 
 
-def test_leading_shifts():
-    assert wave_leading_shifts(SIX) == (F(-1, 2), F(2), F(1, 2))
+def _six_point_residual(eq_spec: WaveSpec, wave, which: int, cap: int) -> TruncatedSeries:
+    """Oracle: the three hand-written six-point equations in Euler-operator
+    form, with the wave normalized by the shifts (a2 - d3, a3, a4 - d4)."""
+    s, d, a = wave.spec, eq_spec.d, eq_spec.a
+    alpha = (s.a(2) - s.d(3), s.a(3), s.a(4) - s.d(4))
+    f = wave.series.truncate(min(cap, wave.series.cap))
+
+    def euler(series, i, const):
+        return series.map_coefficients(lambda e, c: c * (e[i] + alpha[i] + const))
+
+    def euler_pair(series, i1, i2):
+        return series.map_coefficients(lambda e, c: c * (e[i1] + e[i2] + alpha[i1] + alpha[i2]))
+
+    if which == 1:
+        lhs = euler(euler(f, 0, d(3) + a(2) - 1), 0, d(3) - a(2))
+        rhs = euler(euler_pair(f, 0, 1), 0, d(1) - d(2) + d(3))
+    elif which == 2:
+        lhs = euler(euler(f, 1, a(3) - 1), 1, -a(3))
+        rhs = euler_pair(euler_pair(f, 1, 2), 1, 0)
+    else:
+        lhs = euler(euler(f, 2, d(4) + a(4) - 1), 2, d(4) - a(4))
+        rhs = euler(euler_pair(f, 2, 1), 2, d(6) - d(5) + d(4))
+    return lhs - rhs.scale_exponent(f.variables[which - 1], 1)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3])
@@ -189,6 +209,49 @@ def test_casimir_generic_dims(which):
     assert casimir_residual(spec, wave, which, 5).is_zero()
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_six_point_residual_matches_the_three_branch_form(data):
+    dims = data.draw(st.lists(DIMS, min_size=6, max_size=6), label="dims")
+    middle = data.draw(st.lists(PROJ, min_size=3, max_size=3), label="middle")
+    spec = WaveSpec.from_middle(dims, middle)
+    wave = chiral_wave_series(spec, 4)
+    # the equation's dimensions and projections: the wave's own, or wrong ones
+    eq_dims = data.draw(st.just(dims) | st.lists(DIMS, min_size=6, max_size=6), label="eq_dims")
+    eq_middle = data.draw(st.just(middle) | st.lists(PROJ, min_size=3, max_size=3),
+                          label="eq_middle")
+    eq_spec = WaveSpec.from_middle(eq_dims, eq_middle)
+    for which in (1, 2, 3):
+        res = casimir_residual(eq_spec, wave, which, 4)
+        assert res == _six_point_residual(eq_spec, wave, which, 4), which
+        assert res.is_zero() or eq_spec != spec
+
+
+@given(n=st.integers(4, 9), cap=st.integers(0, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_casimir_annihilates_every_wave(n, cap, data):
+    dims = data.draw(st.lists(DIMS, min_size=n, max_size=n), label="dims")
+    middle = data.draw(st.lists(PROJ, min_size=n - 3, max_size=n - 3), label="middle")
+    spec = WaveSpec.from_middle(dims, middle)
+    wave = chiral_wave_series(spec, cap)
+    closed = ChiralWave(spec, wave.prefactor, _closed_form_series(spec, cap))
+    for k in range(1, n - 2):
+        assert casimir_residual(spec, wave, k, cap).is_zero(), k
+        assert casimir_residual(spec, closed, k, cap).is_zero(), k
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 9])
+def test_casimir_wrong_eigenvalue_fails_at_every_cross_ratio(n):
+    spec = WaveSpec.from_middle((1, 1) + (2,) * (n - 4) + (1, 1), (F(5, 2),) * (n - 3))
+    wave = chiral_wave_series(spec, 2)
+    for k in range(1, n - 2):
+        proj = list(spec.proj_dims)
+        proj[k] += 1  # a'_{k+1} = a_{k+1} + 1
+        res = casimir_residual(WaveSpec(spec.field_dims, tuple(proj)), wave, k, 2)
+        # (a - (a + 1))(a + (a + 1) - 1) = -2 a on the constant term
+        assert res.coefficient((0,) * (n - 3)) == -2 * spec.a(k + 1), k
+
+
 def test_casimir_wrong_eigenvalue_fails_at_leading_order():
     wave = chiral_wave_series(SIX, 4)
     wrong = WaveSpec.from_middle(
@@ -202,14 +265,14 @@ def test_casimir_wrong_eigenvalue_fails_at_leading_order():
 def test_casimir_embeds_four_points():
     spec = WaveSpec.from_middle((1, 1, 1, 1), (2,))
     wave = chiral_wave_series(spec, 6)
-    for which in (1, 2, 3):
+    for which in range(1, spec.n - 2):
         assert casimir_residual(spec, wave, which, 6).is_zero()
 
 
 def test_casimir_embeds_five_points():
     spec = WaveSpec.from_middle((1, 2, 1, 2, 1), (2, F(5, 2)))
     wave = chiral_wave_series(spec, 5)
-    for which in (1, 2, 3):
+    for which in range(1, spec.n - 2):
         assert casimir_residual(spec, wave, which, 5).is_zero()
 
 
@@ -218,6 +281,18 @@ def test_conjugation_symmetry():
     wave = chiral_wave_series(rev, 5)
     for which in (1, 2, 3):
         assert casimir_residual(rev, wave, which, 5).is_zero()
+
+
+def test_casimir_refusals():
+    wave = chiral_wave_series(SIX, 2)
+    for which in (0, 4):
+        with pytest.raises(ValueError, match=rf"^which must be in 1\.\.3 for n = 6, got {which}$"):
+            casimir_residual(SIX, wave, which, 2)
+    with pytest.raises(ValueError, match="equation spec has 4 points"):
+        casimir_residual(WaveSpec.from_middle((1, 1, 1, 1), (2,)), wave, 1, 2)
+    three = WaveSpec.from_middle((1, 1, 1), ())
+    with pytest.raises(DegenerateParameterError, match="needs n >= 4; a 3-point wave"):
+        casimir_residual(three, chiral_wave_series(three, 2), 1, 2)
 
 
 def test_wave_json_round_trip():
