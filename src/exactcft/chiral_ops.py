@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import Callable
 
 from .errors import DegenerateParameterError
-from .pairs import ExpKey, PairSum, bump, norm_exps
+from .pairs import ExpKey, PairSum, norm_exps
 from .poly import MultiPoly
 from .special import format_rational, pochhammer
 from .waves import ChiralWave, WaveSpec, chiral_wave_series, cross_ratio
@@ -191,12 +192,30 @@ class ReducedWave:
     reliable_cap: int
 
 
-def _wave_term(wave: ChiralWave, ells: tuple[int, ...]) -> ExpKey:
-    """Exponent key of prefactor * prod u_k^{l_k} over points 1..n."""
-    key = norm_exps(wave.prefactor.pair_factors)
-    for k, lk in enumerate(ells, start=1):
-        key = bump(key, cross_ratio(k), lk)
-    return key
+def _wave_term(wave: ChiralWave) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
+    """(den, key): key(ells) is the exponent key, over den, of
+    prefactor * prod u_k^{l_k} over points 1..n.
+
+    The prefactor's numerators and each cross ratio's offsets are laid out
+    once per wave on the pairs they touch, in key order; a key is then a few
+    int additions.
+    """
+    den, base = norm_exps(wave.prefactor.pair_factors)
+    base = dict(base)
+    ratios = [cross_ratio(k) for k in range(1, wave.spec.n - 2)]
+    pairs = sorted(base.keys() | set().union(*ratios))
+    start = [base.get(pr, 0) for pr in pairs]
+    offsets = [[(s, u[pr] * den) for s, pr in enumerate(pairs) if pr in u] for u in ratios]
+
+    def key(ells: tuple[int, ...]) -> ExpKey:
+        exps = start.copy()
+        for lk, offset in zip(ells, offsets):
+            if lk:
+                for s, e in offset:
+                    exps[s] += lk * e
+        return tuple([(pr, e) for pr, e in zip(pairs, exps) if e])
+
+    return den, key
 
 
 def reduce_wave(
@@ -224,12 +243,13 @@ def reduce_wave(
     reliable = cap - spill
 
     points = tuple(range(1, n + 1))
+    den, key = _wave_term(wave)
     out = PairSum.zero(tuple(p for p in points if p != j))
     for ells, c in wave.series.terms.items():
         tail_order = sum(ells[1:]) if first else sum(ells[:-1])
         if tail_order > reliable:
             continue
-        mono = PairSum(points, {_wave_term(wave, ells): c})
+        mono = PairSum(points, {key(ells): c}, den=den)
         out.add_scaled(reduce_correlator(mono, pair, op, d1, d2))
     return ReducedWave(out.points, out, reliable)
 
@@ -254,12 +274,9 @@ def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -
     n = spec.n
     if len(points) != n:
         raise ValueError("label count mismatch")
-    relabel = {k + 1: points[k] for k in range(n)}
-    out = PairSum.zero(sorted(points))
-    for ells, c in wave.series.terms.items():
-        mono = PairSum(range(1, n + 1), {_wave_term(wave, ells): c})
-        out.add_scaled(mono.relabel(relabel))
-    return out
+    den, key = _wave_term(wave)
+    terms = {key(ells): c for ells, c in wave.series.terms.items()}
+    return PairSum(range(1, n + 1), terms, den=den).relabel({k + 1: points[k] for k in range(n)})
 
 
 def match_reduction(reduced: ReducedWave, spec: WaveSpec, pair: tuple[int, int], h: int) -> Fraction | None:

@@ -6,11 +6,22 @@ point labels. Exponents may be non-integer rationals (kept symbolic, never
 expanded). Products of pair powers are linearly dependent as functions
 (x13 = x12 + x23), so zero/equality checks expand integer-exponent classes in
 adjacent-difference coordinates and compare polynomials exactly.
+
+Exponent keys are integers. A PairSum holds one positive denominator ``den``
+for all its terms, and the key of a term is the sorted tuple of
+((i, j), n) with n/den the exponent of x_ij, zero exponents dropped, so dict
+access hashes only ints. ``den`` is a common denominator, not always the
+least one: adding a sum over another denominator moves both to their lcm.
+Over one positive denominator numerators sort as the exponents do, so sorted
+keys, iteration, ``to_json`` and ``repr`` follow the order of the rational
+exponents, which they read back as Fractions. Every ``.terms`` value is a
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
@@ -19,27 +30,32 @@ from .poly import MultiPoly, SparseSum, _combination_terms, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
-ExpKey = tuple[tuple[Pair, Fraction], ...]
+# ((i, j), numerator) per pair with a nonzero exponent, sorted; the
+# denominator is the owning sum's
+ExpKey = tuple[tuple[Pair, int], ...]
 
 
-def norm_exps(exps: Mapping[Pair, Fraction]) -> ExpKey:
-    """Exponent key of prod x_pr^exps[pr]: sorted, zero exponents dropped."""
-    out = []
+def norm_exps(exps: Mapping[Pair, Fraction]) -> tuple[int, ExpKey]:
+    """(den, key) of prod x_pr^exps[pr]: den is the least common denominator
+    of the exponents and key their numerators over den, sorted, zero
+    exponents dropped."""
+    fracs = {}
     for (i, j), e in exps.items():
         if i >= j:
             raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
-        e = Fraction(e)
-        if e != 0:
-            out.append(((i, j), e))
-    return tuple(sorted(out))
+        fracs[(i, j)] = Fraction(e)
+    den = lcm(*(e.denominator for e in fracs.values()))
+    return den, tuple(
+        sorted((pr, e.numerator * (den // e.denominator)) for pr, e in fracs.items() if e)
+    )
 
 
-def bump(key: ExpKey, add: Mapping[Pair, Fraction], times=1) -> ExpKey:
-    """Exponent key of the monomial key times (prod x_pr^add[pr])^times."""
+def bump(key: ExpKey, add: Mapping[Pair, int], times: int = 1) -> ExpKey:
+    """Key of the monomial key times (prod x_pr^add[pr])^times, with add's
+    numerators over the same denominator as key's."""
     cur = dict(key)
     for pr, e in add.items():
-        pr = tuple(pr)
-        e = cur.get(pr, Fraction(0)) + Fraction(e) * times
+        e = cur.get(pr, 0) + e * times
         if e:
             cur[pr] = e
         else:
@@ -51,8 +67,9 @@ def _zvars(points: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(f"z{k}" for k in range(1, len(points)))
 
 
-def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> list[dict]:
-    """Each monomial of keys over one shared base, in adjacent differences.
+def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: int = 1) -> list[dict]:
+    """Each monomial of keys (numerators over den) over one shared base, in
+    adjacent differences.
 
     The base takes per pair the least exponent across keys, absence counting
     as 0, and every monomial is divided by it: a common factor changes
@@ -65,7 +82,7 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> lis
     """
     dicts = [dict(key) for key in keys]
     pairs = {pr for d in dicts for pr in d}
-    base = {pr: min(d.get(pr, Fraction(0)) for d in dicts) for pr in pairs}
+    base = {pr: min(d.get(pr, 0) for d in dicts) for pr in pairs}
     nz = len(points) - 1
     one = {(0,) * nz: 1}
     idx = {p: k for k, p in enumerate(points)}
@@ -89,11 +106,11 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey]) -> lis
     for d in dicts:
         poly = one
         for pr, b in base.items():
-            rel = d.get(pr, Fraction(0)) - b
-            if rel.denominator != 1:
+            rel, frac = divmod(d.get(pr, 0) - b, den)
+            if frac:
                 raise ConsistencyError("relative exponent within a class must be an integer")
             if rel:
-                poly = _int_product(poly, chain_power(pr, int(rel)))
+                poly = _int_product(poly, chain_power(pr, rel))
         out.append(poly)
     return out
 
@@ -105,23 +122,22 @@ def _combination(points: tuple[int, ...], expansions, weights: Mapping) -> Multi
     return out
 
 
-def _frac_part(e: Fraction) -> Fraction:
-    return e - (e.numerator // e.denominator)
-
-
 class PairSum(SparseSum):
-    """Finite sum of pair-difference monomials over a fixed point set."""
+    """Finite sum of pair-difference monomials over a fixed point set, with
+    exponent numerators over the common denominator den."""
 
-    __slots__ = ("points", "antisym")
+    __slots__ = ("points", "antisym", "den")
 
     def __init__(
         self,
         points: Iterable[int],
         terms: Mapping[ExpKey, Fraction] | None = None,
         antisym: bool = True,
+        den: int = 1,
     ):
         self.points: tuple[int, ...] = tuple(sorted(points))
         self.antisym = antisym
+        self.den = den
         self.terms: dict[ExpKey, Fraction] = {}
         if terms:
             pts = set(self.points)
@@ -148,13 +164,15 @@ class PairSum(SparseSum):
         exps: Mapping[Pair, Fraction],
         antisym: bool = True,
     ) -> "PairSum":
-        return cls(points, {norm_exps(exps): Fraction(coeff)}, antisym)
+        den, key = norm_exps(exps)
+        return cls(points, {key: Fraction(coeff)}, antisym, den)
 
     # -- iteration ------------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[Fraction, dict[Pair, Fraction]]]:
+        den = self.den
         for key in sorted(self.terms):
-            yield self.terms[key], dict(key)
+            yield self.terms[key], {pr: Fraction(e, den) for pr, e in key}
 
     def is_structurally_zero(self) -> bool:
         return not self.terms
@@ -162,18 +180,40 @@ class PairSum(SparseSum):
     # -- arithmetic -------------------------------------------------------
 
     def _empty(self) -> "PairSum":
-        return PairSum(self.points, None, self.antisym)
+        return PairSum(self.points, None, self.antisym, self.den)
 
     def _coerce(self, other: "PairSum") -> "PairSum":
         if self.points != other.points or self.antisym != other.antisym:
             raise ValueError("PairSum operands live on different point sets")
         return other
 
+    def _rescaled(self, den: int) -> "PairSum":
+        """self with its numerators over den, a multiple of self.den."""
+        if den == self.den:
+            return self
+        m = den // self.den
+        out = PairSum(self.points, None, self.antisym, den)
+        out.terms = {tuple([(pr, e * m) for pr, e in key]): c for key, c in self.terms.items()}
+        return out
+
+    def add_scaled(self, other: "PairSum", factor=1) -> "PairSum":
+        """In place: self += other * factor, over the lcm of both denominators."""
+        other = self._coerce(other)
+        if other.den != self.den:
+            den = lcm(self.den, other.den)
+            self.terms, self.den = self._rescaled(den).terms, den
+            other = other._rescaled(den)
+        return super().add_scaled(other, factor)
+
     def mul_monomial(self, coeff, exps: Mapping[Pair, Fraction]) -> "PairSum":
         coeff = Fraction(coeff)
-        res = self._empty()
-        for key, c in self.terms.items():
-            res.add_term(bump(key, exps), c * coeff)
+        d, add = norm_exps(exps)
+        den = lcm(self.den, d)
+        add = {pr: e * (den // d) for pr, e in add}
+        base = self._rescaled(den)
+        res = base._empty()
+        for key, c in base.terms.items():
+            res.add_term(bump(key, add), c * coeff)
         return res
 
     def __mul__(self, other: "PairSum") -> "PairSum":
@@ -187,53 +227,49 @@ class PairSum(SparseSum):
 
     def differentiate(self, point: int) -> "PairSum":
         """d/dx_point, with x_ij = x_i - x_j."""
+        den = self.den
         res = self._empty()
         for key, c in self.terms.items():
-            exps = dict(key)
-            for (i, j), e in key:
+            for at, ((i, j), e) in enumerate(key):
                 if point == i:
-                    sign = 1
+                    factor = Fraction(e, den)
                 elif point == j:
-                    sign = -1
+                    factor = Fraction(-e, den)
                 else:
                     continue
-                new = dict(exps)
-                new[(i, j)] = e - 1
-                if new[(i, j)] == 0:
-                    del new[(i, j)]
-                res.add_term(tuple(sorted(new.items())), c * e * sign)
+                # the pair keeps its place in the sorted key
+                lowered = (((i, j), e - den),) if e != den else ()
+                res.add_term(key[:at] + lowered + key[at + 1 :], c * factor)
         return res
 
     def merge_adjacent(self, i: int) -> "PairSum":
         """Evaluate x_{i+1} -> x_i; point i+1 leaves the point set.
 
         Terms carrying a positive power of x_{i,i+1} vanish; a surviving
-        negative power means the diagonal limit is singular.
+        negative power means the diagonal limit is singular. No pair flips
+        order: a pair (a, i+1) has a < i, and a pair (i+1, b) has b > i.
         """
         j = i + 1
         if i not in self.points or j not in self.points:
             raise ValueError(f"points {i},{j} not both present")
-        res = PairSum([p for p in self.points if p != j], None, self.antisym)
+        res = PairSum([p for p in self.points if p != j], None, self.antisym, self.den)
         for key, c in self.terms.items():
-            exps = dict(key)
-            e_diag = exps.pop((i, j), Fraction(0))
+            merged: dict[Pair, int] = {}
+            e_diag = 0
+            for (a, b), e in key:
+                if (a, b) == (i, j):
+                    e_diag = e
+                else:
+                    pr = (i if a == j else a, i if b == j else b)
+                    merged[pr] = merged.get(pr, 0) + e
             if e_diag > 0:
                 continue
             if e_diag < 0:
                 raise SingularDiagonalError(
-                    f"x_{i}{j}^{e_diag} survives the diagonal limit (pole bound violated)"
+                    f"x_{i}{j}^{Fraction(e_diag, self.den)} survives the diagonal limit"
+                    " (pole bound violated)"
                 )
-            merged: dict[Pair, Fraction] = {}
-            for (a, b), e in exps.items():
-                a2 = i if a == j else a
-                b2 = i if b == j else b
-                if a2 == b2:
-                    raise ConsistencyError("merge collapsed a non-diagonal pair")
-                if a2 > b2:
-                    # order flips cannot happen for adjacent merges
-                    raise ConsistencyError("adjacent merge flipped a pair ordering")
-                merged[(a2, b2)] = merged.get((a2, b2), Fraction(0)) + e
-            res.add_term(tuple(sorted((p, e) for p, e in merged.items() if e != 0)), c)
+            res.add_term(tuple(sorted((p, e) for p, e in merged.items() if e)), c)
         return res
 
     def relabel(self, mapping: Mapping[int, int]) -> "PairSum":
@@ -242,41 +278,43 @@ class PairSum(SparseSum):
         new_points = sorted(mapping[p] for p in self.points)
         if len(set(new_points)) != len(self.points):
             raise ValueError("relabeling must be injective")
-        res = PairSum(new_points, None, self.antisym)
+        den = self.den
+        res = PairSum(new_points, None, self.antisym, den)
         for key, c in self.terms.items():
-            sign = Fraction(1)
-            exps: dict[Pair, Fraction] = {}
+            flips = 0
+            exps: dict[Pair, int] = {}
             for (a, b), e in key:
                 a2, b2 = mapping[a], mapping[b]
                 if a2 > b2:
                     a2, b2 = b2, a2
                     if self.antisym:
-                        if e.denominator != 1:
+                        if e % den:
                             raise ValueError(
                                 "cannot flip a pair with non-integer exponent"
                             )
-                        if e.numerator % 2:
-                            sign = -sign
-                exps[(a2, b2)] = exps.get((a2, b2), Fraction(0)) + e
-            res.add_term(tuple(sorted((p, e) for p, e in exps.items() if e != 0)), c * sign)
+                        flips += e // den
+                exps[(a2, b2)] = exps.get((a2, b2), 0) + e
+            res.add_term(
+                tuple(sorted((p, e) for p, e in exps.items() if e)), -c if flips % 2 else c
+            )
         return res
 
     # -- exact function-level comparisons ----------------------------------
 
     def _classes(self) -> dict[tuple, dict[ExpKey, Fraction]]:
-        """Group terms whose exponents agree modulo integers on every pair."""
+        """Group terms whose exponents agree modulo integers on every pair;
+        a class is named by the fractional parts' numerators over den."""
+        den = self.den
         groups: dict[tuple, dict[ExpKey, Fraction]] = {}
         for key, c in self.terms.items():
-            ck = tuple(
-                sorted((pr, _frac_part(e)) for pr, e in key if _frac_part(e) != 0)
-            )
+            ck = tuple((pr, e % den) for pr, e in key if e % den)
             groups.setdefault(ck, {})[key] = c
         return groups
 
     def _z_poly(self, terms: Mapping[ExpKey, Fraction]) -> MultiPoly:
         """Expand an integer-class group in adjacent-difference coordinates,
         up to the common base monomial of _adjacent_expansions."""
-        expansions = dict(zip(terms, _adjacent_expansions(self.points, terms)))
+        expansions = dict(zip(terms, _adjacent_expansions(self.points, terms, self.den)))
         return _combination(self.points, expansions, terms)
 
     def is_zero_function(self) -> bool:
@@ -289,14 +327,15 @@ class PairSum(SparseSum):
     def proportional_to(self, other: "PairSum") -> Fraction | None:
         """Return nonzero lam with self = lam * other as functions, or None."""
         self._coerce(other)
-        g1, g2 = self._classes(), other._classes()
+        den = lcm(self.den, other.den)
+        g1, g2 = self._rescaled(den)._classes(), other._rescaled(den)._classes()
         lam: Fraction | None = None
         for ck in set(g1) | set(g2):
             t1 = g1.get(ck, {})
             t2 = g2.get(ck, {})
             # one expansion of the union support, weighted by each side
             union = list(set(t1) | set(t2))
-            expansions = dict(zip(union, _adjacent_expansions(self.points, union)))
+            expansions = dict(zip(union, _adjacent_expansions(self.points, union, den)))
             p1 = _combination(self.points, expansions, t1)
             p2 = _combination(self.points, expansions, t2)
             if p2.is_zero():
@@ -321,12 +360,13 @@ class PairSum(SparseSum):
     # -- presentation -------------------------------------------------------
 
     def to_json(self) -> list[dict]:
+        den = self.den
         out = []
         for key in sorted(self.terms):
             out.append(
                 {
                     "coeff": format_rational(self.terms[key]),
-                    "factors": {f"{i},{j}": format_rational(e) for (i, j), e in key},
+                    "factors": {f"{i},{j}": format_rational(Fraction(e, den)) for (i, j), e in key},
                 }
             )
         return out
@@ -334,9 +374,9 @@ class PairSum(SparseSum):
     def __repr__(self) -> str:
         sym = "x" if self.antisym else "X"
         bits = []
-        for key in sorted(self.terms):
-            mono = " ".join(f"{sym}{i}{j}^{format_rational(e)}" for (i, j), e in key)
-            bits.append(f"{format_rational(self.terms[key])}*[{mono or '1'}]")
+        for c, exps in self:
+            mono = " ".join(f"{sym}{i}{j}^{format_rational(e)}" for (i, j), e in exps.items())
+            bits.append(f"{format_rational(c)}*[{mono or '1'}]")
         return " + ".join(bits) if bits else "0"
 
 
@@ -350,7 +390,8 @@ class FactoredLaurent:
     __slots__ = ("numerator", "pair_factors")
 
     def __init__(self, pair_factors: Mapping[Pair, Fraction], numerator: Fraction | int = 1):
-        self.pair_factors: dict[Pair, Fraction] = dict(norm_exps(pair_factors))
+        den, key = norm_exps(pair_factors)
+        self.pair_factors: dict[Pair, Fraction] = {pr: Fraction(e, den) for pr, e in key}
         self.numerator = Fraction(numerator)
 
     def exponent(self, pair: Pair) -> Fraction:
@@ -384,8 +425,9 @@ class FactoredLaurent:
 class TwoChiralSum(SparseSum):
     """Finite sum c * M_plus(x_{ij,+}) * M_minus(x_{ij,-}) over one point set.
 
-    Integer exponents only; supports the exact bilinear zero test used to
-    verify 2D factorizations.
+    Integer exponents only, so each side's key holds the exponents
+    themselves (numerators over 1); supports the exact bilinear zero test
+    used to verify 2D factorizations.
     """
 
     __slots__ = ("points",)
@@ -393,20 +435,15 @@ class TwoChiralSum(SparseSum):
     def __init__(self, points: Iterable[int], terms: Mapping[tuple[ExpKey, ExpKey], Fraction] | None = None):
         self.points = tuple(sorted(points))
         self.terms: dict[tuple[ExpKey, ExpKey], Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                for side in key:
-                    for _, e in side:
-                        if e.denominator != 1:
-                            raise ValueError("TwoChiralSum requires integer exponents")
-                self.add_term(key, c)
+        for key, coeff in (terms or {}).items():
+            self.add_term(key, Fraction(coeff))
 
     @classmethod
     def monomial(cls, points, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
-        return cls(points, {(norm_exps(exps_plus), norm_exps(exps_minus)): Fraction(coeff)})
+        (dp, kp), (dm, km) = norm_exps(exps_plus), norm_exps(exps_minus)
+        if dp != 1 or dm != 1:
+            raise ValueError("TwoChiralSum requires integer exponents")
+        return cls(points, {(kp, km): Fraction(coeff)})
 
     def _empty(self) -> "TwoChiralSum":
         return TwoChiralSum(self.points)

@@ -71,15 +71,18 @@ class TruncatedSeries(MultiPoly):
         cls,
         variables: Iterable[str],
         cap: int,
-        ratio: Callable[[tuple[int, ...], int], Fraction],
+        ratio: Callable[[tuple[int, ...], int], tuple[int, int]],
     ) -> "TruncatedSeries":
-        """The series with constant term 1 and c(e + 1_k) = c(e) * ratio(e, k).
+        """The series with constant term 1 and c(e + 1_k) = c(e) * p / q, where
+        (p, q) = ratio(e, k) are ints.
 
         Each tuple takes its coefficient from the tuple whose last nonzero
-        exponent k is one lower, which comes earlier in the lex order. ratio
-        is called for every tuple, also after a zero coefficient, so it can
-        raise on a vanishing denominator. Zero terms stay in the dict, which
-        is the memo of the walk, until the last tuple is done.
+        exponent k is one lower, which comes earlier in the lex order: the
+        neighbour's numerator and denominator times p and q, made into one
+        Fraction, with no Fraction arithmetic. ratio is called for every
+        tuple, also after a zero coefficient, so it can raise on a vanishing
+        denominator. Zero terms stay in the dict, which is the memo of the
+        walk, until the last tuple is done.
         """
         out = cls(variables, cap)
         terms = out.terms
@@ -90,7 +93,9 @@ class TruncatedSeries(MultiPoly):
             while not exps[k]:
                 k -= 1
             prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-            terms[exps] = terms[prev] * ratio(prev, k)
+            c = terms[prev]
+            p, q = ratio(prev, k)
+            terms[exps] = Fraction(c.numerator * p, c.denominator * q)
         if not all(terms.values()):
             out.terms = {e: c for e, c in terms.items() if c}
         return out

@@ -159,9 +159,13 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
 
     # left side minus right side, one term at a time; a 4D monomial restricts
     # to the same monomial in both chiralities
+    if structure.monomials.den != 1:
+        raise ValueError(f"2D restriction of {structure.name} needs integer exponents")
+    shift = dict(bump(bump((), {pr: int(e) for pr, e in PREFACTOR_2D.items()}, -1),
+                      PTOLEMY_DENOMINATOR))
     diff = TwoChiralSum(POINTS)
     for key, coeff in structure.monomials.terms.items():
-        both = bump(bump(key, PREFACTOR_2D, -1), PTOLEMY_DENOMINATOR)
+        both = bump(key, shift)
         diff.add_term((both, both), coeff)
     u1, u3 = cross_ratio(1), cross_ratio(3)
     for (a, b, c, d), coeff in numerator.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
@@ -75,6 +75,8 @@ class WaveSpec:
         """Build from d_1..d_n plus only the free projections a_2..a_{n-2}."""
         dims = tuple(Fraction(d) for d in dims)
         middle = tuple(Fraction(a) for a in middle)
+        if len(dims) < 3:
+            raise ValueError(f"need at least 3 points, got {len(dims)}")
         if len(middle) != len(dims) - 3:
             raise ValueError(
                 f"need {len(dims) - 3} middle projections for {len(dims)} points"
@@ -236,16 +238,18 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
     """
     n = spec.n
     orders = range(cap + 1)
-    # 1-based: numer[j][m] = A_j + m for j = 1..n-2, denom[k][m] = (m + 1)(B_k + m)
-    # for k = 1..n-3; an order m of a tuple before the last one stays below cap
-    numer = [None] + [
-        [spec.a(j) + spec.a(j + 1) - spec.d(j + 1) + m for m in orders] for j in range(1, n - 1)
-    ]
-    denom = [None] + [
-        [(m + 1) * (2 * spec.a(k + 1) + m) for m in orders] for k in range(1, n - 2)
-    ]
+    A = [spec.a(j) + spec.a(j + 1) - spec.d(j + 1) for j in range(1, n - 1)]
+    B = [2 * spec.a(k + 1) for k in range(1, n - 2)]
+    # both tables scaled once by the LCD L of every A_j and B_k, so the ratio
+    # is the int pair (L(A_k + ..) L(A_{k+1} + ..), L^2 (l_k + 1)(B_k + l_k));
+    # 1-based: numer[j][m] = L(A_j + m) for j = 1..n-2 and
+    # denom[k][m] = L^2 (m + 1)(B_k + m) for k = 1..n-3; an order m of a tuple
+    # before the last one stays below cap
+    L = lcm(*(x.denominator for x in A + B))
+    numer = [None] + [[int(L * x) + L * m for m in orders] for x in A]
+    denom = [None] + [[L * (m + 1) * (int(L * x) + L * m) for m in orders] for x in B]
 
-    def ratio(ells: tuple[int, ...], i: int) -> Fraction:
+    def ratio(ells: tuple[int, ...], i: int) -> tuple[int, int]:
         k = i + 1
         # l_{k-1}, l_k, l_{k+1} with the boundary l_0 = l_{n-2} = 0
         before, lk, after = ((0,) + ells + (0,))[k - 1 : k + 2]
@@ -254,7 +258,7 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
             raise DegenerateParameterError(
                 f"(2 a_{k + 1})_{lk + 1} vanishes: a_{k + 1} = {spec.a(k + 1)} is degenerate"
             )
-        return numer[k][before + lk] * numer[k + 1][lk + after] / den
+        return numer[k][before + lk] * numer[k + 1][lk + after], den
 
     series = TruncatedSeries.from_ratios(wave_series_vars(n), cap, ratio)
     return ChiralWave(spec, wave_prefactor(spec), series)

@@ -103,6 +103,15 @@ def test_casimir_check_refuses_three_points(capsys, which):
     assert err == "error: casimir check needs n >= 4; a 3-point wave has no cross ratio\n"
 
 
+@pytest.mark.parametrize("command", ["wave", "casimir-check"])
+@pytest.mark.parametrize("n, dims", [("2", "1,1"), ("1", "1"), ("0", "")])
+def test_fewer_than_three_points_names_the_minimum(capsys, command, n, dims):
+    # the point count is checked before the count of middle projections
+    code, out, err = run_cli(capsys, command, "--n", n, "--dims", dims)
+    assert (code, out) == (2, "")
+    assert err == f"error: need at least 3 points, got {n}\n"
+
+
 def test_reduce_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "5"

@@ -16,6 +16,11 @@ WAVE4 = ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "6")
 # the waves benchmark's n = 6 wave (d1 = d2 = 1), reduced on a matched and a
 # mismatched pair
 WAVE6 = ("wave", "--n", "6", "--dims", "1,1,2,2,1,1", "--proj", "2,2,5/2", "--cap", "8")
+# a wave whose prefactor exponents have denominators 2, 3 and 6, reduced on
+# its first and last pair with a matched and a mismatched weight; the last
+# pair's pole power d5 + d6 = 2/3 has another denominator than the wave
+WAVE_SIXTHS = ("wave", "--n", "6", "--dims", "1/3,2/3,4/3,5/6,1/6,1/2", "--proj", "2,7/6,3",
+               "--cap", "6")
 
 EXAMPLES = {
     "wave-n4": ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "2"),
@@ -29,6 +34,7 @@ EXAMPLES = {
     "tensor-kernel": ("intertwiner", "tensor", "--kappa", "1", "--L", "0",
                       "--d1", "3", "--d2", "1"),
     "wave-json": WAVE4,
+    "wave-sixths": WAVE_SIXTHS,
     "build-E6": ("exotic", "build", "--name", "E6"),
     "restrict": ("exotic", "restrict", "--name", "BminusHalfE", "--cap", "6"),
     "g-recursion": ("exotic", "g", "--cap", "12", "--method", "recursion", "--check-biharmonic"),
@@ -101,6 +107,10 @@ DIGESTS = {
     "positivity-H": "3126d0856417c9f6a7557a1e35734024dda1937843fac4e4eac976c8ed6064d0",
     "reduce-matched": "03ab9518d8703ceb29e3d28f9d67b76c0663dd486e1fbf7321ff92d77d427862",
     "reduce-mismatched": "e790be902388453ec9af8cf02a462ec6ff9ed728f1cabb5261b6d418e9af5449",
+    "reduce-sixths-1,2-h2": "000f2f31383f22b4006b157a07f56e0d2b7c1dee34255e3ae717fca26443fe29",
+    "reduce-sixths-1,2-h3": "a115bdc8f9a80b7f0d7b6e981c9fc8d73b553ad4d899de2279da55b26685f822",
+    "reduce-sixths-5,6-h2": "bca30148895dac8dd3d66f9b07dbff85db0bf5a7e3c5f60aefaa07789bf95dcd",
+    "reduce-sixths-5,6-h3": "e370130f112bcceaa28872577f7a2c8e88681a1c79b8841f641cdbb48d54f21f",
     "reduce": "3a585c1c367cc98d44adcc9712e9841c9158fa1150d7c9c34a45a97eb6d98cd5",
     "restrict": "12cab93c08db991a080004dca8e4b092bbdaef6552a02e9dffc3b7feb3dc49fa",
     "restrict-E6": "83a7636465e4c8ab89e77f7f88912a1d29c35ff9945c2bb493cf07f0c6cb12f2",
@@ -108,6 +118,7 @@ DIGESTS = {
     "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
     "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",
     "wave-n10": "2324686dbee6f53ec1703788bed3489dfb2e86fcc1995c0de59118e2eecd7f1d",
+    "wave-sixths": "c592cc3c3caae0f65919f71e22d9f874c2b4c6f1ec0b5a1fe53cd5ac585600bb",
     "wave-n8": "cebde68d656a1a47137559fa490fd08e12fc972eed73f38bf49316b7982a8c27",
     "wave-n4": "71c9ac1a0e54b0d6745077251c750055cad2067efb42404a81df5774dcf11f18",
 }
@@ -138,6 +149,17 @@ def test_benchmark_reduce_digest(capsys, tmp_path, pair, kind):
     wave.write_text(_stdout(capsys, WAVE6), encoding="utf-8")
     out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", pair, "--h", "2"))
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"reduce-{kind}"]
+
+
+@pytest.mark.parametrize("pair, h, matched", [
+    ("1,2", 2, True), ("1,2", 3, False), ("5,6", 3, True), ("5,6", 2, False),
+])
+def test_sixths_reduce_digest(capsys, tmp_path, pair, h, matched):
+    wave = tmp_path / "wave.json"
+    wave.write_text(_stdout(capsys, WAVE_SIXTHS), encoding="utf-8")
+    out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", pair, "--h", str(h)))
+    assert json.loads(out).get("matches_reduced_wave", False) is matched
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"reduce-sixths-{pair}-h{h}"]
 
 
 def test_positivity_out_file_matches_stdout(capsys, tmp_path):

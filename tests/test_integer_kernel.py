@@ -111,6 +111,7 @@ def naive_weighted(points, union, weights):
 def naive_classes(ps):
     groups = {}
     for key, c in ps.terms.items():
+        key = tuple((pr, F(e, ps.den)) for pr, e in key)  # exponents as Fractions
         ck = tuple((pr, e - (e.numerator // e.denominator)) for pr, e in key if e.denominator != 1)
         groups.setdefault(ck, {})[key] = c
     return groups

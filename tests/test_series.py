@@ -131,7 +131,7 @@ def test_from_ratios_matches_closed_coefficients(nv, cap):
     tops = (2, 5, 1, 3)[:nv]
     variables = tuple(f"x{k}" for k in range(nv))
     s = TruncatedSeries.from_ratios(
-        variables, cap, lambda e, k: Fraction(tops[k] - e[k], e[k] + 1)
+        variables, cap, lambda e, k: (tops[k] - e[k], e[k] + 1)
     )
 
     def closed(e):
@@ -149,7 +149,7 @@ def test_from_ratios_calls_ratio_after_a_zero_term():
     def ratio(e, k):
         if e[k] == 2:
             raise ZeroDivisionError(f"pole at {e}")
-        return Fraction(1 - e[k])  # every term past x^1 is zero
+        return 1 - e[k], 1  # every term past x^1 is zero
 
     assert TruncatedSeries.from_ratios(U, 2, ratio).terms == {(0,): 1, (1,): 1}
     with pytest.raises(ZeroDivisionError, match=r"pole at \(2,\)"):

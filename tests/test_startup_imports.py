@@ -1,0 +1,35 @@
+"""The CLI starts on the standard-library modules it needs, and no others.
+
+Every command is a fresh process, so each module the CLI imports at start-up
+is paid on every run. This guard lists the modules a bare ``python -S`` loads
+for ``import exactcft.cli`` and for the stdlib imports the package uses; a
+new import that pulls in anything else (hashlib, inspect-heavy helpers,
+numpy) fails here before it shows up as start-up time.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# the stdlib modules exactcft imports by name; __future__ is the
+# `from __future__ import annotations` line every module starts with
+BASELINE = ("fractions, argparse, json, re, dataclasses, typing, math, itertools, operator,"
+            " functools, _sha256, __future__")
+
+
+def _loaded(imports: str) -> set[str]:
+    code = f"import sys, {imports}; print('\\n'.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    return set(run.stdout.split())
+
+
+def test_cli_loads_no_module_beyond_its_stdlib_imports():
+    cli = _loaded("exactcft.cli")
+    assert "exactcft.cli" in cli
+    extra = {m for m in cli - _loaded(BASELINE) if m.split(".")[0] != "exactcft"}
+    assert not extra, f"importing exactcft.cli also loads {sorted(extra)}"
