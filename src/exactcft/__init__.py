@@ -1,125 +1,8 @@
 """Exact rational computer algebra for chiral conformal partial waves,
-intertwining differential operators, and six-point positivity data."""
+intertwining differential operators, and six-point positivity data.
 
-from .amplitudes import AmplitudeMatrix, fourpoint_amplitudes, reconstruction_residual
-from .channels import (
-    channel_coefficients,
-    closed_form_channel,
-    reduce_sixpoint,
-    reduction_coefficient,
-    twist_two_exotic_coefficient,
-)
-from .chiral_ops import (
-    ChiralIntertwiner,
-    chiral_intertwiner,
-    chiral_intertwiner_normalized,
-    match_reduction,
-    reduce_correlator,
-    reduce_wave,
-    verify_chiral_pde,
-)
-from .errors import (
-    ConsistencyError,
-    DegenerateParameterError,
-    ExactCFTError,
-    NegativeExponentError,
-    SingularDiagonalError,
-    VariableMismatchError,
-)
-from .gseries import BiharmonicSeries, completion_series, verify_biharmonic
-from .linsolve import LinearSolution, linear_solve_exact, symmetric_inertia
-from .pairs import FactoredLaurent, PairSum, TwoChiralSum
-from .poly import MultiPoly
-from .positivity import PositivityBlock, PositivityReport, positivity_report
-from .series import TruncatedSeries
-from .sixpoint import (
-    ChiralRestriction,
-    SixPointStructure,
-    build_structure,
-    completion_series_2d,
-    restrict_2d,
-)
-from .special import format_rational, gauss_2f1_coeff, parse_rational, pochhammer
-from .tensor_ops import (
-    CoefficientTable,
-    TensorIntertwiner,
-    assemble_tensor_intertwiner,
-    coefficient_table,
-    coefficient_table_kernel,
-    harmonic_project,
-    legendre_poly,
-    radial_poly,
-    solve_intertwiner_space,
-    verify_tensor_pde,
-)
-from .waves import (
-    ChiralWave,
-    WaveSpec,
-    casimir_residual,
-    chiral_wave_series,
-    fourpoint_reference,
-)
+The library API lives in the submodules (``from exactcft.pairs import
+PairSum``); the package itself carries only ``__version__``.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplitudeMatrix",
-    "BiharmonicSeries",
-    "ChiralIntertwiner",
-    "ChiralRestriction",
-    "ChiralWave",
-    "CoefficientTable",
-    "ConsistencyError",
-    "DegenerateParameterError",
-    "ExactCFTError",
-    "FactoredLaurent",
-    "LinearSolution",
-    "MultiPoly",
-    "NegativeExponentError",
-    "PairSum",
-    "PositivityBlock",
-    "PositivityReport",
-    "SingularDiagonalError",
-    "SixPointStructure",
-    "TensorIntertwiner",
-    "TruncatedSeries",
-    "TwoChiralSum",
-    "VariableMismatchError",
-    "WaveSpec",
-    "assemble_tensor_intertwiner",
-    "build_structure",
-    "casimir_residual",
-    "channel_coefficients",
-    "chiral_intertwiner",
-    "chiral_intertwiner_normalized",
-    "chiral_wave_series",
-    "closed_form_channel",
-    "coefficient_table",
-    "coefficient_table_kernel",
-    "completion_series",
-    "completion_series_2d",
-    "format_rational",
-    "fourpoint_amplitudes",
-    "fourpoint_reference",
-    "gauss_2f1_coeff",
-    "harmonic_project",
-    "legendre_poly",
-    "linear_solve_exact",
-    "match_reduction",
-    "parse_rational",
-    "pochhammer",
-    "positivity_report",
-    "radial_poly",
-    "reconstruction_residual",
-    "reduce_correlator",
-    "reduce_sixpoint",
-    "reduce_wave",
-    "reduction_coefficient",
-    "restrict_2d",
-    "solve_intertwiner_space",
-    "symmetric_inertia",
-    "twist_two_exotic_coefficient",
-    "verify_biharmonic",
-    "verify_chiral_pde",
-    "verify_tensor_pde",
-]

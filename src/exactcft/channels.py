@@ -15,11 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .chiral_ops import chiral_intertwiner_normalized, reduce_correlator
 from .errors import DegenerateParameterError
-from .pairs import PairSum
-from .poly import MultiPoly
-from .special import gauss_2f1_coeff, legendre_coeffs
+from .special import gauss_2f1_coeff
 
 
 def reduction_coefficient(a: int, h: int) -> Fraction:
@@ -27,26 +24,6 @@ def reduction_coefficient(a: int, h: int) -> Fraction:
     if a < 0 or h < 1:
         raise ValueError("need a >= 0 and h >= 1")
     return gauss_2f1_coeff(h, 1 - h, 1, a)
-
-
-def reduction_generating_poly(h: int) -> MultiPoly:
-    """F(z) = sum_a c_{a,h} z^a, a polynomial of degree h - 1."""
-    terms = {}
-    for a in range(h):
-        c = reduction_coefficient(a, h)
-        if c != 0:
-            terms[(a,)] = c
-    return MultiPoly(("z",), terms)
-
-
-def shifted_legendre(h: int) -> MultiPoly:
-    """P_{h-1}(1 - 2z) as a polynomial in z."""
-    z = MultiPoly.var(("z",), "z")
-    arg = MultiPoly.constant(("z",), 1) - 2 * z
-    out = MultiPoly(("z",))
-    for p, c in legendre_coeffs(h - 1).items():
-        out.add_scaled(arg**p, c)
-    return out
 
 
 def weighted_tail_at_one(h: int, b: int) -> Fraction:
@@ -60,17 +37,6 @@ def weighted_tail_at_one(h: int, b: int) -> Fraction:
         f_at_one += c
         total += c / (a + b)
     return f_at_one - 2 * b * total
-
-
-def structure_weight(structure: str, a: int, b: int) -> Fraction:
-    """Double-sum weight of the named structure at (a, b), a + b > 0."""
-    if a + b <= 0:
-        raise ValueError("weights are defined for a + b > 0")
-    if structure == "B":
-        return Fraction(1)
-    if structure == "H":
-        return Fraction(a - b, a + b)
-    raise ValueError(f"unknown weighting {structure!r}")
 
 
 @cache
@@ -99,99 +65,22 @@ def channel_coefficients(h_plus: int, h_minus: int, weighting: str) -> Fraction:
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
-def channel_coefficients_direct(h_plus: int, h_minus: int, weighting: str) -> Fraction:
-    """Same constant by the raw double sum; cross-check oracle."""
-    sign = Fraction(-1) ** (h_plus + h_minus)
-    total = Fraction(0)
-    for a in range(h_plus):
-        for b in range(h_minus):
-            if a + b == 0:
-                continue
-            total += (
-                structure_weight(weighting, a, b)
-                * reduction_coefficient(a, h_plus)
-                * reduction_coefficient(b, h_minus)
-            )
-    return sign * total
-
-
-def closed_form_channel(h_plus: int, h_minus: int, weighting: str) -> Fraction:
-    """Parity closed forms the computation must reproduce."""
-    h = h_plus - h_minus
-    odd = 2 if h % 2 else 0
-    if weighting == "B":
-        return Fraction(odd)
-    if weighting == "H":
-        if h > 0:
-            return Fraction(odd)
-        if h < 0:
-            return Fraction(-odd)
-        return Fraction(0)
-    raise ValueError(f"unknown weighting {weighting!r}")
-
-
-# -- the per-term identity and the reference 4-point function ----------------
-
-
-def single_term_target(a: int, points=(1, 2, 3, 4)) -> PairSum:
-    """u^a / (x13 x24) = x12^a x34^a / (x13 x24)^{a+1} on four labeled points."""
-    p1, p2, p3, p4 = points
-    exps = {
-        (p1, p2): Fraction(a),
-        (p3, p4): Fraction(a),
-        (p1, p3): Fraction(-a - 1),
-        (p2, p4): Fraction(-a - 1),
-    }
-    return PairSum.monomial(sorted(points), 1, exps)
-
-
-def single_term_reduced(a: int, h: int, points=(1, 3, 4)) -> PairSum:
-    """(-1)^{h-1} c_{a,h} x34^{h-1} / ((x - x3)^h (x - x4)^h)."""
-    x, p3, p4 = points
-    coeff = reduction_coefficient(a, h) * (-1) ** (h - 1)
-    exps = {
-        (min(p3, p4), max(p3, p4)): Fraction(h - 1),
-        (min(x, p3), max(x, p3)): Fraction(-h),
-        (min(x, p4), max(x, p4)): Fraction(-h),
-    }
-    return PairSum.monomial(sorted(points), coeff, exps)
-
-
-def reduce_single_term(a: int, h: int) -> PairSum:
-    """Collapse of one double-sum term in the (1,2) channel: the operator
-    acts on the already pole-cancelled factor, then points merge.
-
-    Applying the factorially weighted degree-h table yields exactly
-    single_term_reduced(a, h) / (h-1)!^2: the a-dependence, sign, and
-    universal x-structure of the collapse identity are reproduced, with one
-    h-dependent overall constant between the two displayed normalizations.
-    The channel sums fix their normalization to the identity form (the one
-    whose resummation gives the parity closed forms), so the constant cancels
-    from every reported coefficient.
-    """
-    target = single_term_target(a)
-    op = chiral_intertwiner_normalized(h)
-    return reduce_correlator(target, (1, 2), op, 0, 0, premultiplied=True)
-
-
 @dataclass(frozen=True)
 class ReferenceFourPoint:
-    """The universal 4-point function every two-channel reduction lands on."""
+    """The universal 4-point function every two-channel reduction lands on,
+    by its plus chirality; the minus one has the same form in h- and h'-."""
 
     h_plus: int
-    h_minus: int
     h_plus_prime: int
-    h_minus_prime: int
 
-    def chiral_exponents(self, minus: bool) -> dict:
-        hp = self.h_minus_prime if minus else self.h_plus_prime
-        hu = self.h_minus if minus else self.h_plus
+    def chiral_exponents(self) -> dict:
+        h, hp = self.h_plus, self.h_plus_prime
         # x34^{h + h' - 3} / ((x-x3)^h (x-x4)^h (x3-x')^{h'} (x4-x')^{h'})
         # on points (x, x3, x4, x') labeled 1 < 2 < 3 < 4
         return {
-            (2, 3): Fraction(hu + hp - 3),
-            (1, 2): Fraction(-hu),
-            (1, 3): Fraction(-hu),
+            (2, 3): Fraction(h + hp - 3),
+            (1, 2): Fraction(-h),
+            (1, 3): Fraction(-h),
             (2, 4): Fraction(-hp),
             (3, 4): Fraction(-hp),
         }
@@ -235,7 +124,7 @@ def reduce_sixpoint(
             * reduction_coefficient(c, h_plus_prime)
             * reduction_coefficient(d, h_minus_prime)
         )
-    ref = ReferenceFourPoint(h_plus, h_minus, h_plus_prime, h_minus_prime)
+    ref = ReferenceFourPoint(h_plus, h_plus_prime)
     return sign * total, ref
 
 

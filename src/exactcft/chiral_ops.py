@@ -140,12 +140,7 @@ def apply_operator_pair(
 
 
 def reduce_correlator(
-    target: PairSum,
-    pair: tuple[int, int],
-    op: ChiralIntertwiner,
-    d1,
-    d2,
-    premultiplied: bool = False,
+    target: PairSum, pair: tuple[int, int], op: ChiralIntertwiner, d1, d2
 ) -> PairSum:
     """iota after the operator: multiply by the diagonal pole power, apply the
     derivative table in the two points of the adjacent pair, then evaluate at
@@ -157,21 +152,8 @@ def reduce_correlator(
     power = Fraction(d1) + Fraction(d2)
     if op.kind == "D":
         power -= 1
-    work = target if premultiplied else target.mul_monomial(1, {(i, j): power})
-    work = apply_operator_pair(work, op, i, j)
+    work = apply_operator_pair(target.mul_monomial(1, {(i, j): power}), op, i, j)
     return work.merge_adjacent(i)
-
-
-def three_point_structure(d1, d2, a) -> PairSum:
-    """Chiral 3-point function with exchange dimension a in the (1,2) channel."""
-    d1, d2, a = Fraction(d1), Fraction(d2), Fraction(a)
-    spec = WaveSpec((d1, d2, a), (d1, a))
-    return chiral_wave_series(spec, 0).prefactor.to_pair_sum((1, 2, 3))
-
-
-def two_point_structure(h, points=(1, 3)) -> PairSum:
-    i, j = points
-    return PairSum.monomial(sorted({i, j}), 1, {(min(i, j), max(i, j)): -2 * Fraction(h)})
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,7 @@ def cmd_exotic(args) -> dict:
         return {"name": s.name, "monomials": s.monomials.to_json()}
     if args.exotic_cmd == "g":
         g = completion_series(args.cap, args.method)
-        out = {"cap": args.cap, "method": args.method, "series": g.series.to_json()}
+        out = {"cap": args.cap, "method": args.method, "series": g.to_json()}
         if args.check_biharmonic:
             out["biharmonic_residual_zero"] = verify_biharmonic(g).is_zero()
         return out
@@ -215,9 +215,7 @@ def cmd_exotic(args) -> dict:
             "reference": {
                 "plus_exponents": {
                     f"{i},{j}": format_rational(e)
-                    for (i, j), e in sorted(
-                        ref.chiral_exponents(minus=False).items()
-                    )
+                    for (i, j), e in sorted(ref.chiral_exponents().items())
                 },
             },
         }

@@ -17,7 +17,6 @@ condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -25,20 +24,6 @@ from .poly import _combination_terms, _int_product
 from .series import TruncatedSeries
 
 GVARS = ("u_plus", "u_minus")
-
-
-@dataclass(frozen=True)
-class BiharmonicSeries:
-    """Double series in the chiral variables, truncated by total order."""
-
-    series: TruncatedSeries
-
-    @property
-    def cap(self) -> int:
-        return self.series.cap
-
-    def coefficient(self, a: int, b: int) -> Fraction:
-        return self.series.coefficient((a, b))
 
 
 def closed_coefficient(a: int, b: int) -> Fraction:
@@ -124,7 +109,7 @@ def _assemble_from_profiles(profiles: list[list], cap: int) -> TruncatedSeries:
     )
 
 
-def completion_series(cap: int, method: str = "closed") -> BiharmonicSeries:
+def completion_series(cap: int, method: str = "closed") -> TruncatedSeries:
     """The function g as an exact truncated double series.
 
     method="closed" evaluates the coefficient formula; method="recursion"
@@ -133,9 +118,9 @@ def completion_series(cap: int, method: str = "closed") -> BiharmonicSeries:
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if method == "closed":
-        return BiharmonicSeries(_closed_series(cap))
+        return _closed_series(cap)
     if method == "recursion":
-        return BiharmonicSeries(_assemble_from_profiles(_recursion_profiles(cap), cap))
+        return _assemble_from_profiles(_recursion_profiles(cap), cap)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -190,7 +175,7 @@ def _to_sw_components(series: TruncatedSeries) -> list[list]:
     return profiles
 
 
-def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
+def verify_biharmonic(g: TruncatedSeries) -> TruncatedSeries:
     """Exact residual of the biharmonicity equation, reliable to cap - 1.
 
     The order-s^n component is the n-th recursion instance
@@ -201,7 +186,7 @@ def verify_biharmonic(g: BiharmonicSeries) -> TruncatedSeries:
     cap = g.cap
     if cap < 2:
         raise ValueError("needs cap >= 2 to carry any content")
-    comp = _to_sw_components(g.series)
+    comp = _to_sw_components(g)
     out_cap = cap - 1
     weights = {}
     for n in range(1, out_cap // 2 + 1):

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
 from .linsolve import row_basis
-from .poly import MultiPoly, SparseSum, _combination_terms, _int_product
+from .poly import MultiPoly, SparseSum, _combination_poly, _combination_terms, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -115,13 +115,6 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: i
     return out
 
 
-def _combination(points: tuple[int, ...], expansions, weights: Mapping) -> MultiPoly:
-    """sum weights[k] * expansions[k] as a polynomial in the z variables."""
-    out = MultiPoly(_zvars(points))
-    out.terms = _combination_terms(expansions, weights)
-    return out
-
-
 class PairSum(SparseSum):
     """Finite sum of pair-difference monomials over a fixed point set, with
     exponent numerators over the common denominator den."""
@@ -173,9 +166,6 @@ class PairSum(SparseSum):
         den = self.den
         for key in sorted(self.terms):
             yield self.terms[key], {pr: Fraction(e, den) for pr, e in key}
-
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
 
     # -- arithmetic -------------------------------------------------------
 
@@ -315,14 +305,10 @@ class PairSum(SparseSum):
         """Expand an integer-class group in adjacent-difference coordinates,
         up to the common base monomial of _adjacent_expansions."""
         expansions = dict(zip(terms, _adjacent_expansions(self.points, terms, self.den)))
-        return _combination(self.points, expansions, terms)
+        return _combination_poly(_zvars(self.points), expansions, terms)
 
     def is_zero_function(self) -> bool:
         return all(self._z_poly(g).is_zero() for g in self._classes().values())
-
-    def equals_function(self, other: "PairSum") -> bool:
-        self._coerce(other)
-        return (self - other).is_zero_function()
 
     def proportional_to(self, other: "PairSum") -> Fraction | None:
         """Return nonzero lam with self = lam * other as functions, or None."""
@@ -336,8 +322,9 @@ class PairSum(SparseSum):
             # one expansion of the union support, weighted by each side
             union = list(set(t1) | set(t2))
             expansions = dict(zip(union, _adjacent_expansions(self.points, union, den)))
-            p1 = _combination(self.points, expansions, t1)
-            p2 = _combination(self.points, expansions, t2)
+            zvars = _zvars(self.points)
+            p1 = _combination_poly(zvars, expansions, t1)
+            p2 = _combination_poly(zvars, expansions, t2)
             if p2.is_zero():
                 if not p1.is_zero():
                     return None
@@ -393,12 +380,6 @@ class FactoredLaurent:
         den, key = norm_exps(pair_factors)
         self.pair_factors: dict[Pair, Fraction] = {pr: Fraction(e, den) for pr, e in key}
         self.numerator = Fraction(numerator)
-
-    def exponent(self, pair: Pair) -> Fraction:
-        return self.pair_factors.get(tuple(pair), Fraction(0))
-
-    def to_pair_sum(self, points: Iterable[int], antisym: bool = True) -> PairSum:
-        return PairSum.monomial(points, self.numerator, self.pair_factors, antisym)
 
     def to_json(self) -> dict:
         return {

@@ -21,7 +21,7 @@ from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NegativeExponentError, VariableMismatchError
-from .special import format_rational, parse_rational
+from .special import format_rational
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -206,15 +206,6 @@ class MultiPoly(SparseSum):
             return self == self._coerce(other)
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
@@ -275,7 +266,7 @@ class MultiPoly(SparseSum):
             n >>= 1
         return out
 
-    # -- calculus and substitution -------------------------------------
+    # -- calculus -----------------------------------------------------
 
     def differentiate(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
@@ -287,37 +278,6 @@ class MultiPoly(SparseSum):
                 out.add_term(exps[:idx] + (k - 1,) + exps[idx + 1 :], c * k)
         return out
 
-    def substitute(self, name: str, value: "MultiPoly | Fraction | int") -> "MultiPoly":
-        """Replace a variable by a polynomial (over the same variable set) or a constant."""
-        idx = self.variables.index(name)
-        if not isinstance(value, MultiPoly):
-            value = MultiPoly.constant(self.variables, value)
-        else:
-            value = self._coerce(value)
-        out = self._empty()
-        powers: dict[int, MultiPoly] = {0: self._coerce(1)}
-        for exps, c in self.terms.items():
-            k = exps[idx]
-            if k not in powers:
-                powers[k] = value**k
-            rest = MultiPoly(self.variables, {exps[:idx] + (0,) + exps[idx + 1 :]: c})
-            out.add_scaled(rest * powers[k])
-        return out
-
-    def eval(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a rational point; every variable must be given."""
-        missing = [v for v in self.variables if v not in values]
-        if missing:
-            raise VariableMismatchError(f"missing values for {missing}")
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            t = c
-            for name, e in zip(self.variables, exps):
-                if e:
-                    t *= Fraction(values[name]) ** e
-            total += t
-        return total
-
     # -- presentation ---------------------------------------------------
 
     def to_json(self) -> list[dict]:
@@ -325,11 +285,6 @@ class MultiPoly(SparseSum):
             {"exponents": list(e), "coeff": format_rational(c)}
             for e, c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json(cls, variables: Iterable[str], data: list[dict]) -> "MultiPoly":
-        terms = {tuple(item["exponents"]): parse_rational(item["coeff"]) for item in data}
-        return cls(variables, terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -346,3 +301,10 @@ class MultiPoly(SparseSum):
             else:
                 bits.append(format_rational(c))
         return " + ".join(bits)
+
+
+def _combination_poly(variables: Iterable[str], parts, weights: Mapping) -> MultiPoly:
+    """sum weights[k] * parts[k] over int dicts parts[k], as a polynomial in variables."""
+    out = MultiPoly(variables)
+    out.terms = _combination_terms(parts, weights)
+    return out

@@ -75,16 +75,6 @@ class PositivityReport:
     k_max: int
     blocks: list[PositivityBlock]
 
-    def block(self, n_plus: int, n_minus: int, sign: int) -> PositivityBlock:
-        for b in self.blocks:
-            if (
-                b.k_plus == Fraction(3, 2) + n_plus
-                and b.k_minus == Fraction(3, 2) + n_minus
-                and b.sign == sign
-            ):
-                return b
-        raise KeyError((n_plus, n_minus, sign))
-
     def to_json(self) -> dict:
         return {
             "structure": self.structure,

@@ -11,7 +11,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import MultiPoly, _product_terms
-from .special import parse_rational
 
 
 def _exponent_tuples(nv: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -46,13 +45,6 @@ class TruncatedSeries(MultiPoly):
     def constant(cls, variables: Iterable[str], cap: int, value) -> "TruncatedSeries":
         variables = tuple(variables)
         return cls(variables, cap, {(0,) * len(variables): value})
-
-    @classmethod
-    def var(cls, variables: Iterable[str], cap: int, name: str) -> "TruncatedSeries":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, cap, {exps: Fraction(1)})
 
     @classmethod
     def from_coefficients(
@@ -157,11 +149,6 @@ class TruncatedSeries(MultiPoly):
             if v != 0:
                 out.terms[e] = v
         return out
-
-    @classmethod
-    def from_json(cls, variables: Iterable[str], cap: int, data: list[dict]) -> "TruncatedSeries":
-        terms = {tuple(item["exponents"]): parse_rational(item["coeff"]) for item in data}
-        return cls(variables, cap, terms)
 
     def __repr__(self) -> str:
         tail = f"O(^{self.cap + 1})"

@@ -9,8 +9,6 @@ from math import factorial
 
 from .errors import DegenerateParameterError
 
-Rat = Fraction
-
 
 def format_rational(q: Fraction) -> str:
     """Render q as "num/den", or "num" when the denominator is 1."""

@@ -27,7 +27,7 @@ and the intertwining residual sum_i [2 (d_i.grad_i) grad_i - d_i lap_i]
 These are the chain rule with the Gram matrix of (d1, d2, v) and
 div(d_i) = div(v) = 4, worked out once; the tests keep that composition as
 the reference. Each operator maps a monomial to a few monomials with integer
-coefficients, and the images are summed through poly._combination_terms,
+coefficients, and the images are summed through poly._combination_poly,
 so every output term is one Fraction.
 """
 
@@ -39,7 +39,7 @@ from math import factorial
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
-from .poly import MultiPoly, SparseSum, _combination_terms
+from .poly import MultiPoly, SparseSum, _combination_poly
 from .special import format_rational, legendre_coeffs, pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
@@ -102,12 +102,6 @@ def _put(out: dict, coeff: int, exps: tuple[int, ...], *steps: tuple[int, int]) 
         out[key] = out.get(key, 0) + coeff
 
 
-def _combination_poly(parts, weights) -> MultiPoly:
-    out = ipoly()
-    out.terms = _combination_terms(parts, weights)
-    return out
-
-
 def _lapv_monomial(exps: tuple[int, ...]) -> dict:
     """lapv of the monomial with exponents exps, as an int dict; its
     4 s1 f_s1V + 4 s2 f_s2V + 4V f_VV + 8 f_V all land on one monomial."""
@@ -123,7 +117,7 @@ def _lapv_monomial(exps: tuple[int, ...]) -> dict:
 def lapv(f: MultiPoly) -> MultiPoly:
     """Formal v-Laplacian; reproduces the rewrite rules lapv V = 8,
     lapv (s_i s_j) = 2 t_ij."""
-    return _combination_poly({e: _lapv_monomial(e) for e in f.terms}, f.terms)
+    return _combination_poly(IVARS, {e: _lapv_monomial(e) for e in f.terms}, f.terms)
 
 
 def harmonic_project(poly: MultiPoly, v_deg: int | None = None) -> MultiPoly:
@@ -266,21 +260,19 @@ def _recursion_rows(kappa: int, L: int):
     return pos, rows
 
 
-def coefficient_table(kappa: int, L: int, seed=Fraction(1)) -> CoefficientTable:
-    """Solve the full recursion system exactly, seeding c_00.
+def coefficient_table(kappa: int, L: int) -> CoefficientTable:
+    """Solve the full recursion system exactly, with c_00 = 1.
 
     A global solve is used instead of forward substitution because the
-    prefactor 4(m^2 - 1) vanishes at m = 1; leftover freedom beyond the seed
-    is reported as kernel_dim, with free coefficients pinned to zero. For some
-    parameters (already kappa = 2 with L >= 1) the recursions force c_00 = 0
-    and no seeded solution exists; that raises, and callers that only need
-    some nonzero solution should fall back to coefficient_table_kernel.
+    prefactor 4(m^2 - 1) vanishes at m = 1; leftover freedom beyond c_00 is
+    reported as kernel_dim, with free coefficients pinned to zero. The table
+    is linear in c_00. For some parameters (already kappa = 2 with L >= 1)
+    the recursions force c_00 = 0 and no such solution exists; that raises,
+    and callers that only need some nonzero solution should fall back to
+    coefficient_table_kernel.
     """
-    seed = Fraction(seed)
-    if seed == 0:
-        raise ValueError("seed must be nonzero")
     pos, rows = _recursion_rows(kappa, L)
-    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [seed])
+    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [1])
     if not sol.solvable:
         raise ConsistencyError(
             f"recursion system admits no solution with c_00 != 0 at"
@@ -363,7 +355,7 @@ def _bracket(kappa: int, L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
     return out
 
 
-def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorIntertwiner:
+def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
     """Iterate the closed construction: coefficient table times wave-operator
     powers times the harmonic bracket of the radial polynomial.
 
@@ -375,23 +367,23 @@ def assemble_tensor_intertwiner(kappa: int, L: int, seed=Fraction(1)) -> TensorI
     t12, b1, b2 = igen("t12"), igen("b1"), igen("b2")
     if kappa == 0:
         if L == 0:
-            rp = MultiPoly.constant(RVAR, seed)
+            rp = MultiPoly.constant(RVAR, 1)
         else:
             one_minus_r2 = _rpoly({(0,): 1, (2,): -1})
-            rp = one_minus_r2 * legendre_poly(L - 1).differentiate("r") * seed
+            rp = one_minus_r2 * legendre_poly(L - 1).differentiate("r")
         bra = _bracket(0, L, {0: rp})
         return TensorIntertwiner(0, L, bra[0])
     try:
-        table = coefficient_table(kappa, L, seed)
+        table = coefficient_table(kappa, L)
     except ConsistencyError:
         # the recursions force c_00 = 0 here; take the full solution space
-        # with every free coefficient set to the seed
+        # with every free coefficient set to 1
         kernel = coefficient_table_kernel(kappa, L)
         if not kernel:
             raise
         combined = SparseSum()
         for t in kernel:
-            combined.add_scaled(SparseSum(t.entries), seed)
+            combined.add_scaled(SparseSum(t.entries))
         table = CoefficientTable(kappa, L, combined.terms, kernel[0].kernel_dim)
     deltas = {m - n for (m, n) in table.entries}
     rps = {d: radial_poly(kappa, L, d) for d in deltas}
@@ -437,7 +429,7 @@ def tensor_pde_residual(poly: MultiPoly, dim_gap=Fraction(0)) -> InvVector:
     parts = {e: _residual_monomial(e, p, q) for e in poly.terms}
     weights = {e: c / q for e, c in poly.terms.items()}
     return InvVector(
-        *(_combination_poly({e: part[k] for e, part in parts.items()}, weights) for k in range(3))
+        *(_combination_poly(IVARS, {e: part[k] for e, part in parts.items()}, weights) for k in range(3))
     )
 
 
@@ -450,22 +442,6 @@ def verify_tensor_pde(op: TensorIntertwiner, dim_gap=Fraction(0)) -> InvVector:
                 f" found ({d_deg}, {v_deg})"
             )
     return tensor_pde_residual(op.poly, dim_gap)
-
-
-def rank_zero_closed_form(L: int) -> MultiPoly:
-    """Sum over p+q=L of (q)_p (p)_q / (p! q!) [s1^p (-s2)^q]_0."""
-    s1 = igen("s1")
-    s2 = igen("s2")
-    total = ipoly()
-    for p in range(L + 1):
-        q = L - p
-        c = pochhammer(q, p) * pochhammer(p, q) / (factorial(p) * factorial(q))
-        if q % 2:
-            c = -c
-        if c == 0:
-            continue
-        total.add_scaled(harmonic_project((s1**p) * (s2**q), L), c)
-    return total
 
 
 def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwiner]:
@@ -503,15 +479,4 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
         for x, bp in zip(vec, basis_polys):
             poly.add_scaled(bp, x)
         out.append(TensorIntertwiner(kappa, L, poly))
-    return out
-
-
-def twist_table_poly(kappa: int, L: int, seed=Fraction(1)) -> MultiPoly:
-    """e(p, q, r) = sum c_{mn} p^m q^n f_{kappa L; m-n}(r) as a polynomial."""
-    table = coefficient_table(kappa, L, seed)
-    out = MultiPoly(("p", "q", "r"))
-    for (m, n), c in table.entries.items():
-        rp = radial_poly(kappa, L, m - n)
-        for (j,), fj in rp.terms.items():
-            out.add_term((m, n, j), c * fj)
     return out

@@ -19,7 +19,7 @@ from math import factorial, lcm
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
 from .series import TruncatedSeries
-from .special import format_rational, gauss_2f1_coeff, parse_rational, pochhammer
+from .special import format_rational, parse_rational, pochhammer
 
 
 def _expect(value, kind: type, what: str):
@@ -98,10 +98,6 @@ class WaveSpec:
         if 1 <= i <= self.n - 1:
             return self.proj_dims[i - 1]
         return Fraction(0)
-
-    def reversed(self) -> "WaveSpec":
-        """Hermitean conjugation relabeling i -> n+1-i."""
-        return WaveSpec(self.field_dims[::-1], self.proj_dims[::-1])
 
     def to_json(self) -> dict:
         return {
@@ -262,14 +258,6 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
 
     series = TruncatedSeries.from_ratios(wave_series_vars(n), cap, ratio)
     return ChiralWave(spec, wave_prefactor(spec), series)
-
-
-def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
-    """Hypergeometric oracle: sum_l (a+b)_l (a+c)_l u^l / (l! (2a)_l)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    return TruncatedSeries.from_coefficients(
-        ("u",), cap, lambda e: gauss_2f1_coeff(a + b, a + c, 2 * a, e[0])
-    )
 
 
 def casimir_residual(

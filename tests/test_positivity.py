@@ -6,6 +6,7 @@ import pytest
 from exactcft.channels import channel_coefficients
 from exactcft.cli import canonical_json
 from exactcft.positivity import helicity_labels, positivity_report
+from oracles import report_block
 
 F = Fraction
 
@@ -49,8 +50,8 @@ def test_truncation_stability():
     small = positivity_report("B", 3, 1)
     large = positivity_report("B", 5, 3)
     for b in small.blocks:
-        big = large.block(
-            int(b.k_plus - F(3, 2)), int(b.k_minus - F(3, 2)), b.sign
+        big = report_block(
+            large, int(b.k_plus - F(3, 2)), int(b.k_minus - F(3, 2)), b.sign
         )
         pos = {lab: i for i, lab in enumerate(big.labels)}
         for i, ri in enumerate(b.labels):
@@ -60,7 +61,7 @@ def test_truncation_stability():
 
 def test_block_values_spot_check():
     rep = positivity_report("B", 2, 0)
-    b = rep.block(0, 0, 1)
+    b = report_block(rep, 0, 0, 1)
     assert b.labels == [(2, 1)]
     # C_B(2,1)^2 * B^{3/2} B^{3/2} = 4
     assert b.entries == [[F(4)]]

@@ -10,6 +10,7 @@ from exactcft.pairs import PairSum
 from exactcft.special import pochhammer
 from exactcft.tensor_ops import IVARS, harmonic_project, igen, ipoly, lapv
 from exactcft.waves import WaveSpec, chiral_wave_series, wave_prefactor
+from oracles import reversed_spec
 
 F = Fraction
 
@@ -36,7 +37,7 @@ def pair_sum_strategy():
 def test_pair_sum_derivative_is_linear(a, b):
     lhs = (a + b).differentiate(2)
     rhs = a.differentiate(2) + b.differentiate(2)
-    assert (lhs - rhs).is_structurally_zero()
+    assert (lhs - rhs).is_zero()
 
 
 @given(pair_sum_strategy(), pair_sum_strategy())
@@ -83,12 +84,12 @@ def test_harmonic_projection_is_linear():
 def test_wave_prefactor_conjugation_consistency():
     # reversing the spec reverses the prefactor exponent pattern
     spec = WaveSpec.from_middle((1, 2, 3, 2, 1), (F(5, 2), F(3, 2)))
-    rev = spec.reversed()
+    rev = reversed_spec(spec)
     pre = wave_prefactor(spec)
     pre_rev = wave_prefactor(rev)
     n = spec.n
     for (i, j), e in pre.pair_factors.items():
-        assert pre_rev.exponent((n + 1 - j, n + 1 - i)) == e
+        assert pre_rev.pair_factors.get((n + 1 - j, n + 1 - i), 0) == e
 
 
 def test_wave_coefficients_factor_through_pochhammers():

@@ -52,11 +52,6 @@ def test_series_product_matches_poly_product(t1, t2):
     assert (s1 * s2).terms == truncated
 
 
-def test_json_round_trip():
-    s = TruncatedSeries(U, 4, {(3,): Fraction(9, 10), (0,): 1})
-    assert TruncatedSeries.from_json(U, 4, s.to_json()) == s
-
-
 series_terms = st.dictionaries(
     st.tuples(st.integers(0, 6)),
     st.fractions(max_denominator=5, min_value=-3, max_value=3),

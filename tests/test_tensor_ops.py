@@ -18,12 +18,11 @@ from exactcft.tensor_ops import (
     legendre_poly,
     radial_poly,
     raise_lower,
-    rank_zero_closed_form,
     solve_intertwiner_space,
     tensor_pde_residual,
-    twist_table_poly,
     verify_tensor_pde,
 )
+from oracles import rank_zero_closed_form, twist_table_display, twist_table_poly
 
 F = Fraction
 
@@ -78,14 +77,15 @@ def test_radial_poly_examples():
 
 
 def test_radial_poly_symmetry():
-    r = MultiPoly.var(RVAR, "r")
     for kappa in range(4):
         for L in range(6):
             for delta in range(-kappa, kappa + 1):
                 if kappa == 0:
                     continue
                 f = radial_poly(kappa, L, delta)
-                g = radial_poly(kappa, L, -delta).substitute("r", -r)
+                g = radial_poly(kappa, L, -delta)
+                # r -> -r flips the sign of every odd power
+                g = MultiPoly(RVAR, {(j,): -c if j % 2 else c for (j,), c in g.terms.items()})
                 if L % 2:
                     g = -g
                 assert f == g
@@ -114,37 +114,29 @@ def test_radial_degenerate_rejected():
 
 
 def test_coefficient_table_kappa0():
-    t = coefficient_table(0, 4, F(7))
-    assert t.entries == {(0, 0): F(7)}
+    t = coefficient_table(0, 4)
+    assert t.entries == {(0, 0): F(1)}
     assert t.kernel_dim == 0
 
 
 def test_coefficient_table_kappa1():
     for L in (1, 2, 3, 5):
-        t = coefficient_table(1, L, F(1, factorial(L)))
-        expected = F(1, 2 * factorial(L - 1))
+        # the table is linear in c_00; the display takes c_00 = 1/L!
+        t = coefficient_table(1, L)
+        expected = F(1, 2 * factorial(L - 1)) * factorial(L)
         assert t.entry(1, 0) == expected
         assert t.entry(0, 1) == expected
 
 
 def test_coefficient_table_kappa1_L0():
-    t = coefficient_table(1, 0, F(1))
+    t = coefficient_table(1, 0)
     assert t.entry(1, 0) == 0
     assert t.entry(0, 1) == 0
 
 
 def test_twist_two_table_matches_display():
-    # e(p,q,r) = (1 + p/2 (r-1) d_r + q/2 (1+r) d_r) P_L(r) with seed 1/L!
     for L in (1, 2, 3, 4):
-        got = twist_table_poly(1, L, F(1, factorial(L)))
-        pqr = ("p", "q", "r")
-        pl = MultiPoly(pqr, {(0, 0, p): c for (p,), c in legendre_poly(L).terms.items()})
-        dpl = pl.differentiate("r")
-        p = MultiPoly.var(pqr, "p")
-        q = MultiPoly.var(pqr, "q")
-        r = MultiPoly.var(pqr, "r")
-        expected = pl + p * (r - 1) * dpl * F(1, 2) + q * (1 + r) * dpl * F(1, 2)
-        assert got == expected
+        assert twist_table_poly(1, L, F(1, factorial(L))) == twist_table_display(L)
 
 
 def test_assemble_rank_only():
