@@ -23,10 +23,6 @@ class LinearSolution:
     particular: list[Fraction] | None
     kernel: list[list[Fraction]]
 
-    @property
-    def kernel_dim(self) -> int:
-        return len(self.kernel)
-
 
 def _int_row(entries: Mapping[int, object], ncols: int, rhs=0) -> dict[int, int]:
     """A sparse rational row {column: value}, with a nonzero rhs riding along

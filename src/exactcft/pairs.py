@@ -413,18 +413,9 @@ class TwoChiralSum(SparseSum):
 
     __slots__ = ("points",)
 
-    def __init__(self, points: Iterable[int], terms: Mapping[tuple[ExpKey, ExpKey], Fraction] | None = None):
+    def __init__(self, points: Iterable[int]):
         self.points = tuple(sorted(points))
         self.terms: dict[tuple[ExpKey, ExpKey], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            self.add_term(key, Fraction(coeff))
-
-    @classmethod
-    def monomial(cls, points, coeff, exps_plus: Mapping[Pair, Fraction], exps_minus: Mapping[Pair, Fraction]) -> "TwoChiralSum":
-        (dp, kp), (dm, km) = norm_exps(exps_plus), norm_exps(exps_minus)
-        if dp != 1 or dm != 1:
-            raise ValueError("TwoChiralSum requires integer exponents")
-        return cls(points, {(kp, km): Fraction(coeff)})
 
     def _empty(self) -> "TwoChiralSum":
         return TwoChiralSum(self.points)

@@ -88,22 +88,12 @@ class SparseSum:
     them, and ``add_scaled`` accumulates in place, so a sum built up in a loop
     costs one pass per addend instead of one copy of the whole dict. Only call
     the in-place methods on a sum the caller has just built, never on an
-    argument or a cached object. Used bare, the keys carry no further meaning
-    (a matrix row, a coefficient table); subclasses give them one through
-    ``_empty`` (a zero in the same space) and ``_coerce`` (the compatibility
-    check on the other operand).
+    argument or a cached object. Each subclass gives the keys a meaning
+    through ``_empty`` (a zero in the same space) and ``_coerce`` (the
+    compatibility check on the other operand).
     """
 
     __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping | None = None):
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
-
-    def _empty(self):
-        return SparseSum()
-
-    def _coerce(self, other):
-        return other
 
     def _start(self, other):
         """A fresh copy of self to accumulate other into."""

@@ -123,10 +123,6 @@ class TruncatedSeries(MultiPoly):
 
     __rmul__ = __mul__
 
-    def differentiate(self, name: str) -> "TruncatedSeries":
-        """Partial derivative; it is exact only through cap - 1, its new cap."""
-        return super().differentiate(name).truncate(self.cap - 1)
-
     def truncate(self, cap: int) -> "TruncatedSeries":
         out = TruncatedSeries(self.variables, cap)
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}

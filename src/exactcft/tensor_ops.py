@@ -39,15 +39,15 @@ from math import factorial
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
-from .poly import MultiPoly, SparseSum, _combination_poly
+from .poly import MultiPoly, _combination_poly
 from .special import format_rational, legendre_coeffs, pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
 _T12, _B1, _B2, _S1, _S2, _V = range(6)
 
 
-def ipoly(terms=None) -> MultiPoly:
-    return MultiPoly(IVARS, terms or {})
+def ipoly() -> MultiPoly:
+    return MultiPoly(IVARS)
 
 
 def iconst(value) -> MultiPoly:
@@ -164,56 +164,34 @@ def legendre_poly(L: int) -> MultiPoly:
     return _rpoly({(p,): c for p, c in legendre_coeffs(L).items()})
 
 
-def raise_lower(poly: MultiPoly, kappa: int, L: int, delta: int, step: int) -> MultiPoly:
-    """Apply the raising (step=+1) or lowering (step=-1) operator at delta."""
-    r = MultiPoly.var(RVAR, "r")
-    denom = L + kappa - 1 - step * delta
-    if denom == 0:
-        raise DegenerateParameterError(
-            f"raising/lowering undefined at kappa={kappa}, L={L}, delta={delta}"
-        )
-    dp = poly.differentiate("r")
-    num = (r - step) * dp + (kappa - 1 - step * delta) * poly
-    return num * Fraction(1, denom)
-
-
 def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
-    """Degree-L polynomial solving the single-term radial equation.
+    """Degree-L polynomial solving the single-term radial equation,
 
-    Direct terminating-hypergeometric form when the lower parameter
-    kappa - delta avoids non-positive integers within the sum; otherwise the
-    value is reached by raising/lowering from delta = 0.
+        sum_j (-L)_j (L + 2 kappa - 1)_j (kappa - delta + j)_{L-j} / j! ((1 - r)/2)^j,
+
+    the terminating 2F1(-L, L + 2 kappa - 1; kappa - delta; (1 - r)/2) times
+    (kappa - delta)_L: polynomial in kappa - delta, with no pole. At kappa = 0
+    and 0 <= delta < L the family degenerates.
     """
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
-    kd = kappa - delta
-    direct_ok = L == 0 or kd >= 1 or kd <= -L
-    if direct_ok:
-        # (kd)_L * 2F1(-L, L + 2 kappa - 1; kd; (1 - r)/2)
-        half = _rpoly({(0,): Fraction(1, 2), (1,): Fraction(-1, 2)})
-        out = MultiPoly(RVAR)
-        zpow = MultiPoly.constant(RVAR, 1)
-        for j in range(L + 1):
-            num = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j)
-            if j:
-                zpow = zpow * half
-            if num == 0:
-                continue
-            coeff = num * pochhammer(kd + j, L - j) / factorial(j)
-            out.add_scaled(zpow, coeff)
-        return out
-    if kappa == 0 and delta == 0:
+    if kappa == 0 and 0 <= delta < L:
         raise DegenerateParameterError(
             "radial polynomial is degenerate at kappa = 0; the rank-only closed"
             " form covers that case"
         )
-    poly = radial_poly(kappa, L, 0)
-    step = 1 if delta > 0 else -1
-    d = 0
-    while d != delta:
-        poly = raise_lower(poly, kappa, L, d, step)
-        d += step
-    return poly
+    half = _rpoly({(0,): Fraction(1, 2), (1,): Fraction(-1, 2)})
+    out = MultiPoly(RVAR)
+    zpow = MultiPoly.constant(RVAR, 1)
+    for j in range(L + 1):
+        num = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j)
+        if j:
+            zpow = zpow * half
+        if num == 0:
+            continue
+        coeff = num * pochhammer(kappa - delta + j, L - j) / factorial(j)
+        out.add_scaled(zpow, coeff)
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +201,6 @@ class CoefficientTable:
     kappa: int
     L: int
     entries: dict[tuple[int, int], Fraction]
-    kernel_dim: int
 
     def entry(self, m: int, n: int) -> Fraction:
         return self.entries.get((m, n), Fraction(0))
@@ -261,40 +238,30 @@ def _recursion_rows(kappa: int, L: int):
 
 
 def coefficient_table(kappa: int, L: int) -> CoefficientTable:
-    """Solve the full recursion system exactly, with c_00 = 1.
+    """Solve the full recursion system exactly.
 
     A global solve is used instead of forward substitution because the
-    prefactor 4(m^2 - 1) vanishes at m = 1; leftover freedom beyond c_00 is
-    reported as kernel_dim, with free coefficients pinned to zero. The table
-    is linear in c_00. For some parameters (already kappa = 2 with L >= 1)
-    the recursions force c_00 = 0 and no such solution exists; that raises,
-    and callers that only need some nonzero solution should fall back to
-    coefficient_table_kernel.
+    prefactor 4(m^2 - 1) vanishes at m = 1. The table is the first kernel
+    basis vector with c_00 != 0, scaled to c_00 = 1: the solution with
+    c_00 = 1 and every other free coefficient 0. Where the recursions force
+    c_00 = 0 (already kappa = 2 with L >= 1), it is the sum of the kernel
+    basis, every free coefficient 1.
     """
     pos, rows = _recursion_rows(kappa, L)
-    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [1])
-    if not sol.solvable:
+    kernel = linear_solve_exact(rows, len(pos), [0] * len(rows)).kernel
+    if not kernel:
         raise ConsistencyError(
-            f"recursion system admits no solution with c_00 != 0 at"
-            f" kappa={kappa}, L={L}"
+            f"recursion system admits only the zero solution at kappa={kappa}, L={L}"
         )
-    entries = {mn: sol.particular[k] for mn, k in pos.items() if sol.particular[k] != 0}
-    table = CoefficientTable(kappa, L, entries, sol.kernel_dim)
+    c00 = pos[(0, 0)]
+    seeded = next((vec for vec in kernel if vec[c00]), None)
+    if seeded is not None:
+        vec = [x / seeded[c00] for x in seeded]
+    else:
+        vec = [sum(col) for col in zip(*kernel)]
+    table = CoefficientTable(kappa, L, {mn: vec[k] for mn, k in pos.items() if vec[k]})
     _check_recursions(table)
     return table
-
-
-def coefficient_table_kernel(kappa: int, L: int) -> list[CoefficientTable]:
-    """Basis of the full homogeneous solution space of the recursions."""
-    pos, rows = _recursion_rows(kappa, L)
-    sol = linear_solve_exact(rows, len(pos), [0] * len(rows))
-    out = []
-    for vec in sol.kernel:
-        entries = {mn: vec[k] for mn, k in pos.items() if vec[k] != 0}
-        table = CoefficientTable(kappa, L, entries, sol.kernel_dim)
-        _check_recursions(table)
-        out.append(table)
-    return out
 
 
 def _check_recursions(table: CoefficientTable):
@@ -340,7 +307,7 @@ class TensorIntertwiner:
         return out
 
 
-def _bracket(kappa: int, L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
+def _bracket(L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
     """[(s1+s2)^L f_delta((s1-s2)/(s1+s2))]_0 for each needed delta."""
     s1 = igen("s1")
     s2 = igen("s2")
@@ -371,23 +338,12 @@ def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
         else:
             one_minus_r2 = _rpoly({(0,): 1, (2,): -1})
             rp = one_minus_r2 * legendre_poly(L - 1).differentiate("r")
-        bra = _bracket(0, L, {0: rp})
+        bra = _bracket(L, {0: rp})
         return TensorIntertwiner(0, L, bra[0])
-    try:
-        table = coefficient_table(kappa, L)
-    except ConsistencyError:
-        # the recursions force c_00 = 0 here; take the full solution space
-        # with every free coefficient set to 1
-        kernel = coefficient_table_kernel(kappa, L)
-        if not kernel:
-            raise
-        combined = SparseSum()
-        for t in kernel:
-            combined.add_scaled(SparseSum(t.entries))
-        table = CoefficientTable(kappa, L, combined.terms, kernel[0].kernel_dim)
+    table = coefficient_table(kappa, L)
     deltas = {m - n for (m, n) in table.entries}
     rps = {d: radial_poly(kappa, L, d) for d in deltas}
-    bras = _bracket(kappa, L, rps)
+    bras = _bracket(L, rps)
     total = ipoly()
     for (m, n), c in table.entries.items():
         mono = (t12 ** (kappa - m - n)) * (b1**m) * (b2**n)
@@ -433,7 +389,7 @@ def tensor_pde_residual(poly: MultiPoly, dim_gap=Fraction(0)) -> InvVector:
     )
 
 
-def verify_tensor_pde(op: TensorIntertwiner, dim_gap=Fraction(0)) -> InvVector:
+def verify_tensor_pde(op: TensorIntertwiner) -> InvVector:
     if not op.poly.is_zero():
         d_deg, v_deg = homogeneous_degrees(op.poly)
         if v_deg != op.L or d_deg != 2 * op.kappa + op.L:
@@ -441,7 +397,7 @@ def verify_tensor_pde(op: TensorIntertwiner, dim_gap=Fraction(0)) -> InvVector:
                 f"homogeneity mismatch: expected ({2 * op.kappa + op.L}, {op.L}),"
                 f" found ({d_deg}, {v_deg})"
             )
-    return tensor_pde_residual(op.poly, dim_gap)
+    return tensor_pde_residual(op.poly)
 
 
 def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwiner]:

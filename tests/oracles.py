@@ -11,11 +11,21 @@ from math import factorial
 
 from exactcft.channels import reduction_coefficient
 from exactcft.chiral_ops import apply_operator_pair, chiral_intertwiner_normalized
-from exactcft.pairs import PairSum
+from exactcft.errors import ConsistencyError, DegenerateParameterError
+from exactcft.linsolve import linear_solve_exact
+from exactcft.pairs import PairSum, TwoChiralSum, norm_exps
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
 from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
-from exactcft.tensor_ops import coefficient_table, harmonic_project, igen, ipoly, radial_poly
+from exactcft.tensor_ops import (
+    RVAR,
+    _recursion_rows,
+    coefficient_table,
+    harmonic_project,
+    igen,
+    ipoly,
+    radial_poly,
+)
 from exactcft.waves import WaveSpec, chiral_wave_series
 
 # -- channel constants ---------------------------------------------------------
@@ -174,6 +184,61 @@ def twist_table_poly(kappa: int, L: int, seed=Fraction(1)) -> MultiPoly:
     return out
 
 
+def raise_lower(poly: MultiPoly, kappa: int, L: int, delta: int, step: int) -> MultiPoly:
+    """Apply the raising (step=+1) or lowering (step=-1) operator at delta."""
+    r = MultiPoly.var(RVAR, "r")
+    denom = L + kappa - 1 - step * delta
+    if denom == 0:
+        raise DegenerateParameterError(
+            f"raising/lowering undefined at kappa={kappa}, L={L}, delta={delta}"
+        )
+    dp = poly.differentiate("r")
+    num = (r - step) * dp + (kappa - 1 - step * delta) * poly
+    return num * Fraction(1, denom)
+
+
+def radial_poly_walk(kappa: int, L: int, delta: int) -> MultiPoly:
+    """The radial polynomial by the terminating 2F1 sum where its lower
+    parameter kappa - delta stays off the non-positive integers of the sum,
+    and otherwise by raising/lowering from delta = 0."""
+    if kappa < 0 or L < 0:
+        raise ValueError("kappa and L must be >= 0")
+    kd = kappa - delta
+    if L == 0 or kd >= 1 or kd <= -L:
+        # (kd)_L * 2F1(-L, L + 2 kappa - 1; kd; (1 - r)/2)
+        half = MultiPoly(RVAR, {(0,): Fraction(1, 2), (1,): Fraction(-1, 2)})
+        out = MultiPoly(RVAR)
+        for j in range(L + 1):
+            coeff = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j) * pochhammer(kd + j, L - j)
+            out.add_scaled(half**j, coeff / factorial(j))
+        return out
+    if kappa == 0 and delta == 0:
+        raise DegenerateParameterError("radial polynomial is degenerate at kappa = 0")
+    poly = radial_poly_walk(kappa, L, 0)
+    step = 1 if delta > 0 else -1
+    d = 0
+    while d != delta:
+        poly = raise_lower(poly, kappa, L, d, step)
+        d += step
+    return poly
+
+
+def coefficient_table_seeded(kappa: int, L: int) -> dict:
+    """The coefficient table entries by a seeded solve with c_00 = 1 and the
+    other free coefficients 0; where the recursions force c_00 = 0, the sum of
+    the homogeneous kernel basis (every free coefficient 1)."""
+    pos, rows = _recursion_rows(kappa, L)
+    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [1])
+    if sol.solvable:
+        vec = sol.particular
+    else:
+        kernel = linear_solve_exact(rows, len(pos), [0] * len(rows)).kernel
+        if not kernel:
+            raise ConsistencyError(f"no nonzero solution at kappa={kappa}, L={L}")
+        vec = [sum(col) for col in zip(*kernel)]
+    return {mn: vec[k] for mn, k in pos.items() if vec[k] != 0}
+
+
 def twist_table_display(L: int) -> MultiPoly:
     """(1 + p/2 (r-1) d_r + q/2 (1+r) d_r) P_L(r): the kappa = 1 table with
     c_00 = 1/L!."""
@@ -193,6 +258,24 @@ def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_coefficients(
         ("u",), cap, lambda e: gauss_2f1_coeff(a + b, a + c, 2 * a, e[0])
     )
+
+
+# -- sparse sums ------------------------------------------------------------------
+
+
+def two_chiral_monomial(points, coeff, exps_plus, exps_minus) -> TwoChiralSum:
+    """coeff * M_plus * M_minus as a one-term TwoChiralSum (integer exponents)."""
+    (dp, kp), (dm, km) = norm_exps(exps_plus), norm_exps(exps_minus)
+    assert dp == dm == 1, "TwoChiralSum holds integer exponents only"
+    out = TwoChiralSum(points)
+    out.add_term((kp, km), Fraction(coeff))
+    return out
+
+
+def differentiate_series(series: TruncatedSeries, name: str) -> TruncatedSeries:
+    """Partial derivative of a series; it is exact only through cap - 1, its cap."""
+    poly = MultiPoly(series.variables, series.terms).differentiate(name)
+    return TruncatedSeries(series.variables, series.cap - 1, poly.terms)
 
 
 def reversed_spec(spec: WaveSpec) -> WaveSpec:

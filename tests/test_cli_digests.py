@@ -68,6 +68,12 @@ EXAMPLES = {
     # assembled operators whose recursions force c_00 = 0: the kernel-sum branch
     "assembled-4-3": ("intertwiner", "tensor", "--kappa", "4", "--L", "3"),
     "assembled-8-4": ("intertwiner", "tensor", "--kappa", "8", "--L", "4"),
+    # the table scaled to c_00 = 1 from a 3-vector kernel; c_00 = 0 forced, a
+    # 2-vector kernel sum with a radial polynomial at delta = kappa; a 2-vector
+    # kernel sum with delta = 0 only
+    "assembled-2-0": ("intertwiner", "tensor", "--kappa", "2", "--L", "0"),
+    "assembled-2-1": ("intertwiner", "tensor", "--kappa", "2", "--L", "1"),
+    "assembled-3-0": ("intertwiner", "tensor", "--kappa", "3", "--L", "0"),
     # the waves benchmark's n = 8 and n = 10 series (d1 = d2 = 1)
     "wave-n8": ("wave", "--n", "8", "--dims", "1,1,2,2,1,1,2,2",
                 "--proj", "2,2,5/2,2,3/2", "--cap", "8"),
@@ -81,6 +87,9 @@ EXAMPLES = {
 }
 
 DIGESTS = {
+    "assembled-2-0": "38ceba5d9170a34f83bd7a07798c434facf9906c58b794a108eb452a8ddb4f43",
+    "assembled-2-1": "ec54e7f5d98776d526ae791b0f5bac4695dcc870f25f221de752e9419fa90f0c",
+    "assembled-3-0": "8ef7055a0b4d198733169b8fa812579eccb8e0d55c8e724e25daf1b87b574e4b",
     "assembled-4-3": "6ef1b495392192f6d0fa1a1bfe1468f7d6fb6e4124db0793cb1b4fc9ecc627d1",
     "assembled-8-4": "cc160260021ef8c77ba6fd60cbd5983f981de49b7bff3e2e743b62bcaa2a805e",
     "amplitudes-3-4": "fd289335a2cfed6d30d0d7cf867584f94375185604e0f33d339031dc7ae169f7",

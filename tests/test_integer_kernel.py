@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from exactcft.pairs import PairSum, TwoChiralSum, bump
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
+from oracles import two_chiral_monomial
 
 F = Fraction
 VARS = ("x", "y")
@@ -209,7 +210,7 @@ def test_two_chiral_verdicts_match_fraction_expansion(ta, tb):
     def build(terms):
         out = TwoChiralSum(PTS)
         for c, kp, km in terms:
-            out.add_scaled(TwoChiralSum.monomial(PTS, c, kp, km))
+            out.add_scaled(two_chiral_monomial(PTS, c, kp, km))
         return out
 
     a, b = build(ta), build(tb)

@@ -5,7 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactcft.errors import SingularDiagonalError
-from exactcft.pairs import FactoredLaurent, PairSum, TwoChiralSum
+from exactcft.pairs import FactoredLaurent, PairSum
+from oracles import two_chiral_monomial
 
 F = Fraction
 
@@ -125,9 +126,9 @@ def test_two_chiral_zero_detects_ptolemy():
     # x13x24 - x12x34 - x14x23 = 0 in the plus chirality, tensored with 1
     pts = (1, 2, 3, 4)
     t = (
-        TwoChiralSum.monomial(pts, 1, {(1, 3): 1, (2, 4): 1}, {})
-        + TwoChiralSum.monomial(pts, -1, {(1, 2): 1, (3, 4): 1}, {})
-        + TwoChiralSum.monomial(pts, -1, {(1, 4): 1, (2, 3): 1}, {})
+        two_chiral_monomial(pts, 1, {(1, 3): 1, (2, 4): 1}, {})
+        + two_chiral_monomial(pts, -1, {(1, 2): 1, (3, 4): 1}, {})
+        + two_chiral_monomial(pts, -1, {(1, 4): 1, (2, 3): 1}, {})
     )
     assert t.is_zero_function()
 
@@ -135,11 +136,11 @@ def test_two_chiral_zero_detects_ptolemy():
 def test_two_chiral_cross_terms():
     pts = (1, 2, 3)
     # (x12+ x23-) - (x23- x12+) = 0; then a genuine nonzero
-    t = TwoChiralSum.monomial(pts, 1, {(1, 2): 1}, {(2, 3): 1}) + TwoChiralSum.monomial(
+    t = two_chiral_monomial(pts, 1, {(1, 2): 1}, {(2, 3): 1}) + two_chiral_monomial(
         pts, -1, {(1, 2): 1}, {(2, 3): 1}
     )
     assert t.is_zero_function()
-    nz = TwoChiralSum.monomial(pts, 1, {(1, 2): 1}, {(2, 3): 1}) + TwoChiralSum.monomial(
+    nz = two_chiral_monomial(pts, 1, {(1, 2): 1}, {(2, 3): 1}) + two_chiral_monomial(
         pts, -1, {(2, 3): 1}, {(1, 2): 1}
     )
     assert not nz.is_zero_function()
@@ -150,9 +151,9 @@ def test_two_chiral_bilinear_cancellation():
     # (x12+ + x23+) tensor x13-  equals  x13+ tensor x13- after plus-side Ptolemy
     pts = (1, 2, 3)
     t = (
-        TwoChiralSum.monomial(pts, 1, {(1, 2): 1}, {(1, 3): 1})
-        + TwoChiralSum.monomial(pts, 1, {(2, 3): 1}, {(1, 3): 1})
-        + TwoChiralSum.monomial(pts, -1, {(1, 3): 1}, {(1, 3): 1})
+        two_chiral_monomial(pts, 1, {(1, 2): 1}, {(1, 3): 1})
+        + two_chiral_monomial(pts, 1, {(2, 3): 1}, {(1, 3): 1})
+        + two_chiral_monomial(pts, -1, {(1, 3): 1}, {(1, 3): 1})
     )
     assert t.is_zero_function()
 
@@ -161,11 +162,11 @@ def test_two_chiral_dependent_minus_rows_nonzero():
     # both terms carry x13-, so the minus-side rows (z1 and z2 coefficients
     # per term) coincide; the plus side x12+ + x23+ = x13+ is still nonzero
     pts = (1, 2, 3)
-    t = TwoChiralSum.monomial(pts, 1, {(1, 2): 1}, {(1, 3): 1}) + TwoChiralSum.monomial(
+    t = two_chiral_monomial(pts, 1, {(1, 2): 1}, {(1, 3): 1}) + two_chiral_monomial(
         pts, 1, {(2, 3): 1}, {(1, 3): 1}
     )
     assert not t.is_zero_function()
-    assert (t - TwoChiralSum.monomial(pts, 1, {(1, 3): 1}, {(1, 3): 1})).is_zero_function()
+    assert (t - two_chiral_monomial(pts, 1, {(1, 3): 1}, {(1, 3): 1})).is_zero_function()
 
 
 pair_monomials = st.dictionaries(

@@ -156,25 +156,3 @@ def test_three_point_wave_has_no_variables():
     wave = chiral_wave_series(WaveSpec((1, 2, 3), (1, 3)), 5)
     assert wave.series == TruncatedSeries.constant((), 5, 1)
 
-
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.fractions(max_denominator=5, min_value=-3, max_value=3),
-        max_size=8,
-    ),
-    st.integers(1, 6),
-)
-@settings(max_examples=40, deadline=None)
-def test_differentiate_lowers_cap(terms, cap):
-    uv = ("u", "v")
-    s = TruncatedSeries(uv, cap, terms)
-    d = s.differentiate("u")
-    assert d.cap == cap - 1
-    poly = MultiPoly(uv, s.terms).differentiate("u")
-    assert d.terms == {e: c for e, c in poly.terms.items() if sum(e) <= cap - 1}
-
-
-def test_differentiate_needs_cap_one():
-    with pytest.raises(ValueError):
-        TruncatedSeries.constant(U, 0, 1).differentiate("u")

@@ -1,4 +1,5 @@
-"""Every function, class and method in src/exactcft is used in src/exactcft.
+"""Every function, class and method in src/exactcft is used in src/exactcft,
+and every parameter default there is overridden by some call there.
 
 The package holds what the CLI runs and the checks it runs on itself;
 reference oracles and test-only helpers live in tests/oracles.py. This guard
@@ -57,3 +58,69 @@ def test_every_definition_is_used_in_the_package():
         and total[node.name] <= _references(node)[node.name]
     ]
     assert not unused, "defined in src/exactcft but never used there:\n" + "\n".join(unused)
+
+
+def _defaulted_params(func: ast.FunctionDef):
+    """(position, name) of each parameter with a default; position counts
+    from the first argument a caller passes (after self or cls), and is None
+    for keyword-only parameters."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    for k, arg in enumerate(positional[first:], first):
+        yield k - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _calls(tree: ast.Module):
+    """(callee name, call) of each call in tree. A constructor call is named
+    by its class, and so is cls(...) inside a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "cls":
+                    yield node.name, call
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id != "cls":
+                yield func.id, node
+            elif isinstance(func, ast.Attribute):
+                yield func.attr, node
+
+def _sets(call: ast.Call, position, name: str) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_default_is_set_in_the_package():
+    """A parameter default that no call in src/exactcft overrides is a knob
+    nothing turns. Calls match by name, as in the guard above, and __init__
+    by its class; cli.main(argv=) is exempt, because the tests pass the
+    command line through it."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for callee, call in _calls(tree):
+            calls.setdefault(callee, []).append(call)
+    unset = []
+    for fname, tree in trees.items():
+        owner = {
+            item: node.name
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for item in node.body if isinstance(item, ast.FunctionDef)
+        }
+        for func in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            if (fname, func.name) == ("cli.py", "main"):
+                continue
+            callee = owner[func] if func.name == "__init__" else func.name
+            qualname = f"{owner[func]}.{func.name}" if func in owner else func.name
+            for position, name in _defaulted_params(func):
+                if not any(_sets(call, position, name) for call in calls.get(callee, [])):
+                    unset.append(f"{fname}: {qualname}({name}=)")
+    assert not unset, "defaults no call in src/exactcft sets:\n" + "\n".join(unset)

@@ -9,6 +9,7 @@ from exactcft.poly import MultiPoly
 from exactcft.tensor_ops import (
     IVARS,
     RVAR,
+    _recursion_rows,
     assemble_tensor_intertwiner,
     coefficient_table,
     harmonic_project,
@@ -17,12 +18,18 @@ from exactcft.tensor_ops import (
     lapv,
     legendre_poly,
     radial_poly,
-    raise_lower,
     solve_intertwiner_space,
     tensor_pde_residual,
     verify_tensor_pde,
 )
-from oracles import rank_zero_closed_form, twist_table_display, twist_table_poly
+from oracles import (
+    coefficient_table_seeded,
+    radial_poly_walk,
+    raise_lower,
+    rank_zero_closed_form,
+    twist_table_display,
+    twist_table_poly,
+)
 
 F = Fraction
 
@@ -91,6 +98,24 @@ def test_radial_poly_symmetry():
                 assert f == g
 
 
+def test_radial_poly_matches_walk():
+    """The one pole-free sum equals the 2F1 sum or the raising/lowering walk
+    wherever those run, and refuses exactly where they refuse."""
+    refused = set()
+    for kappa in range(7):
+        for L in range(7):
+            for delta in range(-kappa - L - 1, kappa + L + 2):
+                try:
+                    expected = radial_poly_walk(kappa, L, delta)
+                except DegenerateParameterError:
+                    refused.add((kappa, L, delta))
+                    with pytest.raises(DegenerateParameterError):
+                        radial_poly(kappa, L, delta)
+                    continue
+                assert radial_poly(kappa, L, delta) == expected
+    assert refused == {(0, L, delta) for L in range(7) for delta in range(L)}
+
+
 def test_raising_matches_direct_form():
     for L in range(1, 5):
         for delta in (-1, 0):
@@ -116,7 +141,16 @@ def test_radial_degenerate_rejected():
 def test_coefficient_table_kappa0():
     t = coefficient_table(0, 4)
     assert t.entries == {(0, 0): F(1)}
-    assert t.kernel_dim == 0
+    # no recursion row constrains c_00, and there is nothing else to fix
+    assert _recursion_rows(0, 4) == ({(0, 0): 0}, [])
+
+
+def test_coefficient_table_matches_seeded_solve():
+    """One homogeneous solve gives the table the seeded solve gives, and the
+    kernel sum where the recursions force c_00 = 0."""
+    for kappa in range(11):
+        for L in range(9):
+            assert coefficient_table(kappa, L).entries == coefficient_table_seeded(kappa, L)
 
 
 def test_coefficient_table_kappa1():
@@ -204,12 +238,11 @@ def test_solve_space_equal_dims_L1():
 
 
 def test_seedless_recursion_kappa2():
-    # at kappa=2, L>=1 the recursions force c00 = 0; the seeded solve reports
-    # that and the assembler falls back to the homogeneous solution space
-    import exactcft.errors as errors
-
-    with pytest.raises(errors.ConsistencyError):
-        coefficient_table(2, 1)
+    # at kappa=2, L>=1 the recursions force c00 = 0; the table is then the sum
+    # of the homogeneous solution space, as the seeded solve's fallback gives
+    table = coefficient_table(2, 1)
+    assert table.entry(0, 0) == 0
+    assert table.entries and table.entries == coefficient_table_seeded(2, 1)
     op = assemble_tensor_intertwiner(2, 1)
     assert not op.poly.is_zero()
     assert verify_tensor_pde(op).is_zero()
