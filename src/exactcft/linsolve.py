@@ -9,7 +9,6 @@ Fraction elimination gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
@@ -17,24 +16,15 @@ from typing import Mapping, Sequence
 from .poly import _int_numerators
 
 
-@dataclass(frozen=True)
-class LinearSolution:
-    solvable: bool
-    particular: list[Fraction] | None
-    kernel: list[list[Fraction]]
-
-
-def _int_row(entries: Mapping[int, object], ncols: int, rhs=0) -> dict[int, int]:
-    """A sparse rational row {column: value}, with a nonzero rhs riding along
-    in column ncols, as a primitive integer row: scaled to its least common
-    denominator, then divided by the gcd of its numerators. Zeros are dropped."""
+def _int_row(entries: Mapping[int, object], ncols: int) -> dict[int, int]:
+    """A sparse rational row {column: value} as a primitive integer row:
+    scaled to its least common denominator, then divided by the gcd of its
+    numerators. Zeros are dropped."""
     row = {}
     for col, v in entries.items():
         if not 0 <= col < ncols:
             raise ValueError(f"column {col} is outside 0..{ncols - 1}")
         row[col] = v if type(v) is int else Fraction(v)
-    if rhs:
-        row[ncols] = rhs if type(rhs) is int else Fraction(rhs)
     _, nums = _int_numerators(row)
     return _primitive({col: n for col, n in nums.items() if n})
 
@@ -44,50 +34,38 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g < 2 else {col: v // g for col, v in row.items()}
 
 
-def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int, rhs: Sequence) -> LinearSolution:
-    """Solve A x = b over Q by Gaussian elimination.
+def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int) -> list[list[Fraction]]:
+    """A basis of the null space of A over Q, by Gaussian elimination.
 
     A has ncols columns and is given as sparse rows {column: value}; absent
-    columns are zero. Returns a solvability flag, one particular solution
-    (free variables set to zero), and a deterministic basis of the null space.
+    columns are zero. There is one basis vector per free column, in column
+    order: 1 there, 0 at every other free column.
     """
-    if len(rhs) != len(rows):
-        raise ValueError(f"rhs length {len(rhs)} does not match {len(rows)} rows")
-    aug = [_int_row(row, ncols, b) for row, b in zip(rows, rhs)]
-    pivots = _rref(aug, ncols)
-
+    reduced = [_int_row(row, ncols) for row in rows]
+    pivots = _rref(reduced, ncols)
     kernel = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for row, col in zip(aug, pivots):
+        for row, col in zip(reduced, pivots):
             if fc in row:
                 vec[col] = -row[fc]
         kernel.append(vec)
-
-    if any(aug[len(pivots):]):
-        return LinearSolution(False, None, kernel)
-    particular = [Fraction(0)] * ncols
-    for row, col in zip(aug, pivots):
-        particular[col] = row.get(ncols, Fraction(0))
-    return LinearSolution(True, particular, kernel)
+    return kernel
 
 
 def _rref(rows: list[dict], ncols: int) -> list[int]:
     """Bring primitive integer rows {column: int} to reduced row echelon form
-    in place, pivoting only in columns 0..ncols-1 (later columns ride along,
-    e.g. a right-hand side). The pivot of each column is the first row at or
-    after the current one with a nonzero there. Returns the pivot columns;
-    row k holds the pivot of column pivots[k].
+    in place, with columns 0..ncols-1. The pivot of each column is the first
+    row at or after the current one with a nonzero there. Returns the pivot
+    columns; row k holds the pivot of column pivots[k].
 
     Elimination is fraction-free: a row loses its entry in the pivot column
     by cross-multiplication with the pivot row, and then the gcd of its
     entries is divided out. Each row stays a nonzero multiple of the row that
     Fraction elimination would hold, so the pivots are the same. At the end
     each pivot row is divided by its pivot, one Fraction per entry, which
-    gives the unique reduced rows. The rows after the pivot rows stay integer
-    and hold nothing but ride-along entries, where Fraction elimination holds
-    nonzeros.
+    gives the unique reduced rows. The rows after the pivot rows end up empty.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -123,13 +101,6 @@ def _rref(rows: list[dict], ncols: int) -> list[int]:
         p = rows[k][col]
         rows[k] = {c: Fraction(v, p) for c, v in rows[k].items()}
     return pivots
-
-
-def row_basis(rows: Sequence[Mapping[int, object]], ncols: int) -> list[dict[int, Fraction]]:
-    """A basis of the row space of a rational matrix given as sparse rows
-    over ncols columns: its nonzero RREF rows, again as {column: value}."""
-    reduced = [_int_row(row, ncols) for row in rows]
-    return reduced[:len(_rref(reduced, ncols))]
 
 
 def symmetric_inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:

@@ -25,8 +25,7 @@ from math import lcm
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
-from .linsolve import row_basis
-from .poly import MultiPoly, SparseSum, _combination_poly, _combination_terms, _int_product
+from .poly import MultiPoly, SparseSum, _combination_poly, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -311,38 +310,24 @@ class PairSum(SparseSum):
         return all(self._z_poly(g).is_zero() for g in self._classes().values())
 
     def proportional_to(self, other: "PairSum") -> Fraction | None:
-        """Return nonzero lam with self = lam * other as functions, or None."""
+        """Return nonzero lam with self = lam * other as functions, or None.
+
+        lam is read off the first class where other is not the zero function,
+        with both sides expanded over one base; self - lam * other decides."""
         self._coerce(other)
         den = lcm(self.den, other.den)
-        g1, g2 = self._rescaled(den)._classes(), other._rescaled(den)._classes()
-        lam: Fraction | None = None
-        for ck in set(g1) | set(g2):
+        zvars = _zvars(self.points)
+        g1 = self._rescaled(den)._classes()
+        for ck, t2 in other._rescaled(den)._classes().items():
             t1 = g1.get(ck, {})
-            t2 = g2.get(ck, {})
-            # one expansion of the union support, weighted by each side
             union = list(set(t1) | set(t2))
             expansions = dict(zip(union, _adjacent_expansions(self.points, union, den)))
-            zvars = _zvars(self.points)
-            p1 = _combination_poly(zvars, expansions, t1)
             p2 = _combination_poly(zvars, expansions, t2)
-            if p2.is_zero():
-                if not p1.is_zero():
-                    return None
-                continue
-            if p1.is_zero():
-                return None
-            _, lc1 = p1.leading()
-            _, lc2 = p2.leading()
-            cand = lc1 / lc2
-            if not (p1 - p2 * cand).is_zero():
-                return None
-            if lam is None:
-                lam = cand
-            elif lam != cand:
-                return None
-        if lam is None or lam == 0:
-            return None
-        return lam
+            if p2:
+                exps, c2 = p2.leading()
+                lam = _combination_poly(zvars, expansions, t1).coefficient(exps) / c2
+                return lam if lam and (self - other.scale(lam)).is_zero_function() else None
+        return None
 
     # -- presentation -------------------------------------------------------
 
@@ -426,25 +411,15 @@ class TwoChiralSum(SparseSum):
         return other
 
     def is_zero_function(self) -> bool:
-        """Exact test of sum_t c_t A_t(z+) B_t(z-) = 0.
-
-        Expand the minus side per term, take a basis of the span of its
-        coefficient vectors over the term index, then require each basis
-        combination of plus sides to be the zero polynomial. Complete proof,
-        no sampling.
-        """
-        items = sorted(self.terms.items())
-        # rows: for each minus-monomial, the vector of its coefficients per term
-        rows: dict[tuple[int, ...], dict[int, int]] = {}
-        minus = _adjacent_expansions(self.points, [km for (_, km), _ in items])
-        for t, poly in enumerate(minus):
-            for exps, c in poly.items():
-                rows.setdefault(exps, {})[t] = c
-        plus = _adjacent_expansions(self.points, [kp for (kp, _), _ in items])
-        for lam in row_basis(list(rows.values()), len(items)):
-            if _combination_terms(plus, {t: items[t][1] * w for t, w in lam.items()}):
-                return False
-        return True
+        """Exact test of sum_t c_t A_t(z+) B_t(z-) = 0. The chiralities are
+        independent coordinates, so the minus sides move to a disjoint copy
+        of the points and one PairSum is tested. Complete proof, no sampling."""
+        shift = max(self.points) - min(self.points) + 1
+        moved = {
+            kp + tuple(((i + shift, j + shift), e) for (i, j), e in km): c
+            for (kp, km), c in self.terms.items()
+        }
+        return PairSum(self.points + tuple(p + shift for p in self.points), moved).is_zero_function()
 
     def __repr__(self) -> str:
         bits = []

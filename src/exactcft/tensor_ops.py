@@ -248,7 +248,7 @@ def coefficient_table(kappa: int, L: int) -> CoefficientTable:
     basis, every free coefficient 1.
     """
     pos, rows = _recursion_rows(kappa, L)
-    kernel = linear_solve_exact(rows, len(pos), [0] * len(rows)).kernel
+    kernel = linear_solve_exact(rows, len(pos))
     if not kernel:
         raise ConsistencyError(
             f"recursion system admits only the zero solution at kappa={kappa}, L={L}"
@@ -428,9 +428,8 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
         for ci, comp in enumerate((res.a, res.b, res.c)):
             for exps, c in comp.terms.items():
                 rows.setdefault((ci, exps), {})[col] = c
-    sol = linear_solve_exact(list(rows.values()), len(basis_polys), [0] * len(rows))
     out = []
-    for vec in sol.kernel:
+    for vec in linear_solve_exact(list(rows.values()), len(basis_polys)):
         poly = ipoly()
         for x, bp in zip(vec, basis_polys):
             poly.add_scaled(bp, x)

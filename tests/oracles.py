@@ -226,13 +226,18 @@ def radial_poly_walk(kappa: int, L: int, delta: int) -> MultiPoly:
 def coefficient_table_seeded(kappa: int, L: int) -> dict:
     """The coefficient table entries by a seeded solve with c_00 = 1 and the
     other free coefficients 0; where the recursions force c_00 = 0, the sum of
-    the homogeneous kernel basis (every free coefficient 1)."""
+    the homogeneous kernel basis (every free coefficient 1).
+
+    The seed c_00 = 1 is the row c_00 - x = 0 over one extra column x. Where
+    x is free, the last kernel vector has x = 1 and every other free
+    coefficient 0: the seeded solution."""
     pos, rows = _recursion_rows(kappa, L)
-    sol = linear_solve_exact(rows + [{pos[(0, 0)]: 1}], len(pos), [0] * len(rows) + [1])
-    if sol.solvable:
-        vec = sol.particular
+    x = len(pos)
+    seeded = linear_solve_exact(rows + [{pos[(0, 0)]: 1, x: -1}], x + 1)
+    if seeded and seeded[-1][x]:
+        vec = seeded[-1]
     else:
-        kernel = linear_solve_exact(rows, len(pos), [0] * len(rows)).kernel
+        kernel = linear_solve_exact(rows, x)
         if not kernel:
             raise ConsistencyError(f"no nonzero solution at kappa={kappa}, L={L}")
         vec = [sum(col) for col in zip(*kernel)]

@@ -115,6 +115,30 @@ def test_proportionality_with_rational_prefactors():
     assert a.proportional_to(b) == 4
 
 
+def test_proportionality_needs_one_ratio_in_every_class():
+    pts = (1, 2, 3)
+    half = mono(pts, 1, {(1, 2): F(1, 2)})
+    third = mono(pts, 1, {(2, 3): F(1, 3)})
+    # x12^(1/3) (x13 - x12 - x23): terms in a class, zero as a function
+    hidden = (
+        third.mul_monomial(1, {(1, 3): 1})
+        - third.mul_monomial(1, {(1, 2): 1})
+        - third.mul_monomial(1, {(2, 3): 1})
+    )
+    assert hidden and hidden.is_zero_function()
+    # ratios 2 and 3 in two classes
+    assert (half.scale(2) + third.scale(3)).proportional_to(half + third) is None
+    assert (half.scale(2) + third.scale(2)).proportional_to(half + third) == 2
+    # self nonzero in a class where other has no terms, or only a zero function
+    for other in (half, half + hidden, hidden + half):
+        assert (half.scale(2) + third).proportional_to(other) is None
+        assert (half.scale(2) + hidden).proportional_to(other) == 2
+    # other the zero function: no ratio, whatever self is
+    for other in (PairSum.zero(pts), hidden):
+        for s in (PairSum.zero(pts), hidden, half):
+            assert s.proportional_to(other) is None
+
+
 def test_factored_laurent():
     fl = FactoredLaurent({(1, 2): F(-3, 2), (1, 3): 2}, 5)
     assert fl.pair_factors == {(1, 2): F(-3, 2), (1, 3): 2}

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from exactcft.amplitudes import fourpoint_amplitudes
 from exactcft.channels import channel_coefficients
 from exactcft.cli import canonical_json
+from exactcft.linsolve import symmetric_inertia
 from exactcft.positivity import helicity_labels, positivity_report
 from oracles import report_block
 
@@ -57,6 +59,33 @@ def test_truncation_stability():
         for i, ri in enumerate(b.labels):
             for j, rj in enumerate(b.labels):
                 assert b.entries[i][j] == big.entries[pos[ri]][pos[rj]]
+
+
+@pytest.mark.parametrize("structure", ["B", "H"])
+def test_inertia_is_the_amplitude_products_inertia(structure):
+    # Sylvester: a B or H block is D M D, with D the diagonal of the labels'
+    # channel constants and M(r, c) = A^(n+)(r+, c+) A^(n-)(r-, c-), so its
+    # inertia is M's on the labels with a nonzero constant, plus one zero
+    # per dropped label (no B or H constant vanishes up to hmax 14, so none
+    # drops here)
+    rep = positivity_report(structure, 8, 2)
+    assert len(rep.blocks) == 18
+    tables = {}
+
+    def amplitude(h, h_prime, n):
+        if (h, h_prime) not in tables:
+            tables[h, h_prime] = fourpoint_amplitudes(h, h_prime, 2)
+        return tables[h, h_prime].value(n)
+
+    for b in rep.blocks:
+        n_plus, n_minus = int(b.k_plus - F(3, 2)), int(b.k_minus - F(3, 2))
+        kept = [r for r in b.labels if channel_coefficients(*r, structure)]
+        m = [
+            [amplitude(r[0], c[0], n_plus) * amplitude(r[1], c[1], n_minus) for c in kept]
+            for r in kept
+        ]
+        pos, neg, zero = symmetric_inertia(m)
+        assert b.inertia == (pos, neg, zero + len(b.labels) - len(kept))
 
 
 def test_block_values_spot_check():

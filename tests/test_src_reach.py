@@ -1,5 +1,6 @@
 """Every function, class and method in src/exactcft is used in src/exactcft,
-and every parameter default there is overridden by some call there.
+every parameter default there is overridden by some call there, and every
+annotated class field there is read there.
 
 The package holds what the CLI runs and the checks it runs on itself;
 reference oracles and test-only helpers live in tests/oracles.py. This guard
@@ -46,8 +47,12 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def _trees() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_every_definition_is_used_in_the_package():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     total = sum((_references(tree) for tree in trees.values()), Counter())
     exempt = _traced_names()
     unused = [
@@ -103,7 +108,7 @@ def test_every_default_is_set_in_the_package():
     nothing turns. Calls match by name, as in the guard above, and __init__
     by its class; cli.main(argv=) is exempt, because the tests pass the
     command line through it."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for callee, call in _calls(tree):
@@ -124,3 +129,24 @@ def test_every_default_is_set_in_the_package():
                 if not any(_sets(call, position, name) for call in calls.get(callee, [])):
                     unset.append(f"{fname}: {qualname}({name}=)")
     assert not unset, "defaults no call in src/exactcft sets:\n" + "\n".join(unset)
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """An annotated class field, such as a dataclass field, that nothing in
+    src/exactcft reads as an attribute (``obj.field``) is data no code uses."""
+    trees = _trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{fname}: {node.name}.{item.target.id}"
+        for fname, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read
+    ]
+    assert not unread, "class fields no code in src/exactcft reads:\n" + "\n".join(unread)
