@@ -1,19 +1,22 @@
 """Partial wave amplitudes of the reference 4-point functions.
 
-The chiral coefficients solve 1 = sum_{k = 3/2 + n} B^k u^n 2F1(n+h, n+h';
-2n+3; u) order by order; the system is triangular with unit diagonal, so the
-table is exact and the reconstruction residual vanishes identically through
-the truncation order.
+The chiral coefficients of 1 = sum_{k = 3/2 + n} B^k u^n 2F1(n+h, n+h';
+2n+3; u) have the closed form B^{3/2 + n} = g_n (h)_n (h')_n with
+g_n = (-1)^n / (n! (n+2)_n), the standard expansion of 1 in this
+hypergeometric tower (Fields and Wimp, Math. Comp. 15 (1961)). The
+reconstruction residual, which sums the tower back up, checks it: it vanishes
+identically through the truncation order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .errors import DegenerateParameterError
 from .series import TruncatedSeries
-from .special import format_rational, gauss_2f1_coeff
+from .special import format_rational, gauss_2f1_coeff, pochhammer
 
 
 @dataclass(frozen=True)
@@ -23,9 +26,6 @@ class AmplitudeMatrix:
     h: int
     h_prime: int
     entries: dict[int, Fraction]  # n -> B^{3/2 + n}
-
-    def value(self, n: int) -> Fraction:
-        return self.entries.get(n, Fraction(0))
 
     def k_label(self, n: int) -> Fraction:
         return Fraction(3, 2) + n
@@ -41,19 +41,22 @@ class AmplitudeMatrix:
         }
 
 
+def amplitude_scale(n: int) -> Fraction:
+    """g_n = (-1)^n / (n! (n+2)_n) = (-1)^n (n+1) / (2n+1)!, the factor of
+    B^{3/2 + n} that does not depend on the weights."""
+    return Fraction((-1) ** n * (n + 1), factorial(2 * n + 1))
+
+
 def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
-    """Solve the expansion of 1 into the hypergeometric tower, exactly."""
+    """The expansion of 1 into the hypergeometric tower, in closed form."""
     if cap_n < 0:
         raise ValueError("cap_n must be >= 0")
     if h < 1 or h_prime < 1:
         raise DegenerateParameterError("only chiral dimensions h >= 1 occur")
-    entries: dict[int, Fraction] = {0: Fraction(1)}
-    for m in range(1, cap_n + 1):
-        acc = Fraction(0)
-        for n in range(m):
-            acc += entries[n] * gauss_2f1_coeff(n + h, n + h_prime, 2 * n + 3, m - n)
-        entries[m] = -acc
-    return AmplitudeMatrix(h, h_prime, entries)
+    return AmplitudeMatrix(h, h_prime, {
+        n: amplitude_scale(n) * pochhammer(h, n) * pochhammer(h_prime, n)
+        for n in range(cap_n + 1)
+    })
 
 
 def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> TruncatedSeries:

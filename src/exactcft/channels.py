@@ -127,16 +127,3 @@ def reduce_sixpoint(
     ref = ReferenceFourPoint(h_plus, h_plus_prime)
     return sign * total, ref
 
-
-def twist_two_exotic_coefficient(
-    h_plus: int, h_minus: int, h_plus_prime: int, h_minus_prime: int
-) -> Fraction:
-    """Reduction coefficient of the twist-2 part of the exotic structure:
-    twice the difference of the B and completion channel products."""
-    cb = channel_coefficients(h_plus, h_minus, "B") * channel_coefficients(
-        h_plus_prime, h_minus_prime, "B"
-    )
-    ch = channel_coefficients(h_plus, h_minus, "H") * channel_coefficients(
-        h_plus_prime, h_minus_prime, "H"
-    )
-    return 2 * (cb - ch)

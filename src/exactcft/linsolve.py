@@ -1,10 +1,12 @@
-"""Exact linear solving and symmetric inertia over the rationals.
+"""Exact null spaces and the inertia of low-rank symmetric forms over the rationals.
 
-Linear systems are eliminated fraction-free: each sparse rational row is
-scaled once to integers over its least common denominator, the elimination
-runs on Python ints, and each entry of a reduced row becomes one Fraction at
-the end. Exact rationals are canonical, so the reduced rows are the ones
-Fraction elimination gives.
+Linear systems are eliminated fraction-free, in one routine, _rref: each
+sparse rational row is scaled once to integers over its least common
+denominator, the elimination runs on Python ints, and each entry of a reduced
+row becomes one Fraction at the end. Exact rationals are canonical, so the
+reduced rows are the ones Fraction elimination gives. Symmetric forms come as
+a sum of at most two scaled outer products, and their inertia is read from a
+2 x 2 Gram form, with no elimination.
 """
 
 from __future__ import annotations
@@ -103,60 +105,34 @@ def _rref(rows: list[dict], ncols: int) -> list[int]:
     return pivots
 
 
-def symmetric_inertia(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
-    """Exact inertia (n_plus, n_minus, n_zero) of a symmetric rational matrix.
+def symmetric_inertia(factor: Sequence[Sequence], scales: Sequence) -> tuple[int, int, int]:
+    """Exact inertia (n_plus, n_minus, n_zero) of the N x N form W S W^T.
 
-    Symmetric elimination with diagonal pivots, falling back to 2x2 blocks
-    [[0, a], [a, 0]] (inertia (1, 1)) when every remaining diagonal vanishes.
+    W = factor is N x k, one row per index, and S = diag(scales), for k <= 2.
+    Let G = W^T W and W = Q R, with Q of orthonormal columns and R of full
+    row rank. Then W S W^T = Q (R S R^T) Q^T and G S G = R^T (R S R^T) R, so
+    by Sylvester's law both have the nonzero inertia of R S R^T. The signs
+    thus come from the determinant and trace of the k x k form G S G, padded
+    with zeros to 2 x 2.
     """
-    a = [[Fraction(v) for v in row] for row in matrix]
-    n = len(a)
-    for i, row in enumerate(a):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        for j in range(i + 1, n):
-            if row[j] != a[j][i]:
-                raise ValueError("matrix is not symmetric")
-
-    idx = list(range(n))
-    n_pos = n_neg = n_zero = 0
-    while idx:
-        piv = next((k for k in idx if a[k][k] != 0), None)
-        if piv is not None:
-            d = a[piv][piv]
-            if d > 0:
-                n_pos += 1
-            else:
-                n_neg += 1
-            idx.remove(piv)
-            for i in idx:
-                f = a[i][piv] / d
-                if f == 0:
-                    continue
-                for j in idx:
-                    a[i][j] -= f * a[piv][j]
-            continue
-        pair = None
-        for i in idx:
-            for j in idx:
-                if i < j and a[i][j] != 0:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            n_zero += len(idx)
-            break
-        i0, j0 = pair
-        c = a[i0][j0]
-        n_pos += 1
-        n_neg += 1
-        idx.remove(i0)
-        idx.remove(j0)
-        for k in idx:
-            vi, vj = a[k][i0], a[k][j0]
-            if vi == 0 and vj == 0:
-                continue
-            for l in idx:
-                a[k][l] -= (vi * a[j0][l] + vj * a[i0][l]) / c
-    return n_pos, n_neg, n_zero
+    k = len(scales)
+    if k > 2 or any(len(row) != k for row in factor):
+        raise ValueError("factor needs one entry per scale, and at most two scales")
+    pad = (0,) * (2 - k)
+    s0, s1 = *scales, *pad
+    rows = [(*row, *pad) for row in factor]
+    g00 = sum(x * x for x, _ in rows)
+    g01 = sum(x * y for x, y in rows)
+    g11 = sum(y * y for _, y in rows)
+    # G S G = [[a, b], [b, c]]
+    a = s0 * g00 * g00 + s1 * g01 * g01
+    b = (s0 * g00 + s1 * g11) * g01
+    c = s0 * g01 * g01 + s1 * g11 * g11
+    det, trace = a * c - b * b, a + c
+    if det > 0:
+        pos, neg = (2, 0) if trace > 0 else (0, 2)
+    elif det < 0:
+        pos, neg = 1, 1
+    else:
+        pos, neg = int(trace > 0), int(trace < 0)
+    return pos, neg, len(factor) - pos - neg

@@ -3,16 +3,18 @@
 For each middle-channel weight pair (k+, k-) = (3/2 + n+, 3/2 + n-), the
 block entry between the helicity labels r = (h+, h-) and c = (h+', h-') is
 
-    W(r, c) * B^{k+}(h+, h+') * B^{k-}(h-, h-'),
+    C(r) C(c) * B^{k+}(h+, h+') * B^{k-}(h-, h-'),
 
-with W the product of the two labels' channel constants (for E2 the twist-2
-exotic combination) and B the chiral 4-point amplitudes. W depends only on
-the label pair and each amplitude table only on its unordered weight pair,
-so a report builds one weight matrix per helicity sign and one table per
-weight pair, whatever the number of (k+, k-) blocks. After projecting onto
-odd helicity and a fixed helicity sign, each block is symmetric with exact
-rational entries; the report carries the blocks and their exact inertia and
-stops there, with no admissibility verdict.
+with C a label's channel constant and B the chiral 4-point amplitudes. Their
+closed form B^{3/2 + n}(h, h') = g_n (h)_n (h')_n splits each entry into a
+row and a column factor: with g = g_{n+} g_{n-} and
+v_r = C(r) (h+)_{n+} (h-)_{n-}, a B or H block is the outer product g v v^T.
+The E2 structure, the twist-2 part of the exotic one, weights a label pair
+by 2 (C_B(r) C_B(c) - C_H(r) C_H(c)), so its block is 2g v_B v_B^T -
+2g v_H v_H^T. Each block is thus symmetric by construction, and its exact
+inertia follows from the k x k Gram form of its k = 1 or 2 factors. After
+projecting onto odd helicity and a fixed helicity sign, the report carries
+the blocks and their inertia and stops there, with no admissibility verdict.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .amplitudes import AmplitudeMatrix, fourpoint_amplitudes
-from .channels import channel_coefficients, twist_two_exotic_coefficient
-from .errors import ConsistencyError
+from .amplitudes import amplitude_scale
+from .channels import channel_coefficients
 from .linsolve import symmetric_inertia
-from .special import format_rational
+from .special import format_rational, pochhammer
 
-STRUCTURES = ("B", "H", "E2")
+# each structure's blocks as a sum of outer products: (multiple of g, weighting)
+TERMS = {"B": ((1, "B"),), "H": ((1, "H"),), "E2": ((2, "B"), (-2, "H"))}
+STRUCTURES = tuple(TERMS)
 
 
 def helicity_labels(h_max: int, sign: int) -> list[tuple[int, int]]:
@@ -84,13 +87,6 @@ class PositivityReport:
         }
 
 
-def _weight(structure: str, row: tuple[int, int], col: tuple[int, int]) -> Fraction:
-    """Product of the channel constants of two helicity labels."""
-    if structure == "E2":
-        return twist_two_exotic_coefficient(*row, *col)
-    return channel_coefficients(*row, structure) * channel_coefficients(*col, structure)
-
-
 def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityReport:
     """Assemble all odd-projected, sign-projected blocks with exact inertia.
 
@@ -105,36 +101,24 @@ def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityRepor
         raise ValueError("h_max must be >= 2 to contain any odd helicity pair")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    tables: dict[tuple[int, int], AmplitudeMatrix] = {}
-
-    def amplitude(h: int, h_prime: int, n: int) -> Fraction:
-        key = (min(h, h_prime), max(h, h_prime))
-        if key not in tables:
-            tables[key] = fourpoint_amplitudes(*key, k_max)
-        return tables[key].value(n)
-
     sides = {}
     for sign in (1, -1):
         labels = helicity_labels(h_max, sign)
-        sides[sign] = labels, [[_weight(structure, r, c) for c in labels] for r in labels]
+        constants = [[channel_coefficients(*r, w) for _, w in TERMS[structure]] for r in labels]
+        sides[sign] = labels, constants
     blocks = []
     for n_plus in range(k_max + 1):
         for n_minus in range(k_max + 1):
+            g = amplitude_scale(n_plus) * amplitude_scale(n_minus)
+            scales = [m * g for m, _ in TERMS[structure]]
             for sign in (1, -1):
-                labels, weights = sides[sign]
+                labels, constants = sides[sign]
+                amps = (pochhammer(hp, n_plus) * pochhammer(hm, n_minus) for hp, hm in labels)
+                factor = [[c * a for c in row] for row, a in zip(constants, amps)]
                 rows = [
-                    [
-                        w * amplitude(r[0], c[0], n_plus) * amplitude(r[1], c[1], n_minus)
-                        for c, w in zip(labels, weight_row)
-                    ]
-                    for r, weight_row in zip(labels, weights)
+                    [sum(s * x * y for s, x, y in zip(scales, wr, wc)) for wc in factor]
+                    for wr in factor
                 ]
-                for i in range(len(labels)):
-                    for j in range(len(labels)):
-                        if rows[i][j] != rows[j][i]:
-                            raise ConsistencyError(
-                                "assembled block is not symmetric"
-                            )
                 blocks.append(
                     PositivityBlock(
                         Fraction(3, 2) + n_plus,
@@ -142,7 +126,7 @@ def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityRepor
                         sign,
                         labels,
                         rows,
-                        symmetric_inertia(rows),
+                        symmetric_inertia(factor, scales),
                     )
                 )
     return PositivityReport(structure, h_max, k_max, blocks)

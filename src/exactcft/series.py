@@ -138,6 +138,11 @@ class TruncatedSeries(MultiPoly):
                 out.terms[e2] = c
         return out
 
+    def differentiate(self, name: str) -> "TruncatedSeries":
+        """Partial derivative in one variable. The unknown terms past the cap
+        reach order cap in it, so it is exact only through cap - 1, its cap."""
+        return TruncatedSeries(self.variables, self.cap - 1, super().differentiate(name).terms)
+
     def map_coefficients(self, fn) -> "TruncatedSeries":
         out = self._empty()
         for e, c in self.terms.items():

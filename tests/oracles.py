@@ -9,7 +9,7 @@ conveniences the tests need and the package does not.
 from fractions import Fraction
 from math import factorial
 
-from exactcft.channels import reduction_coefficient
+from exactcft.channels import channel_coefficients, reduction_coefficient
 from exactcft.chiral_ops import apply_operator_pair, chiral_intertwiner_normalized
 from exactcft.errors import ConsistencyError, DegenerateParameterError
 from exactcft.linsolve import linear_solve_exact
@@ -91,6 +91,20 @@ def closed_form_channel(h_plus: int, h_minus: int, weighting: str) -> Fraction:
             return Fraction(-odd)
         return Fraction(0)
     raise ValueError(f"unknown weighting {weighting!r}")
+
+
+def twist_two_exotic_coefficient(
+    h_plus: int, h_minus: int, h_plus_prime: int, h_minus_prime: int
+) -> Fraction:
+    """Reduction coefficient of the twist-2 part of the exotic structure:
+    twice the difference of the B and completion channel products."""
+    cb = channel_coefficients(h_plus, h_minus, "B") * channel_coefficients(
+        h_plus_prime, h_minus_prime, "B"
+    )
+    ch = channel_coefficients(h_plus, h_minus, "H") * channel_coefficients(
+        h_plus_prime, h_minus_prime, "H"
+    )
+    return 2 * (cb - ch)
 
 
 # -- the per-term identity ---------------------------------------------------
@@ -277,18 +291,83 @@ def two_chiral_monomial(points, coeff, exps_plus, exps_minus) -> TwoChiralSum:
     return out
 
 
-def differentiate_series(series: TruncatedSeries, name: str) -> TruncatedSeries:
-    """Partial derivative of a series; it is exact only through cap - 1, its cap."""
-    poly = MultiPoly(series.variables, series.terms).differentiate(name)
-    return TruncatedSeries(series.variables, series.cap - 1, poly.terms)
-
-
 def reversed_spec(spec: WaveSpec) -> WaveSpec:
     """Hermitean conjugation relabeling i -> n+1-i."""
     return WaveSpec(spec.field_dims[::-1], spec.proj_dims[::-1])
 
 
 # -- positivity -------------------------------------------------------------------
+
+
+def fourpoint_amplitudes_solved(h: int, h_prime: int, cap_n: int) -> dict[int, Fraction]:
+    """{n: B^{3/2 + n}} by solving 1 = sum_n B^{3/2 + n} u^n 2F1(n+h, n+h';
+    2n+3; u) order by order: the system is triangular with unit diagonal."""
+    entries = {0: Fraction(1)}
+    for m in range(1, cap_n + 1):
+        acc = Fraction(0)
+        for n in range(m):
+            acc += entries[n] * gauss_2f1_coeff(n + h, n + h_prime, 2 * n + 3, m - n)
+        entries[m] = -acc
+    return entries
+
+
+def symmetric_inertia_eliminated(matrix) -> tuple[int, int, int]:
+    """Exact inertia (n_plus, n_minus, n_zero) of any symmetric rational matrix.
+
+    Symmetric elimination with diagonal pivots, falling back to 2x2 blocks
+    [[0, a], [a, 0]] (inertia (1, 1)) when every remaining diagonal vanishes.
+    """
+    a = [[Fraction(v) for v in row] for row in matrix]
+    n = len(a)
+    for i, row in enumerate(a):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+        for j in range(i + 1, n):
+            if row[j] != a[j][i]:
+                raise ValueError("matrix is not symmetric")
+
+    idx = list(range(n))
+    n_pos = n_neg = n_zero = 0
+    while idx:
+        piv = next((k for k in idx if a[k][k] != 0), None)
+        if piv is not None:
+            d = a[piv][piv]
+            if d > 0:
+                n_pos += 1
+            else:
+                n_neg += 1
+            idx.remove(piv)
+            for i in idx:
+                f = a[i][piv] / d
+                if f == 0:
+                    continue
+                for j in idx:
+                    a[i][j] -= f * a[piv][j]
+            continue
+        pair = None
+        for i in idx:
+            for j in idx:
+                if i < j and a[i][j] != 0:
+                    pair = (i, j)
+                    break
+            if pair:
+                break
+        if pair is None:
+            n_zero += len(idx)
+            break
+        i0, j0 = pair
+        c = a[i0][j0]
+        n_pos += 1
+        n_neg += 1
+        idx.remove(i0)
+        idx.remove(j0)
+        for k in idx:
+            vi, vj = a[k][i0], a[k][j0]
+            if vi == 0 and vj == 0:
+                continue
+            for l in idx:
+                a[k][l] -= (vi * a[j0][l] + vj * a[i0][l]) / c
+    return n_pos, n_neg, n_zero
 
 
 def report_block(report, n_plus: int, n_minus: int, sign: int):

@@ -256,8 +256,8 @@ def test_criterion_10_fourpoint_amplitudes():
     for h in (1, 2, 3):
         for hp in (1, 2, 3):
             am = fourpoint_amplitudes(h, hp, 12)
-            ok = ok and am.value(0) == 1
-            ok = ok and am.value(1) == -F(h * hp, 3)
+            ok = ok and am.entries[0] == 1
+            ok = ok and am.entries[1] == -F(h * hp, 3)
             ok = ok and reconstruction_residual(am, 12).is_zero()
     report(10, ok, "amplitude towers reconstruct 1 exactly through order 12 for all weights in {1,2,3}^2")
 

@@ -4,6 +4,7 @@ import pytest
 
 from exactcft.amplitudes import fourpoint_amplitudes, reconstruction_residual
 from exactcft.errors import DegenerateParameterError
+from oracles import fourpoint_amplitudes_solved
 
 F = Fraction
 
@@ -12,7 +13,7 @@ def test_first_amplitude_is_one():
     for h in (1, 2, 5):
         for hp in (1, 3):
             am = fourpoint_amplitudes(h, hp, 4)
-            assert am.value(0) == 1
+            assert am.entries[0] == 1
             assert am.k_label(0) == F(3, 2)
 
 
@@ -20,7 +21,15 @@ def test_second_amplitude_closed_form():
     for h in (1, 2, 3):
         for hp in (1, 2, 4):
             am = fourpoint_amplitudes(h, hp, 2)
-            assert am.value(1) == -F(h * hp, 3)
+            assert am.entries[1] == -F(h * hp, 3)
+
+
+def test_closed_form_matches_the_triangular_solve():
+    for h in range(1, 13):
+        for hp in range(h, 13):
+            solved = fourpoint_amplitudes_solved(h, hp, 10)
+            assert fourpoint_amplitudes(h, hp, 10).entries == solved
+            assert fourpoint_amplitudes(hp, h, 10).entries == solved
 
 
 def test_symmetry_in_weights():

@@ -6,7 +6,6 @@ from exactcft.channels import (
     channel_coefficients,
     reduce_sixpoint,
     reduction_coefficient,
-    twist_two_exotic_coefficient,
     weighted_tail_at_one,
 )
 from exactcft.errors import DegenerateParameterError
@@ -18,6 +17,7 @@ from oracles import (
     reduction_generating_poly,
     shifted_legendre,
     single_term_reduced,
+    twist_two_exotic_coefficient,
 )
 
 F = Fraction

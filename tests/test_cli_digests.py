@@ -60,6 +60,13 @@ EXAMPLES = {
     "exotic-reduce-H-2343": ("exotic", "reduce", "--structure", "H", "--hplus", "2",
                              "--hminus", "3", "--hplusprime", "4", "--hminusprime", "3",
                              "--cap", "12"),
+    # positivity blocks of rank two (E2) and of rank one at larger hmax and kmax,
+    # and an amplitude tower with far-apart weights
+    "positivity-E2-8-2": ("exotic", "positivity", "--structure", "E2", "--hmax", "8",
+                          "--kmax", "2"),
+    "positivity-B-8-3": ("exotic", "positivity", "--structure", "B", "--hmax", "8",
+                         "--kmax", "3"),
+    "amplitudes-7-9": ("exotic", "amplitudes", "--h", "7", "--hprime", "9", "--cap", "20"),
     # the tall sparse kernel systems of the operators benchmark and beyond it
     "kernel-gap2": ("intertwiner", "tensor", "--kappa", "4", "--L", "3", "--d1", "3", "--d2", "1"),
     "kernel-k5": ("intertwiner", "tensor", "--kappa", "5", "--L", "4", "--d1", "3", "--d2", "1"),
@@ -93,6 +100,7 @@ DIGESTS = {
     "assembled-4-3": "6ef1b495392192f6d0fa1a1bfe1468f7d6fb6e4124db0793cb1b4fc9ecc627d1",
     "assembled-8-4": "cc160260021ef8c77ba6fd60cbd5983f981de49b7bff3e2e743b62bcaa2a805e",
     "amplitudes-3-4": "fd289335a2cfed6d30d0d7cf867584f94375185604e0f33d339031dc7ae169f7",
+    "amplitudes-7-9": "aa03036dc5f586f04b07193c3d5498184df8ee80ea01baba54456041523478fb",
     "amplitudes": "43f115a0f346e6d261e31f9b056c0a5b184bf083de091189c0a93df4b1a8346d",
     "build-E6": "e9082bbe2911a33a70384f44b5cd852b9505fe6179785617d68207c794232f91",
     "casimir-n10": "7b33532f94d050aea8d53058cc149b4124c81e25ebe5c3394f8f37a2964271b5",
@@ -112,7 +120,9 @@ DIGESTS = {
     "kernel-gap2": "f8c6a111f932f5ce3ac99a0668c282c2c6952058af8443441669aea27c9fad9d",
     "kernel-k5": "67e692d57839419fda5ac2781ebcf9659df3aca6499de50c0365c0be49f4f24e",
     "positivity": "4ea36370142a87a7f4d1ea4e876057eb32634fde7f5fe82c7bbf1385e532bec0",
+    "positivity-B-8-3": "7a1189b050f5166b07ac3bae6b93fe4d4eb5966d053a8e7a8ac9a5a043b7b90c",
     "positivity-E2": "f9f3f97e30fe714355ed2b2a0c6ab24e478409faf92d2783aa2fb16e0920b317",
+    "positivity-E2-8-2": "14999eb9ce6f0cd01db3081841228b681a1307093169e9253a9a183e2c0b46f9",
     "positivity-H": "3126d0856417c9f6a7557a1e35734024dda1937843fac4e4eac976c8ed6064d0",
     "reduce-matched": "03ab9518d8703ceb29e3d28f9d67b76c0663dd486e1fbf7321ff92d77d427862",
     "reduce-mismatched": "e790be902388453ec9af8cf02a462ec6ff9ed728f1cabb5261b6d418e9af5449",

@@ -9,7 +9,6 @@ from exactcft import gseries
 from exactcft.gseries import closed_coefficient, completion_series, verify_biharmonic
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
-from oracles import differentiate_series
 
 F = Fraction
 
@@ -100,7 +99,7 @@ def _one_minus_w(cap):
 
 def oracle_t_euler(profile):
     """t d/dt = -(1-w) d/dw, as a series product."""
-    return -(_one_minus_w(profile.cap) * differentiate_series(profile, "w"))
+    return -(_one_minus_w(profile.cap) * profile.differentiate("w"))
 
 
 def oracle_recursion_rhs(prev, n):
@@ -111,7 +110,7 @@ def oracle_recursion_rhs(prev, n):
 def oracle_lhs_op(profile, n):
     one_minus_w = _one_minus_w(profile.cap)
     w_one_minus_w = (1 - one_minus_w) * one_minus_w
-    return profile * (one_minus_w.scale(n + 1) + 1) + w_one_minus_w * differentiate_series(profile, "w")
+    return profile * (one_minus_w.scale(n + 1) + 1) + w_one_minus_w * profile.differentiate("w")
 
 
 def oracle_profile_series(n, profile, cap):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from exactcft.linsolve import _int_row, _rref, linear_solve_exact, symmetric_inertia
 from exactcft.tensor_ops import coefficient_table
+from oracles import symmetric_inertia_eliminated
 
 
 def mat_vec(matrix, vec):
@@ -86,17 +87,17 @@ def test_solution_and_kernel_are_exact(rows, x):
 
 
 def test_inertia_diagonal():
-    assert symmetric_inertia([[2, 0], [0, -3]]) == (1, 1, 0)
-    assert symmetric_inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+    assert symmetric_inertia_eliminated([[2, 0], [0, -3]]) == (1, 1, 0)
+    assert symmetric_inertia_eliminated([[0, 0], [0, 0]]) == (0, 0, 2)
 
 
 def test_inertia_offdiagonal_block():
     # [[0,1],[1,0]] has eigenvalues +1, -1
-    assert symmetric_inertia([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert symmetric_inertia_eliminated([[0, 1], [1, 0]]) == (1, 1, 0)
     # zero diagonal throughout: the Schur complement of the 2x2 pivot decides
     # the signs (eigenvalues about -2.43, -1.41, 0.078, 3.76)
     m = [[0, -1, 0, -2], [-1, 0, -1, 2], [0, -1, 0, -1], [-2, 2, -1, 0]]
-    assert symmetric_inertia(m) == (2, 2, 0)
+    assert symmetric_inertia_eliminated(m) == (2, 2, 0)
 
 
 def test_inertia_mixed():
@@ -106,19 +107,19 @@ def test_inertia_mixed():
         [0, 0, -5],
     ]
     # rank 2: one positive (the psd rank-1 block), one negative
-    assert symmetric_inertia(m) == (1, 1, 1)
+    assert symmetric_inertia_eliminated(m) == (1, 1, 1)
 
 
 def test_inertia_requires_symmetry():
     with pytest.raises(ValueError):
-        symmetric_inertia([[0, 1], [2, 0]])
+        symmetric_inertia_eliminated([[0, 1], [2, 0]])
 
 
 @given(st.lists(st.lists(matrix_entries, min_size=3, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=30, deadline=None)
 def test_inertia_counts_sum_to_dimension(rows):
     sym = [[rows[i][j] + rows[j][i] for j in range(3)] for i in range(3)]
-    p, n, z = symmetric_inertia(sym)
+    p, n, z = symmetric_inertia_eliminated(sym)
     assert p + n + z == 3
 
 
@@ -293,4 +294,68 @@ def _symmetric(n, upper, zero_diagonal):
 @given(sparse_symmetric)
 @settings(max_examples=150, deadline=None)
 def test_inertia_matches_characteristic_polynomial(matrix):
-    assert symmetric_inertia(matrix) == _inertia_by_descartes(matrix)
+    assert symmetric_inertia_eliminated(matrix) == _inertia_by_descartes(matrix)
+
+
+def _outer_sum(factor, scales):
+    """The dense form sum_l scales[l] w_l w_l^T of the columns w_l of factor."""
+    return [
+        [sum((s * x * y for s, x, y in zip(scales, wr, wc)), Fraction(0)) for wc in factor]
+        for wr in factor
+    ]
+
+
+def _low_rank(n, k, columns, scales, copy, zero_column, zero_scale):
+    """An n x k factor and k scales from drawn columns: copy makes the last
+    column a multiple of the first, zero_column empties one column and
+    zero_scale zeroes one scale."""
+    cols = [list(c[:n]) for c in columns[:k]]
+    scales = list(scales[:k])
+    if k == 2 and copy is not None:
+        cols[1] = [copy * x for x in cols[0]]
+    if zero_column is not None:
+        cols[zero_column % k] = [Fraction(0)] * n
+    if zero_scale is not None:
+        scales[zero_scale % k] = Fraction(0)
+    return [list(row) for row in zip(*cols)], scales
+
+
+optional_index = st.one_of(st.none(), st.integers(0, 1))
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+low_rank_forms = st.tuples(
+    st.integers(0, 6),
+    st.sampled_from([1, 2]),
+    st.lists(st.lists(small_fractions, min_size=6, max_size=6), min_size=2, max_size=2),
+    st.lists(small_fractions, min_size=2, max_size=2),
+    st.one_of(st.none(), small_fractions),
+    optional_index,
+    optional_index,
+).map(lambda drawn: _low_rank(*drawn))
+
+
+@given(low_rank_forms)
+@settings(max_examples=300, deadline=None)
+def test_gram_inertia_matches_elimination(form):
+    factor, scales = form
+    assert symmetric_inertia(factor, scales) == symmetric_inertia_eliminated(
+        _outer_sum(factor, scales)
+    )
+
+
+def test_gram_inertia_examples():
+    w = [[1, 0], [1, 1], [0, 2]]
+    assert symmetric_inertia(w, [1, -1]) == (1, 1, 1)
+    assert symmetric_inertia(w, [-3, -1]) == (0, 2, 1)
+    assert symmetric_inertia(w, [0, 5]) == (1, 0, 2)
+    # equal columns with opposite scales cancel: the form is zero
+    assert symmetric_inertia([[2, 2], [3, 3]], [Fraction(1, 2), Fraction(-1, 2)]) == (0, 0, 2)
+    assert symmetric_inertia([[Fraction(1, 3)], [0]], [-1]) == (0, 1, 1)
+    assert symmetric_inertia([[0], [0]], [1]) == (0, 0, 2)
+    assert symmetric_inertia([], [1, 1]) == (0, 0, 0)
+
+
+def test_gram_inertia_shape_errors():
+    with pytest.raises(ValueError):
+        symmetric_inertia([[1, 2]], [1])
+    with pytest.raises(ValueError):
+        symmetric_inertia([[1, 2, 3]], [1, 1, 1])

@@ -6,9 +6,8 @@ import pytest
 from exactcft.amplitudes import fourpoint_amplitudes
 from exactcft.channels import channel_coefficients
 from exactcft.cli import canonical_json
-from exactcft.linsolve import symmetric_inertia
 from exactcft.positivity import helicity_labels, positivity_report
-from oracles import report_block
+from oracles import report_block, symmetric_inertia_eliminated
 
 F = Fraction
 
@@ -40,6 +39,17 @@ def test_b_and_h_agree_on_sign_projected_blocks():
         assert bb.entries == bh.entries
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_channel_constants_on_odd_helicity_labels(sign):
+    # C_B = 2 on every odd-helicity label: F(1) = (-1)^{h-1} by Chu-Vandermonde,
+    # so C_B = (-1)^{h+ + h-} (F+(1) F-(1) - 1) = 2 when h+ - h- is odd; and
+    # C_H = +-2 on the +- side. So the B and H reports are equal, and every
+    # E2 block is zero
+    for r in helicity_labels(16, sign):
+        assert channel_coefficients(*r, "B") == 2
+        assert channel_coefficients(*r, "H") == 2 * sign
+
+
 def test_twist_two_exotic_blocks_vanish():
     rep = positivity_report("E2", 4, 1)
     for b in rep.blocks:
@@ -63,11 +73,12 @@ def test_truncation_stability():
 
 @pytest.mark.parametrize("structure", ["B", "H"])
 def test_inertia_is_the_amplitude_products_inertia(structure):
-    # Sylvester: a B or H block is D M D, with D the diagonal of the labels'
-    # channel constants and M(r, c) = A^(n+)(r+, c+) A^(n-)(r-, c-), so its
-    # inertia is M's on the labels with a nonzero constant, plus one zero
-    # per dropped label (no B or H constant vanishes up to hmax 14, so none
-    # drops here)
+    # each entry is C(r) C(c) M(r, c), with C the labels' channel constants
+    # and M(r, c) = A^(n+)(r+, c+) A^(n-)(r-, c-) from the amplitude tables;
+    # Sylvester: with D the diagonal of the constants the block is D M D, so
+    # its inertia is M's on the labels with a nonzero constant, plus one
+    # zero per dropped label (no B or H constant vanishes up to hmax 14, so
+    # none drops here)
     rep = positivity_report(structure, 8, 2)
     assert len(rep.blocks) == 18
     tables = {}
@@ -75,16 +86,19 @@ def test_inertia_is_the_amplitude_products_inertia(structure):
     def amplitude(h, h_prime, n):
         if (h, h_prime) not in tables:
             tables[h, h_prime] = fourpoint_amplitudes(h, h_prime, 2)
-        return tables[h, h_prime].value(n)
+        return tables[h, h_prime].entries[n]
 
     for b in rep.blocks:
         n_plus, n_minus = int(b.k_plus - F(3, 2)), int(b.k_minus - F(3, 2))
-        kept = [r for r in b.labels if channel_coefficients(*r, structure)]
-        m = [
-            [amplitude(r[0], c[0], n_plus) * amplitude(r[1], c[1], n_minus) for c in kept]
-            for r in kept
-        ]
-        pos, neg, zero = symmetric_inertia(m)
+        m = {
+            (r, c): amplitude(r[0], c[0], n_plus) * amplitude(r[1], c[1], n_minus)
+            for r in b.labels
+            for c in b.labels
+        }
+        const = {r: channel_coefficients(*r, structure) for r in b.labels}
+        assert b.entries == [[const[r] * const[c] * m[r, c] for c in b.labels] for r in b.labels]
+        kept = [r for r in b.labels if const[r]]
+        pos, neg, zero = symmetric_inertia_eliminated([[m[r, c] for c in kept] for r in kept])
         assert b.inertia == (pos, neg, zero + len(b.labels) - len(kept))
 
 

@@ -156,3 +156,13 @@ def test_three_point_wave_has_no_variables():
     wave = chiral_wave_series(WaveSpec((1, 2, 3), (1, 3)), 5)
     assert wave.series == TruncatedSeries.constant((), 5, 1)
 
+
+def test_derivative_lowers_the_cap():
+    # u^2 + O(u^3) says nothing about the u^2 term of its derivative: the
+    # unknown u^3 term contributes there
+    d = TruncatedSeries(("u",), 2, {(2,): 1}).differentiate("u")
+    assert d == TruncatedSeries(("u",), 1, {(1,): 2})
+    s = TruncatedSeries(("u", "v"), 3, {(1, 2): 3, (0, 3): 1, (2, 0): Fraction(1, 2)})
+    assert s.differentiate("v") == TruncatedSeries(("u", "v"), 2, {(1, 1): 6, (0, 2): 3})
+    with pytest.raises(ValueError):
+        TruncatedSeries.constant(("u",), 0, 1).differentiate("u")

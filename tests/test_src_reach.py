@@ -8,7 +8,9 @@ walks the AST of every module and requires each top-level function and
 class, and each method, to be named somewhere in the package outside its own
 definition, as a name or as an attribute (``obj.method``). Dunder methods are
 exempt (Python calls them), and so are the functions cftbench/traced_cli.py
-wraps by name, which the benchmark reads.
+wraps by name, which the benchmark reads. A last guard asks the same of
+tests/oracles.py: each of its top-level functions and classes is named by a
+test file or by another oracle.
 """
 
 import ast
@@ -150,3 +152,21 @@ def test_every_dataclass_field_is_read_in_the_package():
         and item.target.id not in read
     ]
     assert not unread, "class fields no code in src/exactcft reads:\n" + "\n".join(unread)
+
+
+def test_every_oracle_is_used_by_a_test():
+    """Each top-level function and class in tests/oracles.py is named by some
+    tests/test_*.py or by another oracle, so an oracle whose test is gone
+    does not stay behind unchecked."""
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8"))
+    total = _references(oracles) + sum(
+        (_references(ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(tests.glob("test_*.py"))),
+        Counter(),
+    )
+    unused = [
+        name
+        for name, node in _definitions(oracles)
+        if "." not in name and total[name] <= _references(node)[name]
+    ]
+    assert not unused, "oracles no test uses:\n" + "\n".join(unused)
