@@ -10,17 +10,16 @@ identically through the truncation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError
 from .series import TruncatedSeries
 from .special import format_rational, gauss_2f1_coeff, pochhammer
 
 
-@dataclass(frozen=True)
-class AmplitudeMatrix:
+class AmplitudeMatrix(NamedTuple):
     """Chiral expansion coefficients B^{3/2 + n} for one weight pair."""
 
     h: int

@@ -11,9 +11,9 @@ finite sums computed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError
 from .special import gauss_2f1_coeff
@@ -65,8 +65,7 @@ def channel_coefficients(h_plus: int, h_minus: int, weighting: str) -> Fraction:
     raise ValueError(f"unknown weighting {weighting!r}")
 
 
-@dataclass(frozen=True)
-class ReferenceFourPoint:
+class ReferenceFourPoint(NamedTuple):
     """The universal 4-point function every two-channel reduction lands on,
     by its plus chirality; the minus one has the same form in h- and h'-."""
 

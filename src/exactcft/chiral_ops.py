@@ -10,10 +10,9 @@ to a wave with one point fewer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameterError
 from .pairs import ExpKey, PairSum, norm_exps
@@ -24,8 +23,7 @@ from .waves import ChiralWave, WaveSpec, chiral_wave_series, cross_ratio
 DVARS = ("D1", "D2")
 
 
-@dataclass(frozen=True)
-class ChiralIntertwiner:
+class ChiralIntertwiner(NamedTuple):
     """Coefficient table {(p, q): c} for sum c * d1^p d2^q.
 
     kind "E": degree h, the closed-form solution of the chiral intertwining
@@ -161,8 +159,7 @@ def reduce_correlator(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedWave:
+class ReducedWave(NamedTuple):
     """Outcome of reducing an n-point wave in an outer channel.
 
     terms: the reduced correlator on the surviving points, complete through

@@ -105,9 +105,11 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: i
     for d in dicts:
         poly = one
         for pr, b in base.items():
-            rel, frac = divmod(d.get(pr, 0) - b, den)
+            e = d.get(pr, 0)
+            rel, frac = divmod(e - b, den)
             if frac:
-                raise ConsistencyError("relative exponent within a class must be an integer")
+                raise ConsistencyError(f"pair {pr}: exponent {e}/{den} is not an integer away "
+                                       f"from the class base {b}/{den}")
             if rel:
                 poly = _int_product(poly, chain_power(pr, rel))
         out.append(poly)

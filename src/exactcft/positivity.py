@@ -19,8 +19,8 @@ the blocks and their inertia and stops there, with no admissibility verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .amplitudes import amplitude_scale
 from .channels import channel_coefficients
@@ -47,8 +47,7 @@ def helicity_labels(h_max: int, sign: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class PositivityBlock:
+class PositivityBlock(NamedTuple):
     k_plus: Fraction
     k_minus: Fraction
     sign: int
@@ -71,8 +70,7 @@ class PositivityBlock:
         }
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     structure: str
     h_max: int
     k_max: int
@@ -115,10 +113,11 @@ def positivity_report(structure: str, h_max: int, k_max: int) -> PositivityRepor
                 labels, constants = sides[sign]
                 amps = (pochhammer(hp, n_plus) * pochhammer(hm, n_minus) for hp, hm in labels)
                 factor = [[c * a for c in row] for row, a in zip(constants, amps)]
-                rows = [
-                    [sum(s * x * y for s, x, y in zip(scales, wr, wc)) for wc in factor]
-                    for wr in factor
-                ]
+                rows = [[0] * len(factor) for _ in factor]
+                for i, wr in enumerate(factor):  # the upper triangle, mirrored
+                    sw = [s * x for s, x in zip(scales, wr)]
+                    for j in range(i, len(factor)):
+                        rows[i][j] = rows[j][i] = sum(a * y for a, y in zip(sw, factor[j]))
                 blocks.append(
                     PositivityBlock(
                         Fraction(3, 2) + n_plus,

@@ -10,8 +10,8 @@ x13 x24 = x12 x34 + x14 x23) before any series is emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .pairs import PairSum, TwoChiralSum, bump
@@ -55,16 +55,20 @@ def _antisymmetrize(s: PairSum, i: int, j: int) -> PairSum:
     return s - s.relabel(swap)
 
 
-@dataclass(frozen=True)
-class SixPointStructure:
-    """A named structure in its 4D signed-monomial form (dims d = d' = 3)."""
-
+class _SixPointStructure(NamedTuple):
     name: str
     monomials: PairSum
 
-    def __post_init__(self):
-        if self.monomials.antisym:
+
+class SixPointStructure(_SixPointStructure):
+    """A named structure in its 4D signed-monomial form (dims d = d' = 3)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, monomials: PairSum):
+        if monomials.antisym:
             raise ValueError("squared-distance symbols must be unsigned")
+        return super().__new__(cls, name, monomials)
 
 
 def build_structure(name: str) -> SixPointStructure:
@@ -116,8 +120,7 @@ def _u_polynomial(name: str) -> dict[tuple[int, int, int, int], Fraction]:
     raise ValueError(f"no 2D closed form registered for {name!r}")
 
 
-@dataclass(frozen=True)
-class ChiralRestriction:
+class ChiralRestriction(NamedTuple):
     """Verified 2D form: prefactor * numerator / product of (1 - u) factors."""
 
     name: str

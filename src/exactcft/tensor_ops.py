@@ -33,9 +33,9 @@ so every output term is one Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
@@ -76,8 +76,7 @@ def homogeneous_degrees(poly: MultiPoly) -> tuple[int, int]:
     return degs.pop()
 
 
-@dataclass(frozen=True)
-class InvVector:
+class InvVector(NamedTuple):
     """A d1 + B d2 + C v with invariant-polynomial components."""
 
     a: MultiPoly
@@ -194,8 +193,7 @@ def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """Solution of the double recursion for the expansion coefficients c_{mn}."""
 
     kappa: int
@@ -291,8 +289,7 @@ def _check_recursions(table: CoefficientTable):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TensorIntertwiner:
+class TensorIntertwiner(NamedTuple):
     kappa: int
     L: int
     poly: MultiPoly

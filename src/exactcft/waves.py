@@ -12,9 +12,9 @@ every n >= 4 (casimir_residual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
@@ -44,31 +44,36 @@ def _pair_key(key: str) -> tuple[int, int]:
     return i, j
 
 
-@dataclass(frozen=True)
-class WaveSpec:
+# a NamedTuple body may not define __new__, so the validating class subclasses its fields
+class _WaveSpec(NamedTuple):
+    field_dims: tuple[Fraction, ...]
+    proj_dims: tuple[Fraction, ...]
+
+
+class WaveSpec(_WaveSpec):
     """Field dimensions d_1..d_n and projection dimensions a_1..a_{n-1}.
 
     Boundary conventions: a_0 = a_n = 0, and a_1 = d_1, a_{n-1} = d_n are
     forced by the first and last field.
     """
 
-    field_dims: tuple[Fraction, ...]
-    proj_dims: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.field_dims)
+    def __new__(cls, field_dims, proj_dims):
+        n = len(field_dims)
         if n < 3:
             raise ValueError(f"need at least 3 points, got {n}")
-        object.__setattr__(self, "field_dims", tuple(Fraction(d) for d in self.field_dims))
-        object.__setattr__(self, "proj_dims", tuple(Fraction(a) for a in self.proj_dims))
-        if len(self.proj_dims) != n - 1:
+        field_dims = tuple(Fraction(d) for d in field_dims)
+        proj_dims = tuple(Fraction(a) for a in proj_dims)
+        if len(proj_dims) != n - 1:
             raise ValueError(
-                f"need {n - 1} projection dimensions for {n} points, got {len(self.proj_dims)}"
+                f"need {n - 1} projection dimensions for {n} points, got {len(proj_dims)}"
             )
-        if self.proj_dims[0] != self.field_dims[0]:
+        if proj_dims[0] != field_dims[0]:
             raise ValueError("a_1 must equal d_1")
-        if self.proj_dims[-1] != self.field_dims[-1]:
+        if proj_dims[-1] != field_dims[-1]:
             raise ValueError("a_{n-1} must equal d_n")
+        return super().__new__(cls, field_dims, proj_dims)
 
     @classmethod
     def from_middle(cls, dims, middle) -> "WaveSpec":
@@ -144,8 +149,7 @@ def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:
     return FactoredLaurent(exps)
 
 
-@dataclass(frozen=True)
-class ChiralWave:
+class ChiralWave(NamedTuple):
     spec: WaveSpec
     prefactor: FactoredLaurent
     series: TruncatedSeries

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from exactcft.errors import SingularDiagonalError
-from exactcft.pairs import FactoredLaurent, PairSum
+from exactcft.errors import ConsistencyError, SingularDiagonalError
+from exactcft.pairs import FactoredLaurent, PairSum, _adjacent_expansions
 from oracles import two_chiral_monomial
 
 F = Fraction
@@ -233,3 +233,11 @@ def test_proportional_to_own_multiple(m, c):
     assume(not p.is_zero_function())
     assert p.proportional_to(p.scale(c)) == 1 / c
     assert p.scale(c).proportional_to(p) == c
+
+
+def test_adjacent_expansion_names_a_non_integer_offset():
+    # exponents 1/2 and 2/2 on x12 share the base 1/2 and differ by 1/2
+    keys = [(((1, 2), 1),), (((1, 2), 2),)]
+    message = r"^pair \(1, 2\): exponent 2/2 is not an integer away from the class base 1/2$"
+    with pytest.raises(ConsistencyError, match=message):
+        _adjacent_expansions((1, 2, 3), keys, 2)

@@ -134,7 +134,7 @@ def test_every_default_is_set_in_the_package():
 
 
 def test_every_dataclass_field_is_read_in_the_package():
-    """An annotated class field, such as a dataclass field, that nothing in
+    """An annotated class field, such as a record field, that nothing in
     src/exactcft reads as an attribute (``obj.field``) is data no code uses."""
     trees = _trees()
     read = {

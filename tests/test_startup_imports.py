@@ -5,6 +5,13 @@ is paid on every run. This guard lists the modules a bare ``python -S`` loads
 for ``import exactcft.cli`` and for the stdlib imports the package uses; a
 new import that pulls in anything else (hashlib, inspect-heavy helpers,
 numpy) fails here before it shows up as start-up time.
+
+``dataclasses`` is not in the list. It imports ``inspect``, and through it
+``ast``, ``dis``, ``tokenize`` and ``linecache``, about 10 ms of a fresh start
+without ``.pyc`` files; each frozen dataclass then builds its methods from
+generated source. With the package's 13 records as frozen dataclasses,
+``import exactcft.cli`` took 80 ms; as ``typing.NamedTuple`` classes it takes
+64 ms (medians of 15 fresh processes, Python 3.11.7, shared 2-core x86-64).
 """
 
 import os
@@ -16,8 +23,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # the stdlib modules exactcft imports by name; __future__ is the
 # `from __future__ import annotations` line every module starts with
-BASELINE = ("fractions, argparse, json, re, dataclasses, typing, math, itertools, operator,"
-            " functools, _sha256, __future__")
+BASELINE = ("fractions, argparse, json, re, typing, math, itertools, operator, functools,"
+            " _sha256, __future__")
 
 
 def _loaded(imports: str) -> set[str]:
