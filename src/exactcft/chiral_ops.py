@@ -150,8 +150,16 @@ def reduce_correlator(
     power = Fraction(d1) + Fraction(d2)
     if op.kind == "D":
         power -= 1
-    work = apply_operator_pair(target.mul_monomial(1, {(i, j): power}), op, i, j)
-    return work.merge_adjacent(i)
+    work = target.mul_monomial(1, {(i, j): power})
+    # a derivative lowers the power of x_ij by at most one, and merge_adjacent
+    # drops every positive power: a term above the degree never reaches the
+    # diagonal, so it is dropped before any derivative is taken
+    top = op.degree() * work.den
+    work.terms = {
+        key: c for key, c in work.terms.items()
+        if all(e <= top for pr, e in key if pr == (i, j))
+    }
+    return apply_operator_pair(work, op, i, j).merge_adjacent(i)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +210,10 @@ def reduce_wave(
 ) -> ReducedWave:
     """Channel reduction of a truncated wave at the first or last adjacent pair.
 
-    Works term-by-term on the series. Truncation is tracked honestly: tails
-    of the dropped series orders can contaminate surviving orders above
-    cap - max(0, h - a), so the result is only reported through that order.
+    The reliable series terms are reduced as one sum. Truncation is tracked
+    honestly: tails of the dropped series orders can contaminate surviving
+    orders above cap - max(0, h - a), so the result is only reported through
+    that order.
     """
     n = wave.spec.n
     i, j = pair
@@ -221,15 +230,13 @@ def reduce_wave(
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = cap - spill
 
-    points = tuple(range(1, n + 1))
     den, key = _wave_term(wave)
-    out = PairSum.zero(tuple(p for p in points if p != j))
-    for ells, c in wave.series.terms.items():
-        tail_order = sum(ells[1:]) if first else sum(ells[:-1])
-        if tail_order > reliable:
-            continue
-        mono = PairSum(points, {key(ells): c}, den=den)
-        out.add_scaled(reduce_correlator(mono, pair, op, d1, d2))
+    terms = {
+        key(ells): c
+        for ells, c in wave.series.terms.items()
+        if (sum(ells[1:]) if first else sum(ells[:-1])) <= reliable
+    }
+    out = reduce_correlator(PairSum(range(1, n + 1), terms, den=den), pair, op, d1, d2)
     return ReducedWave(out.points, out, reliable)
 
 

@@ -217,20 +217,22 @@ class PairSum(SparseSum):
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self, point: int) -> "PairSum":
-        """d/dx_point, with x_ij = x_i - x_j."""
+        """d/dx_point, with x_ij = x_i - x_j. The factor +-e/den of a term
+        stays an int over den until it joins the coefficient in one Fraction."""
         den = self.den
         res = self._empty()
         for key, c in self.terms.items():
             for at, ((i, j), e) in enumerate(key):
                 if point == i:
-                    factor = Fraction(e, den)
+                    factor = e
                 elif point == j:
-                    factor = Fraction(-e, den)
+                    factor = -e
                 else:
                     continue
                 # the pair keeps its place in the sorted key
                 lowered = (((i, j), e - den),) if e != den else ()
-                res.add_term(key[:at] + lowered + key[at + 1 :], c * factor)
+                res.add_term(key[:at] + lowered + key[at + 1 :],
+                             Fraction(c.numerator * factor, c.denominator * den))
         return res
 
     def merge_adjacent(self, i: int) -> "PairSum":

@@ -128,16 +128,6 @@ class TruncatedSeries(MultiPoly):
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
         return out
 
-    def scale_exponent(self, name: str, shift: int) -> "TruncatedSeries":
-        """Multiply by var^shift (shift >= 0), dropping terms past the cap."""
-        idx = self.variables.index(name)
-        out = self._empty()
-        for e, c in self.terms.items():
-            e2 = e[:idx] + (e[idx] + shift,) + e[idx + 1 :]
-            if sum(e2) <= self.cap:
-                out.terms[e2] = c
-        return out
-
     def differentiate(self, name: str) -> "TruncatedSeries":
         """Partial derivative in one variable. The unknown terms past the cap
         reach order cap in it, so it is exact only through cap - 1, its cap."""

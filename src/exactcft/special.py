@@ -12,7 +12,8 @@ from .errors import DegenerateParameterError
 
 def format_rational(q: Fraction) -> str:
     """Render q as "num/den", or "num" when the denominator is 1."""
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

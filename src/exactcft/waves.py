@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateParameterError
 from .pairs import FactoredLaurent
+from .poly import _int_numerators, _over
 from .series import TruncatedSeries
 from .special import format_rational, parse_rational, pochhammer
 
@@ -280,7 +281,8 @@ def casimir_residual(
     outer dimensions enter through D_i = d'_i - d_i: s_1 gains D_3, H_1 gains
     D_1 - D_2 + D_3, s_{n-3} gains D_{n-2} and H_{n-2} gains
     D_n - D_{n-1} + D_{n-2}. The equation acts term by term, so the residual
-    of an exactly truncated wave is exact through the requested cap.
+    of an exactly truncated wave is exact through the requested cap. It is
+    summed on ints, one Fraction per nonzero residual term.
     """
     s, q = wave.spec, eq_spec
     n = s.n
@@ -308,12 +310,25 @@ def casimir_residual(
         right += moved[n] - moved[n - 1] + moved[n - 2]
     up, down = shift + q.a(k + 1) - 1, shift - q.a(k + 1)
 
-    def raised(e: tuple[int, ...], c: Fraction) -> Fraction:
-        # the coefficient that c(e) contributes at e + 1_k
+    # one int pass: the coefficients as numerators over their LCD D, the four
+    # parameters scaled by their LCD L, so each factor is an int L (e_k + x)
+    # and the residual is R(e) / (D L^2)
+    den, nums = _int_numerators(wave.series.terms)
+    L = lcm(*(x.denominator for x in (up, down, left, right)))
+    up, down, left, right = (int(L * x) for x in (up, down, left, right))
+    top = min(cap, wave.series.cap)
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for e, c in nums.items():
+        order = sum(e)
+        if order > top:
+            continue
         before, ek, after = ((0,) + e + (0,))[k - 1 : k + 2]
-        return c * (before + ek + left) * (ek + after + right)
-
-    f = wave.series.truncate(min(cap, wave.series.cap))
-    lhs = f.map_coefficients(lambda e, c: c * (e[k - 1] + up) * (e[k - 1] + down))
-    rhs = f.map_coefficients(raised).scale_exponent(f.variables[k - 1], 1)
-    return lhs - rhs
+        acc[e] = get(e, 0) + c * (L * ek + up) * (L * ek + down)
+        if order < top:
+            # c(e) is the c(e - 1_k) of the equation at e + 1_k
+            raised = e[: k - 1] + (ek + 1,) + e[k:]
+            acc[raised] = get(raised, 0) - c * (L * (before + ek) + left) * (L * (ek + after) + right)
+    out = TruncatedSeries(wave.series.variables, top)
+    out.terms = _over(acc, den * L * L)
+    return out

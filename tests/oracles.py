@@ -10,7 +10,12 @@ from fractions import Fraction
 from math import factorial
 
 from exactcft.channels import channel_coefficients, reduction_coefficient
-from exactcft.chiral_ops import apply_operator_pair, chiral_intertwiner_normalized
+from exactcft.chiral_ops import (
+    ReducedWave,
+    _wave_term,
+    apply_operator_pair,
+    chiral_intertwiner_normalized,
+)
 from exactcft.errors import ConsistencyError, DegenerateParameterError
 from exactcft.linsolve import linear_solve_exact
 from exactcft.pairs import PairSum, TwoChiralSum, norm_exps
@@ -277,6 +282,78 @@ def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
     return TruncatedSeries.from_coefficients(
         ("u",), cap, lambda e: gauss_2f1_coeff(a + b, a + c, 2 * a, e[0])
     )
+
+
+def scale_exponent(series: TruncatedSeries, name: str, shift: int) -> TruncatedSeries:
+    """series times var^shift (shift >= 0), dropping terms past the cap."""
+    idx = series.variables.index(name)
+    out = TruncatedSeries(series.variables, series.cap)
+    for e, c in series.terms.items():
+        e2 = e[:idx] + (e[idx] + shift,) + e[idx + 1 :]
+        if sum(e2) <= series.cap:
+            out.terms[e2] = c
+    return out
+
+
+def casimir_residual_series(eq_spec: WaveSpec, wave, which: int, cap: int) -> TruncatedSeries:
+    """The invariant Casimir residual of waves.casimir_residual, built in
+    Fraction series arithmetic: the c(e) part and the c(e - 1_k) part as two
+    coefficient maps, the second shifted up by u_k, then subtracted."""
+    s, q = wave.spec, eq_spec
+    n, k = s.n, which
+    moved = {i: q.d(i) - s.d(i) for i in (1, 2, 3, n - 2, n - 1, n)}  # D_i
+    shift = s.a(k + 1)
+    left = s.a(k) + s.a(k + 1) - s.d(k + 1)
+    right = s.a(k + 1) + s.a(k + 2) - s.d(k + 2)
+    if k == 1:
+        shift += moved[3]
+        left += moved[1] - moved[2] + moved[3]
+    if k == n - 3:
+        shift += moved[n - 2]
+        right += moved[n] - moved[n - 1] + moved[n - 2]
+    up, down = shift + q.a(k + 1) - 1, shift - q.a(k + 1)
+
+    def raised(e: tuple[int, ...], c: Fraction) -> Fraction:
+        # the coefficient that c(e) contributes at e + 1_k
+        before, ek, after = ((0,) + e + (0,))[k - 1 : k + 2]
+        return c * (before + ek + left) * (ek + after + right)
+
+    f = wave.series.truncate(min(cap, wave.series.cap))
+    lhs = f.map_coefficients(lambda e, c: c * (e[k - 1] + up) * (e[k - 1] + down))
+    rhs = scale_exponent(f.map_coefficients(raised), f.variables[k - 1], 1)
+    return lhs - rhs
+
+
+def reduce_correlator_unfiltered(target: PairSum, pair: tuple[int, int], op, d1, d2) -> PairSum:
+    """chiral_ops.reduce_correlator with every term differentiated: no term
+    is dropped before the operator acts."""
+    i, j = pair
+    power = Fraction(d1) + Fraction(d2) - (op.kind == "D")
+    work = apply_operator_pair(target.mul_monomial(1, {(i, j): power}), op, i, j)
+    return work.merge_adjacent(i)
+
+
+def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
+    """chiral_ops.reduce_wave one series term at a time: each reliable term
+    is its own one-term PairSum, reduced by reduce_correlator_unfiltered and
+    added up."""
+    n = wave.spec.n
+    i, j = pair
+    first = (i, j) == (1, 2)
+    a_channel = wave.spec.a(2) if first else wave.spec.a(n - 2)
+    spill = op.h - a_channel
+    spill = int(spill) if spill == int(spill) and spill > 0 else 0
+    reliable = wave.series.cap - spill
+    points = tuple(range(1, n + 1))
+    den, key = _wave_term(wave)
+    out = PairSum.zero(tuple(p for p in points if p != j))
+    for ells, c in wave.series.terms.items():
+        tail_order = sum(ells[1:]) if first else sum(ells[:-1])
+        if tail_order > reliable:
+            continue
+        mono = PairSum(points, {key(ells): c}, den=den)
+        out.add_scaled(reduce_correlator_unfiltered(mono, pair, op, wave.spec.d(i), wave.spec.d(j)))
+    return ReducedWave(out.points, out, reliable)
 
 
 # -- sparse sums ------------------------------------------------------------------

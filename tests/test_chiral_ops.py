@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exactcft import chiral_ops
 from exactcft.chiral_ops import (
     apply_operator_pair,
     chiral_intertwiner,
@@ -12,10 +15,10 @@ from exactcft.chiral_ops import (
     reduce_wave,
     verify_chiral_pde,
 )
-from exactcft.errors import DegenerateParameterError
+from exactcft.errors import DegenerateParameterError, SingularDiagonalError
 from exactcft.pairs import PairSum
 from exactcft.waves import WaveSpec, casimir_residual, chiral_wave_series
-from oracles import three_point_structure, two_point_structure
+from oracles import reduce_wave_termwise, three_point_structure, two_point_structure
 
 F = Fraction
 
@@ -227,8 +230,6 @@ def test_seven_point_wave_verified_by_reduction():
     # past the pole bound are genuinely singular on the diagonal
     red = reduce_wave(wave, (1, 2), chiral_intertwiner(2, 1, 2))
     assert red.terms.is_zero_function()
-    from exactcft.errors import SingularDiagonalError
-
     with pytest.raises(SingularDiagonalError):
         reduce_wave(wave, (1, 2), chiral_intertwiner(3, 1, 2))
 
@@ -258,3 +259,66 @@ def test_wave_reduction_completeness_grid(n):
             else:
                 lam = match_reduction(red, spec, (1, 2), h)
                 assert lam is not None and lam != 0, (a2, h)
+
+
+def _reduced_or_singular(reduce, wave, pair, op):
+    try:
+        return reduce(wave, pair, op)
+    except SingularDiagonalError:
+        return "singular"
+
+
+@given(n=st.integers(4, 6), cap=st.integers(0, 4), h=st.integers(1, 3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_sum_reduction_matches_the_termwise_oracle(n, cap, h, data):
+    first = data.draw(st.booleans(), label="first pair")
+    pair = (1, 2) if first else (n - 1, n)
+    # the channel projection: matched (= h), another integer, or fractional
+    a = data.draw(st.sampled_from([F(h), F(h + 1), F(1), F(5, 2), F(7, 3), F(3, 2)]), label="a")
+    others = st.sampled_from([F(2), F(5, 2), F(3, 2)])
+    middle = data.draw(st.lists(others, min_size=n - 3, max_size=n - 3), label="middle")
+    middle[0 if first else -1] = a
+    dims = data.draw(st.lists(st.sampled_from([F(1), F(2), F(1, 2), F(3, 2)]),
+                              min_size=n, max_size=n), label="dims")
+    wave = chiral_wave_series(WaveSpec.from_middle(dims, middle), cap)
+    i, j = pair
+    if data.draw(st.booleans(), label="kind E"):
+        op = chiral_intertwiner(h, dims[i - 1], dims[j - 1])
+    else:
+        op = chiral_intertwiner_normalized(h)
+    got = _reduced_or_singular(reduce_wave, wave, pair, op)
+    want = _reduced_or_singular(reduce_wave_termwise, wave, pair, op)
+    if want == "singular":
+        assert got == "singular"
+        return
+    assert (got.points, got.reliable_cap) == (want.points, want.reliable_cap)
+    # term by term, with the exponents read as Fractions over each sum's den
+    assert list(got.terms) == list(want.terms)
+    assert (got.terms - want.terms).is_zero_function()
+
+
+def test_diagonal_filter_on_the_benchmark_wave(monkeypatch):
+    # the waves benchmark wave: a_2 = h = 2 matches the (1,2) channel, and
+    # a_4 = 5/2 > h leaves no term of the (5,6) channel within reach
+    h = 2
+    spec = WaveSpec.from_middle((1, 1, 2, 2, 1, 1), (2, 2, F(5, 2)))
+    wave = chiral_wave_series(spec, 8)
+    seen = []
+
+    def spy(target, op, slot1, slot2):
+        seen.append(target)
+        return apply_operator_pair(target, op, slot1, slot2)
+
+    monkeypatch.setattr(chiral_ops, "apply_operator_pair", spy)
+    red = reduce_wave(wave, (5, 6), chiral_intertwiner(h, 1, 1))
+    assert len(seen) == 1 and not seen[0].terms and red.terms.is_zero()
+
+    seen.clear()
+    red = reduce_wave(wave, (1, 2), chiral_intertwiner(h, 1, 1))
+    (kept,) = seen
+    # the x_12 power of a term is a_2 + l_1: only l_1 = 0 is within reach
+    assert len(kept.terms) == sum(1 for ells in wave.series.terms if spec.a(2) + ells[0] <= h)
+    assert len(kept.terms) < len(wave.series.terms)
+    for key in kept.terms:
+        assert F(dict(key)[(1, 2)], kept.den) == spec.a(2)
+    assert match_reduction(red, spec, (1, 2), h) is not None

@@ -18,7 +18,7 @@ from exactcft.waves import (
     wave_prefactor,
     wave_series_vars,
 )
-from oracles import fourpoint_reference, reversed_spec
+from oracles import casimir_residual_series, fourpoint_reference, reversed_spec, scale_exponent
 
 F = Fraction
 
@@ -189,7 +189,7 @@ def _six_point_residual(eq_spec: WaveSpec, wave, which: int, cap: int) -> Trunca
     else:
         lhs = euler(euler(f, 2, d(4) + a(4) - 1), 2, d(4) - a(4))
         rhs = euler(euler_pair(f, 2, 1), 2, d(6) - d(5) + d(4))
-    return lhs - rhs.scale_exponent(f.variables[which - 1], 1)
+    return lhs - scale_exponent(rhs, f.variables[which - 1], 1)
 
 
 @pytest.mark.parametrize("which", [1, 2, 3])
@@ -225,6 +225,46 @@ def test_six_point_residual_matches_the_three_branch_form(data):
         res = casimir_residual(eq_spec, wave, which, 4)
         assert res == _six_point_residual(eq_spec, wave, which, 4), which
         assert res.is_zero() or eq_spec != spec
+
+
+SHIFTS = st.sampled_from([F(1), F(-1), F(1, 2), F(2, 3), F(-5, 4)])
+
+
+def _perturbed(data, values: list, label: str) -> list:
+    """values unchanged, or with one entry moved by a nonzero shift."""
+    if not values or not data.draw(st.booleans(), label=f"perturb {label}"):
+        return values
+    at = data.draw(st.integers(0, len(values) - 1), label=f"{label} index")
+    out = list(values)
+    out[at] += data.draw(SHIFTS, label=f"{label} shift")
+    return out
+
+
+@given(n=st.integers(4, 7), cap=st.integers(0, 6), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_residual_matches_the_series_oracle(n, cap, data):
+    dims = data.draw(st.lists(DIMS, min_size=n, max_size=n), label="dims")
+    middle = data.draw(st.lists(PROJ, min_size=n - 3, max_size=n - 3), label="middle")
+    spec = WaveSpec.from_middle(dims, middle)
+    wave = chiral_wave_series(spec, data.draw(st.integers(cap, cap + 2), label="wave cap"))
+    eq_spec = WaveSpec.from_middle(_perturbed(data, dims, "dims"), _perturbed(data, middle, "middle"))
+    for which in range(1, n - 2):
+        res = casimir_residual(eq_spec, wave, which, cap)
+        assert res == casimir_residual_series(eq_spec, wave, which, cap), which
+        assert res.is_zero() or eq_spec != spec, which
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_integer_residual_of_a_wrong_equation_matches_the_oracle(n):
+    spec = WaveSpec.from_middle((F(1, 2),) + (2,) * (n - 2) + (F(3, 2),), (F(5, 2),) * (n - 3))
+    wave = chiral_wave_series(spec, 5)
+    for eq_spec in (
+        WaveSpec.from_middle((1,) + spec.field_dims[1:], spec.proj_dims[1:-1]),
+        WaveSpec.from_middle(spec.field_dims, (F(7, 3),) + spec.proj_dims[2:-1]),
+    ):
+        res = casimir_residual(eq_spec, wave, 1, 5)
+        assert not res.is_zero()
+        assert res == casimir_residual_series(eq_spec, wave, 1, 5)
 
 
 @given(n=st.integers(4, 9), cap=st.integers(0, 4), data=st.data())
