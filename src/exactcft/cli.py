@@ -46,7 +46,8 @@ INTERNAL_EXIT = 4
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # every handler returns a fresh tree, so the circular-reference walk is waste
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:

@@ -4,8 +4,8 @@ equality testing.
 A term is coeff * prod x_{ij}^{e_ij} over normalized pairs i < j of integer
 point labels. Exponents may be non-integer rationals (kept symbolic, never
 expanded). Products of pair powers are linearly dependent as functions
-(x13 = x12 + x23), so zero/equality checks expand integer-exponent classes in
-adjacent-difference coordinates and compare polynomials exactly.
+(x13 = x12 + x23): one exact int value per integer-exponent class can prove a
+sum nonzero, and identities expand the classes in adjacent differences exactly.
 
 Exponent keys are integers. A PairSum holds one positive denominator ``den``
 for all its terms, and the key of a term is the sorted tuple of
@@ -21,11 +21,13 @@ Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from itertools import accumulate
+from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
-from .poly import MultiPoly, SparseSum, _combination_poly, _int_product
+from .poly import SparseSum, _combination_terms, _int_numerators, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -62,58 +64,66 @@ def bump(key: ExpKey, add: Mapping[Pair, int], times: int = 1) -> ExpKey:
     return tuple(sorted(cur.items()))
 
 
-def _zvars(points: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(f"z{k}" for k in range(1, len(points)))
-
-
-def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: int = 1) -> list[dict]:
-    """Each monomial of keys (numerators over den) over one shared base, in
-    adjacent differences.
+def _offsets(keys: Iterable[ExpKey], den: int) -> list[dict[Pair, int]]:
+    """Per key (numerators over den), its integer exponent on each pair above
+    one shared base, zero offsets dropped.
 
     The base takes per pair the least exponent across keys, absence counting
     as 0, and every monomial is divided by it: a common factor changes
-    neither zeroness nor any linear relation among the expansions. Keys that
+    neither zeroness nor any linear relation among the monomials. Keys that
     agree modulo integers on every pair (a pair with a fractional exponent
-    then appears in every key) leave non-negative integer relative exponents,
-    each expanded through x_{p_a} - x_{p_b} = z_a + ... + z_{b-1} over the
-    sorted points. Returns one integer-coefficient dict {z exponents: int}
-    per key, in order.
+    then appears in every key) leave non-negative integer offsets.
     """
     dicts = [dict(key) for key in keys]
-    pairs = {pr for d in dicts for pr in d}
-    base = {pr: min(d.get(pr, 0) for d in dicts) for pr in pairs}
-    nz = len(points) - 1
-    one = {(0,) * nz: 1}
-    idx = {p: k for k, p in enumerate(points)}
-    chain_cache: dict[tuple[Pair, int], dict] = {}
-
-    def chain_power(pr: Pair, n: int) -> dict:
-        got = chain_cache.get((pr, n))
-        if got is None:
-            if n == 0:
-                got = one
-            else:
-                lin = {
-                    tuple(int(k == m) for k in range(nz)): 1
-                    for m in range(idx[pr[0]], idx[pr[1]])
-                }
-                got = _int_product(chain_power(pr, n - 1), lin)
-            chain_cache[(pr, n)] = got
-        return got
-
+    base = {pr: min(d.get(pr, 0) for d in dicts) for pr in {pr for d in dicts for pr in d}}
     out = []
     for d in dicts:
-        poly = one
+        rel = {}
         for pr, b in base.items():
             e = d.get(pr, 0)
-            rel, frac = divmod(e - b, den)
+            r, frac = divmod(e - b, den)
             if frac:
                 raise ConsistencyError(f"pair {pr}: exponent {e}/{den} is not an integer away "
                                        f"from the class base {b}/{den}")
-            if rel:
-                poly = _int_product(poly, chain_power(pr, rel))
-        out.append(poly)
+            if r:
+                rel[pr] = r
+        out.append(rel)
     return out
+
+
+def _pair_values(points: tuple[int, ...]) -> dict[Pair, int]:
+    """x_{p_a p_b} = z_a + ... + z_{b-1} at the fixed point z_k = k^2 + k + 41
+    (k = 0, 1, ...): positive and distinct, so no pair difference vanishes."""
+    at = list(accumulate((k * k + k + 41 for k in range(len(points) - 1)), initial=0))
+    return {(p, q): at[b] - at[a] for a, p in enumerate(points) for b, q in enumerate(points) if a < b}
+
+
+def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: int = 1) -> list[dict]:
+    """Each monomial of keys (numerators over den) over one shared base (see
+    _offsets), in adjacent differences: each offset expanded through
+    x_{p_a} - x_{p_b} = z_a + ... + z_{b-1} over the sorted points. Returns
+    one integer-coefficient dict {z exponents: int} per key, in order.
+    """
+    nz = len(points) - 1
+    one = {(0,) * nz: 1}
+    idx = {p: k for k, p in enumerate(points)}
+    powers: dict[tuple[Pair, int], dict] = {}
+
+    def power(pr: Pair, n: int) -> dict:
+        if (pr, n) not in powers:
+            chain = {tuple(int(k == m) for k in range(nz)): 1 for m in range(idx[pr[0]], idx[pr[1]])}
+            powers[pr, n] = one if n == 0 else _int_product(power(pr, n - 1), chain)
+        return powers[pr, n]
+
+    return [reduce(_int_product, (power(pr, r) for pr, r in rel.items()), one) for rel in _offsets(keys, den)]
+
+
+def _class_polys(points: tuple[int, ...], t1: dict, t2: dict, den: int) -> tuple[dict, dict]:
+    """Two term dicts of one class (numerators over den) as polynomials in
+    adjacent differences, {z exponents: Fraction}, over the base of their union."""
+    union = list(t1.keys() | t2.keys())
+    parts = dict(zip(union, _adjacent_expansions(points, union, den)))
+    return _combination_terms(parts, t1), _combination_terms(parts, t2)
 
 
 class PairSum(SparseSum):
@@ -304,34 +314,43 @@ class PairSum(SparseSum):
             groups.setdefault(ck, {})[key] = c
         return groups
 
-    def _z_poly(self, terms: Mapping[ExpKey, Fraction]) -> MultiPoly:
-        """Expand an integer-class group in adjacent-difference coordinates,
-        up to the common base monomial of _adjacent_expansions."""
-        expansions = dict(zip(terms, _adjacent_expansions(self.points, terms, self.den)))
-        return _combination_poly(_zvars(self.points), expansions, terms)
-
     def is_zero_function(self) -> bool:
-        return all(self._z_poly(g).is_zero() for g in self._classes().values())
+        """Exact. Each class is first evaluated on ints at the point of
+        _pair_values, and a nonzero value proves the sum nonzero; only when
+        every value vanishes are the classes expanded."""
+        classes = list(self._classes().values())
+        x = _pair_values(self.points)
+        if any(sum(c * prod(x[pr] ** r for pr, r in rel.items())
+                   for rel, c in zip(_offsets(g, self.den), _int_numerators(g)[1].values()))
+               for g in classes):
+            return False
+        return not any(_class_polys(self.points, g, {}, self.den)[0] for g in classes)
 
     def proportional_to(self, other: "PairSum") -> Fraction | None:
         """Return nonzero lam with self = lam * other as functions, or None.
 
-        lam is read off the first class where other is not the zero function,
-        with both sides expanded over one base; self - lam * other decides."""
+        Over one denominator, equal keys with one coefficient ratio decide at
+        once. Otherwise each class of either sum is expanded once: lam is read
+        off the first class where other's polynomial p2 is nonzero, and
+        self's p1 = lam * p2 must hold in every class."""
         self._coerce(other)
         den = lcm(self.den, other.den)
-        zvars = _zvars(self.points)
-        g1 = self._rescaled(den)._classes()
-        for ck, t2 in other._rescaled(den)._classes().items():
-            t1 = g1.get(ck, {})
-            union = list(set(t1) | set(t2))
-            expansions = dict(zip(union, _adjacent_expansions(self.points, union, den)))
-            p2 = _combination_poly(zvars, expansions, t2)
-            if p2:
-                exps, c2 = p2.leading()
-                lam = _combination_poly(zvars, expansions, t1).coefficient(exps) / c2
-                return lam if lam and (self - other.scale(lam)).is_zero_function() else None
-        return None
+        s1, s2 = self._rescaled(den), other._rescaled(den)
+        if s1.terms.keys() == s2.terms.keys():
+            ratios = {c / s2.terms[key] for key, c in s1.terms.items()}
+            if len(ratios) == 1:
+                return None if other.is_zero_function() else ratios.pop()
+        g1, g2 = s1._classes(), s2._classes()
+        lam = None
+        for k in g2.keys() | g1.keys():
+            p1, p2 = _class_polys(self.points, g1.get(k, {}), g2.get(k, {}), den)
+            if lam is None and p2:
+                e = next(iter(p2))
+                if not (lam := p1.get(e, 0) / p2[e]):
+                    return None
+            if p1 != {e: lam * c for e, c in p2.items()}:
+                return None
+        return lam
 
     # -- presentation -------------------------------------------------------
 

@@ -8,19 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .poly import MultiPoly, _product_terms
-
-
-def _exponent_tuples(nv: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Every nv-tuple of non-negative exponents with sum <= cap, once, in lex order.
-
-    Stars and bars: nv bars among cap + nv slots, the gaps between them read
-    off as the exponents.
-    """
-    for bars in combinations(range(cap + nv), nv):
-        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
 
 
 class TruncatedSeries(MultiPoly):
@@ -50,46 +40,16 @@ class TruncatedSeries(MultiPoly):
     def from_coefficients(
         cls, variables: Iterable[str], cap: int, coeff: Callable[[tuple[int, ...]], Fraction]
     ) -> "TruncatedSeries":
-        """sum coeff(e) * x^e over every exponent tuple e of total order <= cap."""
+        """sum coeff(e) * x^e over every exponent tuple e of total order <= cap,
+        each met once, in lex order. Stars and bars: nv bars among cap + nv
+        slots, the gaps between them read off as the exponents."""
         out = cls(variables, cap)
-        for exps in _exponent_tuples(len(out.variables), cap):
+        nv = len(out.variables)
+        for bars in combinations(range(cap + nv), nv):
+            exps = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
             c = coeff(exps)
             if c:
                 out.terms[exps] = Fraction(c)
-        return out
-
-    @classmethod
-    def from_ratios(
-        cls,
-        variables: Iterable[str],
-        cap: int,
-        ratio: Callable[[tuple[int, ...], int], tuple[int, int]],
-    ) -> "TruncatedSeries":
-        """The series with constant term 1 and c(e + 1_k) = c(e) * p / q, where
-        (p, q) = ratio(e, k) are ints.
-
-        Each tuple takes its coefficient from the tuple whose last nonzero
-        exponent k is one lower, which comes earlier in the lex order: the
-        neighbour's numerator and denominator times p and q, made into one
-        Fraction, with no Fraction arithmetic. ratio is called for every
-        tuple, also after a zero coefficient, so it can raise on a vanishing
-        denominator. Zero terms stay in the dict, which is the memo of the
-        walk, until the last tuple is done.
-        """
-        out = cls(variables, cap)
-        terms = out.terms
-        walk = _exponent_tuples(len(out.variables), cap)
-        terms[next(walk)] = Fraction(1)
-        for exps in walk:
-            k = len(exps) - 1
-            while not exps[k]:
-                k -= 1
-            prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
-            c = terms[prev]
-            p, q = ratio(prev, k)
-            terms[exps] = Fraction(c.numerator * p, c.denominator * q)
-        if not all(terms.values()):
-            out.terms = {e: c for e, c in terms.items() if c}
         return out
 
     def _empty(self) -> "TruncatedSeries":

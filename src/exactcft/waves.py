@@ -244,24 +244,43 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
     # both tables scaled once by the LCD L of every A_j and B_k, so the ratio
     # is the int pair (L(A_k + ..) L(A_{k+1} + ..), L^2 (l_k + 1)(B_k + l_k));
     # 1-based: numer[j][m] = L(A_j + m) for j = 1..n-2 and
-    # denom[k][m] = L^2 (m + 1)(B_k + m) for k = 1..n-3; an order m of a tuple
-    # before the last one stays below cap
+    # denom[k][m] = L^2 (m + 1)(B_k + m) for k = 1..n-3; the order m a ratio
+    # reads stays below cap
     L = lcm(*(x.denominator for x in A + B))
     numer = [None] + [[int(L * x) + L * m for m in orders] for x in A]
     denom = [None] + [[L * (m + 1) * (int(L * x) + L * m) for m in orders] for x in B]
 
-    def ratio(ells: tuple[int, ...], i: int) -> tuple[int, int]:
-        k = i + 1
-        # l_{k-1}, l_k, l_{k+1} with the boundary l_0 = l_{n-2} = 0
-        before, lk, after = ((0,) + ells + (0,))[k - 1 : k + 2]
-        den = denom[k][lk]
-        if den == 0:
+    # An odometer over the lex order: raise the last l below the cap, else zero
+    # the last nonzero l_j and raise l_{j-1}. A raised l_k has l_{k+1} = 0, so its
+    # coefficient is its prefix's (l_1..l_k, 0..0) times one ratio; prefix holds
+    # unreduced (k, num, den) per nonzero l_k over a sentinel k = 0; ells[0] = l_0.
+    nv = n - 3
+    ells = [0] * (nv + 1)
+    prefix = [(0, 1, 1)]
+    terms = {tuple(ells[1:]): Fraction(1)}
+    total = 0
+    while True:
+        if total < cap and nv:
+            k = nv
+        else:
+            j = prefix.pop()[0]
+            if j <= 1:
+                break
+            total -= ells[j]
+            ells[j], k = 0, j - 1
+        lk = ells[k]
+        if denom[k][lk] == 0:
             raise DegenerateParameterError(
                 f"(2 a_{k + 1})_{lk + 1} vanishes: a_{k + 1} = {spec.a(k + 1)} is degenerate"
             )
-        return numer[k][before + lk] * numer[k + 1][lk + after], den
-
-    series = TruncatedSeries.from_ratios(wave_series_vars(n), cap, ratio)
+        _, num, den = prefix.pop() if prefix[-1][0] == k else prefix[-1]
+        num, den = num * numer[k][ells[k - 1] + lk] * numer[k + 1][lk], den * denom[k][lk]
+        prefix.append((k, num, den))
+        ells[k], total = lk + 1, total + 1
+        if num:
+            terms[tuple(ells[1:])] = Fraction(num, den)
+    series = TruncatedSeries(wave_series_vars(n), cap)
+    series.terms = terms
     return ChiralWave(spec, wave_prefactor(spec), series)
 
 

@@ -7,7 +7,7 @@ conveniences the tests need and the package does not.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from exactcft.channels import channel_coefficients, reduction_coefficient
 from exactcft.chiral_ops import (
@@ -18,8 +18,8 @@ from exactcft.chiral_ops import (
 )
 from exactcft.errors import ConsistencyError, DegenerateParameterError
 from exactcft.linsolve import linear_solve_exact
-from exactcft.pairs import PairSum, TwoChiralSum, norm_exps
-from exactcft.poly import MultiPoly
+from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, norm_exps
+from exactcft.poly import MultiPoly, _combination_poly
 from exactcft.series import TruncatedSeries
 from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
 from exactcft.tensor_ops import (
@@ -284,6 +284,50 @@ def fourpoint_reference(a, b, c, cap: int) -> TruncatedSeries:
     )
 
 
+def series_from_ratios(variables, cap: int, ratio) -> TruncatedSeries:
+    """The series with constant term 1 and c(e + 1_k) = c(e) * p / q, where
+    (p, q) = ratio(e, k) are ints: every tuple of the lex stars-and-bars
+    order takes its coefficient from the tuple whose last nonzero exponent is
+    one lower, which that order meets earlier, through the ratio callback.
+    ratio is called for every tuple, also after a zero coefficient, so it can
+    raise on a vanishing denominator; zero terms are dropped at the end."""
+    out = TruncatedSeries(variables, cap)
+    terms = out.terms
+    walk = iter(TruncatedSeries.from_coefficients(out.variables, cap, lambda e: 1).terms)
+    terms[next(walk)] = Fraction(1)
+    for exps in walk:
+        k = len(exps) - 1
+        while not exps[k]:
+            k -= 1
+        prev = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
+        c = terms[prev]
+        p, q = ratio(prev, k)
+        terms[exps] = Fraction(c.numerator * p, c.denominator * q)
+    out.terms = {e: c for e, c in terms.items() if c}
+    return out
+
+
+def chiral_wave_series_by_ratios(spec: WaveSpec, cap: int) -> TruncatedSeries:
+    """The series of waves.chiral_wave_series through series_from_ratios: the
+    term ratio (A_k + l_{k-1} + l_k)(A_{k+1} + l_k + l_{k+1}) / ((l_k + 1)(B_k + l_k))
+    as a callback on each predecessor tuple, in Fractions."""
+    n = spec.n
+    A = [None] + [spec.a(j) + spec.a(j + 1) - spec.d(j + 1) for j in range(1, n - 1)]
+
+    def ratio(ells, i):
+        k = i + 1
+        before, lk, after = ((0,) + ells + (0,))[k - 1 : k + 2]
+        den = (lk + 1) * (2 * spec.a(k + 1) + lk)
+        if den == 0:
+            raise DegenerateParameterError(
+                f"(2 a_{k + 1})_{lk + 1} vanishes: a_{k + 1} = {spec.a(k + 1)} is degenerate"
+            )
+        r = (A[k] + before + lk) * (A[k + 1] + lk + after) / den
+        return r.numerator, r.denominator
+
+    return series_from_ratios(tuple(f"u{k}" for k in range(1, n - 2)), cap, ratio)
+
+
 def scale_exponent(series: TruncatedSeries, name: str, shift: int) -> TruncatedSeries:
     """series times var^shift (shift >= 0), dropping terms past the cap."""
     idx = series.variables.index(name)
@@ -368,9 +412,49 @@ def two_chiral_monomial(points, coeff, exps_plus, exps_minus) -> TwoChiralSum:
     return out
 
 
+def ptolemy_zero(p: PairSum) -> PairSum:
+    """p * (x13 - x12 - x23): zero as a function, not term by term."""
+    out = p.mul_monomial(1, {(1, 3): 1})
+    out.add_scaled(p.mul_monomial(1, {(1, 2): 1}), -1)
+    out.add_scaled(p.mul_monomial(1, {(2, 3): 1}), -1)
+    return out
+
+
 def reversed_spec(spec: WaveSpec) -> WaveSpec:
     """Hermitean conjugation relabeling i -> n+1-i."""
     return WaveSpec(spec.field_dims[::-1], spec.proj_dims[::-1])
+
+
+def z_poly_expanded(ps: PairSum, terms) -> MultiPoly:
+    """One exponent class of ps expanded in adjacent differences z_k, up to the
+    class's common base monomial."""
+    zvars = tuple(f"z{k}" for k in range(1, len(ps.points)))
+    expansions = dict(zip(terms, _adjacent_expansions(ps.points, terms, ps.den)))
+    return _combination_poly(zvars, expansions, terms)
+
+
+def is_zero_function_expanded(ps: PairSum) -> bool:
+    """PairSum.is_zero_function with no certificate: every class expanded."""
+    return all(z_poly_expanded(ps, g).is_zero() for g in ps._classes().values())
+
+
+def proportional_to_expanded(a: PairSum, b: PairSum):
+    """PairSum.proportional_to by three expansions: lam off the first class
+    where b is not the zero function (both sides over one base), then
+    a - lam * b decided by is_zero_function_expanded."""
+    den = lcm(a.den, b.den)
+    zvars = tuple(f"z{k}" for k in range(1, len(a.points)))
+    g1 = a._rescaled(den)._classes()
+    for ck, t2 in b._rescaled(den)._classes().items():
+        t1 = g1.get(ck, {})
+        union = list(set(t1) | set(t2))
+        expansions = dict(zip(union, _adjacent_expansions(a.points, union, den)))
+        p2 = _combination_poly(zvars, expansions, t2)
+        if p2:
+            exps, c2 = p2.leading()
+            lam = _combination_poly(zvars, expansions, t1).coefficient(exps) / c2
+            return lam if lam and is_zero_function_expanded(a - b.scale(lam)) else None
+    return None
 
 
 # -- positivity -------------------------------------------------------------------

@@ -181,6 +181,31 @@ def test_sixths_reduce_digest(capsys, tmp_path, pair, h, matched):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"reduce-sixths-{pair}-h{h}"]
 
 
+def test_zero_reduction_that_keeps_terms_digest(capsys, tmp_path):
+    # the (1,1,1,1) wave with a_2 = 2 reduced at (1,2) with h = 3 keeps three
+    # terms that are the zero function only through x13 = x12 + x23, so the
+    # zero test runs its expansion after the point value vanishes
+    wave = tmp_path / "wave.json"
+    wave.write_text(_stdout(capsys, WAVE4[:-1] + ("5",)), encoding="utf-8")
+    out = _stdout(capsys, ("reduce", "--wave", str(wave), "--pair", "1,2", "--h", "3"))
+    assert '"zero":true' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b8440db94ae359352424b4cec89b7b1f1c2fccb8693a48cd2f27f3d384212a3a"
+    )
+
+
+def test_wave_with_twelve_hundred_points_digest(capsys):
+    # 1197 cross ratios at cap 1: the walk carries 1196 times and has no
+    # recursion that could reach Python's depth limit
+    n = 1200
+    argv = ("wave", "--n", str(n), "--dims", ",".join(["1"] * n),
+            "--proj", ",".join(["2"] * (n - 3)), "--cap", "1")
+    out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4360f2211546132454a6e68a2c06ed43b4b8c0dac50ab3cb58aae9731766976d"
+    )
+
+
 def test_positivity_out_file_matches_stdout(capsys, tmp_path):
     report = tmp_path / "report.json"
     out = _stdout(capsys, EXAMPLES["positivity"] + ("--out", str(report)))

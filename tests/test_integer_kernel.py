@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from exactcft.pairs import PairSum, TwoChiralSum, bump
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
-from oracles import two_chiral_monomial
+from oracles import ptolemy_zero, two_chiral_monomial
 
 F = Fraction
 VARS = ("x", "y")
@@ -161,14 +161,6 @@ def pair_sum(terms):
     out = PairSum.zero(PTS)
     for c, exps in terms:
         out.add_scaled(PairSum.monomial(PTS, c, exps))
-    return out
-
-
-def ptolemy_zero(p):
-    """p * (x13 - x12 - x23): zero as a function, not term by term."""
-    out = p.mul_monomial(1, {(1, 3): 1})
-    out.add_scaled(p.mul_monomial(1, {(1, 2): 1}), -1)
-    out.add_scaled(p.mul_monomial(1, {(2, 3): 1}), -1)
     return out
 
 

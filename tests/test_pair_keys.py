@@ -20,6 +20,7 @@ from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.errors import ConsistencyError, SingularDiagonalError
 from exactcft.pairs import PairSum
 from exactcft.waves import WaveSpec, chiral_wave_series, cross_ratio
+from oracles import ptolemy_zero
 
 F = Fraction
 PTS = (1, 2, 3, 4)
@@ -252,14 +253,6 @@ def test_keys_relabel_matches_fraction_keys(monos, image, antisym):
 def test_keys_classes_match_fraction_keys(monos):
     ps, ref = build(monos)
     assert frac_classes(ps) == ref_classes(ref)
-
-
-def ptolemy_zero(ps):
-    """ps * (x13 - x12 - x23): zero as a function, not term by term."""
-    out = ps.mul_monomial(1, {(1, 3): 1})
-    out.add_scaled(ps.mul_monomial(1, {(1, 2): 1}), -1)
-    out.add_scaled(ps.mul_monomial(1, {(2, 3): 1}), -1)
-    return out
 
 
 @given(monomials, monomials, st.sampled_from([F(1, 3), F(-5, 2), F(7, 6)]))

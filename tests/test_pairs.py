@@ -5,8 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactcft.errors import ConsistencyError, SingularDiagonalError
-from exactcft.pairs import FactoredLaurent, PairSum, _adjacent_expansions
-from oracles import two_chiral_monomial
+import exactcft.pairs as pairs_module
+from exactcft.pairs import FactoredLaurent, PairSum, _adjacent_expansions, _pair_values
+from oracles import (
+    is_zero_function_expanded,
+    proportional_to_expanded,
+    ptolemy_zero,
+    two_chiral_monomial,
+)
 
 F = Fraction
 
@@ -241,3 +247,60 @@ def test_adjacent_expansion_names_a_non_integer_offset():
     message = r"^pair \(1, 2\): exponent 2/2 is not an integer away from the class base 1/2$"
     with pytest.raises(ConsistencyError, match=message):
         _adjacent_expansions((1, 2, 3), keys, 2)
+
+
+def _refuse_expansion(*args):
+    raise AssertionError("expanded although the certificate decides")
+
+
+def test_a_nonzero_value_decides_without_expanding(monkeypatch):
+    pts = (1, 2, 3)
+    s = mono(pts, 1, {(1, 3): F(1, 2)}) + mono(pts, 2, {(1, 2): 1, (2, 3): -1})
+    ref = s.scale(F(-3, 4))
+    monkeypatch.setattr(pairs_module, "_adjacent_expansions", _refuse_expansion)
+    assert not s.is_zero_function()
+    # equal keys with one coefficient ratio: no expansion either
+    assert s.proportional_to(ref) == F(-4, 3)
+
+
+def test_certificate_point_is_a_chain_of_positive_distinct_differences():
+    x = _pair_values((1, 2, 3, 5))
+    z = [x[(1, 2)], x[(2, 3)], x[(3, 5)]]
+    assert all(v > 0 for v in z) and len(set(z)) == 3
+    assert x[(1, 3)] == z[0] + z[1] and x[(2, 5)] == z[1] + z[2] and x[(1, 5)] == sum(z)
+
+
+def test_a_sum_that_vanishes_at_the_certificate_point_is_expanded():
+    # z2* x12 - z1* x23 is zero at the point, where x12 = z1* and x23 = z2*,
+    # and nowhere near zero as a function
+    pts = (1, 2, 3)
+    x = _pair_values(pts)
+    s = mono(pts, x[(2, 3)], {(1, 2): 1}) - mono(pts, x[(1, 2)], {(2, 3): 1})
+    assert x[(2, 3)] * x[(1, 2)] - x[(1, 2)] * x[(2, 3)] == 0
+    assert s.is_zero_function() is False
+    assert is_zero_function_expanded(s) is False
+    # and a multiple of it hidden under x13 - x12 - x23 = 0 is still matched
+    hidden = s.scale(3) + s.mul_monomial(1, {(1, 3): 1}) - s.mul_monomial(1, {(1, 2): 1}) \
+        - s.mul_monomial(1, {(2, 3): 1})
+    assert hidden.proportional_to(s) == 3 == proportional_to_expanded(hidden, s)
+
+
+@given(
+    pair_sums,
+    pair_sums,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(lambda c: c != 0),
+)
+@settings(max_examples=60, deadline=None)
+def test_certificate_verdicts_match_the_full_expansions(ma, mb, c):
+    a, b = _pair_sum(ma), _pair_sum(mb)
+    z = ptolemy_zero(a)
+    for s in (a, b, z, a + z, a - b, z + b, b + ptolemy_zero(b)):
+        assert s.is_zero_function() == is_zero_function_expanded(s)
+    # a + z is a multiple of a.scale(c) with another key set
+    hidden = a + z
+    # z.scale(c) and z share their keys and one ratio, yet z is the zero function
+    for x, y in ((a, b), (hidden, a.scale(c)), (a.scale(c), hidden), (z, a), (a, z),
+                 (a + b, b), (a, a.scale(c)), (hidden, b + ptolemy_zero(b)), (z.scale(c), z)):
+        assert x.proportional_to(y) == proportional_to_expanded(x, y)
+    if not is_zero_function_expanded(a):
+        assert hidden.proportional_to(a.scale(c)) == 1 / c

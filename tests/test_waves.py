@@ -18,7 +18,13 @@ from exactcft.waves import (
     wave_prefactor,
     wave_series_vars,
 )
-from oracles import casimir_residual_series, fourpoint_reference, reversed_spec, scale_exponent
+from oracles import (
+    casimir_residual_series,
+    chiral_wave_series_by_ratios,
+    fourpoint_reference,
+    reversed_spec,
+    scale_exponent,
+)
 
 F = Fraction
 
@@ -401,3 +407,40 @@ def test_wave_json_rejects_a_second_spelling_of_a_factor_key(key):
 def test_wave_json_rejects_non_object():
     with pytest.raises(ValueError):
         ChiralWave.from_json([])
+
+
+# a = 0, -1/2 and -1 make (2 a)_m vanish at m = 1, 2 and 3
+walk_dims = st.sampled_from([F(-1, 2), F(-1), F(0), F(1), F(3, 2), F(2), F(5, 2), F(1, 3)])
+
+
+def _walk_outcome(build):
+    """The terms in insertion order, or the DegenerateParameterError message."""
+    try:
+        return list(build().terms.items())
+    except DegenerateParameterError as exc:
+        return str(exc)
+
+
+@given(st.integers(3, 8), st.integers(0, 6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_odometer_walk_matches_the_ratio_callback_walk(n, cap, data):
+    spec = WaveSpec.from_middle(
+        data.draw(st.lists(walk_dims, min_size=n, max_size=n)),
+        data.draw(st.lists(walk_dims, min_size=n - 3, max_size=n - 3)),
+    )
+    got = _walk_outcome(lambda: chiral_wave_series(spec, cap).series)
+    assert got == _walk_outcome(lambda: chiral_wave_series_by_ratios(spec, cap))
+
+
+@pytest.mark.parametrize("a, order", [(F(0), 1), (F(-1, 2), 2), (F(-1), 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_odometer_walk_raises_where_the_ratio_walk_does(a, order, k):
+    # a_{k+1} = a is degenerate once an exponent reaches order; below that cap
+    # both walks return the same terms, at it the same first error
+    middle = [F(2)] * 3
+    middle[k - 1] = a
+    spec = WaveSpec.from_middle((1, 1, 2, 2, 1, 1), middle)
+    for cap in (order - 1, order, order + 2):
+        got = _walk_outcome(lambda: chiral_wave_series(spec, cap).series)
+        assert got == _walk_outcome(lambda: chiral_wave_series_by_ratios(spec, cap))
+        assert isinstance(got, str) == (cap >= order)
