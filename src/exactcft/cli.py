@@ -11,11 +11,10 @@ singular limits), 4 internal consistency failure.
 
 from __future__ import annotations
 
-import argparse
 import json
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 try:  # the built-in module: hashlib would load OpenSSL's libcrypto for one digest
     from _sha256 import sha256
@@ -233,127 +232,147 @@ def cmd_exotic(args) -> dict:
     raise ValueError(f"unknown exotic subcommand {args.exotic_cmd!r}")
 
 
-# -- parser and dispatch -------------------------------------------------------
-
-
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every token starting '-' and a digit, such as
-    '-1/2' or '-1/2,0', as a value: no option name starts that way. Subparsers
-    inherit the class."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+# -- command table and reader --------------------------------------------------
 
 
 def _pair(text: str) -> tuple[int, int]:
-    """'i,j' as two ints; argparse names the option when this raises."""
+    """'i,j' as two ints; the reader names the option when this raises."""
     try:
         i, j = (int(x) for x in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected two integers 'i,j', got {text!r}") from None
+        raise ValueError(f"expected two integers 'i,j', got {text!r}") from None
     return i, j
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="exactcft",
-        description="Exact chiral partial waves, intertwining operators, and"
-        " six-point positivity data.",
-    )
-    parser.add_argument("--format", choices=("json", "table"), default="json")
-    parser.add_argument("--manifest", metavar="PATH", default=None)
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of an option that must be given
+_WAVE = (("--n", int, REQUIRED), ("--dims", str, REQUIRED, "comma-separated d_1..d_n"),
+         ("--proj", str, "", "comma-separated a_2..a_{n-2}"), ("--cap", int, 6))
+_NAMES = ("E6", "B", "BminusHalfE")
+# The command line, level by level: the words that reach a level map to what comes next
+# (a leaf's handler, or the attribute a group reads its next word into), its options and
+# any help. An option is (name, kind, default) and any help; a kind is int, str, _pair,
+# a tuple of choices, or bool for a flag, which takes no value.
+COMMANDS = {
+    (): ("command", (("--format", ("json", "table"), "json"), ("--manifest", str, None)),
+         "Exact chiral partial waves, intertwining operators, and six-point positivity data."),
+    ("wave",): (cmd_wave, _WAVE, "n-point chiral partial wave series"),
+    ("casimir-check",): (cmd_casimir_check, (*_WAVE, ("--which", int, 0, "equation k in 1..n-3"
+                         " (cross ratio u_k); 0 runs all of them")), "invariant Casimir residuals"),
+    ("intertwiner",): ("flavor", (), "intertwining operator tables"),
+    ("intertwiner", "chiral"): (cmd_intertwiner, (("--h", int, REQUIRED), ("--d1", str, None),
+        ("--d2", str, None), ("--normalized", bool, False,
+                              "factorially renormalized channel variant"))),
+    ("intertwiner", "tensor"): (cmd_intertwiner, (("--kappa", int, REQUIRED),
+        ("--L", int, REQUIRED), ("--d1", str, None), ("--d2", str, None))),
+    ("reduce",): (cmd_reduce, (("--wave", str, REQUIRED), ("--pair", _pair, (1, 2)),
+                  ("--h", int, REQUIRED)), "channel reduction of a wave JSON"),
+    ("exotic",): ("exotic_cmd", (), "six-point structures and their data"),
+    ("exotic", "build"): (cmd_exotic, (("--name", _NAMES, REQUIRED),)),
+    ("exotic", "g"): (cmd_exotic, (("--cap", int, REQUIRED), ("--method", ("recursion", "closed"),
+        "closed"), ("--check-biharmonic", bool, False))),
+    ("exotic", "coeff"): (cmd_exotic, (("--hplus", int, REQUIRED), ("--hminus", int, REQUIRED),
+        ("--structure", ("B", "H"), REQUIRED))),
+    ("exotic", "restrict"): (cmd_exotic, (("--name", _NAMES, REQUIRED), ("--cap", int, 0))),
+    ("exotic", "reduce"): (cmd_exotic, (("--structure", ("B", "H"), REQUIRED),
+        ("--hplus", int, REQUIRED), ("--hminus", int, REQUIRED), ("--hplusprime", int, REQUIRED),
+        ("--hminusprime", int, REQUIRED), ("--cap", int, 12))),
+    ("exotic", "amplitudes"): (cmd_exotic, (("--h", int, REQUIRED), ("--hprime", int, REQUIRED),
+        ("--cap", int, 8))),
+    ("exotic", "positivity"): (cmd_exotic, (("--structure", ("B", "H", "E2"), REQUIRED),
+        ("--hmax", int, REQUIRED), ("--kmax", int, REQUIRED), ("--out", str, None))),
+}
 
-    wave = sub.add_parser("wave", help="n-point chiral partial wave series")
-    wave.add_argument("--n", type=int, required=True)
-    wave.add_argument("--dims", required=True, help="comma-separated d_1..d_n")
-    wave.add_argument("--proj", default="", help="comma-separated a_2..a_{n-2}")
-    wave.add_argument("--cap", type=int, default=6)
-    wave.set_defaults(handler=cmd_wave)
 
-    cas = sub.add_parser("casimir-check", help="invariant Casimir residuals")
-    cas.add_argument("--n", type=int, required=True)
-    cas.add_argument("--dims", required=True)
-    cas.add_argument("--proj", default="")
-    cas.add_argument("--cap", type=int, default=6)
-    cas.add_argument("--which", type=int, default=0,
-                     help="equation k in 1..n-3 (cross ratio u_k); 0 runs all of them")
-    cas.set_defaults(handler=cmd_casimir_check)
+def _subcommands(words: tuple) -> tuple:
+    return tuple(key[-1] for key in COMMANDS if key and key[:-1] == words)
 
-    itw = sub.add_parser("intertwiner", help="intertwining operator tables")
-    itw_sub = itw.add_subparsers(dest="flavor", required=True)
-    ich = itw_sub.add_parser("chiral")
-    ich.add_argument("--h", type=int, required=True)
-    ich.add_argument("--d1")
-    ich.add_argument("--d2")
-    ich.add_argument("--normalized", action="store_true",
-                     help="factorially renormalized channel variant")
-    ich.set_defaults(handler=cmd_intertwiner)
-    ite = itw_sub.add_parser("tensor")
-    ite.add_argument("--kappa", type=int, required=True)
-    ite.add_argument("--L", type=int, required=True)
-    ite.add_argument("--d1")
-    ite.add_argument("--d2")
-    ite.set_defaults(handler=cmd_intertwiner)
 
-    red = sub.add_parser("reduce", help="channel reduction of a wave JSON")
-    red.add_argument("--wave", metavar="PATH", required=True)
-    red.add_argument("--pair", type=_pair, default="1,2")
-    red.add_argument("--h", type=int, required=True)
-    red.set_defaults(handler=cmd_reduce)
+def _usage(words: tuple, full: bool = False) -> str:
+    """The usage line of a level; in full, also its help and each subcommand's and option's."""
+    _, options, *about = COMMANDS[words]
+    subs = _subcommands(words)
+    rows, parts = [(word, *COMMANDS[words + (word,)][2:]) for word in subs], []
+    for name, kind, default, *text in options:
+        if kind is not bool:
+            name += f" {{{','.join(kind)}}}" if isinstance(kind, tuple) else f" {name[2:].upper()}"
+        parts.append(name if default is REQUIRED else f"[{name}]")
+        rows.append((parts[-1], *text))
+    if subs:
+        parts.append("{" + ",".join(subs) + "} ...")
+    lines = [" ".join(["usage: exactcft", *words, "[-h]", *parts]), "", *(f"{a}\n" for a in about)]
+    return "\n".join(lines + [f"  {n:<24}{''.join(t)}".rstrip() for n, *t in rows]) if full else lines[0]
 
-    exo = sub.add_parser("exotic", help="six-point structures and their data")
-    exo_sub = exo.add_subparsers(dest="exotic_cmd", required=True)
-    b = exo_sub.add_parser("build")
-    b.add_argument("--name", choices=("E6", "B", "BminusHalfE"), required=True)
-    b.set_defaults(handler=cmd_exotic)
-    gg = exo_sub.add_parser("g")
-    gg.add_argument("--cap", type=int, required=True)
-    gg.add_argument("--method", choices=("recursion", "closed"), default="closed")
-    gg.add_argument("--check-biharmonic", action="store_true")
-    gg.set_defaults(handler=cmd_exotic)
-    co = exo_sub.add_parser("coeff")
-    co.add_argument("--hplus", type=int, required=True)
-    co.add_argument("--hminus", type=int, required=True)
-    co.add_argument("--structure", choices=("B", "H"), required=True)
-    co.set_defaults(handler=cmd_exotic)
-    rs = exo_sub.add_parser("restrict")
-    rs.add_argument("--name", choices=("E6", "B", "BminusHalfE"), required=True)
-    rs.add_argument("--cap", type=int, default=0)
-    rs.set_defaults(handler=cmd_exotic)
-    rd = exo_sub.add_parser("reduce")
-    rd.add_argument("--structure", choices=("B", "H"), required=True)
-    rd.add_argument("--hplus", type=int, required=True)
-    rd.add_argument("--hminus", type=int, required=True)
-    rd.add_argument("--hplusprime", type=int, required=True)
-    rd.add_argument("--hminusprime", type=int, required=True)
-    rd.add_argument("--cap", type=int, default=12)
-    rd.set_defaults(handler=cmd_exotic)
-    am = exo_sub.add_parser("amplitudes")
-    am.add_argument("--h", type=int, required=True)
-    am.add_argument("--hprime", type=int, required=True)
-    am.add_argument("--cap", type=int, default=8)
-    am.set_defaults(handler=cmd_exotic)
-    po = exo_sub.add_parser("positivity")
-    po.add_argument("--structure", choices=("B", "H", "E2"), required=True)
-    po.add_argument("--hmax", type=int, required=True)
-    po.add_argument("--kmax", type=int, required=True)
-    po.add_argument("--out", metavar="PATH", default=None)
-    po.set_defaults(handler=cmd_exotic)
 
-    return parser
+def _error(words: tuple, message: str) -> SystemExit:
+    sys.stderr.write(f"{_usage(words)}\n{' '.join(('exactcft', *words))}: error: {message}\n")
+    return SystemExit(USAGE_EXIT)
+
+
+def _value(words: tuple, name: str, kind, text: str):
+    """An option's value, or a command word, read by its kind."""
+    try:
+        if not isinstance(kind, tuple):
+            return kind(text)
+        if text in kind:
+            return text
+        reason = f"invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})"
+    except ValueError as exc:
+        reason = f"invalid int value: {text!r}" if kind is int else exc
+    raise _error(words, f"argument {name}: {reason}")
+
+
+def _is_value(token: str) -> bool:
+    """Whether a token can be a value: no option name starts like '-1/2' or '-.5'."""
+    return not token.startswith("-") or token[1:].removeprefix(".")[:1].isdecimal()
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """One attribute per option and per group, and the leaf's handler; a level's
+    options come before its next word. Usage errors exit 2, and -h or --help exits 0."""
+    words, extras, tokens = (), [], iter(argv)
+    values = {name: default for name, _, default, *_ in COMMANDS[words][1]}
+    for token in tokens:
+        then, options, *_ = COMMANDS[words]
+        if isinstance(then, str) and _is_value(token):
+            values[then] = _value(words, then, _subcommands(words), token)
+            words += (token,)
+            values.update({name: default for name, _, default, *_ in COMMANDS[words][1]})
+            continue
+        kinds = {"-h": None, "--help": None, **{option[0]: option[1] for option in options}}
+        name, eq, text = token.partition("=")
+        # an exact name, or else a unique prefix of a long one ('-' and '--' are neither)
+        hits = [name] if name in kinds else [n for n in kinds if n.startswith(name) and name[2:]]
+        if len(hits) > 1:
+            raise _error(words, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if not hits:  # an unknown option, or a stray word at a leaf
+            extras.append(token)
+            continue
+        name, kind = hits[0], kinds[hits[0]]
+        if eq and kind in (None, bool):
+            raise _error(words, f"argument {name}: ignored explicit argument {text!r}")
+        if kind is None:
+            print(_usage(words, full=True))
+            raise SystemExit(0)
+        if eq and text == "--":
+            raise _error((), "an option was given '--' as its value")
+        if not eq and kind is not bool:
+            text = next(tokens, None)
+            if text is None or not _is_value(text):
+                raise _error(words, f"argument {name}: expected one argument")
+        values[name] = True if kind is bool else _value(words, name, kind, text)
+    then, options, *_ = COMMANDS[words]
+    missing = [name for name, *_ in options if values[name] is REQUIRED]
+    if missing or isinstance(then, str):
+        raise _error(words, f"the following arguments are required: {', '.join(missing or [then])}")
+    if extras:
+        raise _error((), "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(handler=then, **{k.strip("-").replace("-", "_"): v for k, v in values.items()})
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse strips the value of '--opt=--' and stores an empty list
-    if any(isinstance(v, list) for v in vars(args).values()):
-        parser.error("an option was given '--' as its value")
     try:
-        _run(args, argv)
+        _run(parse_args(argv), argv)
     except (DegenerateParameterError, SingularDiagonalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT

@@ -197,7 +197,8 @@ class MultiPoly(SparseSum):
         return NotImplemented
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
+        # graded lex as two sorts with C-level keys: lex order, then stably by degree
+        return [(exps, self.terms[exps]) for exps in sorted(sorted(self.terms), key=sum)]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.sorted_terms())

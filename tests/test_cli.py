@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +368,184 @@ def test_malformed_pair_names_the_option(tmp_path, capsys, pair):
     assert "Traceback" not in captured.err
 
 
+# -- the command line ------------------------------------------------------------
+
+# one argv per leaf command and the manifest parameters it records; WAVE, OUT and
+# MANIFEST stand for files under tmp_path
+LEAF_PARAMETERS = {
+    "wave": (
+        ("wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "2", "--cap", "2"),
+        {"cap": "2", "command": "wave", "dims": "1,1,1,1", "format": "json", "n": "4",
+         "proj": "2"},
+    ),
+    "casimir-check": (
+        ("--format", "table", "casimir-check", "--n", "5", "--dims", "1,1,1,1,1", "--proj",
+         "2,2", "--cap", "2", "--which", "1"),
+        {"cap": "2", "command": "casimir-check", "dims": "1,1,1,1,1", "format": "table",
+         "n": "5", "proj": "2,2", "which": "1"},
+    ),
+    "intertwiner chiral": (
+        ("intertwiner", "chiral", "--h", "2", "--d1", "1", "--d2", "-1/2"),
+        {"command": "intertwiner", "d1": "1", "d2": "-1/2", "flavor": "chiral",
+         "format": "json", "h": "2", "normalized": "False"},
+    ),
+    "intertwiner tensor": (
+        ("intertwiner", "tensor", "--kappa", "1", "--L", "2"),
+        {"L": "2", "command": "intertwiner", "flavor": "tensor", "format": "json",
+         "kappa": "1"},
+    ),
+    "reduce": (
+        ("reduce", "--wave", "WAVE", "--h", "2"),
+        {"command": "reduce", "format": "json", "h": "2", "pair": "(1, 2)", "wave": "WAVE"},
+    ),
+    "exotic build": (
+        ("--manifest", "MANIFEST", "exotic", "build", "--name", "E6"),
+        {"command": "exotic", "exotic_cmd": "build", "format": "json", "manifest": "MANIFEST",
+         "name": "E6"},
+    ),
+    "exotic g": (
+        ("exotic", "g", "--cap", "4", "--check-biharmonic"),
+        {"cap": "4", "check_biharmonic": "True", "command": "exotic", "exotic_cmd": "g",
+         "format": "json", "method": "closed"},
+    ),
+    "exotic coeff": (
+        ("exotic", "coeff", "--hplus", "2", "--hminus", "1", "--structure", "H"),
+        {"command": "exotic", "exotic_cmd": "coeff", "format": "json", "hminus": "1",
+         "hplus": "2", "structure": "H"},
+    ),
+    "exotic restrict": (
+        ("exotic", "restrict", "--name", "B"),
+        {"cap": "0", "command": "exotic", "exotic_cmd": "restrict", "format": "json",
+         "name": "B"},
+    ),
+    "exotic reduce": (
+        ("exotic", "reduce", "--structure", "B", "--hplus", "2", "--hminus", "1",
+         "--hplusprime", "2", "--hminusprime", "1"),
+        {"cap": "12", "command": "exotic", "exotic_cmd": "reduce", "format": "json",
+         "hminus": "1", "hminusprime": "1", "hplus": "2", "hplusprime": "2", "structure": "B"},
+    ),
+    "exotic amplitudes": (
+        ("exotic", "amplitudes", "--h", "2", "--hprime", "3", "--cap", "3"),
+        {"cap": "3", "command": "exotic", "exotic_cmd": "amplitudes", "format": "json",
+         "h": "2", "hprime": "3"},
+    ),
+    "exotic positivity": (
+        ("exotic", "positivity", "--structure", "E2", "--hmax", "2", "--kmax", "0",
+         "--out", "OUT"),
+        {"command": "exotic", "exotic_cmd": "positivity", "format": "json", "hmax": "2",
+         "kmax": "0", "out": "OUT", "structure": "E2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("leaf", list(LEAF_PARAMETERS))
+def test_manifest_parameters_of_every_leaf_command(tmp_path, capsys, leaf):
+    argv, parameters = LEAF_PARAMETERS[leaf]
+    files = {name: str(tmp_path / name.lower()) for name in ("WAVE", "OUT", "MANIFEST")}
+    (tmp_path / "wave").write_text(json.dumps(GOOD_WAVE4))
+    code, _, err = run_cli(capsys, *(files.get(token, token) for token in argv))
+    assert code == 0
+    if "--manifest" in argv:
+        err = (tmp_path / "manifest").read_text()
+    assert json.loads(err)["parameters"] == {k: files.get(v, v) for k, v in parameters.items()}
+
+
+@pytest.mark.parametrize(
+    "argv, last_line",
+    [
+        (("wave", "--n", "4", "--dims", "1,1,1,1", "--badflag"),
+         "exactcft: error: unrecognized arguments: --badflag"),
+        (("wave", "--n", "4", "--dims", "1,1,1,1", "2", "--cap", "2"),
+         "exactcft: error: unrecognized arguments: 2"),
+        (("wave",), "exactcft wave: error: the following arguments are required: --n, --dims"),
+        (("exotic", "positivity", "--structure", "B", "--hmax", "2"),
+         "exactcft exotic positivity: error: the following arguments are required: --kmax"),
+        (("wave", "--n", "x", "--dims", "1"),
+         "exactcft wave: error: argument --n: invalid int value: 'x'"),
+        (("exotic", "build", "--name", "x"),
+         "exactcft exotic build: error: argument --name: invalid choice: 'x'"
+         " (choose from 'E6', 'B', 'BminusHalfE')"),
+        (("wave", "--dims", "1", "--n"), "exactcft wave: error: argument --n: expected one argument"),
+        (("wave", "--n", "4", "--dims", "--"),
+         "exactcft wave: error: argument --dims: expected one argument"),
+        (("wave", "--n", "4", "--dims=--"),
+         "exactcft: error: an option was given '--' as its value"),
+        (("intertwiner", "chiral", "--h", "2", "--normalized=x"),
+         "exactcft intertwiner chiral: error: argument --normalized: ignored explicit argument 'x'"),
+        (("exotic", "reduce", "--structure", "B", "--hp", "2", "--hminus", "1"),
+         "exactcft exotic reduce: error: ambiguous option: --hp could match --hplus, --hplusprime"),
+        ((), "exactcft: error: the following arguments are required: command"),
+        (("exotic",), "exactcft exotic: error: the following arguments are required: exotic_cmd"),
+        (("intertwiner", "vector"),
+         "exactcft intertwiner: error: argument flavor: invalid choice: 'vector'"
+         " (choose from 'chiral', 'tensor')"),
+    ],
+    ids=["unknown-option", "stray-token", "missing-required", "missing-required-leaf",
+         "bad-int", "bad-choice", "missing-value", "dashes-as-value", "dashes-attached",
+         "flag-with-value", "ambiguous-prefix", "missing-command", "missing-subcommand",
+         "unknown-subcommand"],
+)
+def test_usage_error_ends_in_one_named_message(capsys, argv, last_line):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: exactcft")
+    assert captured.err.splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize(
+    "argv, prefix, full, value",
+    [
+        (("exotic", "positivity", "--structure", "B", "--kmax", "1"), "--hma", "hmax", "6"),
+        (("exotic", "reduce", "--structure", "B", "--hminus", "1", "--hplusp", "2",
+          "--hminusp", "1"), "--hplus", "hplus", "3"),
+    ],
+    ids=["unique-prefix", "exact-over-longer"],
+)
+def test_option_prefix_reads_as_its_option(capsys, argv, prefix, full, value):
+    code, out, manifest = _result(capsys, argv + (prefix, value))
+    assert code == 0
+    assert manifest["parameters"][full] == value
+    assert _result(capsys, argv + (f"--{full}", value)) == (code, out, manifest)
+    assert _result(capsys, argv + (f"{prefix}={value}",)) == (code, out, manifest)
+
+
+# every command level and the subcommands or options its help must name
+HELP_NAMES = {
+    (): ("--format", "--manifest", "wave", "casimir-check", "intertwiner", "reduce", "exotic"),
+    ("intertwiner",): ("chiral", "tensor"),
+    ("exotic",): ("build", "g", "coeff", "restrict", "reduce", "amplitudes", "positivity"),
+    ("wave",): ("--n", "--dims", "--proj", "--cap"),
+    ("casimir-check",): ("--n", "--dims", "--proj", "--cap", "--which"),
+    ("intertwiner", "chiral"): ("--h", "--d1", "--d2", "--normalized"),
+    ("intertwiner", "tensor"): ("--kappa", "--L", "--d1", "--d2"),
+    ("reduce",): ("--wave", "--pair", "--h"),
+    ("exotic", "build"): ("--name",),
+    ("exotic", "g"): ("--cap", "--method", "--check-biharmonic"),
+    ("exotic", "coeff"): ("--hplus", "--hminus", "--structure"),
+    ("exotic", "restrict"): ("--name", "--cap"),
+    ("exotic", "reduce"): ("--structure", "--hplus", "--hminus", "--hplusprime",
+                           "--hminusprime", "--cap"),
+    ("exotic", "amplitudes"): ("--h", "--hprime", "--cap"),
+    ("exotic", "positivity"): ("--structure", "--hmax", "--kmax", "--out"),
+}
+
+
+@pytest.mark.parametrize("words", list(HELP_NAMES), ids=lambda w: " ".join(w) or "exactcft")
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_names_every_choice_at_its_level(capsys, words, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, flag])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("usage: exactcft")
+    named = set(re.split(r"[\s{},\[\]]+", captured.out))
+    assert set(HELP_NAMES[words]) <= named
+
+
 # -- argv fuzzing --------------------------------------------------------------
 
 MALFORMED = ("", "x", "1.5", "1/0", "--")
@@ -457,7 +636,7 @@ def test_fuzzed_argv_ends_in_a_documented_exit_code(wave_paths, data):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
+        except SystemExit as exc:  # the reader rejects the argv
             code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactcft.errors import VariableMismatchError
-from exactcft.poly import MultiPoly
+from exactcft.poly import MultiPoly, _grlex_key
 
 VARS = ("x", "y")
 
@@ -54,6 +54,13 @@ def test_sorted_terms_graded_lex():
     p = MultiPoly(VARS, {(0, 2): 1, (1, 0): 1, (0, 0): 1, (2, 0): 1})
     order = [e for e, _ in p.sorted_terms()]
     assert order == [(0, 0), (1, 0), (0, 2), (2, 0)]
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(1, 9), max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_sorted_terms_match_one_sort_by_grlex_key(terms):
+    p = MultiPoly(("x", "y", "z"), terms)
+    assert p.sorted_terms() == sorted(p.terms.items(), key=lambda kv: _grlex_key(kv[0]))
 
 
 def test_power():
