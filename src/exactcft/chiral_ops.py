@@ -15,10 +15,10 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameterError
-from .pairs import ExpKey, PairSum, norm_exps
+from .pairs import ExpKey, PairSum, cross_ratio, norm_exps
 from .poly import MultiPoly
 from .special import format_rational, pochhammer
-from .waves import ChiralWave, WaveSpec, chiral_wave_series, cross_ratio
+from .waves import ChiralWave, WaveSpec, chiral_wave_series
 
 DVARS = ("D1", "D2")
 

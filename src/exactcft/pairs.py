@@ -51,6 +51,11 @@ def norm_exps(exps: Mapping[Pair, Fraction]) -> tuple[int, ExpKey]:
     )
 
 
+def cross_ratio(k: int) -> dict[Pair, int]:
+    """Pair exponents of u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3})."""
+    return {(k, k + 1): 1, (k + 2, k + 3): 1, (k, k + 2): -1, (k + 1, k + 3): -1}
+
+
 def bump(key: ExpKey, add: Mapping[Pair, int], times: int = 1) -> ExpKey:
     """Key of the monomial key times (prod x_pr^add[pr])^times, with add's
     numerators over the same denominator as key's."""
@@ -373,42 +378,6 @@ class PairSum(SparseSum):
             mono = " ".join(f"{sym}{i}{j}^{format_rational(e)}" for (i, j), e in exps.items())
             bits.append(f"{format_rational(c)}*[{mono or '1'}]")
         return " + ".join(bits) if bits else "0"
-
-
-class FactoredLaurent:
-    """A single factored monomial: numerator * prod x_{ij}^{e_ij}.
-
-    Pair exponents may be rational; they stay symbolic. The numerator is a
-    rational constant.
-    """
-
-    __slots__ = ("numerator", "pair_factors")
-
-    def __init__(self, pair_factors: Mapping[Pair, Fraction], numerator: Fraction | int = 1):
-        den, key = norm_exps(pair_factors)
-        self.pair_factors: dict[Pair, Fraction] = {pr: Fraction(e, den) for pr, e in key}
-        self.numerator = Fraction(numerator)
-
-    def to_json(self) -> dict:
-        return {
-            "numerator": format_rational(self.numerator),
-            "factors": {
-                f"{i},{j}": format_rational(e)
-                for (i, j), e in sorted(self.pair_factors.items())
-            },
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredLaurent):
-            return NotImplemented
-        return self.pair_factors == other.pair_factors and self.numerator == other.numerator
-
-    def __repr__(self) -> str:
-        mono = " ".join(
-            f"x{i}{j}^{format_rational(e)}"
-            for (i, j), e in sorted(self.pair_factors.items())
-        )
-        return f"{format_rational(self.numerator)}*[{mono or '1'}]"
 
 
 class TwoChiralSum(SparseSum):

@@ -14,11 +14,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .pairs import PairSum, TwoChiralSum, bump
+from .pairs import PairSum, TwoChiralSum, bump, cross_ratio
 from .poly import MultiPoly
 from .series import TruncatedSeries
 from .special import format_rational
-from .waves import cross_ratio
 
 POINTS = (1, 2, 3, 4, 5, 6)
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import DegenerateParameterError
-from .pairs import FactoredLaurent
 from .poly import _int_numerators, _over
 from .series import TruncatedSeries
 from .special import format_rational, parse_rational, pochhammer
@@ -130,9 +129,46 @@ def wave_series_vars(n: int) -> tuple[str, ...]:
     return tuple(f"u{k}" for k in range(1, n - 2))
 
 
-def cross_ratio(k: int) -> dict[tuple[int, int], int]:
-    """Pair exponents of u_k = x_{k,k+1} x_{k+2,k+3} / (x_{k,k+2} x_{k+1,k+3})."""
-    return {(k, k + 1): 1, (k + 2, k + 3): 1, (k, k + 2): -1, (k + 1, k + 3): -1}
+class FactoredLaurent:
+    """A single factored monomial: numerator * prod x_{ij}^{e_ij}.
+
+    Pair exponents may be rational; they stay symbolic, in sorted pair order
+    with zero exponents dropped. The numerator is a rational constant.
+    """
+
+    __slots__ = ("numerator", "pair_factors")
+
+    def __init__(
+        self, pair_factors: Mapping[tuple[int, int], Fraction], numerator: Fraction | int = 1
+    ):
+        for i, j in pair_factors:
+            if i >= j:
+                raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
+        self.pair_factors: dict[tuple[int, int], Fraction] = {
+            pr: Fraction(e) for pr, e in sorted(pair_factors.items()) if e
+        }
+        self.numerator = Fraction(numerator)
+
+    def to_json(self) -> dict:
+        return {
+            "numerator": format_rational(self.numerator),
+            "factors": {
+                f"{i},{j}": format_rational(e)
+                for (i, j), e in sorted(self.pair_factors.items())
+            },
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FactoredLaurent):
+            return NotImplemented
+        return self.pair_factors == other.pair_factors and self.numerator == other.numerator
+
+    def __repr__(self) -> str:
+        mono = " ".join(
+            f"x{i}{j}^{format_rational(e)}"
+            for (i, j), e in sorted(self.pair_factors.items())
+        )
+        return f"{format_rational(self.numerator)}*[{mono or '1'}]"
 
 
 def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:

@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -146,6 +150,21 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
     code, _, _ = run_cli(capsys, "wave", "--n", "5", "--dims", "1,1", "--cap", "2")
     assert code == 2
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_message():
+    """`exactcft wave ... | head -c 10`: the write fails with a broken pipe,
+    which is no usage error (exit 2) but exit 128 + SIGPIPE, as a shell reports it."""
+    argv = ["wave", "--n", "10", "--dims", "1,1,2,2,1,1,2,2,1,1", "--proj", "2,2,5/2,2,3/2,2,5/2",
+            "--cap", "8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    with subprocess.Popen([sys.executable, "-m", "exactcft.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def test_manifest_to_file(tmp_path, capsys):

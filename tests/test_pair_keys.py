@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.errors import ConsistencyError, SingularDiagonalError
-from exactcft.pairs import PairSum
-from exactcft.waves import WaveSpec, chiral_wave_series, cross_ratio
+from exactcft.pairs import PairSum, cross_ratio
+from exactcft.waves import WaveSpec, chiral_wave_series
 from oracles import ptolemy_zero
 
 F = Fraction

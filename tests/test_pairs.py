@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from exactcft.errors import ConsistencyError, SingularDiagonalError
 import exactcft.pairs as pairs_module
-from exactcft.pairs import FactoredLaurent, PairSum, _adjacent_expansions, _pair_values
+from exactcft.pairs import PairSum, _adjacent_expansions, _pair_values
+from exactcft.waves import FactoredLaurent
 from oracles import (
     is_zero_function_expanded,
     proportional_to_expanded,

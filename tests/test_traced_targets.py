@@ -3,16 +3,23 @@
 cftbench/traced_cli.py names its targets as (module, attribute, class) and
 looks them up only when it installs its wrappers, so a refactor that drops or
 renames one would first show up as a crash of a traced benchmark run. This
-test loads the tracer by path and resolves every target the way it does.
+test loads the tracer by path and resolves every target the way it does. The
+tracer wraps only modules loaded before it installs, so a last test runs it on
+two commands whose functions the CLI imports lazily, and counts their calls.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "cftbench" / "traced_cli.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_CLI = ROOT / "cftbench" / "traced_cli.py"
 
 
 def _load_tracer():
@@ -39,3 +46,21 @@ def test_trace_target_resolves(name):
 def test_entry_points_and_extras_are_targets():
     assert set(TRACER.ENTRY_POINTS) <= set(TRACER.TARGETS)
     assert set(TRACER.EXTRAS) <= set(TRACER.TARGETS)
+
+
+def _traced_calls(argv: str, tmp_path) -> dict:
+    """{target: calls} of one traced CLI run in a fresh process."""
+    stats = tmp_path / "stats.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(TRACED_CLI), str(stats), *argv.split()], cwd=tmp_path,
+                   env=env, capture_output=True, check=True)
+    return {name: row["calls"] for name, row in json.loads(stats.read_text(encoding="utf-8")).items()}
+
+
+def test_a_traced_run_counts_the_calls_of_lazily_imported_functions(tmp_path):
+    """The CLI imports a command's functions inside its handler; the tracer
+    must still have wrapped them, or their calls would read 0."""
+    wave = _traced_calls("wave --n 6 --dims 1,1,2,2,1,1 --proj 2,2,5/2 --cap 8", tmp_path)
+    assert wave["waves.chiral_wave_series"] == 1
+    kernel = _traced_calls("intertwiner tensor --kappa 1 --L 2 --d1 3 --d2 1", tmp_path)
+    assert kernel["linsolve.linear_solve_exact"] >= 1

@@ -11,6 +11,7 @@ from exactcft.series import TruncatedSeries
 from exactcft.special import gauss_2f1_coeff
 from exactcft.waves import (
     ChiralWave,
+    FactoredLaurent,
     WaveSpec,
     casimir_residual,
     chiral_wave_series,
@@ -81,6 +82,19 @@ def test_prefactor_exponents_follow_the_closed_form():
         assert pre.pair_factors.get((i, i + 1), 0) == -(
             spec.d(i) + spec.d(i + 1) - spec.a(i - 1) - spec.a(i + 1)
         )
+
+
+def test_factored_laurent_orders_pairs_and_drops_zero_exponents():
+    with pytest.raises(ValueError) as err:
+        FactoredLaurent({(1, 3): 1, (2, 1): F(1, 2)})
+    assert str(err.value) == "pair must be ordered i < j, got (2, 1)"
+    fl = FactoredLaurent({(2, 3): F(4, 2), (1, 4): 0, (1, 2): F(-3, 2), (3, 4): F(0, 5)}, F(6, 4))
+    assert list(fl.pair_factors.items()) == [((1, 2), F(-3, 2)), ((2, 3), 2)]
+    assert all(type(e) is Fraction for e in fl.pair_factors.values())
+    assert fl.to_json() == {"numerator": "3/2", "factors": {"1,2": "-3/2", "2,3": "2"}}
+    assert repr(fl) == "3/2*[x12^-3/2 x23^2]"
+    assert fl == FactoredLaurent({(1, 2): F(-3, 2), (2, 3): 2}, F(3, 2))
+    assert FactoredLaurent({(1, 2): 0}).to_json() == {"numerator": "1", "factors": {}}
 
 
 def test_degenerate_projection_rejected():
