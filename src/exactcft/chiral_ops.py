@@ -12,13 +12,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import DegenerateParameterError
-from .pairs import ExpKey, PairSum, cross_ratio, norm_exps
 from .poly import MultiPoly
 from .special import format_rational, pochhammer
-from .waves import ChiralWave, WaveSpec, chiral_wave_series
+
+# the reduction imports pairs and waves inside its functions, so the operator tables
+# load neither; the benchmark tracer names its functions chiral_ops.*, so it stays here
+if TYPE_CHECKING:
+    from .pairs import ExpKey, PairSum
+    from .waves import ChiralWave, WaveSpec
 
 DVARS = ("D1", "D2")
 
@@ -123,6 +127,7 @@ def apply_operator_pair(
     target: PairSum, op: ChiralIntertwiner, slot1: int, slot2: int
 ) -> PairSum:
     """Apply sum c_pq d_{slot1}^p d_{slot2}^q to a pair-monomial sum."""
+    from .pairs import PairSum
     degree = op.degree()
     # cache repeated derivatives: d1 applied i times, then d2 applied j times
     rows: list[PairSum] = [target]
@@ -187,6 +192,7 @@ def _wave_term(wave: ChiralWave) -> tuple[int, Callable[[tuple[int, ...]], ExpKe
     once per wave on the pairs they touch, in key order; a key is then a few
     int additions.
     """
+    from .pairs import cross_ratio, norm_exps
     den, base = norm_exps(wave.prefactor.pair_factors)
     base = dict(base)
     ratios = [cross_ratio(k) for k in range(1, wave.spec.n - 2)]
@@ -215,6 +221,7 @@ def reduce_wave(
     orders above cap - max(0, h - a), so the result is only reported through
     that order.
     """
+    from .pairs import PairSum
     n = wave.spec.n
     i, j = pair
     if (i, j) not in ((1, 2), (n - 1, n)):
@@ -242,6 +249,7 @@ def reduce_wave(
 
 def reduced_reference_spec(spec: WaveSpec, pair: tuple[int, int], h: int) -> WaveSpec:
     """Spec of the (n-1)-point wave a matching reduction must reproduce."""
+    from .waves import WaveSpec
     n = spec.n
     if pair == (1, 2):
         dims = (Fraction(h),) + spec.field_dims[2:]
@@ -256,6 +264,8 @@ def reduced_reference_spec(spec: WaveSpec, pair: tuple[int, int], h: int) -> Wav
 
 def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -> PairSum:
     """Expand a wave as a finite pair-monomial sum on the given point labels."""
+    from .pairs import PairSum
+    from .waves import chiral_wave_series
     wave = chiral_wave_series(spec, cap)
     n = spec.n
     if len(points) != n:

@@ -70,24 +70,24 @@ def _render_table(obj, indent=0) -> list[str]:
 
 
 def _spec_from_args(args):
-    from .waves import WaveSpec
     dims = _parse_rational_list(args.dims)
     proj = _parse_rational_list(args.proj) if args.proj else []
     if len(dims) != args.n:
         raise ValueError(f"--dims lists {len(dims)} values but --n is {args.n}")
+    from .waves import WaveSpec  # after parsing: a malformed value exits 2 without compiling waves
     return WaveSpec.from_middle(dims, proj)
 
 
 def cmd_wave(args) -> dict:
-    from .waves import chiral_wave_series
     spec = _spec_from_args(args)
+    from .waves import chiral_wave_series
     wave = chiral_wave_series(spec, args.cap)
     return wave.to_json()
 
 
 def cmd_casimir_check(args) -> dict:
-    from .waves import casimir_residual, chiral_wave_series
     spec = _spec_from_args(args)
+    from .waves import casimir_residual, chiral_wave_series
     last = spec.n - 3  # one equation per cross ratio u_1..u_{n-3}
     if last >= 1 and not 0 <= args.which <= last:
         raise ValueError(f"--which must be in 0..{last} for n = {spec.n}, got {args.which}")

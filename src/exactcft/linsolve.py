@@ -1,12 +1,11 @@
 """Exact null spaces and the inertia of low-rank symmetric forms over the rationals.
 
-Linear systems are eliminated fraction-free, in one routine, _rref: each
-sparse rational row is scaled once to integers over its least common
-denominator, the elimination runs on Python ints, and each entry of a reduced
-row becomes one Fraction at the end. Exact rationals are canonical, so the
-reduced rows are the ones Fraction elimination gives. Symmetric forms come as
-a sum of at most two scaled outer products, and their inertia is read from a
-2 x 2 Gram form, with no elimination.
+Linear systems are eliminated fraction-free, in one routine, _echelon: each
+sparse rational row is scaled once to a primitive integer row, the rows are
+brought to an echelon form on Python ints, shortest first, and each kernel
+vector is read by back-substitution, one Fraction per entry at the end.
+Symmetric forms come as a sum of at most two scaled outer products, and their
+inertia is read from a 2 x 2 Gram form, with no elimination.
 """
 
 from __future__ import annotations
@@ -41,54 +40,51 @@ def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int) -> list
 
     A has ncols columns and is given as sparse rows {column: value}; absent
     columns are zero. There is one basis vector per free column, in column
-    order: 1 there, 0 at every other free column.
+    order: 1 there, 0 at every other free column. Being unique, it is read off
+    the echelon rows by back-substitution, last pivot first, as int numerators
+    x over one denominator: the RREF that Fraction elimination gives has the
+    same pivot columns, so it gives the same vector.
     """
-    reduced = [_int_row(row, ncols) for row in rows]
-    pivots = _rref(reduced, ncols)
+    pivots = _echelon([_int_row(row, ncols) for row in rows])
     kernel = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            if fc in row:
-                vec[col] = -row[fc]
-        kernel.append(vec)
+        x, den = {fc: 1}, 1
+        for col in sorted(pivots, reverse=True):
+            row = pivots[col]
+            s = sum([v * x[k] for k, v in row.items() if k in x])
+            if s:  # x[col] / den = -s / (p den), with den scaled by p / g
+                p = row[col]
+                g = gcd(s, p)
+                if p != g:
+                    x = {k: v * (p // g) for k, v in x.items()}
+                    den *= p // g
+                x[col] = -s // g
+        kernel.append([Fraction(x[k], den) if k in x else Fraction(0) for k in range(ncols)])
     return kernel
 
 
-def _rref(rows: list[dict], ncols: int) -> list[int]:
-    """Bring primitive integer rows {column: int} to reduced row echelon form
-    in place, with columns 0..ncols-1. The pivot of each column is the first
-    row at or after the current one with a nonzero there. Returns the pivot
-    columns; row k holds the pivot of column pivots[k].
+def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """An echelon form {pivot column: row} of primitive integer rows
+    {column: int}: a row's pivot is its least column, and no two rows share one.
 
-    Elimination is fraction-free: a row loses its entry in the pivot column
-    by cross-multiplication with the pivot row, and then the gcd of its
-    entries is divided out. Each row stays a nonzero multiple of the row that
-    Fraction elimination would hold, so the pivots are the same. At the end
-    each pivot row is divided by its pivot, one Fraction per entry, which
-    gives the unique reduced rows. The rows after the pivot rows end up empty.
+    Rows are taken shortest first (a stable sort by nonzero count), which keeps
+    the pivot rows sparse and limits fill-in, as Markowitz (1957) proposed.
+    Each row loses its leading entry to the pivot row of that column, if there
+    is one, by cross-multiplication and division by the gcd of its entries
+    (fraction-free, as in Bareiss 1968, but kept primitive), until its leading
+    column is new: then it is a pivot row. A row that reduces to zero is dropped.
     """
-    m = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if col in rows[i]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i in range(m):
-            row = rows[i]
-            a = row.get(col)
-            if a is None or i == r:
-                continue
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            new = row if mp == 1 else {k: v * mp for k, v in row.items()}
+    pivots: dict[int, dict[int, int]] = {}
+    for row in sorted(rows, key=len):
+        while row:
+            col = min(row)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = row
+                break
+            g = gcd(prow[col], row[col])
+            mp, ma = prow[col] // g, row[col] // g
+            new = dict(row) if mp == 1 else {k: v * mp for k, v in row.items()}
             get = new.get
             for k, v in prow.items():
                 s = get(k, 0) - ma * v
@@ -96,12 +92,7 @@ def _rref(rows: list[dict], ncols: int) -> list[int]:
                     new[k] = s
                 else:
                     del new[k]
-            rows[i] = _primitive(new)
-        pivots.append(col)
-        r += 1
-    for k, col in enumerate(pivots):
-        p = rows[k][col]
-        rows[k] = {c: Fraction(v, p) for c, v in rows[k].items()}
+            row = _primitive(new)
     return pivots
 
 

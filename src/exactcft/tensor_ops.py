@@ -50,12 +50,13 @@ def ipoly() -> MultiPoly:
     return MultiPoly(IVARS)
 
 
-def iconst(value) -> MultiPoly:
-    return MultiPoly.constant(IVARS, value)
-
-
 def igen(name: str) -> MultiPoly:
     return MultiPoly.var(IVARS, name)
+
+
+def _mono(*exps: int) -> MultiPoly:
+    """The monomial t12^e0 b1^e1 ... with exponents exps, padded with zeros."""
+    return MultiPoly(IVARS, {(*exps, *(0,) * (6 - len(exps))): 1})
 
 
 def v_degree_of(exps: tuple[int, ...]) -> int:
@@ -136,15 +137,12 @@ def harmonic_project(poly: MultiPoly, v_deg: int | None = None) -> MultiPoly:
         raise ValueError(f"declared v-degree {v_deg} but found {n}")
     out = ipoly()
     alpha = Fraction(1)
-    vpow = iconst(1)
     current = poly
-    vgen = igen("V")
     for k in range(n // 2 + 1):
         if k:
             alpha = -alpha / (4 * k * (n - k + 1))
-            vpow = vpow * vgen
             current = lapv(current)
-        out.add_scaled(vpow * current, alpha)
+        out.add_scaled(_mono(0, 0, 0, 0, 0, k) * current, alpha)
     return out
 
 
@@ -306,15 +304,16 @@ class TensorIntertwiner(NamedTuple):
 
 def _bracket(L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
     """[(s1+s2)^L f_delta((s1-s2)/(s1+s2))]_0 for each needed delta."""
-    s1 = igen("s1")
-    s2 = igen("s2")
-    plus = s1 + s2
-    minus = s1 - s2
+    s1, s2 = igen("s1"), igen("s2")
+    plus, minus = [_mono()], [_mono()]  # powers 0..L of s1 + s2 and of s1 - s2
+    for ladder, base in ((plus, s1 + s2), (minus, s1 - s2)):
+        for _ in range(L):
+            ladder.append(ladder[-1] * base)
     out = {}
     for delta, rp in rpoly_by_delta.items():
         total = ipoly()
         for (j,), fj in rp.terms.items():
-            total.add_scaled((minus**j) * (plus ** (L - j)), fj)
+            total.add_scaled(minus[j] * plus[L - j], fj)
         out[delta] = harmonic_project(total, L)
     return out
 
@@ -328,7 +327,6 @@ def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
     """
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
-    t12, b1, b2 = igen("t12"), igen("b1"), igen("b2")
     if kappa == 0:
         if L == 0:
             rp = MultiPoly.constant(RVAR, 1)
@@ -343,8 +341,7 @@ def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
     bras = _bracket(L, rps)
     total = ipoly()
     for (m, n), c in table.entries.items():
-        mono = (t12 ** (kappa - m - n)) * (b1**m) * (b2**n)
-        total.add_scaled(mono * bras[m - n], c)
+        total.add_scaled(_mono(kappa - m - n, m, n) * bras[m - n], c)
     return TensorIntertwiner(kappa, L, total)
 
 
@@ -399,7 +396,8 @@ def verify_tensor_pde(op: TensorIntertwiner) -> InvVector:
 
 def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwiner]:
     """Kernel basis of the intertwining condition on the full ansatz space of
-    harmonic scalar polynomials with the required homogeneities."""
+    harmonic scalar polynomials with the required homogeneities. Each basis
+    operator's residual at the gap d1 - d2 must vanish, or ConsistencyError."""
     d1, d2 = Fraction(d1), Fraction(d2)
     gap = d1 - d2
     if gap.denominator != 1 or gap.numerator % 2:
@@ -410,14 +408,11 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
     basis_polys: list[MultiPoly] = []
-    t12, b1, b2, s1, s2 = (igen(n) for n in IVARS[:5])
     for delta in range(L + 1):
-        s_mono = (s1**delta) * (s2 ** (L - delta))
-        s_h = harmonic_project(s_mono, L)
+        s_h = harmonic_project(_mono(0, 0, 0, delta, L - delta), L)
         for alpha in range(kappa + 1):
             for beta in range(kappa + 1 - alpha):
-                gamma = kappa - alpha - beta
-                basis_polys.append(s_h * (t12**alpha) * (b1**beta) * (b2**gamma))
+                basis_polys.append(s_h * _mono(alpha, beta, kappa - alpha - beta))
     # one row per (component, monomial) of the residual, one column per ansatz
     rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
     for col, p in enumerate(basis_polys):
@@ -426,9 +421,12 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
             for exps, c in comp.terms.items():
                 rows.setdefault((ci, exps), {})[col] = c
     out = []
-    for vec in linear_solve_exact(list(rows.values()), len(basis_polys)):
+    for index, vec in enumerate(linear_solve_exact(list(rows.values()), len(basis_polys))):
         poly = ipoly()
         for x, bp in zip(vec, basis_polys):
             poly.add_scaled(bp, x)
+        if not tensor_pde_residual(poly, gap).is_zero():
+            raise ConsistencyError(f"kernel basis operator {index} fails the intertwining"
+                                   f" condition at kappa={kappa}, L={L}, d1={d1}, d2={d2}")
         out.append(TensorIntertwiner(kappa, L, poly))
     return out

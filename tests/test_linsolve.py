@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcft.linsolve import _int_row, _rref, linear_solve_exact, symmetric_inertia
-from exactcft.tensor_ops import coefficient_table
+from exactcft import tensor_ops
+from exactcft.linsolve import _echelon, _int_row, linear_solve_exact, symmetric_inertia
+from exactcft.tensor_ops import coefficient_table, solve_intertwiner_space
 from oracles import symmetric_inertia_eliminated
 
 
@@ -178,7 +180,9 @@ def test_sparse_systems_match_sympy(system, data):
 def gauss_jordan(matrix, ncols):
     """Plain Fraction Gauss-Jordan on dense rows, in place, pivoting in
     columns 0..ncols-1 only: the pivot of a column is the first row at or after
-    the current one with a nonzero there. Returns the pivot columns."""
+    the current one with a nonzero there. Returns the pivot columns. Zero
+    entries of the pivot row are passed over, which keeps the tall sparse
+    operator systems affordable."""
     pivots = []
     r = 0
     for col in range(ncols):
@@ -187,11 +191,11 @@ def gauss_jordan(matrix, ncols):
             continue
         matrix[r], matrix[piv] = matrix[piv], matrix[r]
         p = matrix[r][col]
-        matrix[r] = [v / p for v in matrix[r]]
+        matrix[r] = [v / p if v else v for v in matrix[r]]
         for i, row in enumerate(matrix):
             if i != r and row[col] != 0:
                 f = row[col]
-                matrix[i] = [v - f * w for v, w in zip(row, matrix[r])]
+                matrix[i] = [v - f * w if w else v for v, w in zip(row, matrix[r])]
         pivots.append(col)
         r += 1
     return pivots
@@ -226,27 +230,73 @@ integer_kernel_systems = st.integers(1, 7).flatmap(
 )
 
 
-@given(integer_kernel_systems)
-@settings(max_examples=200, deadline=None)
-def test_integer_rref_matches_fraction_gauss_jordan(system):
-    ncols, rows, copies = system
+def _with_copies(rows, copies):
+    """rows followed by a scaled copy of rows[index] for each (index, factor):
+    a zero row when the factor is 0 or there is nothing to copy."""
     rows = list(rows)
-    for index, factor in copies:  # a zero row when factor is 0 or nothing is there to copy
+    for index, factor in copies:
         source = rows[index % len(rows)] if rows else {}
         rows.append({c: factor * v for c, v in source.items()})
+    return rows
+
+
+@given(integer_kernel_systems)
+@settings(max_examples=200, deadline=None)
+def test_integer_echelon_matches_fraction_gauss_jordan(system):
+    ncols, rows, copies = system
+    rows = _with_copies(rows, copies)
     matrix = dense(rows, ncols)
 
-    expected = [list(row) for row in matrix]
-    expected_pivots = gauss_jordan(expected, ncols)
-    reduced = [_int_row(row, ncols) for row in rows]
-    assert _rref(reduced, ncols) == expected_pivots
-    rank = len(expected_pivots)
-    for got, want in zip(reduced[:rank], expected):
-        assert got == {c: v for c, v in enumerate(want) if v != 0}
-        assert all(type(v) is Fraction for v in got.values())
-    assert not any(reduced[rank:])
+    pivots = _echelon([_int_row(row, ncols) for row in rows])
+    assert sorted(pivots) == gauss_jordan([list(row) for row in matrix], ncols)
+    for col, row in pivots.items():  # primitive integer rows, each led by its pivot
+        assert min(row) == col
+        assert all(type(v) is int for v in row.values()) and gcd(*row.values()) == 1
 
     assert linear_solve_exact(rows, ncols) == oracle_kernel(matrix, ncols)
+
+
+@given(integer_kernel_systems, st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_ignores_row_order_duplicates_and_zero_rows(system, data):
+    ncols, rows, copies = system
+    basis = linear_solve_exact(rows, ncols)
+    extended = _with_copies(rows, copies) + list(rows) + [{}, {c: 0 for c in range(ncols)}]
+    assert linear_solve_exact(data.draw(st.permutations(extended)), ncols) == basis
+
+
+def _captured_systems(build):
+    """The (rows, ncols) of every kernel solve that build() makes in tensor_ops."""
+    systems = []
+
+    def spy(rows, ncols):
+        systems.append((rows, ncols))
+        return linear_solve_exact(rows, ncols)
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(tensor_ops, "linear_solve_exact", spy)
+    try:
+        build()
+    finally:
+        patch.undo()
+    return systems
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: solve_intertwiner_space(4, 3, 3, 1),
+        lambda: solve_intertwiner_space(4, 3, 2, 2),
+        lambda: solve_intertwiner_space(6, 4, 3, 1),
+        lambda: coefficient_table(8, 4),
+    ],
+    ids=["kernel-4-3-gap2", "kernel-4-3-equal", "kernel-6-4-gap2", "table-8-4"],
+)
+def test_operator_systems_match_the_fraction_oracle(build):
+    """The tall, sparse systems of the operator commands (206 x 60, 634 x 140
+    and 72 x 45), solved shortest row first, against dense Gauss-Jordan."""
+    ((rows, ncols),) = _captured_systems(build)
+    assert linear_solve_exact(rows, ncols) == oracle_kernel(dense(rows, ncols), ncols)
 
 
 def _sign_changes(coeffs):

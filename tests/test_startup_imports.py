@@ -68,16 +68,24 @@ def test_cli_loads_no_module_beyond_its_stdlib_imports():
 
 
 # what one command leaves in sys.modules when exactcft.cli runs as a program, as
-# `python -m exactcft.cli` does; the module set is printed on stdout's last line
+# `python -m exactcft.cli` does; stdout's last line holds the exit code, then the module set
 RUN_AS_PROGRAM = """
 import runpy, sys
 sys.argv = ["exactcft", *sys.argv[1:]]
 try:
     runpy.run_module("exactcft.cli", run_name="__main__")
 except SystemExit as exc:
-    assert not exc.code, exc.code
-print(" ".join(m[9:] for m in sys.modules if m.startswith("exactcft.")))
+    code = exc.code or 0
+print(code, *(m[9:] for m in sys.modules if m.startswith("exactcft.")))
 """
+
+
+def _run_as_program(argv) -> tuple[int, set[str]]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-S", "-c", RUN_AS_PROGRAM, *argv], capture_output=True,
+                         text=True, env=env, check=True)
+    code, *modules = run.stdout.split("\n")[-2].split()
+    return int(code), set(modules)
 
 WAVES = {"errors", "special", "waves", "series", "poly"}
 SIXPOINT = {"errors", "special", "sixpoint", "pairs", "poly", "series"}
@@ -87,7 +95,7 @@ LEAVES = [
     (["casimir-check", *WAVE_ARGS, "--which", "2"], WAVES),
     (["reduce", "--wave", "WAVE.json", "--pair", "1,2", "--h", "2"], WAVES | {"chiral_ops", "pairs"}),
     (["intertwiner", "chiral", "--h", "2", "--d1", "1", "--d2", "1"],
-     WAVES | {"chiral_ops", "pairs"}),
+     {"errors", "special", "chiral_ops", "poly"}),
     (["intertwiner", "tensor", "--kappa", "1", "--L", "2"],
      {"errors", "special", "tensor_ops", "linsolve", "poly"}),
     (["intertwiner", "tensor", "--kappa", "1", "--L", "0", "--d1", "3", "--d2", "1"],
@@ -113,10 +121,15 @@ def test_a_command_run_as_a_program_loads_only_its_modules(argv, expected, tmp_p
     if "WAVE.json" in argv:
         argv[argv.index("WAVE.json")] = wave = tmp_path / "wave.json"
         wave.write_text(json.dumps(_wave_json()), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    run = subprocess.run([sys.executable, "-S", "-c", RUN_AS_PROGRAM, *argv], capture_output=True,
-                         text=True, env=env, check=True)
-    assert set(run.stdout.split("\n")[-2].split()) == expected
+    assert _run_as_program(argv) == (0, expected)
+
+
+def test_a_malformed_wave_value_exits_before_waves_is_compiled():
+    """The wave commands parse --dims and --proj before they import waves, so
+    a value the parser refuses exits 2 having compiled neither waves nor what
+    it imports."""
+    argv = ["wave", "--n", "4", "--dims", "1,1,1,1", "--proj", "1/0", "--cap", "2"]
+    assert _run_as_program(argv) == (2, {"errors", "special"})
 
 
 def _wave_json() -> dict:

@@ -4,7 +4,9 @@ from math import factorial
 
 import pytest
 
-from exactcft.errors import DegenerateParameterError
+from exactcft import tensor_ops
+from exactcft.cli import main
+from exactcft.errors import ConsistencyError, DegenerateParameterError
 from exactcft.poly import MultiPoly
 from exactcft.tensor_ops import (
     IVARS,
@@ -266,3 +268,20 @@ def test_solve_space_contains_assembled():
     assert tensor_pde_residual(op.poly).is_zero()
     basis = solve_intertwiner_space(1, 2, 2, 2)
     assert len(basis) >= 1
+
+
+def test_kernel_basis_check_catches_a_wrong_solve(monkeypatch, capsys):
+    """A mutant solver adds 1 to the first entry of every basis vector; the
+    run-time PDE check on each basis operator must refuse it, and the CLI must
+    exit 4."""
+    real = tensor_ops.linear_solve_exact
+
+    def perturbed(rows, ncols):
+        return [[v + (k == 0) for k, v in enumerate(vec)] for vec in real(rows, ncols)]
+
+    monkeypatch.setattr(tensor_ops, "linear_solve_exact", perturbed)
+    with pytest.raises(ConsistencyError, match="basis operator 0 .* kappa=1, L=2, d1=3, d2=1"):
+        solve_intertwiner_space(1, 2, 3, 1)
+    argv = ["intertwiner", "tensor", "--kappa", "1", "--L", "2", "--d1", "3", "--d2", "1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("internal consistency failure: kernel basis operator 0")

@@ -4,8 +4,9 @@ cftbench/traced_cli.py names its targets as (module, attribute, class) and
 looks them up only when it installs its wrappers, so a refactor that drops or
 renames one would first show up as a crash of a traced benchmark run. This
 test loads the tracer by path and resolves every target the way it does. The
-tracer wraps only modules loaded before it installs, so a last test runs it on
-two commands whose functions the CLI imports lazily, and counts their calls.
+tracer wraps only modules loaded before it installs, so the last tests run it
+on commands whose functions are imported lazily, by the CLI or inside
+chiral_ops, and count their calls.
 """
 
 import importlib
@@ -17,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from exactcft.waves import WaveSpec, chiral_wave_series
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED_CLI = ROOT / "cftbench" / "traced_cli.py"
@@ -64,3 +67,16 @@ def test_a_traced_run_counts_the_calls_of_lazily_imported_functions(tmp_path):
     assert wave["waves.chiral_wave_series"] == 1
     kernel = _traced_calls("intertwiner tensor --kappa 1 --L 2 --d1 3 --d2 1", tmp_path)
     assert kernel["linsolve.linear_solve_exact"] >= 1
+
+
+def test_a_traced_reduce_counts_its_reference_wave(tmp_path):
+    """chiral_ops imports waves inside the reduction functions; the reference
+    wave that a matched reduction builds must still be counted. The reduced
+    wave itself is read from JSON, so it adds no call."""
+    wave = tmp_path / "wave.json"
+    spec = WaveSpec.from_middle((1, 1, 2, 2, 1, 1), (2, 2, 2))
+    wave.write_text(json.dumps(chiral_wave_series(spec, 3).to_json()), encoding="utf-8")
+    calls = _traced_calls(f"reduce --wave {wave} --pair 1,2 --h 2", tmp_path)
+    assert calls["chiral_ops.reduce_wave"] == 1
+    assert calls["chiral_ops.match_reduction"] == 1
+    assert calls["waves.chiral_wave_series"] == 1
