@@ -179,23 +179,23 @@ class ReducedWave(NamedTuple):
     total order `reliable_cap` in the surviving cross-ratio indices.
     """
 
-    points: tuple[int, ...]
     terms: PairSum
     reliable_cap: int
 
 
-def _wave_term(wave: ChiralWave) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
+def _wave_term(spec: WaveSpec) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
     """(den, key): key(ells) is the exponent key, over den, of
-    prefactor * prod u_k^{l_k} over points 1..n.
+    wave_prefactor(spec) * prod u_k^{l_k} over points 1..n.
 
     The prefactor's numerators and each cross ratio's offsets are laid out
     once per wave on the pairs they touch, in key order; a key is then a few
     int additions.
     """
     from .pairs import cross_ratio, norm_exps
-    den, base = norm_exps(wave.prefactor.pair_factors)
+    from .waves import wave_prefactor
+    den, base = norm_exps(wave_prefactor(spec))
     base = dict(base)
-    ratios = [cross_ratio(k) for k in range(1, wave.spec.n - 2)]
+    ratios = [cross_ratio(k) for k in range(1, spec.n - 2)]
     pairs = sorted(base.keys() | set().union(*ratios))
     start = [base.get(pr, 0) for pr in pairs]
     offsets = [[(s, u[pr] * den) for s, pr in enumerate(pairs) if pr in u] for u in ratios]
@@ -237,14 +237,14 @@ def reduce_wave(
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = cap - spill
 
-    den, key = _wave_term(wave)
+    den, key = _wave_term(wave.spec)
     terms = {
         key(ells): c
         for ells, c in wave.series.terms.items()
         if (sum(ells[1:]) if first else sum(ells[:-1])) <= reliable
     }
     out = reduce_correlator(PairSum(range(1, n + 1), terms, den=den), pair, op, d1, d2)
-    return ReducedWave(out.points, out, reliable)
+    return ReducedWave(out, reliable)
 
 
 def reduced_reference_spec(spec: WaveSpec, pair: tuple[int, int], h: int) -> WaveSpec:
@@ -270,7 +270,7 @@ def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -
     n = spec.n
     if len(points) != n:
         raise ValueError("label count mismatch")
-    den, key = _wave_term(wave)
+    den, key = _wave_term(spec)
     terms = {key(ells): c for ells, c in wave.series.terms.items()}
     return PairSum(range(1, n + 1), terms, den=den).relabel({k + 1: points[k] for k in range(n)})
 
@@ -282,5 +282,5 @@ def match_reduction(reduced: ReducedWave, spec: WaveSpec, pair: tuple[int, int],
     restricted to the reduction's reliable truncation order.
     """
     ref_spec = reduced_reference_spec(spec, pair, h)
-    ref = reference_wave_pair_sum(ref_spec, reduced.reliable_cap, reduced.points)
+    ref = reference_wave_pair_sum(ref_spec, reduced.reliable_cap, reduced.terms.points)
     return reduced.terms.proportional_to(ref)

@@ -144,10 +144,11 @@ def cmd_intertwiner(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
-    from .chiral_ops import chiral_intertwiner, match_reduction, reduce_wave
     from .waves import ChiralWave
     with open(args.wave, "r", encoding="utf-8") as fh:
         wave = ChiralWave.from_json(json.load(fh))
+    # a wave file the parser refuses exits before chiral_ops and pairs are compiled
+    from .chiral_ops import chiral_intertwiner, match_reduction, reduce_wave
     i, j = args.pair
     op = chiral_intertwiner(args.h, wave.spec.d(i), wave.spec.d(j))
     reduced = reduce_wave(wave, (i, j), op)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateParameterError
 from .poly import _int_numerators, _over
@@ -129,50 +129,9 @@ def wave_series_vars(n: int) -> tuple[str, ...]:
     return tuple(f"u{k}" for k in range(1, n - 2))
 
 
-class FactoredLaurent:
-    """A single factored monomial: numerator * prod x_{ij}^{e_ij}.
-
-    Pair exponents may be rational; they stay symbolic, in sorted pair order
-    with zero exponents dropped. The numerator is a rational constant.
-    """
-
-    __slots__ = ("numerator", "pair_factors")
-
-    def __init__(
-        self, pair_factors: Mapping[tuple[int, int], Fraction], numerator: Fraction | int = 1
-    ):
-        for i, j in pair_factors:
-            if i >= j:
-                raise ValueError(f"pair must be ordered i < j, got ({i}, {j})")
-        self.pair_factors: dict[tuple[int, int], Fraction] = {
-            pr: Fraction(e) for pr, e in sorted(pair_factors.items()) if e
-        }
-        self.numerator = Fraction(numerator)
-
-    def to_json(self) -> dict:
-        return {
-            "numerator": format_rational(self.numerator),
-            "factors": {
-                f"{i},{j}": format_rational(e)
-                for (i, j), e in sorted(self.pair_factors.items())
-            },
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FactoredLaurent):
-            return NotImplemented
-        return self.pair_factors == other.pair_factors and self.numerator == other.numerator
-
-    def __repr__(self) -> str:
-        mono = " ".join(
-            f"x{i}{j}^{format_rational(e)}"
-            for (i, j), e in sorted(self.pair_factors.items())
-        )
-        return f"{format_rational(self.numerator)}*[{mono or '1'}]"
-
-
-def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:
-    """Pair powers of the factored wave prefactor.
+def wave_prefactor(spec: WaveSpec) -> dict[tuple[int, int], Fraction]:
+    """Pair powers {(i, j): e} of the factored wave prefactor, numerator 1,
+    in sorted pair order with zero exponents dropped.
 
     x_{j,j+2} carries d_{j+1} - a_j - a_{j+1}; x_{i,i+1} carries
     -(d_i + d_{i+1} - a_{i-1} - a_{i+1}).
@@ -183,19 +142,22 @@ def wave_prefactor(spec: WaveSpec) -> FactoredLaurent:
         exps[(j, j + 2)] = spec.d(j + 1) - spec.a(j) - spec.a(j + 1)
     for i in range(1, n):
         exps[(i, i + 1)] = -(spec.d(i) + spec.d(i + 1) - spec.a(i - 1) - spec.a(i + 1))
-    return FactoredLaurent(exps)
+    return {pr: e for pr, e in sorted(exps.items()) if e}
 
 
 class ChiralWave(NamedTuple):
+    """A wave is wave_prefactor(spec) times its series."""
+
     spec: WaveSpec
-    prefactor: FactoredLaurent
     series: TruncatedSeries
 
     def to_json(self) -> dict:
+        pre = wave_prefactor(self.spec)
+        factors = {f"{i},{j}": format_rational(e) for (i, j), e in pre.items()}
         return {
             "spec": self.spec.to_json(),
             "cap": self.series.cap,
-            "prefactor": self.prefactor.to_json(),
+            "prefactor": {"numerator": "1", "factors": factors},
             "series": self.series.to_json(),
         }
 
@@ -231,10 +193,11 @@ class ChiralWave(NamedTuple):
             _pair_key(key): parse_rational(val)
             for key, val in _expect(pre_data.get("factors"), dict, "prefactor.factors").items()
         }
-        pre = FactoredLaurent(factors, parse_rational(pre_data.get("numerator")))
-        if pre != wave_prefactor(spec):
+        # zero exponents drop out, but an unordered pair never matches
+        factors = {(i, j): e for (i, j), e in factors.items() if e or i >= j}
+        if parse_rational(pre_data.get("numerator")) != 1 or factors != wave_prefactor(spec):
             raise ValueError("wave JSON prefactor is not the factored prefactor of its spec")
-        return cls(spec, pre, series)
+        return cls(spec, series)
 
 
 def wave_coefficient(spec: WaveSpec, ells: tuple[int, ...]) -> Fraction:
@@ -317,7 +280,7 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
             terms[tuple(ells[1:])] = Fraction(num, den)
     series = TruncatedSeries(wave_series_vars(n), cap)
     series.terms = terms
-    return ChiralWave(spec, wave_prefactor(spec), series)
+    return ChiralWave(spec, series)
 
 
 def casimir_residual(
@@ -349,8 +312,6 @@ def casimir_residual(
         raise ValueError(f"equation spec has {q.n} points, the wave {n}")
     if not 1 <= which <= n - 3:
         raise ValueError(f"which must be in 1..{n - 3} for n = {n}, got {which}")
-    if wave.prefactor != wave_prefactor(s):
-        raise ValueError("wave prefactor does not follow the factored convention")
 
     k = which
     moved = {i: q.d(i) - s.d(i) for i in (1, 2, 3, n - 2, n - 1, n)}  # D_i

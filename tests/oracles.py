@@ -31,7 +31,7 @@ from exactcft.tensor_ops import (
     ipoly,
     radial_poly,
 )
-from exactcft.waves import WaveSpec, chiral_wave_series
+from exactcft.waves import WaveSpec, wave_prefactor
 
 # -- channel constants ---------------------------------------------------------
 
@@ -163,8 +163,7 @@ def three_point_structure(d1, d2, a) -> PairSum:
     """Chiral 3-point function with exchange dimension a in the (1,2) channel."""
     d1, d2, a = Fraction(d1), Fraction(d2), Fraction(a)
     spec = WaveSpec((d1, d2, a), (d1, a))
-    pre = chiral_wave_series(spec, 0).prefactor
-    return PairSum.monomial((1, 2, 3), pre.numerator, pre.pair_factors)
+    return PairSum.monomial((1, 2, 3), 1, wave_prefactor(spec))
 
 
 def two_point_structure(h, points=(1, 3)) -> PairSum:
@@ -389,7 +388,7 @@ def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = wave.series.cap - spill
     points = tuple(range(1, n + 1))
-    den, key = _wave_term(wave)
+    den, key = _wave_term(wave.spec)
     out = PairSum.zero(tuple(p for p in points if p != j))
     for ells, c in wave.series.terms.items():
         tail_order = sum(ells[1:]) if first else sum(ells[:-1])
@@ -397,7 +396,7 @@ def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
             continue
         mono = PairSum(points, {key(ells): c}, den=den)
         out.add_scaled(reduce_correlator_unfiltered(mono, pair, op, wave.spec.d(i), wave.spec.d(j)))
-    return ReducedWave(out.points, out, reliable)
+    return ReducedWave(out, reliable)
 
 
 # -- sparse sums ------------------------------------------------------------------

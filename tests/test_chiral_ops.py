@@ -291,7 +291,7 @@ def test_one_sum_reduction_matches_the_termwise_oracle(n, cap, h, data):
     if want == "singular":
         assert got == "singular"
         return
-    assert (got.points, got.reliable_cap) == (want.points, want.reliable_cap)
+    assert (got.terms.points, got.reliable_cap) == (want.terms.points, want.reliable_cap)
     # term by term, with the exponents read as Fractions over each sum's den
     assert list(got.terms) == list(want.terms)
     assert (got.terms - want.terms).is_zero_function()

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.errors import ConsistencyError, SingularDiagonalError
 from exactcft.pairs import PairSum, cross_ratio
-from exactcft.waves import WaveSpec, chiral_wave_series
+from exactcft.waves import WaveSpec, chiral_wave_series, wave_prefactor
 from oracles import ptolemy_zero
 
 F = Fraction
@@ -284,6 +284,11 @@ def test_singular_diagonal_message_matches():
     same_outcome(lambda: ps.merge_adjacent(1), lambda: ref_merge_adjacent(ref, 1))
 
 
+def test_monomial_refuses_an_unordered_pair():
+    with pytest.raises(ValueError, match=r"^pair must be ordered i < j, got \(2, 1\)$"):
+        PairSum.monomial(PTS, 1, {(1, 3): 1, (2, 1): F(1, 2)})
+
+
 def test_flip_with_non_integer_exponent_message_matches():
     exps = {(1, 2): F(1, 6), (3, 4): 2}
     ps = PairSum.monomial(PTS, 1, exps)
@@ -325,7 +330,7 @@ def test_wave_term_keys_match_fraction_keys():
     wave = chiral_wave_series(spec, 4)
     expected = {}
     for ells, c in wave.series.terms.items():
-        exps = dict(wave.prefactor.pair_factors)
+        exps = wave_prefactor(spec)
         for k, lk in enumerate(ells, start=1):
             for pr, e in cross_ratio(k).items():
                 exps[pr] = exps.get(pr, 0) + lk * e

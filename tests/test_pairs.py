@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from exactcft.errors import ConsistencyError, SingularDiagonalError
 import exactcft.pairs as pairs_module
 from exactcft.pairs import PairSum, _adjacent_expansions, _pair_values
-from exactcft.waves import FactoredLaurent
 from oracles import (
     is_zero_function_expanded,
     proportional_to_expanded,
@@ -144,13 +143,6 @@ def test_proportionality_needs_one_ratio_in_every_class():
     for other in (PairSum.zero(pts), hidden):
         for s in (PairSum.zero(pts), hidden, half):
             assert s.proportional_to(other) is None
-
-
-def test_factored_laurent():
-    fl = FactoredLaurent({(1, 2): F(-3, 2), (1, 3): 2}, 5)
-    assert fl.pair_factors == {(1, 2): F(-3, 2), (1, 3): 2}
-    js = fl.to_json()
-    assert js["factors"]["1,2"] == "-3/2"
 
 
 def test_two_chiral_zero_detects_ptolemy():

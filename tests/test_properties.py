@@ -88,8 +88,8 @@ def test_wave_prefactor_conjugation_consistency():
     pre = wave_prefactor(spec)
     pre_rev = wave_prefactor(rev)
     n = spec.n
-    for (i, j), e in pre.pair_factors.items():
-        assert pre_rev.pair_factors.get((n + 1 - j, n + 1 - i), 0) == e
+    for (i, j), e in pre.items():
+        assert pre_rev.get((n + 1 - j, n + 1 - i), 0) == e
 
 
 def test_wave_coefficients_factor_through_pochhammers():

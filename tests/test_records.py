@@ -8,10 +8,11 @@ import pytest
 
 from exactcft.amplitudes import fourpoint_amplitudes
 from exactcft.channels import ReferenceFourPoint
+from exactcft.chiral_ops import ReducedWave
 from exactcft.pairs import PairSum
 from exactcft.positivity import positivity_report
 from exactcft.sixpoint import POINTS, SixPointStructure, build_structure
-from exactcft.waves import WaveSpec
+from exactcft.waves import ChiralWave, WaveSpec
 
 F = Fraction
 
@@ -24,6 +25,12 @@ def test_wave_spec_stores_fractions_and_compares_by_value():
     assert spec == twin and hash(spec) == hash(twin)
     assert spec != WaveSpec((1, 2, 3), (1, 3))
     assert len({spec, twin, WaveSpec.from_middle((1, 2, 2), ())}) == 1
+
+
+def test_wave_records_hold_no_derived_field():
+    # a wave's prefactor is wave_prefactor(spec), and a reduction's points are terms.points
+    assert ChiralWave._fields == ("spec", "series")
+    assert ReducedWave._fields == ("terms", "reliable_cap")
 
 
 def test_signed_structure_is_refused():

@@ -132,6 +132,17 @@ def test_a_malformed_wave_value_exits_before_waves_is_compiled():
     assert _run_as_program(argv) == (2, {"errors", "special"})
 
 
+def test_a_malformed_wave_file_exits_before_the_reduction_is_compiled(tmp_path):
+    """reduce reads --wave before it imports chiral_ops, so a wave file the
+    parser refuses (the benchmark's cap "x") exits 2 having compiled neither
+    chiral_ops nor pairs."""
+    wave = tmp_path / "bad-cap.json"
+    wave.write_text(json.dumps(dict(_wave_json(), cap="x")), encoding="utf-8")
+    argv = ["--manifest", tmp_path / "manifest.json", "reduce", "--wave", wave, "--pair", "1,2",
+            "--h", "2"]
+    assert _run_as_program(argv) == (2, WAVES)
+
+
 def _wave_json() -> dict:
     return chiral_wave_series(WaveSpec.from_middle((1, 1, 2, 2, 1, 1), (2, 2, 2)), 3).to_json()
 

@@ -11,7 +11,6 @@ from exactcft.series import TruncatedSeries
 from exactcft.special import gauss_2f1_coeff
 from exactcft.waves import (
     ChiralWave,
-    FactoredLaurent,
     WaveSpec,
     casimir_residual,
     chiral_wave_series,
@@ -46,9 +45,10 @@ def test_three_point_wave_is_pure_prefactor():
     wave = chiral_wave_series(spec, 5)
     assert wave.series.terms == {(): F(1)}
     # x12 exponent: -(d1+d2-a0-a2) with a2 = d3
-    assert wave.prefactor.pair_factors.get((1, 2), 0) == -(F(1) + F(3, 2) - F(2))
-    assert wave.prefactor.pair_factors.get((1, 3), 0) == F(3, 2) - F(1) - F(2)
-    assert wave.prefactor.pair_factors.get((2, 3), 0) == -(F(3, 2) + F(2) - F(1))
+    pre = wave_prefactor(spec)
+    assert pre.get((1, 2), 0) == -(F(1) + F(3, 2) - F(2))
+    assert pre.get((1, 3), 0) == F(3, 2) - F(1) - F(2)
+    assert pre.get((2, 3), 0) == -(F(3, 2) + F(2) - F(1))
 
 
 def test_four_point_unit_dims_example():
@@ -77,24 +77,28 @@ def test_prefactor_exponents_follow_the_closed_form():
     pre = wave_prefactor(spec)
     n = spec.n
     for j in range(1, n - 1):
-        assert pre.pair_factors.get((j, j + 2), 0) == spec.d(j + 1) - spec.a(j) - spec.a(j + 1)
+        assert pre.get((j, j + 2), 0) == spec.d(j + 1) - spec.a(j) - spec.a(j + 1)
     for i in range(1, n):
-        assert pre.pair_factors.get((i, i + 1), 0) == -(
+        assert pre.get((i, i + 1), 0) == -(
             spec.d(i) + spec.d(i + 1) - spec.a(i - 1) - spec.a(i + 1)
         )
 
 
-def test_factored_laurent_orders_pairs_and_drops_zero_exponents():
-    with pytest.raises(ValueError) as err:
-        FactoredLaurent({(1, 3): 1, (2, 1): F(1, 2)})
-    assert str(err.value) == "pair must be ordered i < j, got (2, 1)"
-    fl = FactoredLaurent({(2, 3): F(4, 2), (1, 4): 0, (1, 2): F(-3, 2), (3, 4): F(0, 5)}, F(6, 4))
-    assert list(fl.pair_factors.items()) == [((1, 2), F(-3, 2)), ((2, 3), 2)]
-    assert all(type(e) is Fraction for e in fl.pair_factors.values())
-    assert fl.to_json() == {"numerator": "3/2", "factors": {"1,2": "-3/2", "2,3": "2"}}
-    assert repr(fl) == "3/2*[x12^-3/2 x23^2]"
-    assert fl == FactoredLaurent({(1, 2): F(-3, 2), (2, 3): 2}, F(3, 2))
-    assert FactoredLaurent({(1, 2): 0}).to_json() == {"numerator": "1", "factors": {}}
+def test_wave_prefactor_orders_pairs_and_drops_zero_exponents():
+    # unit dims with a_2 = 2: every nearest-neighbour exponent vanishes
+    spec = WaveSpec.from_middle((1, 1, 1, 1), (2,))
+    assert list(wave_prefactor(spec).items()) == [((1, 3), -2), ((2, 4), -2)]
+    # x23 carries -(d_2 + d_3 - a_1 - a_3) = 0 and is dropped
+    spec = WaveSpec.from_middle((1, F(1, 2), 2, 2, 1), (F(5, 2), F(3, 2)))
+    pre = wave_prefactor(spec)
+    assert list(pre.items()) == [((1, 2), 1), ((1, 3), -3), ((2, 4), -2), ((3, 4), F(-1, 2)),
+                                 ((3, 5), F(-1, 2)), ((4, 5), F(-3, 2))]
+    assert all(type(e) is Fraction for e in pre.values())
+    assert chiral_wave_series(spec, 0).to_json()["prefactor"] == {
+        "numerator": "1",
+        "factors": {"1,2": "1", "1,3": "-3", "2,4": "-2", "3,4": "-1/2", "3,5": "-1/2",
+                    "4,5": "-3/2"},
+    }
 
 
 def test_degenerate_projection_rejected():
@@ -294,7 +298,7 @@ def test_casimir_annihilates_every_wave(n, cap, data):
     middle = data.draw(st.lists(PROJ, min_size=n - 3, max_size=n - 3), label="middle")
     spec = WaveSpec.from_middle(dims, middle)
     wave = chiral_wave_series(spec, cap)
-    closed = ChiralWave(spec, wave.prefactor, _closed_form_series(spec, cap))
+    closed = ChiralWave(spec, _closed_form_series(spec, cap))
     for k in range(1, n - 2):
         assert casimir_residual(spec, wave, k, cap).is_zero(), k
         assert casimir_residual(spec, closed, k, cap).is_zero(), k
@@ -361,7 +365,7 @@ def test_wave_json_round_trip():
     back = ChiralWave.from_json(wave.to_json())
     assert back.spec == wave.spec
     assert back.series == wave.series
-    assert back.prefactor == wave.prefactor
+    assert back.to_json()["prefactor"] == wave.to_json()["prefactor"]
 
 
 def _malformed(good: dict, **changes) -> dict:
@@ -406,6 +410,35 @@ def test_wave_json_rejects_malformed_input(change):
     assert good["prefactor"] == {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2"}}
     with pytest.raises(ValueError):
         ChiralWave.from_json(_malformed(good, **change))
+
+
+@pytest.mark.parametrize(
+    "prefactor",
+    [
+        {"numerator": "2/2", "factors": {"1,3": "-2", "2,4": "-2"}},
+        {"numerator": "1", "factors": {"1,2": "0", "1,3": "-4/2", "2,4": "-2", "3,4": "0/5"}},
+    ],
+)
+def test_wave_json_reads_the_prefactor_by_value(prefactor):
+    wave = chiral_wave_series(WaveSpec.from_middle((1, 1, 1, 1), (2,)), 3)
+    back = ChiralWave.from_json(_malformed(wave.to_json(), prefactor=prefactor))
+    assert back == wave
+
+
+@pytest.mark.parametrize(
+    "prefactor",
+    [
+        {"numerator": "2", "factors": {"1,3": "-2", "2,4": "-2"}},
+        {"numerator": "1", "factors": {"3,1": "-2", "2,4": "-2"}},
+        {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2", "3,1": "0"}},
+        {"numerator": "1", "factors": {"1,3": "-2", "2,4": "-2", "1,4": "1"}},
+    ],
+)
+def test_wave_json_rejects_a_prefactor_other_than_its_specs(prefactor):
+    good = chiral_wave_series(WaveSpec.from_middle((1, 1, 1, 1), (2,)), 3).to_json()
+    message = "^wave JSON prefactor is not the factored prefactor of its spec$"
+    with pytest.raises(ValueError, match=message):
+        ChiralWave.from_json(_malformed(good, prefactor=prefactor))
 
 
 @pytest.mark.parametrize("key", ["01,3", " 1,3", "1,3 ", "1, 3", "+1,3", "1,03"])
