@@ -15,7 +15,6 @@ from math import factorial
 from typing import NamedTuple
 
 from .errors import DegenerateParameterError
-from .series import TruncatedSeries
 from .special import format_rational, gauss_2f1_coeff, pochhammer
 
 
@@ -58,8 +57,9 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
     })
 
 
-def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> TruncatedSeries:
+def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> "TruncatedSeries":
     """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1, truncated at the cap."""
+    from .series import TruncatedSeries  # here, so positivity jobs never compile series
     total = TruncatedSeries.constant(("u",), cap, -1)
     for n, bk in am.entries.items():
         for ell in range(cap - n + 1):

@@ -2,7 +2,7 @@
 
 Per chirality, applying the renormalized degree-h operator to one term of the
 double geometric sum collapses it to a universal function of the surviving
-points with an explicit rational coefficient c_{a,h} = (h)_a (1-h)_a / a!^2
+points with an explicit integer coefficient c_{a,h} = (h)_a (1-h)_a / a!^2
 (finite support: zero for a >= h). Resumming the structure's weights then
 yields one number per channel; for both structures of interest the result has
 a closed parity form, which the tests compare against the first-principles
@@ -13,17 +13,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import DegenerateParameterError
-from .special import gauss_2f1_coeff
 
 
-def reduction_coefficient(a: int, h: int) -> Fraction:
-    """c_{a,h} = (h)_a (1-h)_a / a!^2."""
+def reduction_coefficient(a: int, h: int) -> int:
+    """c_{a,h} = (h)_a (1-h)_a / a!^2 = (-1)^a C(h+a-1, a) C(h-1, a), an integer."""
     if a < 0 or h < 1:
         raise ValueError("need a >= 0 and h >= 1")
-    return gauss_2f1_coeff(h, 1 - h, 1, a)
+    return (-1) ** a * comb(h + a - 1, a) * comb(h - 1, a)
 
 
 def weighted_tail_at_one(h: int, b: int) -> Fraction:
@@ -31,11 +31,11 @@ def weighted_tail_at_one(h: int, b: int) -> Fraction:
     if b < 1:
         raise ValueError("b must be >= 1")
     total = Fraction(0)
-    f_at_one = Fraction(0)
+    f_at_one = 0
     for a in range(h):
         c = reduction_coefficient(a, h)
         f_at_one += c
-        total += c / (a + b)
+        total += Fraction(c, a + b)
     return f_at_one - 2 * b * total
 
 
@@ -116,9 +116,8 @@ def reduce_sixpoint(
     for (a, b, c, d), w in structure2d.terms.items():
         if a >= h_plus or b >= h_minus or c >= h_plus_prime or d >= h_minus_prime:
             continue
-        total += (
-            w
-            * reduction_coefficient(a, h_plus)
+        total += w * (
+            reduction_coefficient(a, h_plus)
             * reduction_coefficient(b, h_minus)
             * reduction_coefficient(c, h_plus_prime)
             * reduction_coefficient(d, h_minus_prime)

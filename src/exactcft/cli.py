@@ -199,14 +199,15 @@ def cmd_exotic(args) -> dict:
         return out
     if args.exotic_cmd == "reduce":
         from .channels import reduce_sixpoint, reduction_order
-        from .sixpoint import build_structure, completion_series_2d, restrict_2d
         weights = (args.hplus, args.hminus, args.hplusprime, args.hminusprime)
         # the series is built only as far as the reduction reads it; a negative
         # order (some h < 1) and a negative cap are left for the callees to refuse
         order = min(args.cap, max(reduction_order(*weights), 0))
         if args.structure == "B":
+            from .sixpoint import build_structure, restrict_2d
             series = restrict_2d(build_structure("B")).series(order)
         else:
+            from .gseries import completion_series_2d
             series = completion_series_2d(order)
         coeff, ref = reduce_sixpoint(series, *weights)
         return {

@@ -18,12 +18,14 @@ condition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .poly import _combination_terms, _int_product
+from .poly import _combination_terms, _int_combination, _int_numerators, _int_product
 from .series import TruncatedSeries
 
 GVARS = ("u_plus", "u_minus")
+# the four chiral cross ratios of the six-point structures, as sixpoint.SERIES_VARS
+SERIES_VARS = GVARS + ("uprime_plus", "uprime_minus")
 
 
 def closed_coefficient(a: int, b: int) -> Fraction:
@@ -84,17 +86,14 @@ def _sw_series(weights: dict, cap: int) -> TruncatedSeries:
     """sum weights[n, j] s^n w^j in the chiral variables, truncated at the cap,
     with s = u+ u- and w = u+ + u- - u+ u-.
 
-    The integer powers of w are built once (truncated at the cap), and each
-    s^n shifts both exponents by n; the weighted sum is one integer combination.
+    By the trinomial theorem w^j = sum (-1)^c C(j, c) C(j - c, a) u+^(a+c)
+    u-^(j-a), of total order j + c, and s^n shifts both exponents by n; the
+    weighted sum is one integer combination.
     """
-    used = [k for k, v in weights.items() if v]
-    w = {(1, 0): 1, (0, 1): 1, (1, 1): -1}
-    wpow = [{(0, 0): 1}]
-    for _ in range(max((j for _, j in used), default=0)):
-        wpow.append(_int_product(wpow[-1], w, cap))
     parts = {
-        (n, j): {(a + n, b + n): c for (a, b), c in wpow[j].items() if a + b + 2 * n <= cap}
-        for n, j in used
+        (n, j): {(n + a + c, n + j - a): (-1) ** c * comb(j, c) * comb(j - c, a)
+                 for c in range(min(j, cap - 2 * n - j) + 1) for a in range(j - c + 1)}
+        for (n, j), v in weights.items() if v
     }
     out = TruncatedSeries(GVARS, cap)
     out.terms = _combination_terms(parts, weights)
@@ -107,6 +106,19 @@ def _assemble_from_profiles(profiles: list[list], cap: int) -> TruncatedSeries:
         {(n, j): Fraction(c, factorial(n)) for n, g in enumerate(profiles) for j, c in enumerate(g)},
         cap,
     )
+
+
+def completion_series_2d(cap: int) -> TruncatedSeries:
+    """Series of the tetraharmonic completion: the odd-weighted double sum
+    sum (a-b)/(a+b) u+^a u-^b times the primed copy."""
+
+    def weight(e: tuple[int, int, int, int]) -> Fraction:
+        a, b, c, d = e
+        if a + b == 0 or c + d == 0:
+            return Fraction(0)
+        return Fraction(a - b, a + b) * Fraction(c - d, c + d)
+
+    return TruncatedSeries.from_coefficients(SERIES_VARS, cap, weight)
 
 
 def completion_series(cap: int, method: str = "closed") -> TruncatedSeries:
@@ -145,20 +157,21 @@ def _power_sums(kmax: int, cap: int) -> list[dict]:
     return sums
 
 
-def _to_sw_components(series: TruncatedSeries) -> list[list]:
-    """Profiles g_n(w) (with the n! removed) of a symmetric double series;
-    g_n is known through w^(cap - 2n).
+def _to_sw_components(series: TruncatedSeries) -> tuple[int, list[list[int]]]:
+    """(D, profiles): D times the profiles g_n(w) (with the n! removed) of a
+    symmetric double series, as ints; g_n is known through w^(cap - 2n).
 
     Each monomial symmetric function u+^hi u-^lo + u+^lo u-^hi is s^lo p_{hi-lo}
     (s^lo alone on the diagonal), with s = u+ u- and the power sums p_k in s
-    and w; the sum over the series is one integer combination of them.
+    and w; the sum over the series is one integer combination of them, over
+    the least common denominator D of its coefficients.
     """
     cap = series.cap
     for (a, b), c in series.terms.items():
         if series.coefficient((b, a)) != c:
             raise ValueError("series is not symmetric under chirality swap")
 
-    weights = {(a, b): c for (a, b), c in series.terms.items() if a >= b}
+    den, weights = _int_numerators({(a, b): c for (a, b), c in series.terms.items() if a >= b})
     sums = _power_sums(max((a - b for a, b in weights), default=0), cap)
     parts = {
         (a, b): (
@@ -168,11 +181,10 @@ def _to_sw_components(series: TruncatedSeries) -> list[list]:
         )
         for a, b in weights
     }
-    total = _combination_terms(parts, weights)
-    profiles = [[Fraction(0)] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
-    for (n, j), c in total.items():
+    profiles = [[0] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
+    for (n, j), c in _int_combination(parts, weights).items():
         profiles[n][j] = c
-    return profiles
+    return den, profiles
 
 
 def verify_biharmonic(g: TruncatedSeries) -> TruncatedSeries:
@@ -186,13 +198,14 @@ def verify_biharmonic(g: TruncatedSeries) -> TruncatedSeries:
     cap = g.cap
     if cap < 2:
         raise ValueError("needs cap >= 2 to carry any content")
-    comp = _to_sw_components(g)
+    den, comp = _to_sw_components(g)
     out_cap = cap - 1
     weights = {}
     for n in range(1, out_cap // 2 + 1):
-        # profiles carry 1/n!; the recursion relates g_n = n! [s^n] to g_{n-1}
-        lhs = _lhs_op([c * factorial(n) for c in comp[n]], n)
-        rhs = _recursion_rhs([c * factorial(n - 1) for c in comp[n - 1]], n)
+        # g_n = n! comp[n] / D: the instance over (n-1)!/D, on ints
+        lhs = _lhs_op(comp[n], n)
+        rhs = _recursion_rhs(comp[n - 1], n)
         for j, (x, y) in enumerate(zip(lhs, rhs)):
-            weights[n, j] = (x - y) / factorial(n - 1)
+            if n * x != y:
+                weights[n, j] = Fraction(n * x - y, den)
     return _sw_series(weights, out_cap)

@@ -11,10 +11,8 @@ inertia is read from a 2 x 2 Gram form, with no elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence
-
-from .poly import _int_numerators
 
 
 def _int_row(entries: Mapping[int, object], ncols: int) -> dict[int, int]:
@@ -26,8 +24,8 @@ def _int_row(entries: Mapping[int, object], ncols: int) -> dict[int, int]:
         if not 0 <= col < ncols:
             raise ValueError(f"column {col} is outside 0..{ncols - 1}")
         row[col] = v if type(v) is int else Fraction(v)
-    _, nums = _int_numerators(row)
-    return _primitive({col: n for col, n in nums.items() if n})
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({col: v.numerator * (den // v.denominator) for col, v in row.items() if v})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:

@@ -27,7 +27,7 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
-from .poly import SparseSum, _combination_terms, _int_numerators, _int_product
+from .poly import SparseSum, _combination_terms, _int_combination, _int_numerators, _int_product
 from .special import format_rational
 
 Pair = tuple[int, int]
@@ -404,14 +404,22 @@ class TwoChiralSum(SparseSum):
 
     def is_zero_function(self) -> bool:
         """Exact test of sum_t c_t A_t(z+) B_t(z-) = 0. The chiralities are
-        independent coordinates, so the minus sides move to a disjoint copy
-        of the points and one PairSum is tested. Complete proof, no sampling."""
-        shift = max(self.points) - min(self.points) + 1
-        moved = {
-            kp + tuple(((i + shift, j + shift), e) for (i, j), e in km): c
-            for (kp, km), c in self.terms.items()
-        }
-        return PairSum(self.points + tuple(p + shift for p in self.points), moved).is_zero_function()
+        independent coordinates: each distinct A and B is expanded once, each
+        side over its own base (see _offsets), and each A's polynomial times its
+        int combination of B's is added on ints. Complete proof, no sampling."""
+        by_plus: dict[ExpKey, dict[ExpKey, int]] = {}
+        for (kp, km), n in _int_numerators(self.terms)[1].items():
+            by_plus.setdefault(kp, {})[km] = n
+        minus_keys = list({km for row in by_plus.values() for km in row})
+        minus = dict(zip(minus_keys, _adjacent_expansions(self.points, minus_keys)))
+        acc: dict = {}
+        get = acc.get
+        for pa, row in zip(_adjacent_expansions(self.points, by_plus), by_plus.values()):
+            pb = [(eb, b) for eb, b in _int_combination(minus, row).items() if b]
+            for ea, a in pa.items():
+                for eb, b in pb:
+                    acc[ea + eb] = get(ea + eb, 0) + a * b
+        return not any(acc.values())
 
     def __repr__(self) -> str:
         bits = []

@@ -64,6 +64,17 @@ def _product_terms(left: Mapping, right: Mapping, cap: int | None = None) -> dic
     return _over(_int_product(a, b, cap), d1 * d2)
 
 
+def _int_combination(parts, nums: Mapping) -> dict:
+    """sum nums[k] * parts[k] over ints, as an int dict; cancelled keys may hold 0."""
+    acc: dict = {}
+    get = acc.get
+    for k, n in nums.items():
+        if n:
+            for e, c in parts[k].items():
+                acc[e] = get(e, 0) + n * c
+    return acc
+
+
 def _combination_terms(parts, weights: Mapping) -> dict:
     """The Fraction terms of sum weights[k] * parts[k] over int dicts parts[k].
 
@@ -71,13 +82,7 @@ def _combination_terms(parts, weights: Mapping) -> dict:
     denominator, the sum runs on ints, and each output key is divided once.
     """
     den, nums = _int_numerators(weights)
-    acc: dict = {}
-    get = acc.get
-    for k, n in nums.items():
-        if n:
-            for e, c in parts[k].items():
-                acc[e] = get(e, 0) + n * c
-    return _over(acc, den)
+    return _over(_int_combination(parts, nums), den)
 
 
 class SparseSum:

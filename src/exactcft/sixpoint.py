@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .pairs import PairSum, TwoChiralSum, bump, cross_ratio
-from .poly import MultiPoly
+from .poly import MultiPoly, _int_numerators, _over
 from .series import TruncatedSeries
 from .special import format_rational
 
@@ -127,11 +127,20 @@ class ChiralRestriction(NamedTuple):
     numerator: dict[tuple[int, int, int, int], Fraction]
 
     def series(self, cap: int) -> TruncatedSeries:
-        """Expand numerator / ((1-u+)(1-u-)(1-u'+)(1-u'-)) to the cap."""
-        # the product of the four geometric series has every coefficient 1
-        geo = TruncatedSeries.from_coefficients(SERIES_VARS, cap, lambda e: 1)
-        num = TruncatedSeries(SERIES_VARS, cap, self.numerator)
-        return num * geo
+        """Expand numerator / ((1-u+)(1-u-)(1-u'+)(1-u'-)) to the cap: dividing
+        by 1 - u is a running sum along u, on int numerators over one denominator,
+        in lex order, which puts e - u before e."""
+        den, acc = _int_numerators(self.numerator)
+        acc = {e: n for e, n in acc.items() if sum(e) <= cap}
+        exps = [(a, b, c, d) for a in range(cap + 1) for b in range(cap + 1 - a)
+                for c in range(cap + 1 - a - b) for d in range(cap + 1 - a - b - c)]
+        for i in range(4):
+            for e in exps:
+                if e[i] and (c := acc.get(e[:i] + (e[i] - 1,) + e[i + 1 :])):
+                    acc[e] = acc.get(e, 0) + c
+        out = TruncatedSeries(SERIES_VARS, cap)
+        out.terms = _over(acc, den)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -182,15 +191,3 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
         )
     return ChiralRestriction(structure.name, dict(PREFACTOR_2D), numerator)
 
-
-def completion_series_2d(cap: int) -> TruncatedSeries:
-    """Series of the tetraharmonic completion: the odd-weighted double sum
-    sum (a-b)/(a+b) u+^a u-^b times the primed copy."""
-
-    def weight(e: tuple[int, int, int, int]) -> Fraction:
-        a, b, c, d = e
-        if a + b == 0 or c + d == 0:
-            return Fraction(0)
-        return Fraction(a - b, a + b) * Fraction(c - d, c + d)
-
-    return TruncatedSeries.from_coefficients(SERIES_VARS, cap, weight)

@@ -9,6 +9,7 @@ conveniences the tests need and the package does not.
 from fractions import Fraction
 from math import factorial, lcm
 
+from exactcft import gseries
 from exactcft.channels import channel_coefficients, reduction_coefficient
 from exactcft.chiral_ops import (
     ReducedWave,
@@ -19,8 +20,9 @@ from exactcft.chiral_ops import (
 from exactcft.errors import ConsistencyError, DegenerateParameterError
 from exactcft.linsolve import linear_solve_exact
 from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, norm_exps
-from exactcft.poly import MultiPoly, _combination_poly
+from exactcft.poly import MultiPoly, _combination_poly, _combination_terms, _int_product
 from exactcft.series import TruncatedSeries
+from exactcft.sixpoint import SERIES_VARS
 from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
 from exactcft.tensor_ops import (
     RVAR,
@@ -169,6 +171,49 @@ def three_point_structure(d1, d2, a) -> PairSum:
 def two_point_structure(h, points=(1, 3)) -> PairSum:
     i, j = points
     return PairSum.monomial(sorted({i, j}), 1, {(min(i, j), max(i, j)): -2 * Fraction(h)})
+
+
+# -- six-point series -----------------------------------------------------------
+
+
+def restriction_series_geometric(restriction, cap: int) -> TruncatedSeries:
+    """ChiralRestriction.series as the numerator times the product of the four
+    geometric series, whose every coefficient is 1."""
+    geo = TruncatedSeries.from_coefficients(SERIES_VARS, cap, lambda e: 1)
+    return TruncatedSeries(SERIES_VARS, cap, restriction.numerator) * geo
+
+
+def _sw_series_chained(weights: dict, cap: int) -> TruncatedSeries:
+    """gseries._sw_series with the powers of w = u+ + u- - u+ u- built by
+    chained products, truncated at the cap."""
+    used = [k for k, v in weights.items() if v]
+    w = {(1, 0): 1, (0, 1): 1, (1, 1): -1}
+    wpow = [{(0, 0): 1}]
+    for _ in range(max((j for _, j in used), default=0)):
+        wpow.append(_int_product(wpow[-1], w, cap))
+    parts = {
+        (n, j): {(a + n, b + n): c for (a, b), c in wpow[j].items() if a + b + 2 * n <= cap}
+        for n, j in used
+    }
+    out = TruncatedSeries(gseries.GVARS, cap)
+    out.terms = _combination_terms(parts, weights)
+    return out
+
+
+def verify_biharmonic_fractions(g: TruncatedSeries) -> TruncatedSeries:
+    """gseries.verify_biharmonic on Fractions: the profiles are Fractions, each
+    instance is taken on n! and (n-1)! times them and divided back by (n-1)!,
+    and the residual is assembled from chained powers of w."""
+    cap = g.cap
+    den, comp = gseries._to_sw_components(g)
+    comp = [[Fraction(c, den) for c in profile] for profile in comp]
+    weights = {}
+    for n in range(1, (cap - 1) // 2 + 1):
+        lhs = gseries._lhs_op([c * factorial(n) for c in comp[n]], n)
+        rhs = gseries._recursion_rhs([c * factorial(n - 1) for c in comp[n - 1]], n)
+        for j, (x, y) in enumerate(zip(lhs, rhs)):
+            weights[n, j] = (x - y) / factorial(n - 1)
+    return _sw_series_chained(weights, cap - 1)
 
 
 # -- tensor operators -----------------------------------------------------------
@@ -409,6 +454,18 @@ def two_chiral_monomial(points, coeff, exps_plus, exps_minus) -> TwoChiralSum:
     out = TwoChiralSum(points)
     out.add_term((kp, km), Fraction(coeff))
     return out
+
+
+def two_chiral_is_zero_twelve_point(t: TwoChiralSum) -> bool:
+    """TwoChiralSum.is_zero_function by one PairSum: the minus sides move to a
+    disjoint copy of the points, so the chiralities are independent
+    coordinates of one twelve-point sum."""
+    shift = max(t.points) - min(t.points) + 1
+    moved = {
+        kp + tuple(((i + shift, j + shift), e) for (i, j), e in km): c
+        for (kp, km), c in t.terms.items()
+    }
+    return PairSum(t.points + tuple(p + shift for p in t.points), moved).is_zero_function()
 
 
 def ptolemy_zero(p: PairSum) -> PairSum:

@@ -9,7 +9,9 @@ from exactcft.channels import (
     weighted_tail_at_one,
 )
 from exactcft.errors import DegenerateParameterError
-from exactcft.sixpoint import build_structure, completion_series_2d, restrict_2d
+from exactcft.gseries import completion_series_2d
+from exactcft.sixpoint import build_structure, restrict_2d
+from exactcft.special import gauss_2f1_coeff
 from oracles import (
     channel_coefficients_direct,
     closed_form_channel,
@@ -27,6 +29,14 @@ def test_reduction_coefficient_values():
     assert [reduction_coefficient(a, 3) for a in range(5)] == [1, -6, 6, 0, 0]
     assert reduction_coefficient(0, 1) == 1
     assert reduction_coefficient(1, 2) == -2
+
+
+def test_reduction_coefficient_is_the_gauss_coefficient():
+    """The binomial form is the 2F1(h, 1-h; 1) coefficient, on ints."""
+    for h in range(1, 31):
+        for a in range(41):
+            c = reduction_coefficient(a, h)
+            assert type(c) is int and c == gauss_2f1_coeff(h, 1 - h, 1, a)
 
 
 def test_generating_poly_is_shifted_legendre():

@@ -9,6 +9,7 @@ from exactcft import gseries
 from exactcft.gseries import closed_coefficient, completion_series, verify_biharmonic
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
+from oracles import verify_biharmonic_fractions
 
 F = Fraction
 
@@ -247,11 +248,37 @@ symmetric_series = st.integers(0, 12).flatmap(
 @given(symmetric_series)
 @settings(max_examples=80, deadline=None)
 def test_sw_components_match_multipoly_power_sums(series):
-    got = gseries._to_sw_components(series)
-    assert got == [_coeffs(p) for p in oracle_sw_components(series)]
+    den, got = gseries._to_sw_components(series)
+    assert [[F(c, den) for c in g] for g in got] == [_coeffs(p) for p in oracle_sw_components(series)]
+    assert all(type(c) is int for g in got for c in g)
 
 
 @given(symmetric_series.filter(lambda s: s.cap >= 2))
 @settings(max_examples=40, deadline=None)
 def test_biharmonic_residual_matches_series_composition(series):
     assert verify_biharmonic(series) == oracle_verify(series)
+
+
+def _perturbed(g, key, delta):
+    """g with delta added at key and at its mirror image, so it stays symmetric."""
+    terms = dict(g.terms)
+    for e in {key, key[::-1]}:
+        terms[e] = terms.get(e, F(0)) + delta
+    return TruncatedSeries(g.variables, g.cap, terms)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 7, 12, 24])
+def test_integer_residual_matches_the_fraction_route(cap):
+    for method in ("closed", "recursion"):
+        g = completion_series(cap, method)
+        assert verify_biharmonic(g) == verify_biharmonic_fractions(g) == TruncatedSeries(GVARS, cap - 1)
+    g = completion_series(cap, "closed")
+    for key, delta in (((1, 1), F(1, 2)), ((2, 0), F(-3, 7)), ((cap // 2, cap // 2), F(5))):
+        broken = _perturbed(g, key, delta)
+        res = verify_biharmonic(broken)
+        assert res == verify_biharmonic_fractions(broken)
+        # a term at s-order n breaks the instances n and n + 1; the lowest shows
+        n = min(key)
+        if n <= (cap - 1) // 2 and max(key) + n < cap:
+            assert not res.is_zero()
+            assert min(min(e) for e in res.terms) == max(n, 1)

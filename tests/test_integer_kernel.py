@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from exactcft.pairs import PairSum, TwoChiralSum, bump
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
-from oracles import ptolemy_zero, two_chiral_monomial
+from oracles import ptolemy_zero, two_chiral_is_zero_twelve_point, two_chiral_monomial
 
 F = Fraction
 VARS = ("x", "y")
@@ -196,9 +196,21 @@ int_exps = st.dictionaries(st.sampled_from(PAIRS), st.sampled_from([F(-1), F(1),
 chiral_terms = st.lists(st.tuples(coeffs, int_exps, int_exps), min_size=1, max_size=4)
 
 
+def _ptolemy_on(t, side):
+    """t times x13 - x12 - x23 on one chiral side: zero as a function."""
+    z = TwoChiralSum(t.points)
+    for (kp, km), c in t.terms.items():
+        for pr, sign in (((1, 3), 1), ((1, 2), -1), ((2, 3), -1)):
+            key = (bump(kp, {pr: 1}), km) if side == "plus" else (kp, bump(km, {pr: 1}))
+            z.add_term(key, c * sign)
+    return z
+
+
 @given(chiral_terms, chiral_terms)
 @settings(max_examples=40, deadline=None)
 def test_two_chiral_verdicts_match_fraction_expansion(ta, tb):
+    """The per-chirality outer products decide as the plain Fraction expansion
+    and as one twelve-point PairSum (the minus sides on a copy of the points) do."""
     def build(terms):
         out = TwoChiralSum(PTS)
         for c, kp, km in terms:
@@ -206,11 +218,10 @@ def test_two_chiral_verdicts_match_fraction_expansion(ta, tb):
         return out
 
     a, b = build(ta), build(tb)
-    # the plus-side Ptolemy relation times a, with a's minus sides untouched
-    z = TwoChiralSum(PTS)
-    for (kp, km), c in a.terms.items():
-        for pr, sign in (((1, 3), 1), ((1, 2), -1), ((2, 3), -1)):
-            z.add_term((bump(kp, {pr: 1}), km), c * sign)
-    assert z.is_zero_function() and naive_two_chiral_is_zero(z)
-    for t in (a, b, z + b, a - b):
-        assert t.is_zero_function() == naive_two_chiral_is_zero(t)
+    zp, zm = _ptolemy_on(a, "plus"), _ptolemy_on(b, "minus")
+    both = _ptolemy_on(zp, "minus")
+    for t in (zp, zm, both, zp + zm, a - a):
+        assert t.is_zero_function() and naive_two_chiral_is_zero(t)
+        assert two_chiral_is_zero_twelve_point(t)
+    for t in (a, b, zp + b, a - b, zm + a, both + a.scale(F(-1, 2))):
+        assert t.is_zero_function() == naive_two_chiral_is_zero(t) == two_chiral_is_zero_twelve_point(t)

@@ -2,15 +2,19 @@ from fractions import Fraction
 
 import pytest
 
+from exactcft import sixpoint
+from exactcft.cli import main
 from exactcft.errors import ConsistencyError
+from exactcft.gseries import completion_series_2d
 from exactcft.pairs import PairSum
 from exactcft.sixpoint import (
     POINTS,
+    SERIES_VARS,
     SixPointStructure,
     build_structure,
-    completion_series_2d,
     restrict_2d,
 )
+from oracles import restriction_series_geometric
 
 F = Fraction
 
@@ -106,7 +110,47 @@ def test_prefactor_is_the_common_one():
 
 def test_completion_series_2d_weights():
     s = completion_series_2d(5)
+    assert s.variables == SERIES_VARS
     assert s.coefficient((1, 0, 1, 0)) == 1
     assert s.coefficient((0, 1, 1, 0)) == -1
     assert s.coefficient((2, 1, 1, 0)) == F(1, 3)
     assert s.coefficient((1, 1, 1, 0)) == 0
+
+
+NAMES = ("E6", "B", "BminusHalfE")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_series_matches_the_geometric_product(name):
+    r = restrict_2d(build_structure(name))
+    for cap in range(11):
+        got = r.series(cap)
+        assert got == restriction_series_geometric(r, cap)
+        assert all(type(c) is F for c in got.terms.values())
+
+
+def _bumped(terms: dict, key, delta: int) -> dict:
+    out = dict(terms)
+    out[key] = out[key] + delta
+    return out
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_one_unit_off_any_coefficient_breaks_the_identity(name, monkeypatch, capsys):
+    """The identity is (structure / prefactor) (1-u+)(1-u-)(1-u'+)(1-u'-) =
+    numerator; a unit added to any one coefficient of either side is caught,
+    and the CLI then exits 4."""
+    s = build_structure(name)
+    numerator = sixpoint._u_polynomial(name)
+    for delta in (1, -1):
+        for key in s.monomials.terms:
+            broken = PairSum(POINTS, _bumped(s.monomials.terms, key, delta), antisym=False)
+            with pytest.raises(ConsistencyError):
+                restrict_2d(SixPointStructure(name, broken))
+        for key in numerator:
+            monkeypatch.setattr(sixpoint, "_u_polynomial", lambda _, k=key: _bumped(numerator, k, delta))
+            with pytest.raises(ConsistencyError):
+                restrict_2d(s)
+    # the last broken numerator is still in place
+    assert main(["exotic", "restrict", "--name", name]) == 4
+    assert "does not factor" in capsys.readouterr().err

@@ -106,12 +106,14 @@ LEAVES = [
     (["exotic", "coeff", "--hplus", "2", "--hminus", "1", "--structure", "H"],
      {"errors", "special", "channels"}),
     (["exotic", "restrict", "--name", "B", "--cap", "2"], SIXPOINT),
-    (["exotic", "reduce", "--structure", "H", "--hplus", "2", "--hminus", "1", "--hplusprime", "2",
+    (["exotic", "reduce", "--structure", "B", "--hplus", "2", "--hminus", "1", "--hplusprime", "2",
       "--hminusprime", "1"], SIXPOINT | {"channels"}),
+    (["exotic", "reduce", "--structure", "H", "--hplus", "2", "--hminus", "1", "--hplusprime", "2",
+      "--hminusprime", "1"], {"errors", "special", "channels", "gseries", "poly", "series"}),
     (["exotic", "amplitudes", "--h", "2", "--hprime", "2", "--cap", "3"],
      {"errors", "special", "amplitudes", "series", "poly"}),
     (["exotic", "positivity", "--structure", "B", "--hmax", "3", "--kmax", "1"],
-     {"errors", "special", "positivity", "amplitudes", "channels", "linsolve", "series", "poly"}),
+     {"errors", "special", "positivity", "amplitudes", "channels", "linsolve"}),
 ]
 
 
