@@ -18,7 +18,7 @@ condition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .poly import _combination_terms, _int_combination, _int_numerators, _int_product
 from .series import TruncatedSeries
@@ -62,23 +62,32 @@ def _lhs_op(g: list, n: int) -> list:
     return [(n + 2 + j) * g[j] - (n + j) * (g[j - 1] if j else 0) for j in range(len(g) - 1)]
 
 
-def _solve_profile(rhs: list, n: int) -> list:
-    """Solve _lhs_op(g, n) = rhs at the length of rhs.
+def _solve_profile(rhs: list[int], den: int, n: int) -> tuple[int, list[int]]:
+    """Solve _lhs_op(g, n) = rhs / den at the length of rhs, as (D, D g) on ints.
 
     Coefficient matching is triangular: (n+2+j) gamma_j = (n+j) gamma_{j-1} + rhs_j.
+    D is a running denominator: a step multiplies it, and the numerators so
+    far, by the part of n+2+j that does not divide its numerator.
     """
-    gamma = []
-    prev = Fraction(0)
+    gamma: list[int] = []
+    prev, scale = 0, 1  # scale = D / den
     for j, r in enumerate(rhs):
-        prev = ((n + j) * prev + r) / (n + 2 + j)
+        s, p = (n + j) * prev + r * scale, n + 2 + j
+        g = gcd(s, p)
+        if p != g:
+            gamma = [x * (p // g) for x in gamma]
+            scale *= p // g
+        prev = s // g
         gamma.append(prev)
-    return gamma
+    return den * scale, gamma
 
 
-def _recursion_profiles(cap: int) -> list[list]:
-    profiles = [[Fraction(1)] + [Fraction(0)] * cap]
+def _recursion_profiles(cap: int) -> list[tuple[int, list[int]]]:
+    """(D_n, D_n g_n) for each order n of the recursion, on ints."""
+    profiles = [(1, [1] + [0] * cap)]
     for n in range(1, cap // 2 + 1):
-        profiles.append(_solve_profile(_recursion_rhs(profiles[n - 1], n), n))
+        den, prev = profiles[-1]
+        profiles.append(_solve_profile(_recursion_rhs(prev, n), den, n))
     return profiles
 
 
@@ -87,23 +96,28 @@ def _sw_series(weights: dict, cap: int) -> TruncatedSeries:
     with s = u+ u- and w = u+ + u- - u+ u-.
 
     By the trinomial theorem w^j = sum (-1)^c C(j, c) C(j - c, a) u+^(a+c)
-    u-^(j-a), of total order j + c, and s^n shifts both exponents by n; the
-    weighted sum is one integer combination.
+    u-^(j-a), of total order j + c; its terms are listed once per j, and s^n
+    shifts both exponents by n. The weighted sum is one integer combination.
     """
+    used = [(n, j) for (n, j), v in weights.items() if v]
+    wpow = {
+        j: [(a + c, j - a, (-1) ** c * comb(j, c) * comb(j - c, a))
+            for c in range(min(j, cap - j) + 1) for a in range(j - c + 1)]
+        for j in {j for _, j in used}
+    }
     parts = {
-        (n, j): {(n + a + c, n + j - a): (-1) ** c * comb(j, c) * comb(j - c, a)
-                 for c in range(min(j, cap - 2 * n - j) + 1) for a in range(j - c + 1)}
-        for (n, j), v in weights.items() if v
+        (n, j): {(n + x, n + y): c for x, y, c in wpow[j] if x + y <= cap - 2 * n}
+        for n, j in used
     }
     out = TruncatedSeries(GVARS, cap)
     out.terms = _combination_terms(parts, weights)
     return out
 
 
-def _assemble_from_profiles(profiles: list[list], cap: int) -> TruncatedSeries:
-    """sum_n s^n g_n(w) / n!."""
+def _assemble_from_profiles(profiles: list[tuple[int, list[int]]], cap: int) -> TruncatedSeries:
+    """sum_n s^n g_n(w) / n! for profiles (D_n, D_n g_n) on ints."""
     return _sw_series(
-        {(n, j): Fraction(c, factorial(n)) for n, g in enumerate(profiles) for j, c in enumerate(g)},
+        {(n, j): Fraction(c, den * factorial(n)) for n, (den, g) in enumerate(profiles) for j, c in enumerate(g)},
         cap,
     )
 

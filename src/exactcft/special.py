@@ -11,12 +11,10 @@ from .errors import DegenerateParameterError
 
 
 def format_rational(q: Fraction) -> str:
-    """Render q as "num/den", or "num" when the denominator is 1."""
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Render q as "num/den", or "num" when the denominator is 1, as
+    Fraction.__str__ does. A Fraction is not rebuilt: Fraction(q) of a
+    Fraction would double the cost."""
+    return str(q if isinstance(q, Fraction) else Fraction(q))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -27,36 +27,34 @@ and the intertwining residual sum_i [2 (d_i.grad_i) grad_i - d_i lap_i]
 These are the chain rule with the Gram matrix of (d1, d2, v) and
 div(d_i) = div(v) = 4, worked out once; the tests keep that composition as
 the reference. Each operator maps a monomial to a few monomials with integer
-coefficients, and the images are summed through poly._combination_poly,
-so every output term is one Fraction.
+coefficients, so the operators run on int dicts keyed by exponent tuples: the
+lapv chain of the harmonic projection (V^k is a shift of the V exponent), the
+s1 +- s2 ladder of the bracket, the radial polynomials over 2^L, the
+recursion check of the coefficient table, and the kernel rows of the
+intertwining condition, which linsolve takes as they are. A polynomial the
+module returns is one poly._combination_poly of int dicts, so each of its
+coefficients is one Fraction, made there.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
-from .poly import MultiPoly, _combination_poly
+from .poly import MultiPoly, _combination_poly, _int_combination, _int_numerators, _int_product
 from .special import format_rational, legendre_coeffs, pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
 _T12, _B1, _B2, _S1, _S2, _V = range(6)
 
 
-def ipoly() -> MultiPoly:
-    return MultiPoly(IVARS)
-
-
-def igen(name: str) -> MultiPoly:
-    return MultiPoly.var(IVARS, name)
-
-
-def _mono(*exps: int) -> MultiPoly:
-    """The monomial t12^e0 b1^e1 ... with exponents exps, padded with zeros."""
-    return MultiPoly(IVARS, {(*exps, *(0,) * (6 - len(exps))): 1})
+def _shift(terms: dict, t: int = 0, b1: int = 0, b2: int = 0, v: int = 0) -> dict:
+    """The int dict terms times t12^t b1^b1 b2^b2 V^v, without its zeros."""
+    return {(e0 + t, e1 + b1, e2 + b2, s1, s2, e5 + v): c
+            for (e0, e1, e2, s1, s2, e5), c in terms.items() if c}
 
 
 def v_degree_of(exps: tuple[int, ...]) -> int:
@@ -114,36 +112,35 @@ def _lapv_monomial(exps: tuple[int, ...]) -> dict:
     return out
 
 
-def lapv(f: MultiPoly) -> MultiPoly:
-    """Formal v-Laplacian; reproduces the rewrite rules lapv V = 8,
-    lapv (s_i s_j) = 2 t_ij."""
-    return _combination_poly(IVARS, {e: _lapv_monomial(e) for e in f.terms}, f.terms)
+def _harmonic_ints(nums: dict, n: int) -> tuple[int, dict]:
+    """(D, D [P]_0) for the int dict P of v-degree n, D = prod_{k <= n/2} 4 k (n - k + 1).
 
-
-def harmonic_project(poly: MultiPoly, v_deg: int | None = None) -> MultiPoly:
-    """Unique harmonic representative [P]_0 of a v-homogeneous polynomial.
-
-    Subtracts V times lower harmonics through the closed coefficient chain
-    alpha_{k+1} = -alpha_k / (4 (k+1) (N - k)) in spacetime dimension 4, so
-    that lapv of the result vanishes identically and [V Q]_0 = 0.
+    [P]_0 = sum_k alpha_k V^k lapv^k P with alpha_0 = 1 and
+    alpha_k = -alpha_{k-1} / (4 k (n - k + 1)) in spacetime dimension 4, so
+    D alpha_k is an integer and the sum is one int combination.
     """
-    if poly.is_zero():
-        return poly
+    parts, scales = {0: nums}, [1]
+    for k in range(1, n // 2 + 1):
+        prev = parts[k - 1]
+        parts[k] = _int_combination({e: _lapv_monomial(e) for e in prev if prev[e]}, prev)
+        scales.append(scales[-1] * 4 * k * (n - k + 1))
+    den = scales[-1]
+    return den, _int_combination(
+        {k: _shift(part, v=k) for k, part in parts.items()},
+        {k: (-1) ** k * (den // s) for k, s in enumerate(scales)},
+    )
+
+
+def harmonic_project(poly: MultiPoly) -> MultiPoly:
+    """Unique harmonic representative [P]_0 of a v-homogeneous polynomial:
+    V times lower harmonics subtracted, so that lapv of the result vanishes
+    identically and [V Q]_0 = 0."""
     degs = {v_degree_of(e) for e in poly.terms}
     if len(degs) > 1:
         raise ValueError(f"input is not v-homogeneous: v-degrees {sorted(degs)}")
-    n = degs.pop()
-    if v_deg is not None and v_deg != n:
-        raise ValueError(f"declared v-degree {v_deg} but found {n}")
-    out = ipoly()
-    alpha = Fraction(1)
-    current = poly
-    for k in range(n // 2 + 1):
-        if k:
-            alpha = -alpha / (4 * k * (n - k + 1))
-            current = lapv(current)
-        out.add_scaled(_mono(0, 0, 0, 0, 0, k) * current, alpha)
-    return out
+    den, nums = _int_numerators(poly.terms)
+    hden, terms = _harmonic_ints(nums, degs.pop() if degs else 0)
+    return _combination_poly(IVARS, {0: terms}, {0: Fraction(1, den * hden)})
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +174,13 @@ def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
             "radial polynomial is degenerate at kappa = 0; the rank-only closed"
             " form covers that case"
         )
-    half = _rpoly({(0,): Fraction(1, 2), (1,): Fraction(-1, 2)})
-    out = MultiPoly(RVAR)
-    zpow = MultiPoly.constant(RVAR, 1)
-    for j in range(L + 1):
-        num = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j)
-        if j:
-            zpow = zpow * half
-        if num == 0:
-            continue
-        coeff = num * pochhammer(kappa - delta + j, L - j) / factorial(j)
-        out.add_scaled(zpow, coeff)
-    return out
+    # (-L)_j / j! = (-1)^j C(L, j), and ((1 - r)/2)^j = sum_i (-1)^i C(j, i) r^i 2^(L-j) / 2^L
+    parts = {j: {(i,): (-1) ** i * comb(j, i) << (L - j) for i in range(j + 1)} for j in range(L + 1)}
+    weights = {
+        j: (-1) ** j * comb(L, j) * pochhammer(L + 2 * kappa - 1, j) * pochhammer(kappa - delta + j, L - j) / (1 << L)
+        for j in range(L + 1)
+    }
+    return _combination_poly(RVAR, parts, weights)
 
 
 class CoefficientTable(NamedTuple):
@@ -197,9 +189,6 @@ class CoefficientTable(NamedTuple):
     kappa: int
     L: int
     entries: dict[tuple[int, int], Fraction]
-
-    def entry(self, m: int, n: int) -> Fraction:
-        return self.entries.get((m, n), Fraction(0))
 
 
 def _recursion_rows(kappa: int, L: int):
@@ -261,22 +250,23 @@ def coefficient_table(kappa: int, L: int) -> CoefficientTable:
 
 
 def _check_recursions(table: CoefficientTable):
+    """Both recursions at every (m, n), on the int numerators of the table."""
     kappa, L = table.kappa, table.L
-    c = table.entry
+    c = _int_numerators(table.entries)[1].get
     for m in range(kappa + 1):
         for n in range(kappa + 1 - m):
             k = kappa - m - n
             r1 = (
-                4 * (m * m - 1) * c(m + 1, n)
-                + 2 * k * (L + kappa - 1 - m + n) * c(m, n)
-                - k * (k + 1) * c(m, n - 1)
+                4 * (m * m - 1) * c((m + 1, n), 0)
+                + 2 * k * (L + kappa - 1 - m + n) * c((m, n), 0)
+                - k * (k + 1) * c((m, n - 1), 0)
             )
             r2 = (
-                4 * (n * n - 1) * c(m, n + 1)
-                + 2 * k * (L + kappa - 1 + m - n) * c(m, n)
-                - k * (k + 1) * c(m - 1, n)
+                4 * (n * n - 1) * c((m, n + 1), 0)
+                + 2 * k * (L + kappa - 1 + m - n) * c((m, n), 0)
+                - k * (k + 1) * c((m - 1, n), 0)
             )
-            if r1 != 0 or r2 != 0:
+            if r1 or r2:
                 raise ConsistencyError(
                     f"recursion violated at (m,n)=({m},{n}) for kappa={kappa}, L={L}"
                 )
@@ -302,47 +292,46 @@ class TensorIntertwiner(NamedTuple):
         return out
 
 
-def _bracket(L: int, rpoly_by_delta) -> dict[int, MultiPoly]:
-    """[(s1+s2)^L f_delta((s1-s2)/(s1+s2))]_0 for each needed delta."""
-    s1, s2 = igen("s1"), igen("s2")
-    plus, minus = [_mono()], [_mono()]  # powers 0..L of s1 + s2 and of s1 - s2
-    for ladder, base in ((plus, s1 + s2), (minus, s1 - s2)):
+def _bracket(L: int, rpoly_by_delta) -> dict[int, tuple[int, dict]]:
+    """[(s1+s2)^L f_delta((s1-s2)/(s1+s2))]_0 for each needed delta, as (D, int dict
+    D times it): the ladder products (s1-s2)^j (s1+s2)^(L-j) are projected once
+    each, then combined with the coefficients of f_delta."""
+    plus, minus = [{(0,) * 6: 1}], [{(0,) * 6: 1}]  # powers 0..L of s1 + s2 and of s1 - s2
+    for ladder, sign in ((plus, 1), (minus, -1)):
         for _ in range(L):
-            ladder.append(ladder[-1] * base)
+            ladder.append(_int_product(ladder[-1], {(0, 0, 0, 1, 0, 0): 1, (0, 0, 0, 0, 1, 0): sign}))
+    projected = [_harmonic_ints(_int_product(minus[j], plus[L - j]), L) for j in range(L + 1)]
+    hden, parts = projected[0][0], [terms for _, terms in projected]
     out = {}
     for delta, rp in rpoly_by_delta.items():
-        total = ipoly()
-        for (j,), fj in rp.terms.items():
-            total.add_scaled(minus[j] * plus[L - j], fj)
-        out[delta] = harmonic_project(total, L)
+        den, nums = _int_numerators({j: c for (j,), c in rp.terms.items()})
+        out[delta] = (hden * den, _int_combination(parts, nums))
     return out
 
 
 def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
     """Iterate the closed construction: coefficient table times wave-operator
-    powers times the harmonic bracket of the radial polynomial.
+    powers times the harmonic bracket of the radial polynomial, summed as one
+    combination of the shifted int brackets.
 
     kappa = 0 bypasses the degenerate radial family and uses the rank-only
-    closed form (1 - r^2) P'_{L-1}(r).
+    closed form (1 - r^2) P'_{L-1}(r), with the one table entry c_00 = 1.
     """
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
     if kappa == 0:
+        entries = {(0, 0): Fraction(1)}
         if L == 0:
-            rp = MultiPoly.constant(RVAR, 1)
+            rps = {0: MultiPoly.constant(RVAR, 1)}
         else:
-            one_minus_r2 = _rpoly({(0,): 1, (2,): -1})
-            rp = one_minus_r2 * legendre_poly(L - 1).differentiate("r")
-        bra = _bracket(L, {0: rp})
-        return TensorIntertwiner(0, L, bra[0])
-    table = coefficient_table(kappa, L)
-    deltas = {m - n for (m, n) in table.entries}
-    rps = {d: radial_poly(kappa, L, d) for d in deltas}
+            rps = {0: _rpoly({(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")}
+    else:
+        entries = coefficient_table(kappa, L).entries
+        rps = {d: radial_poly(kappa, L, d) for d in {m - n for (m, n) in entries}}
     bras = _bracket(L, rps)
-    total = ipoly()
-    for (m, n), c in table.entries.items():
-        total.add_scaled(_mono(kappa - m - n, m, n) * bras[m - n], c)
-    return TensorIntertwiner(kappa, L, total)
+    parts = {(m, n): _shift(bras[m - n][1], kappa - m - n, m, n) for (m, n) in entries}
+    weights = {(m, n): c / bras[m - n][0] for (m, n), c in entries.items()}
+    return TensorIntertwiner(kappa, L, _combination_poly(IVARS, parts, weights))
 
 
 def _residual_monomial(exps: tuple[int, ...], p: int, q: int) -> tuple[dict, dict, dict]:
@@ -407,24 +396,27 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
         )
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
-    basis_polys: list[MultiPoly] = []
+    # the ansatz columns: D times the harmonic seeds [s1^delta s2^(L-delta)]_0, one
+    # common D, times t12^alpha b1^beta b2^(kappa-alpha-beta); scaling every column
+    # by D leaves the kernel as it is
+    columns = []
     for delta in range(L + 1):
-        s_h = harmonic_project(_mono(0, 0, 0, delta, L - delta), L)
+        den, seed = _harmonic_ints({(0, 0, 0, delta, L - delta, 0): 1}, L)
         for alpha in range(kappa + 1):
             for beta in range(kappa + 1 - alpha):
-                basis_polys.append(s_h * _mono(alpha, beta, kappa - alpha - beta))
+                columns.append(_shift(seed, alpha, beta, kappa - alpha - beta))
     # one row per (component, monomial) of the residual, one column per ansatz
-    rows: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
-    for col, p in enumerate(basis_polys):
-        res = tensor_pde_residual(p, gap)
-        for ci, comp in enumerate((res.a, res.b, res.c)):
-            for exps, c in comp.terms.items():
-                rows.setdefault((ci, exps), {})[col] = c
+    p, q = gap.numerator, gap.denominator
+    residuals = {e: _residual_monomial(e, p, q) for terms in columns for e in terms}
+    rows: dict[tuple[int, tuple[int, ...]], dict[int, int]] = {}
+    for col, terms in enumerate(columns):
+        for ci in range(3):
+            for exps, c in _int_combination({e: residuals[e][ci] for e in terms}, terms).items():
+                if c:
+                    rows.setdefault((ci, exps), {})[col] = c
     out = []
-    for index, vec in enumerate(linear_solve_exact(list(rows.values()), len(basis_polys))):
-        poly = ipoly()
-        for x, bp in zip(vec, basis_polys):
-            poly.add_scaled(bp, x)
+    for index, vec in enumerate(linear_solve_exact(list(rows.values()), len(columns))):
+        poly = _combination_poly(IVARS, columns, {k: x / den for k, x in enumerate(vec)})
         if not tensor_pde_residual(poly, gap).is_zero():
             raise ConsistencyError(f"kernel basis operator {index} fails the intertwining"
                                    f" condition at kappa={kappa}, L={L}, d1={d1}, d2={d2}")

@@ -25,13 +25,15 @@ from exactcft.series import TruncatedSeries
 from exactcft.sixpoint import SERIES_VARS
 from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
 from exactcft.tensor_ops import (
+    IVARS,
     RVAR,
+    _lapv_monomial,
     _recursion_rows,
     coefficient_table,
     harmonic_project,
-    igen,
-    ipoly,
+    legendre_poly,
     radial_poly,
+    tensor_pde_residual,
 )
 from exactcft.waves import WaveSpec, wave_prefactor
 
@@ -219,6 +221,109 @@ def verify_biharmonic_fractions(g: TruncatedSeries) -> TruncatedSeries:
 # -- tensor operators -----------------------------------------------------------
 
 
+def ipoly() -> MultiPoly:
+    """The zero polynomial in the six rotation invariants."""
+    return MultiPoly(IVARS)
+
+
+def igen(name: str) -> MultiPoly:
+    """One rotation invariant as a polynomial."""
+    return MultiPoly.var(IVARS, name)
+
+
+def _imono(*exps: int) -> MultiPoly:
+    """The monomial t12^e0 b1^e1 ... with exponents exps, padded with zeros."""
+    return MultiPoly(IVARS, {(*exps, *(0,) * (6 - len(exps))): 1})
+
+
+def lapv(f: MultiPoly) -> MultiPoly:
+    """Formal v-Laplacian, summed from the closed monomial images; reproduces
+    the rewrite rules lapv V = 8, lapv (s_i s_j) = 2 t_ij."""
+    return _combination_poly(IVARS, {e: _lapv_monomial(e) for e in f.terms}, f.terms)
+
+
+def harmonic_project_fractions(poly: MultiPoly) -> MultiPoly:
+    """tensor_ops.harmonic_project in Fractions: alpha_k = -alpha_{k-1} /
+    (4 k (N - k + 1)) times V^k lapv^k P, accumulated term by term."""
+    n = max((e[3] + e[4] + 2 * e[5] for e in poly.terms), default=0)
+    out = ipoly()
+    alpha = Fraction(1)
+    current = poly
+    for k in range(n // 2 + 1):
+        if k:
+            alpha = -alpha / (4 * k * (n - k + 1))
+            current = lapv(current)
+        out.add_scaled(_imono(0, 0, 0, 0, 0, k) * current, alpha)
+    return out
+
+
+def radial_poly_fractions(kappa: int, L: int, delta: int) -> MultiPoly:
+    """tensor_ops.radial_poly by chained products of (1 - r)/2 in Fractions."""
+    half = MultiPoly(RVAR, {(0,): Fraction(1, 2), (1,): Fraction(-1, 2)})
+    out = MultiPoly(RVAR)
+    zpow = MultiPoly.constant(RVAR, 1)
+    for j in range(L + 1):
+        if j:
+            zpow = zpow * half
+        coeff = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j) * pochhammer(kappa - delta + j, L - j)
+        out.add_scaled(zpow, coeff / factorial(j))
+    return out
+
+
+def assemble_tensor_fractions(kappa: int, L: int) -> MultiPoly:
+    """tensor_ops.assemble_tensor_intertwiner in Fractions: the bracket of each
+    radial polynomial from MultiPoly powers of s1 +- s2, projected by
+    harmonic_project_fractions, then the table entries times the shifted
+    brackets, accumulated term by term."""
+    if kappa == 0:
+        entries = {(0, 0): Fraction(1)}
+        rp = MultiPoly.constant(RVAR, 1)
+        if L:
+            rp = MultiPoly(RVAR, {(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")
+        rps = {0: rp}
+    else:
+        entries = coefficient_table(kappa, L).entries
+        rps = {d: radial_poly_fractions(kappa, L, d) for d in {m - n for m, n in entries}}
+    plus, minus = igen("s1") + igen("s2"), igen("s1") - igen("s2")
+    bras = {}
+    for delta, rp in rps.items():
+        total = ipoly()
+        for (j,), fj in rp.terms.items():
+            total.add_scaled(minus**j * plus ** (L - j), fj)
+        bras[delta] = harmonic_project_fractions(total)
+    out = ipoly()
+    for (m, n), c in entries.items():
+        out.add_scaled(_imono(kappa - m - n, m, n) * bras[m - n], c)
+    return out
+
+
+def solve_intertwiner_space_fractions(kappa: int, L: int, d1, d2) -> list[MultiPoly]:
+    """The kernel basis of tensor_ops.solve_intertwiner_space in Fractions: the
+    projected seeds times the ansatz monomials, one row per (component,
+    monomial) of each column's tensor_pde_residual, and each basis polynomial
+    accumulated column by column."""
+    gap = Fraction(d1) - Fraction(d2)
+    columns = []
+    for delta in range(L + 1):
+        seed = harmonic_project_fractions(_imono(0, 0, 0, delta, L - delta))
+        for alpha in range(kappa + 1):
+            for beta in range(kappa + 1 - alpha):
+                columns.append(seed * _imono(alpha, beta, kappa - alpha - beta))
+    rows = {}
+    for col, p in enumerate(columns):
+        res = tensor_pde_residual(p, gap)
+        for ci, comp in enumerate((res.a, res.b, res.c)):
+            for exps, c in comp.terms.items():
+                rows.setdefault((ci, exps), {})[col] = c
+    out = []
+    for vec in linear_solve_exact(list(rows.values()), len(columns)):
+        poly = ipoly()
+        for x, col in zip(vec, columns):
+            poly.add_scaled(col, x)
+        out.append(poly)
+    return out
+
+
 def rank_zero_closed_form(L: int) -> MultiPoly:
     """Sum over p+q=L of (q)_p (p)_q / (p! q!) [s1^p (-s2)^q]_0."""
     s1 = igen("s1")
@@ -231,7 +336,7 @@ def rank_zero_closed_form(L: int) -> MultiPoly:
             c = -c
         if c == 0:
             continue
-        total.add_scaled(harmonic_project((s1**p) * (s2**q), L), c)
+        total.add_scaled(harmonic_project((s1**p) * (s2**q)), c)
     return total
 
 

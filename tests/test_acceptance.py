@@ -28,9 +28,6 @@ from exactcft.tensor_ops import (
     IVARS,
     assemble_tensor_intertwiner,
     harmonic_project,
-    igen,
-    ipoly,
-    lapv,
     legendre_poly,
     radial_poly,
     solve_intertwiner_space,
@@ -39,6 +36,9 @@ from exactcft.tensor_ops import (
 )
 from exactcft.waves import WaveSpec, casimir_residual, chiral_wave_series
 from oracles import (
+    igen,
+    ipoly,
+    lapv,
     closed_form_channel,
     rank_zero_closed_form,
     reduction_generating_poly,

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -192,11 +192,36 @@ def test_profile_operators_send_zero_to_zero(cap):
     assert not any(gseries._recursion_rhs(zero, 2))
 
 
+def _int_profile(g: list) -> tuple[int, list[int]]:
+    """(D, D g) for a list of Fractions g, D its least common denominator."""
+    den = lcm(*(F(c).denominator for c in g))
+    return den, [int(c * den) for c in g]
+
+
 def test_solve_profile_inverts_lhs_op():
     rhs = [F(1, j + 2) - j for j in range(9)]
+    den, nums = _int_profile(rhs)
     for n in range(1, 5):
         # the solution at the length of rhs is exact one order below it
-        assert gseries._lhs_op(gseries._solve_profile(rhs, n), n) == rhs[:-1]
+        sden, g = gseries._solve_profile(nums, den, n)
+        assert all(type(x) is int for x in g)
+        assert gseries._lhs_op([F(x, sden) for x in g], n) == rhs[:-1]
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 7, 12, 24])
+def test_recursion_profiles_match_the_fraction_route(cap):
+    """The int profiles over running denominators are the profiles of the
+    triangular solve in Fractions, gamma_j = ((n+j) gamma_{j-1} + rhs_j) / (n+2+j)."""
+    expected = [[F(1)] + [F(0)] * cap]
+    for n in range(1, cap // 2 + 1):
+        gamma, prev = [], F(0)
+        for j, r in enumerate(gseries._recursion_rhs(expected[-1], n)):
+            prev = ((n + j) * prev + r) / (n + 2 + j)
+            gamma.append(prev)
+        expected.append(gamma)
+    got = gseries._recursion_profiles(cap)
+    assert [[F(x, den) for x in g] for den, g in got] == expected
+    assert all(type(x) is int for _, g in got for x in g)
 
 
 @given(st.data())
@@ -210,14 +235,14 @@ def test_profile_assembly_matches_series_products(data):
     expected = TruncatedSeries(GVARS, cap)
     for n, g in enumerate(family):
         expected.add_scaled(oracle_profile_series(n, _w_series(g), cap), F(1, factorial(n)))
-    got = gseries._assemble_from_profiles(family, cap)
+    got = gseries._assemble_from_profiles([_int_profile(g) for g in family], cap)
     assert got == expected
     assert all(type(c) is F for c in got.terms.values())
 
 
 def test_zero_profiles_assemble_to_zero():
     for cap in range(13):
-        family = [[F(0)] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
+        family = [(1, [0] * (cap - 2 * n + 1)) for n in range(cap // 2 + 1)]
         assert gseries._assemble_from_profiles(family, cap) == TruncatedSeries(GVARS, cap)
 
 

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from exactcft.pairs import PairSum
 from exactcft.special import pochhammer
-from exactcft.tensor_ops import IVARS, harmonic_project, igen, ipoly, lapv
+from exactcft.tensor_ops import IVARS, harmonic_project
 from exactcft.waves import WaveSpec, chiral_wave_series, wave_prefactor
-from oracles import reversed_spec
+from oracles import igen, ipoly, lapv, reversed_spec
 
 F = Fraction
 

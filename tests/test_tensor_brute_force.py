@@ -11,11 +11,10 @@ from exactcft.tensor_ops import (
     IVARS,
     assemble_tensor_intertwiner,
     harmonic_project,
-    igen,
-    lapv,
     solve_intertwiner_space,
     tensor_pde_residual,
 )
+from oracles import igen, lapv
 
 P = sp.symbols("p0:4")
 Q = sp.symbols("q0:4")

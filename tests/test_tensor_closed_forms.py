@@ -1,6 +1,6 @@
 """The closed-form tensor operators against the Gram-matrix chain rule.
 
-``tensor_pde_residual`` and ``lapv`` are sums of closed forms over the
+``tensor_pde_residual`` and the oracle ``lapv`` are sums of closed forms over the
 monomials of their argument. The oracle here composes the same operators from
 first-order pieces instead: gradients in d1, d2 and v decomposed along the
 basis (d1, d2, v), dot products through the Gram matrix of that basis, and
@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactcft.poly import MultiPoly
-from exactcft.tensor_ops import IVARS, igen, ipoly, lapv, tensor_pde_residual
+from exactcft.tensor_ops import IVARS, tensor_pde_residual
+from oracles import igen, ipoly, lapv
 
 SPACETIME_DIM = 4
 

@@ -15,9 +15,6 @@ from exactcft.tensor_ops import (
     assemble_tensor_intertwiner,
     coefficient_table,
     harmonic_project,
-    igen,
-    ipoly,
-    lapv,
     legendre_poly,
     radial_poly,
     solve_intertwiner_space,
@@ -25,6 +22,13 @@ from exactcft.tensor_ops import (
     verify_tensor_pde,
 )
 from oracles import (
+    assemble_tensor_fractions,
+    harmonic_project_fractions,
+    igen,
+    ipoly,
+    lapv,
+    radial_poly_fractions,
+    solve_intertwiner_space_fractions,
     coefficient_table_seeded,
     radial_poly_walk,
     raise_lower,
@@ -160,14 +164,14 @@ def test_coefficient_table_kappa1():
         # the table is linear in c_00; the display takes c_00 = 1/L!
         t = coefficient_table(1, L)
         expected = F(1, 2 * factorial(L - 1)) * factorial(L)
-        assert t.entry(1, 0) == expected
-        assert t.entry(0, 1) == expected
+        assert t.entries.get((1, 0), 0) == expected
+        assert t.entries.get((0, 1), 0) == expected
 
 
 def test_coefficient_table_kappa1_L0():
     t = coefficient_table(1, 0)
-    assert t.entry(1, 0) == 0
-    assert t.entry(0, 1) == 0
+    assert t.entries.get((1, 0), 0) == 0
+    assert t.entries.get((0, 1), 0) == 0
 
 
 def test_twist_two_table_matches_display():
@@ -243,7 +247,7 @@ def test_seedless_recursion_kappa2():
     # at kappa=2, L>=1 the recursions force c00 = 0; the table is then the sum
     # of the homogeneous solution space, as the seeded solve's fallback gives
     table = coefficient_table(2, 1)
-    assert table.entry(0, 0) == 0
+    assert (0, 0) not in table.entries
     assert table.entries and table.entries == coefficient_table_seeded(2, 1)
     op = assemble_tensor_intertwiner(2, 1)
     assert not op.poly.is_zero()
@@ -285,3 +289,88 @@ def test_kernel_basis_check_catches_a_wrong_solve(monkeypatch, capsys):
     argv = ["intertwiner", "tensor", "--kappa", "1", "--L", "2", "--d1", "3", "--d2", "1"]
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("internal consistency failure: kernel basis operator 0")
+
+
+# -- the integer routes against the Fraction routes ------------------------------------
+
+
+def _all_fractions(poly: MultiPoly) -> bool:
+    return all(type(c) is F for c in poly.terms.values())
+
+
+@pytest.mark.parametrize("kappa", range(7))
+def test_assembled_operators_match_the_fraction_route(kappa):
+    """The int bracket, radial polynomials and assembly give the operator the
+    Fraction route gives, for L <= 4; kappa = 0 takes the Legendre path."""
+    for L in range(5):
+        got = assemble_tensor_intertwiner(kappa, L).poly
+        assert got == assemble_tensor_fractions(kappa, L), (kappa, L)
+        assert _all_fractions(got)
+
+
+@pytest.mark.parametrize("d1, d2", [(2, 2), (3, 1), (1, 3), (5, 1), (1, 5), (F(7, 3), F(13, 3))])
+def test_kernel_bases_match_the_fraction_route(d1, d2):
+    """Int seeds over one denominator and int residual rows give the kernel
+    basis of Fraction seeds and tensor_pde_residual rows, at gaps 0, +-2, +-4
+    and at a fractional d1 with an even gap."""
+    for kappa, L in [(0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]:
+        got = [op.poly for op in solve_intertwiner_space(kappa, L, d1, d2)]
+        assert got == solve_intertwiner_space_fractions(kappa, L, d1, d2), (kappa, L)
+        assert all(_all_fractions(p) for p in got)
+
+
+def test_radial_poly_matches_the_fraction_route():
+    for kappa in range(7):
+        for L in range(7):
+            for delta in range(-kappa - L - 1, kappa + L + 2):
+                if kappa == 0 and 0 <= delta < L:
+                    continue
+                got = radial_poly(kappa, L, delta)
+                assert got == radial_poly_fractions(kappa, L, delta), (kappa, L, delta)
+                assert _all_fractions(got)
+
+
+def test_harmonic_projection_matches_the_fraction_route():
+    rng = random.Random(11)
+    gens = [igen(n) for n in IVARS]
+    for _ in range(40):
+        vdeg = rng.randint(0, 6)
+        q = ipoly()
+        for _ in range(rng.randint(1, 4)):
+            a = rng.randint(0, vdeg // 2)
+            d = rng.randint(0, vdeg - 2 * a)
+            mono = gens[3] ** d * gens[4] ** (vdeg - 2 * a - d) * gens[5] ** a
+            mono = mono * gens[rng.randint(0, 2)] ** rng.randint(0, 2)
+            q = q + mono * F(rng.randint(-9, 9), rng.randint(1, 6))
+        got = harmonic_project(q)
+        assert got == harmonic_project_fractions(q)
+        assert _all_fractions(got)
+
+
+def test_one_unit_off_a_table_entry_breaks_the_recursions(monkeypatch, capsys):
+    """+-1 on one entry of a coefficient table makes the integer recursion
+    check raise, for every entry that some recursion instance reads with a
+    nonzero coefficient; the others are free of every instance. A table off
+    by one from the solve makes `intertwiner tensor` exit 4."""
+    for kappa in range(1, 7):
+        for L in range(5):
+            table = coefficient_table(kappa, L)
+            pos, rows = _recursion_rows(kappa, L)
+            read = {mn for mn, k in pos.items() if any(k in row for row in rows)}
+            for mn in table.entries:
+                for step in (1, -1):
+                    entries = {**table.entries, mn: table.entries[mn] + step}
+                    mutant = tensor_ops.CoefficientTable(kappa, L, entries)
+                    if mn in read:
+                        with pytest.raises(ConsistencyError, match=f"kappa={kappa}, L={L}"):
+                            tensor_ops._check_recursions(mutant)
+                    else:
+                        tensor_ops._check_recursions(mutant)
+    real = tensor_ops.linear_solve_exact
+
+    def perturbed(rows, ncols):
+        return [[v + (k == 0) for k, v in enumerate(vec)] for vec in real(rows, ncols)]
+
+    monkeypatch.setattr(tensor_ops, "linear_solve_exact", perturbed)
+    assert main(["intertwiner", "tensor", "--kappa", "3", "--L", "2"]) == 4
+    assert "recursion violated at (m,n)=" in capsys.readouterr().err
