@@ -60,9 +60,9 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
 def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> "TruncatedSeries":
     """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1, truncated at the cap."""
     from .series import TruncatedSeries  # here, so positivity jobs never compile series
-    total = TruncatedSeries.constant(("u",), cap, -1)
-    for n, bk in am.entries.items():
-        for ell in range(cap - n + 1):
-            c = gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell)
-            total.add_term((n + ell,), bk * c)
-    return total
+    terms = [((0,), -1)] + [
+        ((n + ell,), bk * gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell))
+        for n, bk in am.entries.items()
+        for ell in range(cap - n + 1)
+    ]
+    return TruncatedSeries(("u",), cap).set_values(terms)

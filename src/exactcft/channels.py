@@ -111,8 +111,8 @@ def reduce_sixpoint(
         raise ValueError(
             f"series cap {structure2d.cap} too small; need at least {needed}"
         )
-    sign = Fraction(-1) ** (h_plus + h_minus + h_plus_prime + h_minus_prime)
-    total = Fraction(0)
+    sign = (-1) ** (h_plus + h_minus + h_plus_prime + h_minus_prime)
+    total = 0  # on the series' int numerators, over its denominator
     for (a, b, c, d), w in structure2d.terms.items():
         if a >= h_plus or b >= h_minus or c >= h_plus_prime or d >= h_minus_prime:
             continue
@@ -123,5 +123,5 @@ def reduce_sixpoint(
             * reduction_coefficient(d, h_minus_prime)
         )
     ref = ReferenceFourPoint(h_plus, h_plus_prime)
-    return sign * total, ref
+    return Fraction(sign * total, structure2d.den), ref
 

@@ -133,13 +133,15 @@ def apply_operator_pair(
     rows: list[PairSum] = [target]
     for _ in range(degree):
         rows.append(rows[-1].differentiate(slot1))
-    out = PairSum.zero(target.points, target.antisym)
-    for (p, q), c in op.coeffs.items():
+    parts = {}
+    for p, q in op.coeffs:
         cur = rows[p]
         for _ in range(q):
             cur = cur.differentiate(slot2)
-        out.add_scaled(cur, c)
-    return out
+        parts[p, q] = cur
+    # every derivative keeps the target's exponent denominator
+    out = PairSum(target.points, None, target.antisym, target.exp_den)
+    return out.add_combination(parts, op.coeffs)
 
 
 def reduce_correlator(
@@ -159,11 +161,11 @@ def reduce_correlator(
     # a derivative lowers the power of x_ij by at most one, and merge_adjacent
     # drops every positive power: a term above the degree never reaches the
     # diagonal, so it is dropped before any derivative is taken
-    top = op.degree() * work.den
-    work.terms = {
-        key: c for key, c in work.terms.items()
+    top = op.degree() * work.exp_den
+    work.set_ints({
+        key: n for key, n in work.terms.items()
         if all(e <= top for pr, e in key if pr == (i, j))
-    }
+    }, work.den)
     return apply_operator_pair(work, op, i, j).merge_adjacent(i)
 
 
@@ -184,7 +186,7 @@ class ReducedWave(NamedTuple):
 
 
 def _wave_term(spec: WaveSpec) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
-    """(den, key): key(ells) is the exponent key, over den, of
+    """(exp_den, key): key(ells) is the exponent key, over exp_den, of
     wave_prefactor(spec) * prod u_k^{l_k} over points 1..n.
 
     The prefactor's numerators and each cross ratio's offsets are laid out
@@ -237,13 +239,13 @@ def reduce_wave(
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = cap - spill
 
-    den, key = _wave_term(wave.spec)
-    terms = {
+    exp_den, key = _wave_term(wave.spec)
+    target = PairSum(range(1, n + 1), None, exp_den=exp_den).set_ints({
         key(ells): c
         for ells, c in wave.series.terms.items()
         if (sum(ells[1:]) if first else sum(ells[:-1])) <= reliable
-    }
-    out = reduce_correlator(PairSum(range(1, n + 1), terms, den=den), pair, op, d1, d2)
+    }, wave.series.den)
+    out = reduce_correlator(target, pair, op, d1, d2)
     return ReducedWave(out, reliable)
 
 
@@ -270,9 +272,10 @@ def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -
     n = spec.n
     if len(points) != n:
         raise ValueError("label count mismatch")
-    den, key = _wave_term(spec)
+    exp_den, key = _wave_term(spec)
     terms = {key(ells): c for ells, c in wave.series.terms.items()}
-    return PairSum(range(1, n + 1), terms, den=den).relabel({k + 1: points[k] for k in range(n)})
+    out = PairSum(range(1, n + 1), None, exp_den=exp_den).set_ints(terms, wave.series.den)
+    return out.relabel({k + 1: points[k] for k in range(n)})
 
 
 def match_reduction(reduced: ReducedWave, spec: WaveSpec, pair: tuple[int, int], h: int) -> Fraction | None:

@@ -170,8 +170,9 @@ def cmd_reduce(args) -> dict:
 
 def cmd_exotic(args) -> dict:
     if args.exotic_cmd == "build":
-        from .sixpoint import build_structure
+        from .sixpoint import build_structure, verify_structure
         s = build_structure(args.name)
+        verify_structure(s)
         return {"name": s.name, "monomials": s.monomials.to_json()}
     if args.exotic_cmd == "g":
         from .gseries import completion_series, verify_biharmonic

@@ -18,9 +18,9 @@ condition.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
-from .poly import _combination_terms, _int_combination, _int_numerators, _int_product
+from .poly import _int_combination, _int_product
 from .series import TruncatedSeries
 
 GVARS = ("u_plus", "u_minus")
@@ -91,9 +91,9 @@ def _recursion_profiles(cap: int) -> list[tuple[int, list[int]]]:
     return profiles
 
 
-def _sw_series(weights: dict, cap: int) -> TruncatedSeries:
-    """sum weights[n, j] s^n w^j in the chiral variables, truncated at the cap,
-    with s = u+ u- and w = u+ + u- - u+ u-.
+def _sw_series(weights: dict, den: int, cap: int) -> TruncatedSeries:
+    """sum weights[n, j] s^n w^j / den in the chiral variables, for int
+    weights, truncated at the cap, with s = u+ u- and w = u+ + u- - u+ u-.
 
     By the trinomial theorem w^j = sum (-1)^c C(j, c) C(j - c, a) u+^(a+c)
     u-^(j-a), of total order j + c; its terms are listed once per j, and s^n
@@ -109,17 +109,16 @@ def _sw_series(weights: dict, cap: int) -> TruncatedSeries:
         (n, j): {(n + x, n + y): c for x, y, c in wpow[j] if x + y <= cap - 2 * n}
         for n, j in used
     }
-    out = TruncatedSeries(GVARS, cap)
-    out.terms = _combination_terms(parts, weights)
-    return out
+    return TruncatedSeries(GVARS, cap).set_ints(_int_combination(parts, weights), den)
 
 
 def _assemble_from_profiles(profiles: list[tuple[int, list[int]]], cap: int) -> TruncatedSeries:
-    """sum_n s^n g_n(w) / n! for profiles (D_n, D_n g_n) on ints."""
-    return _sw_series(
-        {(n, j): Fraction(c, den * factorial(n)) for n, (den, g) in enumerate(profiles) for j, c in enumerate(g)},
-        cap,
-    )
+    """sum_n s^n g_n(w) / n! for profiles (D_n, D_n g_n) on ints, over the
+    lcm D of the D_n n!."""
+    scales = [den * factorial(n) for n, (den, _) in enumerate(profiles)]
+    lcd = lcm(*scales)
+    weights = {(n, j): c * (lcd // scales[n]) for n, (_, g) in enumerate(profiles) for j, c in enumerate(g)}
+    return _sw_series(weights, lcd, cap)
 
 
 def completion_series_2d(cap: int) -> TruncatedSeries:
@@ -178,14 +177,15 @@ def _to_sw_components(series: TruncatedSeries) -> tuple[int, list[list[int]]]:
     Each monomial symmetric function u+^hi u-^lo + u+^lo u-^hi is s^lo p_{hi-lo}
     (s^lo alone on the diagonal), with s = u+ u- and the power sums p_k in s
     and w; the sum over the series is one integer combination of them, over
-    the least common denominator D of its coefficients.
+    the series' denominator D.
     """
     cap = series.cap
-    for (a, b), c in series.terms.items():
-        if series.coefficient((b, a)) != c:
+    terms = series.terms
+    for (a, b), c in terms.items():
+        if terms.get((b, a)) != c:
             raise ValueError("series is not symmetric under chirality swap")
 
-    den, weights = _int_numerators({(a, b): c for (a, b), c in series.terms.items() if a >= b})
+    weights = {(a, b): c for (a, b), c in terms.items() if a >= b}
     sums = _power_sums(max((a - b for a, b in weights), default=0), cap)
     parts = {
         (a, b): (
@@ -198,7 +198,7 @@ def _to_sw_components(series: TruncatedSeries) -> tuple[int, list[list[int]]]:
     profiles = [[0] * (cap - 2 * n + 1) for n in range(cap // 2 + 1)]
     for (n, j), c in _int_combination(parts, weights).items():
         profiles[n][j] = c
-    return den, profiles
+    return series.den, profiles
 
 
 def verify_biharmonic(g: TruncatedSeries) -> TruncatedSeries:
@@ -221,5 +221,5 @@ def verify_biharmonic(g: TruncatedSeries) -> TruncatedSeries:
         rhs = _recursion_rhs(comp[n - 1], n)
         for j, (x, y) in enumerate(zip(lhs, rhs)):
             if n * x != y:
-                weights[n, j] = Fraction(n * x - y, den)
-    return _sw_series(weights, out_cap)
+                weights[n, j] = n * x - y
+    return _sw_series(weights, den, out_cap)

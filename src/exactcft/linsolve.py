@@ -1,31 +1,17 @@
 """Exact null spaces and the inertia of low-rank symmetric forms over the rationals.
 
 Linear systems are eliminated fraction-free, in one routine, _echelon: each
-sparse rational row is scaled once to a primitive integer row, the rows are
-brought to an echelon form on Python ints, shortest first, and each kernel
-vector is read by back-substitution, one Fraction per entry at the end.
+sparse int row is divided by the gcd of its entries, the rows are brought to
+an echelon form on Python ints, shortest first, and each kernel vector is
+read by back-substitution as int numerators over one denominator.
 Symmetric forms come as a sum of at most two scaled outer products, and their
 inertia is read from a 2 x 2 Gram form, with no elimination.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
-
-
-def _int_row(entries: Mapping[int, object], ncols: int) -> dict[int, int]:
-    """A sparse rational row {column: value} as a primitive integer row:
-    scaled to its least common denominator, then divided by the gcd of its
-    numerators. Zeros are dropped."""
-    row = {}
-    for col, v in entries.items():
-        if not 0 <= col < ncols:
-            raise ValueError(f"column {col} is outside 0..{ncols - 1}")
-        row[col] = v if type(v) is int else Fraction(v)
-    den = lcm(*(v.denominator for v in row.values()))
-    return _primitive({col: v.numerator * (den // v.denominator) for col, v in row.items() if v})
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -33,17 +19,24 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return row if g < 2 else {col: v // g for col, v in row.items()}
 
 
-def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int) -> list[list[Fraction]]:
+def linear_solve_exact(rows: Sequence[Mapping[int, int]], ncols: int) -> list[tuple[int, dict[int, int]]]:
     """A basis of the null space of A over Q, by Gaussian elimination.
 
-    A has ncols columns and is given as sparse rows {column: value}; absent
-    columns are zero. There is one basis vector per free column, in column
-    order: 1 there, 0 at every other free column. Being unique, it is read off
-    the echelon rows by back-substitution, last pivot first, as int numerators
-    x over one denominator: the RREF that Fraction elimination gives has the
+    A has ncols columns and is given as sparse int rows {column: value};
+    absent columns are zero. There is one basis vector per free column, in
+    column order: 1 there, 0 at every other free column. Being unique, it is
+    read off the echelon rows by back-substitution, last pivot first, as int
+    numerators x over one denominator D, and returned as (D, x) with x
+    {column: nonzero int}: the RREF that Fraction elimination gives has the
     same pivot columns, so it gives the same vector.
     """
-    pivots = _echelon([_int_row(row, ncols) for row in rows])
+    primitive = []
+    for row in rows:
+        for col in row:
+            if not 0 <= col < ncols:
+                raise ValueError(f"column {col} is outside 0..{ncols - 1}")
+        primitive.append(_primitive({col: v for col, v in row.items() if v}))
+    pivots = _echelon(primitive)
     kernel = []
     for fc in sorted(set(range(ncols)).difference(pivots)):
         x, den = {fc: 1}, 1
@@ -57,7 +50,7 @@ def linear_solve_exact(rows: Sequence[Mapping[int, object]], ncols: int) -> list
                     x = {k: v * (p // g) for k, v in x.items()}
                     den *= p // g
                 x[col] = -s // g
-        kernel.append([Fraction(x[k], den) if k in x else Fraction(0) for k in range(ncols)])
+        kernel.append((den, x))
     return kernel
 
 

@@ -7,15 +7,16 @@ expanded). Products of pair powers are linearly dependent as functions
 (x13 = x12 + x23): one exact int value per integer-exponent class can prove a
 sum nonzero, and identities expand the classes in adjacent differences exactly.
 
-Exponent keys are integers. A PairSum holds one positive denominator ``den``
-for all its terms, and the key of a term is the sorted tuple of
-((i, j), n) with n/den the exponent of x_ij, zero exponents dropped, so dict
-access hashes only ints. ``den`` is a common denominator, not always the
-least one: adding a sum over another denominator moves both to their lcm.
-Over one positive denominator numerators sort as the exponents do, so sorted
-keys, iteration, ``to_json`` and ``repr`` follow the order of the rational
-exponents, which they read back as Fractions. Every ``.terms`` value is a
-Fraction.
+Exponent keys are integers. A PairSum holds one positive exponent
+denominator ``exp_den`` for all its terms, and the key of a term is the
+sorted tuple of ((i, j), n) with n/exp_den the exponent of x_ij, zero
+exponents dropped, so dict access hashes only ints. ``exp_den`` is a common
+denominator, not always the least one: adding a sum over another exponent
+denominator moves both to their lcm. Over one positive denominator
+numerators sort as the exponents do, so sorted keys, iteration, ``to_json``
+and ``repr`` follow the order of the rational exponents, which they read back
+as Fractions. The coefficients are int numerators over ``den``, as in every
+poly.SparseSum.
 """
 
 from __future__ import annotations
@@ -27,19 +28,19 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, SingularDiagonalError
-from .poly import SparseSum, _combination_terms, _int_combination, _int_numerators, _int_product
-from .special import format_rational
+from .poly import SparseSum, _int_combination, _int_product
+from .special import format_ratio, format_rational
 
 Pair = tuple[int, int]
 # ((i, j), numerator) per pair with a nonzero exponent, sorted; the
-# denominator is the owning sum's
+# exponent denominator is the owning sum's
 ExpKey = tuple[tuple[Pair, int], ...]
 
 
 def norm_exps(exps: Mapping[Pair, Fraction]) -> tuple[int, ExpKey]:
-    """(den, key) of prod x_pr^exps[pr]: den is the least common denominator
-    of the exponents and key their numerators over den, sorted, zero
-    exponents dropped."""
+    """(exp_den, key) of prod x_pr^exps[pr]: exp_den is the least common
+    denominator of the exponents and key their numerators over it, sorted,
+    zero exponents dropped."""
     fracs = {}
     for (i, j), e in exps.items():
         if i >= j:
@@ -69,9 +70,9 @@ def bump(key: ExpKey, add: Mapping[Pair, int], times: int = 1) -> ExpKey:
     return tuple(sorted(cur.items()))
 
 
-def _offsets(keys: Iterable[ExpKey], den: int) -> list[dict[Pair, int]]:
-    """Per key (numerators over den), its integer exponent on each pair above
-    one shared base, zero offsets dropped.
+def _offsets(keys: Iterable[ExpKey], exp_den: int) -> list[dict[Pair, int]]:
+    """Per key (numerators over exp_den), its integer exponent on each pair
+    above one shared base, zero offsets dropped.
 
     The base takes per pair the least exponent across keys, absence counting
     as 0, and every monomial is divided by it: a common factor changes
@@ -86,10 +87,10 @@ def _offsets(keys: Iterable[ExpKey], den: int) -> list[dict[Pair, int]]:
         rel = {}
         for pr, b in base.items():
             e = d.get(pr, 0)
-            r, frac = divmod(e - b, den)
+            r, frac = divmod(e - b, exp_den)
             if frac:
-                raise ConsistencyError(f"pair {pr}: exponent {e}/{den} is not an integer away "
-                                       f"from the class base {b}/{den}")
+                raise ConsistencyError(f"pair {pr}: exponent {e}/{exp_den} is not an integer away "
+                                       f"from the class base {b}/{exp_den}")
             if r:
                 rel[pr] = r
         out.append(rel)
@@ -103,9 +104,9 @@ def _pair_values(points: tuple[int, ...]) -> dict[Pair, int]:
     return {(p, q): at[b] - at[a] for a, p in enumerate(points) for b, q in enumerate(points) if a < b}
 
 
-def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: int = 1) -> list[dict]:
-    """Each monomial of keys (numerators over den) over one shared base (see
-    _offsets), in adjacent differences: each offset expanded through
+def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], exp_den: int = 1) -> list[dict]:
+    """Each monomial of keys (numerators over exp_den) over one shared base
+    (see _offsets), in adjacent differences: each offset expanded through
     x_{p_a} - x_{p_b} = z_a + ... + z_{b-1} over the sorted points. Returns
     one integer-coefficient dict {z exponents: int} per key, in order.
     """
@@ -120,50 +121,43 @@ def _adjacent_expansions(points: tuple[int, ...], keys: Iterable[ExpKey], den: i
             powers[pr, n] = one if n == 0 else _int_product(power(pr, n - 1), chain)
         return powers[pr, n]
 
-    return [reduce(_int_product, (power(pr, r) for pr, r in rel.items()), one) for rel in _offsets(keys, den)]
+    return [reduce(_int_product, (power(pr, r) for pr, r in rel.items()), one) for rel in _offsets(keys, exp_den)]
 
 
-def _class_polys(points: tuple[int, ...], t1: dict, t2: dict, den: int) -> tuple[dict, dict]:
-    """Two term dicts of one class (numerators over den) as polynomials in
-    adjacent differences, {z exponents: Fraction}, over the base of their union."""
+def _class_polys(points: tuple[int, ...], t1: dict, t2: dict, exp_den: int) -> tuple[dict, dict]:
+    """Two int dicts of one class (exponent numerators over exp_den) as
+    polynomials in adjacent differences, {z exponents: int}, over the base of
+    their union; cancelled keys may hold 0."""
     union = list(t1.keys() | t2.keys())
-    parts = dict(zip(union, _adjacent_expansions(points, union, den)))
-    return _combination_terms(parts, t1), _combination_terms(parts, t2)
+    parts = dict(zip(union, _adjacent_expansions(points, union, exp_den)))
+    return _int_combination(parts, t1), _int_combination(parts, t2)
 
 
 class PairSum(SparseSum):
     """Finite sum of pair-difference monomials over a fixed point set, with
-    exponent numerators over the common denominator den."""
+    exponent numerators over the common exponent denominator exp_den."""
 
-    __slots__ = ("points", "antisym", "den")
+    __slots__ = ("points", "antisym", "exp_den")
 
     def __init__(
         self,
         points: Iterable[int],
         terms: Mapping[ExpKey, Fraction] | None = None,
         antisym: bool = True,
-        den: int = 1,
+        exp_den: int = 1,
     ):
         self.points: tuple[int, ...] = tuple(sorted(points))
         self.antisym = antisym
-        self.den = den
-        self.terms: dict[ExpKey, Fraction] = {}
-        if terms:
-            pts = set(self.points)
-            for key, coeff in terms.items():
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
-                for (i, j), _ in key:
-                    if i not in pts or j not in pts:
-                        raise ValueError(f"pair ({i},{j}) outside points {self.points}")
-                self.add_term(key, c)
+        self.exp_den = exp_den
+        terms = terms or {}
+        pts = set(self.points)
+        for key in terms:
+            for (i, j), _ in key:
+                if i not in pts or j not in pts:
+                    raise ValueError(f"pair ({i},{j}) outside points {self.points}")
+        self.set_values(terms.items())
 
     # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, points: Iterable[int], antisym: bool = True) -> "PairSum":
-        return cls(points, None, antisym)
 
     @classmethod
     def monomial(
@@ -173,70 +167,78 @@ class PairSum(SparseSum):
         exps: Mapping[Pair, Fraction],
         antisym: bool = True,
     ) -> "PairSum":
-        den, key = norm_exps(exps)
-        return cls(points, {key: Fraction(coeff)}, antisym, den)
+        exp_den, key = norm_exps(exps)
+        return cls(points, {key: coeff}, antisym, exp_den)
 
     # -- iteration ------------------------------------------------------
 
     def __iter__(self) -> Iterator[tuple[Fraction, dict[Pair, Fraction]]]:
-        den = self.den
+        den, exp_den = self.den, self.exp_den
         for key in sorted(self.terms):
-            yield self.terms[key], {pr: Fraction(e, den) for pr, e in key}
+            yield Fraction(self.terms[key], den), {pr: Fraction(e, exp_den) for pr, e in key}
 
     # -- arithmetic -------------------------------------------------------
 
     def _empty(self) -> "PairSum":
-        return PairSum(self.points, None, self.antisym, self.den)
+        return PairSum(self.points, None, self.antisym, self.exp_den)
+
+    def _like(self, nums: Mapping, den: int, points: Iterable[int] | None = None) -> "PairSum":
+        """nums / den as a sum like self (on points, if given), normalised once."""
+        out = PairSum(self.points if points is None else points, None, self.antisym, self.exp_den)
+        return out.set_ints(nums, den)
 
     def _coerce(self, other: "PairSum") -> "PairSum":
         if self.points != other.points or self.antisym != other.antisym:
             raise ValueError("PairSum operands live on different point sets")
         return other
 
-    def _rescaled(self, den: int) -> "PairSum":
-        """self with its numerators over den, a multiple of self.den."""
-        if den == self.den:
+    def _rescaled(self, exp_den: int) -> "PairSum":
+        """self with its exponent numerators over exp_den, a multiple of self.exp_den."""
+        if exp_den == self.exp_den:
             return self
-        m = den // self.den
-        out = PairSum(self.points, None, self.antisym, den)
-        out.terms = {tuple([(pr, e * m) for pr, e in key]): c for key, c in self.terms.items()}
-        return out
+        m = exp_den // self.exp_den
+        out = PairSum(self.points, None, self.antisym, exp_den)
+        return out.set_ints({tuple([(pr, e * m) for pr, e in key]): n for key, n in self.terms.items()},
+                            self.den)
 
     def add_scaled(self, other: "PairSum", factor=1) -> "PairSum":
-        """In place: self += other * factor, over the lcm of both denominators."""
+        """In place: self += other * factor, over the lcm of both exponent denominators."""
         other = self._coerce(other)
-        if other.den != self.den:
-            den = lcm(self.den, other.den)
-            self.terms, self.den = self._rescaled(den).terms, den
-            other = other._rescaled(den)
+        if other.exp_den != self.exp_den:
+            exp_den = lcm(self.exp_den, other.exp_den)
+            rescaled = self._rescaled(exp_den)
+            self.set_ints(rescaled.terms, rescaled.den)
+            self.exp_den = exp_den
+            other = other._rescaled(exp_den)
         return super().add_scaled(other, factor)
 
     def mul_monomial(self, coeff, exps: Mapping[Pair, Fraction]) -> "PairSum":
+        """self times coeff * prod x_pr^exps[pr]; the bump is injective on keys."""
         coeff = Fraction(coeff)
         d, add = norm_exps(exps)
-        den = lcm(self.den, d)
-        add = {pr: e * (den // d) for pr, e in add}
-        base = self._rescaled(den)
-        res = base._empty()
-        for key, c in base.terms.items():
-            res.add_term(bump(key, add), c * coeff)
-        return res
+        exp_den = lcm(self.exp_den, d)
+        add = {pr: e * (exp_den // d) for pr, e in add}
+        base = self._rescaled(exp_den)
+        return base._like({bump(key, add): n * coeff.numerator for key, n in base.terms.items()},
+                          base.den * coeff.denominator)
 
     def __mul__(self, other: "PairSum") -> "PairSum":
+        """The product, on ints over the lcm of both exponent denominators."""
         self._coerce(other)
-        res = self._empty()
-        for c, exps in other:
-            res.add_scaled(self.mul_monomial(c, exps))
-        return res
+        exp_den = lcm(self.exp_den, other.exp_den)
+        s1, s2 = self._rescaled(exp_den), other._rescaled(exp_den)
+        parts = {k2: {bump(k1, dict(k2)): n1 for k1, n1 in s1.terms.items()} for k2 in s2.terms}
+        return s1._like(_int_combination(parts, s2.terms), s1.den * s2.den)
 
     # -- calculus ---------------------------------------------------------
 
     def differentiate(self, point: int) -> "PairSum":
-        """d/dx_point, with x_ij = x_i - x_j. The factor +-e/den of a term
-        stays an int over den until it joins the coefficient in one Fraction."""
-        den = self.den
-        res = self._empty()
-        for key, c in self.terms.items():
+        """d/dx_point, with x_ij = x_i - x_j. The factor +-e/exp_den of a term
+        stays an int: the result is over den * exp_den."""
+        exp_den = self.exp_den
+        acc: dict = {}
+        get = acc.get
+        for key, n in self.terms.items():
             for at, ((i, j), e) in enumerate(key):
                 if point == i:
                     factor = e
@@ -245,10 +247,10 @@ class PairSum(SparseSum):
                 else:
                     continue
                 # the pair keeps its place in the sorted key
-                lowered = (((i, j), e - den),) if e != den else ()
-                res.add_term(key[:at] + lowered + key[at + 1 :],
-                             Fraction(c.numerator * factor, c.denominator * den))
-        return res
+                lowered = (((i, j), e - exp_den),) if e != exp_den else ()
+                new = key[:at] + lowered + key[at + 1 :]
+                acc[new] = get(new, 0) + n * factor
+        return self._like(acc, self.den * exp_den)
 
     def merge_adjacent(self, i: int) -> "PairSum":
         """Evaluate x_{i+1} -> x_i; point i+1 leaves the point set.
@@ -260,8 +262,9 @@ class PairSum(SparseSum):
         j = i + 1
         if i not in self.points or j not in self.points:
             raise ValueError(f"points {i},{j} not both present")
-        res = PairSum([p for p in self.points if p != j], None, self.antisym, self.den)
-        for key, c in self.terms.items():
+        acc: dict = {}
+        get = acc.get
+        for key, n in self.terms.items():
             merged: dict[Pair, int] = {}
             e_diag = 0
             for (a, b), e in key:
@@ -274,11 +277,12 @@ class PairSum(SparseSum):
                 continue
             if e_diag < 0:
                 raise SingularDiagonalError(
-                    f"x_{i}{j}^{Fraction(e_diag, self.den)} survives the diagonal limit"
+                    f"x_{i}{j}^{Fraction(e_diag, self.exp_den)} survives the diagonal limit"
                     " (pole bound violated)"
                 )
-            res.add_term(tuple(sorted((p, e) for p, e in merged.items() if e)), c)
-        return res
+            new = tuple(sorted((p, e) for p, e in merged.items() if e))
+            acc[new] = get(new, 0) + n
+        return self._like(acc, self.den, [p for p in self.points if p != j])
 
     def relabel(self, mapping: Mapping[int, int]) -> "PairSum":
         """Rename points. Order flips pull out (-1)^e for antisymmetric pairs,
@@ -286,9 +290,10 @@ class PairSum(SparseSum):
         new_points = sorted(mapping[p] for p in self.points)
         if len(set(new_points)) != len(self.points):
             raise ValueError("relabeling must be injective")
-        den = self.den
-        res = PairSum(new_points, None, self.antisym, den)
-        for key, c in self.terms.items():
+        exp_den = self.exp_den
+        acc: dict = {}
+        get = acc.get
+        for key, n in self.terms.items():
             flips = 0
             exps: dict[Pair, int] = {}
             for (a, b), e in key:
@@ -296,27 +301,27 @@ class PairSum(SparseSum):
                 if a2 > b2:
                     a2, b2 = b2, a2
                     if self.antisym:
-                        if e % den:
+                        if e % exp_den:
                             raise ValueError(
                                 "cannot flip a pair with non-integer exponent"
                             )
-                        flips += e // den
+                        flips += e // exp_den
                 exps[(a2, b2)] = exps.get((a2, b2), 0) + e
-            res.add_term(
-                tuple(sorted((p, e) for p, e in exps.items() if e)), -c if flips % 2 else c
-            )
-        return res
+            new = tuple(sorted((p, e) for p, e in exps.items() if e))
+            acc[new] = get(new, 0) + (-n if flips % 2 else n)
+        return self._like(acc, self.den, new_points)
 
     # -- exact function-level comparisons ----------------------------------
 
-    def _classes(self) -> dict[tuple, dict[ExpKey, Fraction]]:
-        """Group terms whose exponents agree modulo integers on every pair;
-        a class is named by the fractional parts' numerators over den."""
-        den = self.den
-        groups: dict[tuple, dict[ExpKey, Fraction]] = {}
-        for key, c in self.terms.items():
-            ck = tuple((pr, e % den) for pr, e in key if e % den)
-            groups.setdefault(ck, {})[key] = c
+    def _classes(self) -> dict[tuple, dict[ExpKey, int]]:
+        """Group the int numerators of terms whose exponents agree modulo
+        integers on every pair; a class is named by the fractional parts'
+        numerators over exp_den."""
+        exp_den = self.exp_den
+        groups: dict[tuple, dict[ExpKey, int]] = {}
+        for key, n in self.terms.items():
+            ck = tuple((pr, e % exp_den) for pr, e in key if e % exp_den)
+            groups.setdefault(ck, {})[key] = n
         return groups
 
     def is_zero_function(self) -> bool:
@@ -325,51 +330,53 @@ class PairSum(SparseSum):
         every value vanishes are the classes expanded."""
         classes = list(self._classes().values())
         x = _pair_values(self.points)
-        if any(sum(c * prod(x[pr] ** r for pr, r in rel.items())
-                   for rel, c in zip(_offsets(g, self.den), _int_numerators(g)[1].values()))
+        if any(sum(n * prod(x[pr] ** r for pr, r in rel.items())
+                   for rel, n in zip(_offsets(g, self.exp_den), g.values()))
                for g in classes):
             return False
-        return not any(_class_polys(self.points, g, {}, self.den)[0] for g in classes)
+        return not any(any(_class_polys(self.points, g, {}, self.exp_den)[0].values()) for g in classes)
 
     def proportional_to(self, other: "PairSum") -> Fraction | None:
         """Return nonzero lam with self = lam * other as functions, or None.
 
-        Over one denominator, equal keys with one coefficient ratio decide at
-        once. Otherwise each class of either sum is expanded once: lam is read
-        off the first class where other's polynomial p2 is nonzero, and
-        self's p1 = lam * p2 must hold in every class."""
+        Over one exponent denominator, equal keys with one numerator ratio
+        decide at once. Otherwise each class of either sum is expanded once:
+        the int ratio p / q is read off the first class where other's
+        polynomial p2 is nonzero, and q p1 = p p2 must hold in every class
+        (self's p1). lam is p / q times other.den / self.den."""
         self._coerce(other)
-        den = lcm(self.den, other.den)
-        s1, s2 = self._rescaled(den), other._rescaled(den)
-        if s1.terms.keys() == s2.terms.keys():
-            ratios = {c / s2.terms[key] for key, c in s1.terms.items()}
-            if len(ratios) == 1:
-                return None if other.is_zero_function() else ratios.pop()
+        exp_den = lcm(self.exp_den, other.exp_den)
+        s1, s2 = self._rescaled(exp_den), other._rescaled(exp_den)
+        if s1.terms.keys() == s2.terms.keys() and s1.terms:
+            key = next(iter(s1.terms))
+            p, q = s1.terms[key], s2.terms[key]
+            if all(n1 * q == p * s2.terms[k] for k, n1 in s1.terms.items()):
+                return None if other.is_zero_function() else Fraction(p * s2.den, q * s1.den)
         g1, g2 = s1._classes(), s2._classes()
-        lam = None
+        ratio = None
         for k in g2.keys() | g1.keys():
-            p1, p2 = _class_polys(self.points, g1.get(k, {}), g2.get(k, {}), den)
-            if lam is None and p2:
-                e = next(iter(p2))
-                if not (lam := p1.get(e, 0) / p2[e]):
+            p1, p2 = _class_polys(self.points, g1.get(k, {}), g2.get(k, {}), exp_den)
+            if ratio is None and any(p2.values()):
+                e = next(e for e, c in p2.items() if c)
+                if not p1.get(e):
                     return None
-            if p1 != {e: lam * c for e, c in p2.items()}:
+                ratio = p1[e], p2[e]
+            p, q = ratio or (0, 1)
+            if any(p1.get(e, 0) * q != p * p2.get(e, 0) for e in p1.keys() | p2.keys()):
                 return None
-        return lam
+        return None if ratio is None else Fraction(ratio[0] * s2.den, ratio[1] * s1.den)
 
     # -- presentation -------------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        den = self.den
-        out = []
-        for key in sorted(self.terms):
-            out.append(
-                {
-                    "coeff": format_rational(self.terms[key]),
-                    "factors": {f"{i},{j}": format_rational(Fraction(e, den)) for (i, j), e in key},
-                }
-            )
-        return out
+        den, exp_den = self.den, self.exp_den
+        return [
+            {
+                "coeff": format_ratio(self.terms[key], den),
+                "factors": {f"{i},{j}": format_ratio(e, exp_den) for (i, j), e in key},
+            }
+            for key in sorted(self.terms)
+        ]
 
     def __repr__(self) -> str:
         sym = "x" if self.antisym else "X"
@@ -392,7 +399,7 @@ class TwoChiralSum(SparseSum):
 
     def __init__(self, points: Iterable[int]):
         self.points = tuple(sorted(points))
-        self.terms: dict[tuple[ExpKey, ExpKey], Fraction] = {}
+        self.set_ints({})
 
     def _empty(self) -> "TwoChiralSum":
         return TwoChiralSum(self.points)
@@ -408,7 +415,7 @@ class TwoChiralSum(SparseSum):
         side over its own base (see _offsets), and each A's polynomial times its
         int combination of B's is added on ints. Complete proof, no sampling."""
         by_plus: dict[ExpKey, dict[ExpKey, int]] = {}
-        for (kp, km), n in _int_numerators(self.terms)[1].items():
+        for (kp, km), n in self.terms.items():
             by_plus.setdefault(kp, {})[km] = n
         minus_keys = list({km for row in by_plus.values() for km in row})
         minus = dict(zip(minus_keys, _adjacent_expansions(self.points, minus_keys)))
@@ -420,11 +427,3 @@ class TwoChiralSum(SparseSum):
                 for eb, b in pb:
                     acc[ea + eb] = get(ea + eb, 0) + a * b
         return not any(acc.values())
-
-    def __repr__(self) -> str:
-        bits = []
-        for (kp, km), c in sorted(self.terms.items()):
-            p = " ".join(f"x{i}{j}+^{e}" for (i, j), e in kp) or "1"
-            m = " ".join(f"x{i}{j}-^{e}" for (i, j), e in km) or "1"
-            bits.append(f"{format_rational(c)}*[{p}][{m}]")
-        return " + ".join(bits) if bits else "0"

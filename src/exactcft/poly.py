@@ -1,42 +1,38 @@
 """Sparse sums over exact rationals, and multivariate polynomials on top.
 
-Polynomial terms live in a dict keyed by exponent tuples; zero coefficients
-are never stored, and iteration/serialization follows graded-lexicographic
-order so output is deterministic.
+One number representation: a sum holds int numerators in ``terms`` over one
+positive int ``den``, canonical (no zero numerator, gcd(den, *numerators) = 1,
+den = 1 when empty) through the one normaliser ``SparseSum.set_ints``, which
+every write to ``terms`` goes through. Fractions meet the ints in two places
+only: values handed in (the constructors and ``set_values`` scale them once
+to their least common denominator) and one value read out (``coefficient``,
+iteration, ``sorted_terms``, ``leading`` and ``repr``; ``to_json`` formats
+each numerator over den directly). In between, products and combinations are
+int multiply-accumulate loops (_int_product, _int_combination), and a loop
+that adds term by term fixes its denominator first and normalises once.
 
-Products and linear combinations run on integers: each operand (or the
-weights) is scaled once to integer numerators over the least common
-denominator of its coefficients, the multiply-accumulate loop works on Python
-ints, and each output term becomes one Fraction. Exact rationals are
-canonical, so the result is the one Fraction arithmetic gives. The int dicts
-are private to the kernel: every ``.terms`` value of a public object is a
-Fraction.
+Polynomial terms are keyed by exponent tuples; iteration and serialization
+follow graded-lexicographic order so output is deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import NegativeExponentError, VariableMismatchError
-from .special import format_rational
+from .special import format_ratio, format_rational
 
 
 def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
-def _int_numerators(terms: Mapping) -> tuple[int, dict]:
-    """(D, {key: n}) with terms[key] == n / D and D the least common denominator."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, {k: c.numerator * (den // c.denominator) for k, c in terms.items()}
-
-
-def _over(numerators: Mapping, den: int) -> dict:
-    """{key: Fraction(n, den)} for every nonzero integer numerator n."""
-    return {k: Fraction(n, den) for k, n in numerators.items() if n}
+def _rational(x):
+    """x as an int or a Fraction, the two types with .numerator and .denominator."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
 def _int_product(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
@@ -57,13 +53,6 @@ def _int_product(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
     return out
 
 
-def _product_terms(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
-    """The Fraction terms of the product of two Fraction term dicts."""
-    d1, a = _int_numerators(left)
-    d2, b = _int_numerators(right)
-    return _over(_int_product(a, b, cap), d1 * d2)
-
-
 def _int_combination(parts, nums: Mapping) -> dict:
     """sum nums[k] * parts[k] over ints, as an int dict; cancelled keys may hold 0."""
     acc: dict = {}
@@ -75,53 +64,76 @@ def _int_combination(parts, nums: Mapping) -> dict:
     return acc
 
 
-def _combination_terms(parts, weights: Mapping) -> dict:
-    """The Fraction terms of sum weights[k] * parts[k] over int dicts parts[k].
-
-    The weights are scaled once to integers over their least common
-    denominator, the sum runs on ints, and each output key is divided once.
-    """
-    den, nums = _int_numerators(weights)
-    return _over(_int_combination(parts, nums), den)
-
-
 class SparseSum:
-    """A finite sum of coefficient * basis element over exact rationals.
+    """A finite sum of coefficient * basis element over exact rationals, as
+    int numerators ``terms`` over ``den`` (see the module docstring).
 
-    Terms live in a dict keyed by whatever names the basis element; zero
-    coefficients are never stored. ``add_term`` is the one place that prunes
-    them, and ``add_scaled`` accumulates in place, so a sum built up in a loop
-    costs one pass per addend instead of one copy of the whole dict. Only call
-    the in-place methods on a sum the caller has just built, never on an
-    argument or a cached object. Each subclass gives the keys a meaning
-    through ``_empty`` (a zero in the same space) and ``_coerce`` (the
-    compatibility check on the other operand).
+    Only call the in-place methods (``set_*``, ``add_*``) on a sum the caller
+    has just built, never on an argument or a cached object. Each subclass
+    gives the keys a meaning through ``_empty`` (a zero in the same space)
+    and ``_coerce`` (the compatibility check on the other operand).
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "den")
+
+    def set_ints(self, nums: Mapping, den: int = 1):
+        """In place: self = nums / den, for int numerators and a nonzero int
+        den. The one normaliser: zeros drop, and den and the numerators are
+        divided by their gcd, taken with the sign of den. Returns self."""
+        nums = {k: n for k, n in nums.items() if n}
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {k: n // g for k, n in nums.items()}
+            den //= g
+        self.terms, self.den = nums, den
+        return self
+
+    def set_values(self, items: Iterable):
+        """In place: self = the sum of the (key, rational) pairs, each scaled
+        to their least common denominator once. Returns self."""
+        items = [(k, _rational(v)) for k, v in items]
+        den = lcm(*(v.denominator for _, v in items))
+        nums: dict = {}
+        for k, v in items:
+            nums[k] = nums.get(k, 0) + v.numerator * (den // v.denominator)
+        return self.set_ints(nums, den)
 
     def _start(self, other):
         """A fresh copy of self to accumulate other into."""
-        out = self._empty()
-        out.terms = dict(self.terms)
-        return out
-
-    def add_term(self, key, coeff: Fraction) -> None:
-        """In place: add coeff to the coefficient of key."""
-        s = self.terms.get(key, 0) + coeff
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
+        return self._empty().set_ints(self.terms, self.den)
 
     def add_scaled(self, other, factor=1):
-        """In place: self += other * factor (other is not self). Returns self."""
+        """In place: self += other * factor (other is not self), over the lcm of
+        the two denominators. Returns self."""
         other = self._coerce(other)
-        f = Fraction(factor)
-        if f:
-            for key, c in other.terms.items():
-                self.add_term(key, c * f)
-        return self
+        f = _rational(factor)
+        if not (f and other.terms):
+            return self
+        oden = other.den * f.denominator
+        den = lcm(self.den, oden)
+        m, k = den // self.den, den // oden * f.numerator
+        nums = {key: n * m for key, n in self.terms.items()}
+        get = nums.get
+        for key, n in other.terms.items():
+            nums[key] = get(key, 0) + n * k
+        return self.set_ints(nums, den)
+
+    def add_combination(self, parts: Mapping, weights: Mapping):
+        """In place: self += sum weights[k] * parts[k] over sums parts[k] in
+        self's space (keys alike: a PairSum part over self's exp_den), on ints
+        over one denominator fixed first. Returns self."""
+        weights = {k: _rational(w) for k, w in weights.items() if w}
+        scale = {k: parts[k].den * w.denominator for k, w in weights.items()}
+        den = lcm(self.den, *scale.values())
+        nums = {k: w.numerator * (den // scale[k]) for k, w in weights.items()}
+        acc = _int_combination({k: self._coerce(parts[k]).terms for k in nums}, nums)
+        get = acc.get
+        m = den // self.den
+        for key, n in self.terms.items():
+            acc[key] = get(key, 0) + n * m
+        return self.set_ints(acc, den)
 
     def __add__(self, other):
         return self._start(other).add_scaled(other)
@@ -133,11 +145,9 @@ class SparseSum:
         return self.scale(-1)
 
     def scale(self, factor):
-        f = Fraction(factor)
-        out = self._empty()
-        if f:
-            out.terms = {k: c * f for k, c in self.terms.items()}
-        return out
+        f = _rational(factor)
+        return self._empty().set_ints({k: n * f.numerator for k, n in self.terms.items()},
+                                      self.den * f.denominator)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,7 +160,7 @@ class SparseSum:
 
 
 class MultiPoly(SparseSum):
-    """Polynomial in named variables with Fraction coefficients."""
+    """Polynomial in named variables with rational coefficients."""
 
     __slots__ = ("variables",)
 
@@ -158,18 +168,18 @@ class MultiPoly(SparseSum):
         self.variables: tuple[str, ...] = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise VariableMismatchError(f"duplicate variable names in {self.variables}")
-        self.terms: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            nv = len(self.variables)
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != nv:
-                    raise VariableMismatchError(
-                        f"exponent tuple {exps} does not match {nv} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise NegativeExponentError(f"negative exponent in {exps}")
-                self.add_term(exps, Fraction(coeff))
+        nv = len(self.variables)
+        items = []
+        for exps, coeff in (terms or {}).items():
+            exps = tuple(exps)
+            if len(exps) != nv:
+                raise VariableMismatchError(
+                    f"exponent tuple {exps} does not match {nv} variables"
+                )
+            if any(e < 0 for e in exps):
+                raise NegativeExponentError(f"negative exponent in {exps}")
+            items.append((exps, coeff))
+        self.set_values(items)
 
     # -- constructors -------------------------------------------------
 
@@ -183,7 +193,7 @@ class MultiPoly(SparseSum):
         variables = tuple(variables)
         idx = variables.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exps: Fraction(1)})
+        return cls(variables, {exps: 1})
 
     # -- basics -------------------------------------------------------
 
@@ -195,15 +205,20 @@ class MultiPoly(SparseSum):
             return (
                 type(self) is type(other)
                 and self.variables == other.variables
+                and self.den == other.den
                 and self.terms == other.terms
             )
         if isinstance(other, (int, Fraction)):
             return self == self._coerce(other)
         return NotImplemented
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def _grlex(self) -> list[tuple[int, ...]]:
         # graded lex as two sorts with C-level keys: lex order, then stably by degree
-        return [(exps, self.terms[exps]) for exps in sorted(sorted(self.terms), key=sum)]
+        return sorted(sorted(self.terms), key=sum)
+
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        den = self.den
+        return [(exps, Fraction(self.terms[exps], den)) for exps in self._grlex()]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.sorted_terms())
@@ -213,10 +228,10 @@ class MultiPoly(SparseSum):
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        return exps, Fraction(self.terms[exps], self.den)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.terms.get(tuple(exps), 0), self.den)
 
     # -- ring operations ----------------------------------------------
 
@@ -232,9 +247,7 @@ class MultiPoly(SparseSum):
                     f"variable sets differ: {self.variables} vs {other.variables}"
                 )
             return other
-        out = self._empty()
-        out.add_term((0,) * len(self.variables), Fraction(other))
-        return out
+        return self._empty().set_values((((0,) * len(self.variables), other),))
 
     __add__ = __radd__ = SparseSum.__add__
 
@@ -244,43 +257,27 @@ class MultiPoly(SparseSum):
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = self._empty()
-        out.terms = _product_terms(self.terms, self._coerce(other).terms)
-        return out
+        other = self._coerce(other)
+        return self._empty().set_ints(_int_product(self.terms, other.terms), self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "MultiPoly":
-        if n < 0:
-            raise NegativeExponentError("negative power of a polynomial")
-        out = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
 
     # -- calculus -----------------------------------------------------
 
     def differentiate(self, name: str) -> "MultiPoly":
-        """Formal partial derivative with respect to one variable."""
+        """Formal partial derivative with respect to one variable; lowering one
+        exponent is injective on the surviving terms, so no two meet."""
         idx = self.variables.index(name)
-        out = self._empty()
-        for exps, c in self.terms.items():
-            k = exps[idx]
-            if k:
-                out.add_term(exps[:idx] + (k - 1,) + exps[idx + 1 :], c * k)
-        return out
+        return self._empty().set_ints(
+            {e[:idx] + (k - 1,) + e[idx + 1 :]: n * k for e, n in self.terms.items() if (k := e[idx])},
+            self.den,
+        )
 
     # -- presentation ---------------------------------------------------
 
     def to_json(self) -> list[dict]:
-        return [
-            {"exponents": list(e), "coeff": format_rational(c)}
-            for e, c in self.sorted_terms()
-        ]
+        terms, den = self.terms, self.den
+        return [{"exponents": list(e), "coeff": format_ratio(terms[e], den)} for e in self._grlex()]
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -297,10 +294,3 @@ class MultiPoly(SparseSum):
             else:
                 bits.append(format_rational(c))
         return " + ".join(bits)
-
-
-def _combination_poly(variables: Iterable[str], parts, weights: Mapping) -> MultiPoly:
-    """sum weights[k] * parts[k] over int dicts parts[k], as a polynomial in variables."""
-    out = MultiPoly(variables)
-    out.terms = _combination_terms(parts, weights)
-    return out

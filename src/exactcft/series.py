@@ -1,7 +1,10 @@
 """Multivariate formal power series truncated at a total-degree cap.
 
 The cap is a hard ceiling across all series variables: sums and products
-take the smaller cap of the two operands and drop every term past it.
+take the smaller cap of the two operands and drop every term past it. A
+series holds int numerators over one denominator, as every poly.SparseSum
+does; dropping terms can leave a common factor, so each truncation
+renormalises through set_ints.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
-from .poly import MultiPoly, _product_terms
+from .poly import MultiPoly, _int_product
 
 
 class TruncatedSeries(MultiPoly):
@@ -28,13 +31,12 @@ class TruncatedSeries(MultiPoly):
             raise ValueError(f"cap must be >= 0, got {cap}")
         self.cap = cap
         super().__init__(variables, terms)
-        if terms:
-            self.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
+        if any(sum(e) > cap for e in self.terms):
+            self._drop_past(cap)
 
-    @classmethod
-    def constant(cls, variables: Iterable[str], cap: int, value) -> "TruncatedSeries":
-        variables = tuple(variables)
-        return cls(variables, cap, {(0,) * len(variables): value})
+    def _drop_past(self, cap: int) -> None:
+        """In place: drop every term of total order above cap."""
+        self.set_ints({e: n for e, n in self.terms.items() if sum(e) <= cap}, self.den)
 
     @classmethod
     def from_coefficients(
@@ -45,12 +47,9 @@ class TruncatedSeries(MultiPoly):
         slots, the gaps between them read off as the exponents."""
         out = cls(variables, cap)
         nv = len(out.variables)
-        for bars in combinations(range(cap + nv), nv):
-            exps = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
-            c = coeff(exps)
-            if c:
-                out.terms[exps] = Fraction(c)
-        return out
+        exps = (tuple(b - a - 1 for a, b in zip((-1,) + bars, bars))
+                for bars in combinations(range(cap + nv), nv))
+        return out.set_values((e, coeff(e)) for e in exps)
 
     def _empty(self) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, self.cap)
@@ -68,7 +67,7 @@ class TruncatedSeries(MultiPoly):
         other = self._coerce(other)
         if other.cap < self.cap:
             self.cap = other.cap
-            self.terms = {e: c for e, c in self.terms.items() if sum(e) <= self.cap}
+            self._drop_past(other.cap)
         elif other.cap > self.cap:
             other = other.truncate(self.cap)
         return super().add_scaled(other, factor)
@@ -77,29 +76,27 @@ class TruncatedSeries(MultiPoly):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        out = TruncatedSeries(self.variables, min(self.cap, other.cap))
-        out.terms = _product_terms(self.terms, other.terms, out.cap)
-        return out
+        cap = min(self.cap, other.cap)
+        return TruncatedSeries(self.variables, cap).set_ints(
+            _int_product(self.terms, other.terms, cap), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def truncate(self, cap: int) -> "TruncatedSeries":
-        out = TruncatedSeries(self.variables, cap)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= cap}
-        return out
+        return TruncatedSeries(self.variables, cap).set_ints(
+            {e: n for e, n in self.terms.items() if sum(e) <= cap}, self.den
+        )
 
     def differentiate(self, name: str) -> "TruncatedSeries":
         """Partial derivative in one variable. The unknown terms past the cap
         reach order cap in it, so it is exact only through cap - 1, its cap."""
-        return TruncatedSeries(self.variables, self.cap - 1, super().differentiate(name).terms)
+        return super().differentiate(name).truncate(self.cap - 1)
 
     def map_coefficients(self, fn) -> "TruncatedSeries":
-        out = self._empty()
-        for e, c in self.terms.items():
-            v = fn(e, c)
-            if v != 0:
-                out.terms[e] = v
-        return out
+        """The series of fn(e, c) at each term c * x^e, with c a Fraction."""
+        den = self.den
+        return self._empty().set_values((e, fn(e, Fraction(n, den))) for e, n in self.terms.items())
 
     def __repr__(self) -> str:
         tail = f"O(^{self.cap + 1})"

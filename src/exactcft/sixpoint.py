@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError
 from .pairs import PairSum, TwoChiralSum, bump, cross_ratio
-from .poly import MultiPoly, _int_numerators, _over
+from .poly import MultiPoly
 from .series import TruncatedSeries
 from .special import format_rational
 
@@ -31,15 +31,7 @@ PTOLEMY_DENOMINATOR = {
 
 # common prefactor of the restricted structures:
 # 1/(X12^2 X13 X24 X34 X35 X46 X56^2)
-PREFACTOR_2D = {
-    (1, 2): Fraction(-2),
-    (1, 3): Fraction(-1),
-    (2, 4): Fraction(-1),
-    (3, 4): Fraction(-1),
-    (3, 5): Fraction(-1),
-    (4, 6): Fraction(-1),
-    (5, 6): Fraction(-2),
-}
+PREFACTOR_2D = {(1, 2): -2, (1, 3): -1, (2, 4): -1, (3, 4): -1, (3, 5): -1, (4, 6): -1, (5, 6): -2}
 
 SERIES_VARS = ("u_plus", "u_minus", "uprime_plus", "uprime_minus")
 
@@ -48,10 +40,14 @@ def _xmono(coeff, exps) -> PairSum:
     return PairSum.monomial(POINTS, coeff, exps, antisym=False)
 
 
-def _antisymmetrize(s: PairSum, i: int, j: int) -> PairSum:
+def _swap(i: int, j: int) -> dict[int, int]:
     swap = {p: p for p in POINTS}
     swap[i], swap[j] = j, i
-    return s - s.relabel(swap)
+    return swap
+
+
+def _antisymmetrize(s: PairSum, i: int, j: int) -> PairSum:
+    return s - s.relabel(_swap(i, j))
 
 
 class _SixPointStructure(NamedTuple):
@@ -104,18 +100,32 @@ def build_structure(name: str) -> SixPointStructure:
     raise ValueError(f"unknown structure {name!r}")
 
 
-def _u_polynomial(name: str) -> dict[tuple[int, int, int, int], Fraction]:
-    """Numerator over the denominator (1-u+)(1-u-)(1-u'+)(1-u'-), keyed by
-    exponents of (u+, u-, u'+, u'-)."""
+def verify_structure(structure: SixPointStructure) -> None:
+    """Conformal covariance and antisymmetry of a built structure, or
+    ConsistencyError: in every monomial the X exponents at each point sum to
+    -3 (field dimension d = 3), and the structure changes sign under the swaps
+    1 <-> 2 and 5 <-> 6, term by term."""
+    s = structure.monomials
+    for key in s.terms:
+        if any(sum(e for pr, e in key if p in pr) != -3 * s.exp_den for p in POINTS):
+            raise ConsistencyError(f"{structure.name}: the monomial {key} has a point weight other than -3")
+    for i, j in ((1, 2), (5, 6)):
+        if s + s.relabel(_swap(i, j)):
+            raise ConsistencyError(f"{structure.name} is not antisymmetric under {i} <-> {j}")
+
+
+def _u_polynomial(name: str) -> MultiPoly:
+    """Numerator over the denominator (1-u+)(1-u-)(1-u'+)(1-u'-), in the
+    variables (u+, u-, u'+, u'-)."""
     up, um, upp, upm = (MultiPoly.var(SERIES_VARS, v) for v in SERIES_VARS)
     sums = (up + um - up * um) * (upp + upm - upp * upm)
     diffs = (up - um) * (upp - upm)
     if name == "B":
-        return sums.terms
+        return sums
     if name == "BminusHalfE":
-        return diffs.terms
+        return diffs
     if name == "E6":
-        return (sums - diffs).scale(2).terms
+        return (sums - diffs).scale(2)
     raise ValueError(f"no 2D closed form registered for {name!r}")
 
 
@@ -123,24 +133,21 @@ class ChiralRestriction(NamedTuple):
     """Verified 2D form: prefactor * numerator / product of (1 - u) factors."""
 
     name: str
-    prefactor: dict[tuple[int, int], Fraction]
-    numerator: dict[tuple[int, int, int, int], Fraction]
+    prefactor: dict[tuple[int, int], int]
+    numerator: MultiPoly
 
     def series(self, cap: int) -> TruncatedSeries:
         """Expand numerator / ((1-u+)(1-u-)(1-u'+)(1-u'-)) to the cap: dividing
-        by 1 - u is a running sum along u, on int numerators over one denominator,
-        in lex order, which puts e - u before e."""
-        den, acc = _int_numerators(self.numerator)
-        acc = {e: n for e, n in acc.items() if sum(e) <= cap}
+        by 1 - u is a running sum along u, on the numerator's ints over its
+        denominator, in lex order, which puts e - u before e."""
+        acc = {e: n for e, n in self.numerator.terms.items() if sum(e) <= cap}
         exps = [(a, b, c, d) for a in range(cap + 1) for b in range(cap + 1 - a)
                 for c in range(cap + 1 - a - b) for d in range(cap + 1 - a - b - c)]
         for i in range(4):
             for e in exps:
                 if e[i] and (c := acc.get(e[:i] + (e[i] - 1,) + e[i + 1 :])):
                     acc[e] = acc.get(e, 0) + c
-        out = TruncatedSeries(SERIES_VARS, cap)
-        out.terms = _over(acc, den)
-        return out
+        return TruncatedSeries(SERIES_VARS, cap).set_ints(acc, self.numerator.den)
 
     def to_json(self) -> dict:
         return {
@@ -149,8 +156,8 @@ class ChiralRestriction(NamedTuple):
                 for (i, j), e in sorted(self.prefactor.items())
             },
             "numerator": [
-                {"exponents": list(e), "coeff": format_rational(c)}
-                for e, c in sorted(self.numerator.items())
+                {"exponents": list(e), "coeff": format_rational(self.numerator.coefficient(e))}
+                for e in sorted(self.numerator.terms)
             ],
             "denominator": "(1-u+)(1-u-)(1-u'+)(1-u'-)",
         }
@@ -168,21 +175,17 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     """
     numerator = _u_polynomial(structure.name)
 
-    # left side minus right side, one term at a time; a 4D monomial restricts
-    # to the same monomial in both chiralities
-    if structure.monomials.den != 1:
+    # left side minus right side, each side's ints over its own denominator;
+    # a 4D monomial restricts to the same monomial in both chiralities
+    monomials = structure.monomials
+    if monomials.exp_den != 1:
         raise ValueError(f"2D restriction of {structure.name} needs integer exponents")
-    shift = dict(bump(bump((), {pr: int(e) for pr, e in PREFACTOR_2D.items()}, -1),
-                      PTOLEMY_DENOMINATOR))
-    diff = TwoChiralSum(POINTS)
-    for key, coeff in structure.monomials.terms.items():
-        both = bump(key, shift)
-        diff.add_term((both, both), coeff)
+    shift = dict(bump(bump((), PREFACTOR_2D, -1), PTOLEMY_DENOMINATOR))
+    lhs = {(b, b): n for key, n in monomials.terms.items() for b in [bump(key, shift)]}
     u1, u3 = cross_ratio(1), cross_ratio(3)
-    for (a, b, c, d), coeff in numerator.items():
-        plus = bump(bump((), u1, a), u3, c)
-        minus = bump(bump((), u1, b), u3, d)
-        diff.add_term((plus, minus), -coeff)
+    rhs = {(bump(bump((), u1, a), u3, c), bump(bump((), u1, b), u3, d)): n
+           for (a, b, c, d), n in numerator.terms.items()}
+    diff = TwoChiralSum(POINTS).set_ints(lhs, monomials.den) - TwoChiralSum(POINTS).set_ints(rhs, numerator.den)
 
     if not diff.is_zero_function():
         raise ConsistencyError(

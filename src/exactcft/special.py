@@ -5,7 +5,7 @@ series coefficients, and the "num/den" string form used by every serializer.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .errors import DegenerateParameterError
 
@@ -15,6 +15,12 @@ def format_rational(q: Fraction) -> str:
     Fraction.__str__ does. A Fraction is not rebuilt: Fraction(q) of a
     Fraction would double the cost."""
     return str(q if isinstance(q, Fraction) else Fraction(q))
+
+
+def format_ratio(n: int, d: int) -> str:
+    """format_rational of n/d for ints n and d > 0, without building a Fraction."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -32,19 +32,18 @@ lapv chain of the harmonic projection (V^k is a shift of the V exponent), the
 s1 +- s2 ladder of the bracket, the radial polynomials over 2^L, the
 recursion check of the coefficient table, and the kernel rows of the
 intertwining condition, which linsolve takes as they are. A polynomial the
-module returns is one poly._combination_poly of int dicts, so each of its
-coefficients is one Fraction, made there.
+module returns is one int combination over one denominator (set_ints).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
-from .poly import MultiPoly, _combination_poly, _int_combination, _int_numerators, _int_product
+from .poly import MultiPoly, _int_combination, _int_product
 from .special import format_rational, legendre_coeffs, pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
@@ -86,29 +85,25 @@ class InvVector(NamedTuple):
         return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
 
-def _put(out: dict, coeff: int, exps: tuple[int, ...], *steps: tuple[int, int]) -> None:
-    """out[exps moved by each (variable, change) step] += coeff, for coeff != 0.
+def _put(out: dict, coeff: int, key: tuple[int, ...]) -> None:
+    """out[key] += coeff, for coeff != 0.
 
-    Every caller's coeff carries the lowered exponents as factors, so it
-    vanishes before a step could go below zero.
+    Every caller's coeff carries the lowered exponents of its image key as
+    factors, so it vanishes where a key would hold a negative exponent.
     """
     if coeff:
-        e = list(exps)
-        for i, d in steps:
-            e[i] += d
-        key = tuple(e)
         out[key] = out.get(key, 0) + coeff
 
 
 def _lapv_monomial(exps: tuple[int, ...]) -> dict:
     """lapv of the monomial with exponents exps, as an int dict; its
     4 s1 f_s1V + 4 s2 f_s2V + 4V f_VV + 8 f_V all land on one monomial."""
-    _, _, _, s1, s2, v = exps
+    t, b1, b2, s1, s2, v = exps
     out: dict = {}
-    _put(out, s1 * (s1 - 1), exps, (_S1, -2), (_B1, 1))
-    _put(out, 2 * s1 * s2, exps, (_S1, -1), (_S2, -1), (_T12, 1))
-    _put(out, s2 * (s2 - 1), exps, (_S2, -2), (_B2, 1))
-    _put(out, 4 * v * (s1 + s2 + v + 1), exps, (_V, -1))
+    _put(out, s1 * (s1 - 1), (t, b1 + 1, b2, s1 - 2, s2, v))
+    _put(out, 2 * s1 * s2, (t + 1, b1, b2, s1 - 1, s2 - 1, v))
+    _put(out, s2 * (s2 - 1), (t, b1, b2 + 1, s1, s2 - 2, v))
+    _put(out, 4 * v * (s1 + s2 + v + 1), (t, b1, b2, s1, s2, v - 1))
     return out
 
 
@@ -138,9 +133,8 @@ def harmonic_project(poly: MultiPoly) -> MultiPoly:
     degs = {v_degree_of(e) for e in poly.terms}
     if len(degs) > 1:
         raise ValueError(f"input is not v-homogeneous: v-degrees {sorted(degs)}")
-    den, nums = _int_numerators(poly.terms)
-    hden, terms = _harmonic_ints(nums, degs.pop() if degs else 0)
-    return _combination_poly(IVARS, {0: terms}, {0: Fraction(1, den * hden)})
+    hden, terms = _harmonic_ints(poly.terms, degs.pop() if degs else 0)
+    return MultiPoly(IVARS).set_ints(terms, poly.den * hden)
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +144,8 @@ def harmonic_project(poly: MultiPoly) -> MultiPoly:
 RVAR = ("r",)
 
 
-def _rpoly(terms) -> MultiPoly:
-    return MultiPoly(RVAR, terms)
-
-
 def legendre_poly(L: int) -> MultiPoly:
-    return _rpoly({(p,): c for p, c in legendre_coeffs(L).items()})
+    return MultiPoly(RVAR, {(p,): c for p, c in legendre_coeffs(L).items()})
 
 
 def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
@@ -175,20 +165,25 @@ def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
             " form covers that case"
         )
     # (-L)_j / j! = (-1)^j C(L, j), and ((1 - r)/2)^j = sum_i (-1)^i C(j, i) r^i 2^(L-j) / 2^L
+    # the rising factorials of integers are integers, so the weights are ints over 2^L
     parts = {j: {(i,): (-1) ** i * comb(j, i) << (L - j) for i in range(j + 1)} for j in range(L + 1)}
     weights = {
-        j: (-1) ** j * comb(L, j) * pochhammer(L + 2 * kappa - 1, j) * pochhammer(kappa - delta + j, L - j) / (1 << L)
+        j: (-1) ** j * comb(L, j) * int(pochhammer(L + 2 * kappa - 1, j) * pochhammer(kappa - delta + j, L - j))
         for j in range(L + 1)
     }
-    return _combination_poly(RVAR, parts, weights)
+    return MultiPoly(RVAR).set_ints(_int_combination(parts, weights), 1 << L)
+
+
+TVARS = ("p", "q")
 
 
 class CoefficientTable(NamedTuple):
-    """Solution of the double recursion for the expansion coefficients c_{mn}."""
+    """Solution of the double recursion for the expansion coefficients c_{mn},
+    held as the polynomial sum c_{mn} p^m q^n."""
 
     kappa: int
     L: int
-    entries: dict[tuple[int, int], Fraction]
+    entries: MultiPoly
 
 
 def _recursion_rows(kappa: int, L: int):
@@ -239,12 +234,15 @@ def coefficient_table(kappa: int, L: int) -> CoefficientTable:
             f"recursion system admits only the zero solution at kappa={kappa}, L={L}"
         )
     c00 = pos[(0, 0)]
-    seeded = next((vec for vec in kernel if vec[c00]), None)
+    seeded = next((x for _, x in kernel if x.get(c00)), None)
     if seeded is not None:
-        vec = [x / seeded[c00] for x in seeded]
+        den, vec = seeded[c00], seeded
     else:
-        vec = [sum(col) for col in zip(*kernel)]
-    table = CoefficientTable(kappa, L, {mn: vec[k] for mn, k in pos.items() if vec[k]})
+        den = lcm(*(d for d, _ in kernel))
+        vec = _int_combination(dict(enumerate(x for _, x in kernel)),
+                               {i: den // d for i, (d, _) in enumerate(kernel)})
+    entries = MultiPoly(TVARS).set_ints({mn: vec.get(k, 0) for mn, k in pos.items()}, den)
+    table = CoefficientTable(kappa, L, entries)
     _check_recursions(table)
     return table
 
@@ -252,7 +250,7 @@ def coefficient_table(kappa: int, L: int) -> CoefficientTable:
 def _check_recursions(table: CoefficientTable):
     """Both recursions at every (m, n), on the int numerators of the table."""
     kappa, L = table.kappa, table.L
-    c = _int_numerators(table.entries)[1].get
+    c = table.entries.terms.get
     for m in range(kappa + 1):
         for n in range(kappa + 1 - m):
             k = kappa - m - n
@@ -304,8 +302,7 @@ def _bracket(L: int, rpoly_by_delta) -> dict[int, tuple[int, dict]]:
     hden, parts = projected[0][0], [terms for _, terms in projected]
     out = {}
     for delta, rp in rpoly_by_delta.items():
-        den, nums = _int_numerators({j: c for (j,), c in rp.terms.items()})
-        out[delta] = (hden * den, _int_combination(parts, nums))
+        out[delta] = (hden * rp.den, _int_combination(parts, {j: c for (j,), c in rp.terms.items()}))
     return out
 
 
@@ -320,42 +317,46 @@ def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
     if kappa < 0 or L < 0:
         raise ValueError("kappa and L must be >= 0")
     if kappa == 0:
-        entries = {(0, 0): Fraction(1)}
+        entries = MultiPoly.constant(TVARS, 1)
         if L == 0:
             rps = {0: MultiPoly.constant(RVAR, 1)}
         else:
-            rps = {0: _rpoly({(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")}
+            rps = {0: MultiPoly(RVAR, {(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")}
     else:
         entries = coefficient_table(kappa, L).entries
-        rps = {d: radial_poly(kappa, L, d) for d in {m - n for (m, n) in entries}}
+        rps = {d: radial_poly(kappa, L, d) for d in {m - n for (m, n) in entries.terms}}
     bras = _bracket(L, rps)
-    parts = {(m, n): _shift(bras[m - n][1], kappa - m - n, m, n) for (m, n) in entries}
-    weights = {(m, n): c / bras[m - n][0] for (m, n), c in entries.items()}
-    return TensorIntertwiner(kappa, L, _combination_poly(IVARS, parts, weights))
+    # the entries' numerators over entries.den, each bracket over its own
+    # denominator: one combination over the lcm D of the bracket denominators
+    den = lcm(*(bden for bden, _ in bras.values()))
+    parts = {(m, n): _shift(bras[m - n][1], kappa - m - n, m, n) for (m, n) in entries.terms}
+    weights = {(m, n): c * (den // bras[m - n][0]) for (m, n), c in entries.terms.items()}
+    poly = MultiPoly(IVARS).set_ints(_int_combination(parts, weights), entries.den * den)
+    return TensorIntertwiner(kappa, L, poly)
 
 
 def _residual_monomial(exps: tuple[int, ...], p: int, q: int) -> tuple[dict, dict, dict]:
     """q times the residual components (a, b, c) of the monomial with
     exponents exps at dimension gap p/q, as int dicts."""
-    t, b1, b2, s1, s2, _ = exps
+    t, b1, b2, s1, s2, v = exps
     w1 = 2 * b1 + t + s1  # E1 eigenvalue
     w2 = 2 * b2 + t + s2  # E2 eigenvalue
     a: dict = {}
     b: dict = {}
     c: dict = {}
     # the t and s1 parts of E1 in 4 E1 f_b1 - Delta1 f cancel 2t f_tb1 + 2 s1 f_s1b1
-    _put(a, b1 * (q * (4 * b1 - 8) + 2 * p), exps, (_B1, -1))
-    _put(a, t * (2 * q * (w2 - 1) - p), exps, (_T12, -1))
-    _put(a, -q * t * (t - 1), exps, (_T12, -2), (_B2, 1))
-    _put(a, -2 * q * t * s1, exps, (_T12, -1), (_S1, -1), (_S2, 1))
-    _put(a, -q * s1 * (s1 - 1), exps, (_S1, -2), (_V, 1))
-    _put(b, b2 * (q * (4 * b2 - 8) - 2 * p), exps, (_B2, -1))
-    _put(b, t * (2 * q * (w1 - 1) + p), exps, (_T12, -1))
-    _put(b, -q * t * (t - 1), exps, (_T12, -2), (_B1, 1))
-    _put(b, -2 * q * t * s2, exps, (_T12, -1), (_S2, -1), (_S1, 1))
-    _put(b, -q * s2 * (s2 - 1), exps, (_S2, -2), (_V, 1))
-    _put(c, s1 * (2 * q * (w1 - 1) + p), exps, (_S1, -1))
-    _put(c, s2 * (2 * q * (w2 - 1) - p), exps, (_S2, -1))
+    _put(a, b1 * (q * (4 * b1 - 8) + 2 * p), (t, b1 - 1, b2, s1, s2, v))
+    _put(a, t * (2 * q * (w2 - 1) - p), (t - 1, b1, b2, s1, s2, v))
+    _put(a, -q * t * (t - 1), (t - 2, b1, b2 + 1, s1, s2, v))
+    _put(a, -2 * q * t * s1, (t - 1, b1, b2, s1 - 1, s2 + 1, v))
+    _put(a, -q * s1 * (s1 - 1), (t, b1, b2, s1 - 2, s2, v + 1))
+    _put(b, b2 * (q * (4 * b2 - 8) - 2 * p), (t, b1, b2 - 1, s1, s2, v))
+    _put(b, t * (2 * q * (w1 - 1) + p), (t - 1, b1, b2, s1, s2, v))
+    _put(b, -q * t * (t - 1), (t - 2, b1 + 1, b2, s1, s2, v))
+    _put(b, -2 * q * t * s2, (t - 1, b1, b2, s1 + 1, s2 - 1, v))
+    _put(b, -q * s2 * (s2 - 1), (t, b1, b2, s1, s2 - 2, v + 1))
+    _put(c, s1 * (2 * q * (w1 - 1) + p), (t, b1, b2, s1 - 1, s2, v))
+    _put(c, s2 * (2 * q * (w2 - 1) - p), (t, b1, b2, s1, s2 - 1, v))
     return a, b, c
 
 
@@ -366,10 +367,11 @@ def tensor_pde_residual(poly: MultiPoly, dim_gap=Fraction(0)) -> InvVector:
     gap = Fraction(dim_gap)
     p, q = gap.numerator, gap.denominator
     parts = {e: _residual_monomial(e, p, q) for e in poly.terms}
-    weights = {e: c / q for e, c in poly.terms.items()}
-    return InvVector(
-        *(_combination_poly(IVARS, {e: part[k] for e, part in parts.items()}, weights) for k in range(3))
-    )
+    return InvVector(*(
+        MultiPoly(IVARS).set_ints(_int_combination({e: part[k] for e, part in parts.items()}, poly.terms),
+                                  poly.den * q)
+        for k in range(3)
+    ))
 
 
 def verify_tensor_pde(op: TensorIntertwiner) -> InvVector:
@@ -415,8 +417,8 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
                 if c:
                     rows.setdefault((ci, exps), {})[col] = c
     out = []
-    for index, vec in enumerate(linear_solve_exact(list(rows.values()), len(columns))):
-        poly = _combination_poly(IVARS, columns, {k: x / den for k, x in enumerate(vec)})
+    for index, (xden, x) in enumerate(linear_solve_exact(list(rows.values()), len(columns))):
+        poly = MultiPoly(IVARS).set_ints(_int_combination(columns, x), xden * den)
         if not tensor_pde_residual(poly, gap).is_zero():
             raise ConsistencyError(f"kernel basis operator {index} fails the intertwining"
                                    f" condition at kappa={kappa}, L={L}, d1={d1}, d2={d2}")

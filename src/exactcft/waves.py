@@ -13,11 +13,10 @@ every n >= 4 (casimir_residual).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from .errors import DegenerateParameterError
-from .poly import _int_numerators, _over
 from .series import TruncatedSeries
 from .special import format_rational, parse_rational, pochhammer
 
@@ -253,10 +252,12 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
     # the last nonzero l_j and raise l_{j-1}. A raised l_k has l_{k+1} = 0, so its
     # coefficient is its prefix's (l_1..l_k, 0..0) times one ratio; prefix holds
     # unreduced (k, num, den) per nonzero l_k over a sentinel k = 0; ells[0] = l_0.
+    # A term is kept as (num, den) reduced by one gcd, and the series puts every
+    # term over the lcm of their denominators once.
     nv = n - 3
     ells = [0] * (nv + 1)
     prefix = [(0, 1, 1)]
-    terms = {tuple(ells[1:]): Fraction(1)}
+    terms = {tuple(ells[1:]): (1, 1)}
     total = 0
     while True:
         if total < cap and nv:
@@ -277,9 +278,11 @@ def chiral_wave_series(spec: WaveSpec, cap: int) -> ChiralWave:
         prefix.append((k, num, den))
         ells[k], total = lk + 1, total + 1
         if num:
-            terms[tuple(ells[1:])] = Fraction(num, den)
+            g = gcd(num, den)
+            terms[tuple(ells[1:])] = (num // g, den // g)
+    lcd = lcm(*(d for _, d in terms.values()))
     series = TruncatedSeries(wave_series_vars(n), cap)
-    series.terms = terms
+    series.set_ints({e: num * (lcd // d) for e, (num, d) in terms.items()}, lcd)
     return ChiralWave(spec, series)
 
 
@@ -300,7 +303,7 @@ def casimir_residual(
     D_1 - D_2 + D_3, s_{n-3} gains D_{n-2} and H_{n-2} gains
     D_n - D_{n-1} + D_{n-2}. The equation acts term by term, so the residual
     of an exactly truncated wave is exact through the requested cap. It is
-    summed on ints, one Fraction per nonzero residual term.
+    summed on ints over one denominator.
     """
     s, q = wave.spec, eq_spec
     n = s.n
@@ -326,16 +329,15 @@ def casimir_residual(
         right += moved[n] - moved[n - 1] + moved[n - 2]
     up, down = shift + q.a(k + 1) - 1, shift - q.a(k + 1)
 
-    # one int pass: the coefficients as numerators over their LCD D, the four
+    # one int pass: the series' numerators over its denominator D, the four
     # parameters scaled by their LCD L, so each factor is an int L (e_k + x)
     # and the residual is R(e) / (D L^2)
-    den, nums = _int_numerators(wave.series.terms)
     L = lcm(*(x.denominator for x in (up, down, left, right)))
     up, down, left, right = (int(L * x) for x in (up, down, left, right))
     top = min(cap, wave.series.cap)
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for e, c in nums.items():
+    for e, c in wave.series.terms.items():
         order = sum(e)
         if order > top:
             continue
@@ -345,6 +347,4 @@ def casimir_residual(
             # c(e) is the c(e - 1_k) of the equation at e + 1_k
             raised = e[: k - 1] + (ek + 1,) + e[k:]
             acc[raised] = get(raised, 0) - c * (L * (before + ek) + left) * (L * (ek + after) + right)
-    out = TruncatedSeries(wave.series.variables, top)
-    out.terms = _over(acc, den * L * L)
-    return out
+    return TruncatedSeries(wave.series.variables, top).set_ints(acc, wave.series.den * L * L)

@@ -7,7 +7,7 @@ conveniences the tests need and the package does not.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from exactcft import gseries
 from exactcft.channels import channel_coefficients, reduction_coefficient
@@ -17,10 +17,10 @@ from exactcft.chiral_ops import (
     apply_operator_pair,
     chiral_intertwiner_normalized,
 )
-from exactcft.errors import ConsistencyError, DegenerateParameterError
+from exactcft.errors import ConsistencyError, DegenerateParameterError, SingularDiagonalError
 from exactcft.linsolve import linear_solve_exact
 from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, norm_exps
-from exactcft.poly import MultiPoly, _combination_poly, _combination_terms, _int_product
+from exactcft.poly import MultiPoly, _int_combination, _int_product
 from exactcft.series import TruncatedSeries
 from exactcft.sixpoint import SERIES_VARS
 from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
@@ -36,6 +36,47 @@ from exactcft.tensor_ops import (
     tensor_pde_residual,
 )
 from exactcft.waves import WaveSpec, wave_prefactor
+
+# -- reading sums -----------------------------------------------------------------
+
+
+def coeffs(s) -> dict:
+    """{key: Fraction} of a sparse sum: each int numerator over its den."""
+    return {k: Fraction(n, s.den) for k, n in s.terms.items()}
+
+
+def is_canonical(s) -> bool:
+    """The one form of a sparse sum: int numerators, none zero, over an int
+    den >= 1 with gcd(den, *numerators) == 1, and den == 1 when empty."""
+    nums = list(s.terms.values())
+    return (type(s.den) is int and s.den >= 1 and all(type(n) is int and n for n in nums)
+            and gcd(s.den, *nums) == 1)
+
+
+def power(p: MultiPoly, n: int) -> MultiPoly:
+    """p ** n for n >= 0, by repeated multiplication."""
+    out = p._coerce(1)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def int_rows(rows) -> list[dict[int, int]]:
+    """Sparse rational rows {column: value}, each scaled to ints by the least
+    common denominator of its entries."""
+    out = []
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items()}
+        d = lcm(*(v.denominator for v in row.values()))
+        out.append({c: int(v * d) for c, v in row.items()})
+    return out
+
+
+def kernel_fractions(rows, ncols: int) -> list[list[Fraction]]:
+    """linear_solve_exact on rational rows (see int_rows), each kernel vector
+    (D, x) read back as the Fractions x / D, zeros included."""
+    return [[Fraction(x.get(k, 0), den) for k in range(ncols)] for den, x in linear_solve_exact(int_rows(rows), ncols)]
+
 
 # -- channel constants ---------------------------------------------------------
 
@@ -56,7 +97,7 @@ def shifted_legendre(h: int) -> MultiPoly:
     arg = MultiPoly.constant(("z",), 1) - 2 * z
     out = MultiPoly(("z",))
     for p, c in legendre_coeffs(h - 1).items():
-        out.add_scaled(arg**p, c)
+        out.add_scaled(power(arg, p), c)
     return out
 
 
@@ -182,7 +223,7 @@ def restriction_series_geometric(restriction, cap: int) -> TruncatedSeries:
     """ChiralRestriction.series as the numerator times the product of the four
     geometric series, whose every coefficient is 1."""
     geo = TruncatedSeries.from_coefficients(SERIES_VARS, cap, lambda e: 1)
-    return TruncatedSeries(SERIES_VARS, cap, restriction.numerator) * geo
+    return TruncatedSeries(SERIES_VARS, cap, coeffs(restriction.numerator)) * geo
 
 
 def _sw_series_chained(weights: dict, cap: int) -> TruncatedSeries:
@@ -197,9 +238,8 @@ def _sw_series_chained(weights: dict, cap: int) -> TruncatedSeries:
         (n, j): {(a + n, b + n): c for (a, b), c in wpow[j].items() if a + b + 2 * n <= cap}
         for n, j in used
     }
-    out = TruncatedSeries(gseries.GVARS, cap)
-    out.terms = _combination_terms(parts, weights)
-    return out
+    items = ((e, w * c) for k, w in weights.items() if w for e, c in parts[k].items())
+    return TruncatedSeries(gseries.GVARS, cap).set_values(items)
 
 
 def verify_biharmonic_fractions(g: TruncatedSeries) -> TruncatedSeries:
@@ -239,7 +279,7 @@ def _imono(*exps: int) -> MultiPoly:
 def lapv(f: MultiPoly) -> MultiPoly:
     """Formal v-Laplacian, summed from the closed monomial images; reproduces
     the rewrite rules lapv V = 8, lapv (s_i s_j) = 2 t_ij."""
-    return _combination_poly(IVARS, {e: _lapv_monomial(e) for e in f.terms}, f.terms)
+    return MultiPoly(IVARS).set_ints(_int_combination({e: _lapv_monomial(e) for e in f.terms}, f.terms), f.den)
 
 
 def harmonic_project_fractions(poly: MultiPoly) -> MultiPoly:
@@ -282,14 +322,14 @@ def assemble_tensor_fractions(kappa: int, L: int) -> MultiPoly:
             rp = MultiPoly(RVAR, {(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")
         rps = {0: rp}
     else:
-        entries = coefficient_table(kappa, L).entries
+        entries = coeffs(coefficient_table(kappa, L).entries)
         rps = {d: radial_poly_fractions(kappa, L, d) for d in {m - n for m, n in entries}}
     plus, minus = igen("s1") + igen("s2"), igen("s1") - igen("s2")
     bras = {}
     for delta, rp in rps.items():
         total = ipoly()
-        for (j,), fj in rp.terms.items():
-            total.add_scaled(minus**j * plus ** (L - j), fj)
+        for (j,), fj in coeffs(rp).items():
+            total.add_scaled(power(minus, j) * power(plus, L - j), fj)
         bras[delta] = harmonic_project_fractions(total)
     out = ipoly()
     for (m, n), c in entries.items():
@@ -313,10 +353,10 @@ def solve_intertwiner_space_fractions(kappa: int, L: int, d1, d2) -> list[MultiP
     for col, p in enumerate(columns):
         res = tensor_pde_residual(p, gap)
         for ci, comp in enumerate((res.a, res.b, res.c)):
-            for exps, c in comp.terms.items():
+            for exps, c in coeffs(comp).items():
                 rows.setdefault((ci, exps), {})[col] = c
     out = []
-    for vec in linear_solve_exact(list(rows.values()), len(columns)):
+    for vec in kernel_fractions(list(rows.values()), len(columns)):
         poly = ipoly()
         for x, col in zip(vec, columns):
             poly.add_scaled(col, x)
@@ -336,7 +376,7 @@ def rank_zero_closed_form(L: int) -> MultiPoly:
             c = -c
         if c == 0:
             continue
-        total.add_scaled(harmonic_project((s1**p) * (s2**q)), c)
+        total.add_scaled(harmonic_project(power(s1, p) * power(s2, q)), c)
     return total
 
 
@@ -344,12 +384,11 @@ def twist_table_poly(kappa: int, L: int, seed=Fraction(1)) -> MultiPoly:
     """e(p, q, r) = sum c_{mn} p^m q^n f_{kappa L; m-n}(r) as a polynomial, with
     c_00 = seed (the coefficient table is linear in c_00)."""
     table = coefficient_table(kappa, L)
-    out = MultiPoly(("p", "q", "r"))
-    for (m, n), c in table.entries.items():
+    items = []
+    for (m, n), c in coeffs(table.entries).items():
         rp = radial_poly(kappa, L, m - n)
-        for (j,), fj in rp.terms.items():
-            out.add_term((m, n, j), seed * c * fj)
-    return out
+        items += [((m, n, j), seed * c * fj) for (j,), fj in coeffs(rp).items()]
+    return MultiPoly(("p", "q", "r")).set_values(items)
 
 
 def raise_lower(poly: MultiPoly, kappa: int, L: int, delta: int, step: int) -> MultiPoly:
@@ -378,7 +417,7 @@ def radial_poly_walk(kappa: int, L: int, delta: int) -> MultiPoly:
         out = MultiPoly(RVAR)
         for j in range(L + 1):
             coeff = pochhammer(-L, j) * pochhammer(L + 2 * kappa - 1, j) * pochhammer(kd + j, L - j)
-            out.add_scaled(half**j, coeff / factorial(j))
+            out.add_scaled(power(half, j), coeff / factorial(j))
         return out
     if kappa == 0 and delta == 0:
         raise DegenerateParameterError("radial polynomial is degenerate at kappa = 0")
@@ -401,11 +440,11 @@ def coefficient_table_seeded(kappa: int, L: int) -> dict:
     coefficient 0: the seeded solution."""
     pos, rows = _recursion_rows(kappa, L)
     x = len(pos)
-    seeded = linear_solve_exact(rows + [{pos[(0, 0)]: 1, x: -1}], x + 1)
+    seeded = kernel_fractions(rows + [{pos[(0, 0)]: 1, x: -1}], x + 1)
     if seeded and seeded[-1][x]:
         vec = seeded[-1]
     else:
-        kernel = linear_solve_exact(rows, x)
+        kernel = kernel_fractions(rows, x)
         if not kernel:
             raise ConsistencyError(f"no nonzero solution at kappa={kappa}, L={L}")
         vec = [sum(col) for col in zip(*kernel)]
@@ -440,9 +479,8 @@ def series_from_ratios(variables, cap: int, ratio) -> TruncatedSeries:
     one lower, which that order meets earlier, through the ratio callback.
     ratio is called for every tuple, also after a zero coefficient, so it can
     raise on a vanishing denominator; zero terms are dropped at the end."""
-    out = TruncatedSeries(variables, cap)
-    terms = out.terms
-    walk = iter(TruncatedSeries.from_coefficients(out.variables, cap, lambda e: 1).terms)
+    terms = {}
+    walk = iter(TruncatedSeries.from_coefficients(variables, cap, lambda e: 1).terms)
     terms[next(walk)] = Fraction(1)
     for exps in walk:
         k = len(exps) - 1
@@ -452,8 +490,7 @@ def series_from_ratios(variables, cap: int, ratio) -> TruncatedSeries:
         c = terms[prev]
         p, q = ratio(prev, k)
         terms[exps] = Fraction(c.numerator * p, c.denominator * q)
-    out.terms = {e: c for e, c in terms.items() if c}
-    return out
+    return TruncatedSeries(variables, cap, terms)
 
 
 def chiral_wave_series_by_ratios(spec: WaveSpec, cap: int) -> TruncatedSeries:
@@ -480,12 +517,8 @@ def chiral_wave_series_by_ratios(spec: WaveSpec, cap: int) -> TruncatedSeries:
 def scale_exponent(series: TruncatedSeries, name: str, shift: int) -> TruncatedSeries:
     """series times var^shift (shift >= 0), dropping terms past the cap."""
     idx = series.variables.index(name)
-    out = TruncatedSeries(series.variables, series.cap)
-    for e, c in series.terms.items():
-        e2 = e[:idx] + (e[idx] + shift,) + e[idx + 1 :]
-        if sum(e2) <= series.cap:
-            out.terms[e2] = c
-    return out
+    terms = {e[:idx] + (e[idx] + shift,) + e[idx + 1 :]: c for e, c in coeffs(series).items()}
+    return TruncatedSeries(series.variables, series.cap, terms)
 
 
 def casimir_residual_series(eq_spec: WaveSpec, wave, which: int, cap: int) -> TruncatedSeries:
@@ -539,12 +572,12 @@ def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
     reliable = wave.series.cap - spill
     points = tuple(range(1, n + 1))
     den, key = _wave_term(wave.spec)
-    out = PairSum.zero(tuple(p for p in points if p != j))
-    for ells, c in wave.series.terms.items():
+    out = PairSum(tuple(p for p in points if p != j))
+    for ells, c in coeffs(wave.series).items():
         tail_order = sum(ells[1:]) if first else sum(ells[:-1])
         if tail_order > reliable:
             continue
-        mono = PairSum(points, {key(ells): c}, den=den)
+        mono = PairSum(points, {key(ells): c}, exp_den=den)
         out.add_scaled(reduce_correlator_unfiltered(mono, pair, op, wave.spec.d(i), wave.spec.d(j)))
     return ReducedWave(out, reliable)
 
@@ -556,9 +589,7 @@ def two_chiral_monomial(points, coeff, exps_plus, exps_minus) -> TwoChiralSum:
     """coeff * M_plus * M_minus as a one-term TwoChiralSum (integer exponents)."""
     (dp, kp), (dm, km) = norm_exps(exps_plus), norm_exps(exps_minus)
     assert dp == dm == 1, "TwoChiralSum holds integer exponents only"
-    out = TwoChiralSum(points)
-    out.add_term((kp, km), Fraction(coeff))
-    return out
+    return TwoChiralSum(points).set_values((((kp, km), coeff),))
 
 
 def two_chiral_is_zero_twelve_point(t: TwoChiralSum) -> bool:
@@ -587,11 +618,11 @@ def reversed_spec(spec: WaveSpec) -> WaveSpec:
 
 
 def z_poly_expanded(ps: PairSum, terms) -> MultiPoly:
-    """One exponent class of ps expanded in adjacent differences z_k, up to the
-    class's common base monomial."""
+    """One exponent class of ps (int numerators over ps.den) expanded in
+    adjacent differences z_k, up to the class's common base monomial."""
     zvars = tuple(f"z{k}" for k in range(1, len(ps.points)))
-    expansions = dict(zip(terms, _adjacent_expansions(ps.points, terms, ps.den)))
-    return _combination_poly(zvars, expansions, terms)
+    expansions = dict(zip(terms, _adjacent_expansions(ps.points, terms, ps.exp_den)))
+    return MultiPoly(zvars).set_ints(_int_combination(expansions, terms), ps.den)
 
 
 def is_zero_function_expanded(ps: PairSum) -> bool:
@@ -603,19 +634,128 @@ def proportional_to_expanded(a: PairSum, b: PairSum):
     """PairSum.proportional_to by three expansions: lam off the first class
     where b is not the zero function (both sides over one base), then
     a - lam * b decided by is_zero_function_expanded."""
-    den = lcm(a.den, b.den)
+    den = lcm(a.exp_den, b.exp_den)
     zvars = tuple(f"z{k}" for k in range(1, len(a.points)))
     g1 = a._rescaled(den)._classes()
     for ck, t2 in b._rescaled(den)._classes().items():
         t1 = g1.get(ck, {})
         union = list(set(t1) | set(t2))
         expansions = dict(zip(union, _adjacent_expansions(a.points, union, den)))
-        p2 = _combination_poly(zvars, expansions, t2)
+        p2 = MultiPoly(zvars).set_ints(_int_combination(expansions, t2), b.den)
         if p2:
             exps, c2 = p2.leading()
-            lam = _combination_poly(zvars, expansions, t1).coefficient(exps) / c2
+            lam = MultiPoly(zvars).set_ints(_int_combination(expansions, t1), a.den).coefficient(exps) / c2
             return lam if lam and is_zero_function_expanded(a - b.scale(lam)) else None
     return None
+
+
+# -- Fraction oracles of the sparse sums ----------------------------------------------
+# Plain Fraction dicts, the representation the sums held before they kept int
+# numerators over one denominator: {exponents: Fraction} for polynomials and
+# series, {Fraction-exponent key: Fraction} for pair sums (the earlier
+# PairSum, which kept every exponent as a Fraction in the key).
+
+
+def fraction_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_product(a: dict, b: dict, cap=None) -> dict:
+    """Fraction double loop over two {exponents: Fraction} dicts."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            if cap is None or sum(e) <= cap:
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def fraction_derivative(a: dict, idx: int) -> dict:
+    return {e[:idx] + (e[idx] - 1,) + e[idx + 1 :]: c * e[idx] for e, c in a.items() if e[idx]}
+
+
+def fraction_truncation(a: dict, cap: int) -> dict:
+    return {e: c for e, c in a.items() if sum(e) <= cap}
+
+
+def frac_terms(ps: PairSum) -> dict:
+    """A PairSum read back in Fraction keys and Fraction coefficients."""
+    return {tuple((pr, Fraction(e, ps.exp_den)) for pr, e in key): c for key, c in coeffs(ps).items()}
+
+
+def frac_key(exps):
+    return tuple(sorted((pr, Fraction(e)) for pr, e in exps.items() if e))
+
+
+def add_fraction_term(terms, key, c):
+    s = terms.get(key, 0) + c
+    if s:
+        terms[key] = s
+    else:
+        terms.pop(key, None)
+
+
+def ref_differentiate(terms, point):
+    out = {}
+    for key, c in terms.items():
+        exps = dict(key)
+        for (i, j), e in key:
+            if point == i:
+                sign = 1
+            elif point == j:
+                sign = -1
+            else:
+                continue
+            new = dict(exps)
+            new[(i, j)] = e - 1
+            add_fraction_term(out, frac_key(new), c * e * sign)
+    return out
+
+
+def ref_merge_adjacent(terms, i):
+    j = i + 1
+    out = {}
+    for key, c in terms.items():
+        exps = dict(key)
+        e_diag = exps.pop((i, j), Fraction(0))
+        if e_diag > 0:
+            continue
+        if e_diag < 0:
+            raise SingularDiagonalError(
+                f"x_{i}{j}^{e_diag} survives the diagonal limit (pole bound violated)"
+            )
+        merged = {}
+        for (a, b), e in exps.items():
+            a2 = i if a == j else a
+            b2 = i if b == j else b
+            if a2 >= b2:
+                raise ConsistencyError("adjacent merge collapsed or flipped a pair")
+            merged[(a2, b2)] = merged.get((a2, b2), Fraction(0)) + e
+        add_fraction_term(out, frac_key(merged), c)
+    return out
+
+
+def ref_relabel(terms, mapping, antisym):
+    out = {}
+    for key, c in terms.items():
+        sign = Fraction(1)
+        exps = {}
+        for (a, b), e in key:
+            a2, b2 = mapping[a], mapping[b]
+            if a2 > b2:
+                a2, b2 = b2, a2
+                if antisym:
+                    if e.denominator != 1:
+                        raise ValueError("cannot flip a pair with non-integer exponent")
+                    if e.numerator % 2:
+                        sign = -sign
+            exps[(a2, b2)] = exps.get((a2, b2), Fraction(0)) + e
+        add_fraction_term(out, frac_key(exps), c * sign)
+    return out
 
 
 # -- positivity -------------------------------------------------------------------

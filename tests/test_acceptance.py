@@ -36,6 +36,8 @@ from exactcft.tensor_ops import (
 )
 from exactcft.waves import WaveSpec, casimir_residual, chiral_wave_series
 from oracles import (
+    coeffs,
+    power,
     igen,
     ipoly,
     lapv,
@@ -190,9 +192,9 @@ def test_criterion_06_harmonicity():
             nv = rng.randint(0, vdeg // 2)
             rest = vdeg - 2 * nv
             ds = rng.randint(0, rest)
-            mono = (gens[3] ** ds) * (gens[4] ** (rest - ds)) * (V**nv)
+            mono = power(gens[3], ds) * power(gens[4], rest - ds) * power(V, nv)
             for spect in gens[:3]:
-                mono = mono * (spect ** rng.randint(0, 2))
+                mono = mono * power(spect, rng.randint(0, 2))
             poly = poly + mono * rng.randint(-5, 5)
         if poly.is_zero():
             continue
@@ -206,7 +208,7 @@ def test_criterion_07_completion_series():
     rec = completion_series(12, "recursion")
     clo = completion_series(12, "closed")
     ok = rec == clo
-    for (a, b), c in clo.terms.items():
+    for (a, b), c in coeffs(clo).items():
         if a >= 1 and b >= 1:
             ok = ok and c == F(2 * a * b, (a + b) * ((a + b) ** 2 - 1))
         ok = ok and c == closed_coefficient(a, b)
@@ -224,13 +226,13 @@ def test_criterion_08_channel_coefficients():
     for h in range(1, 9):
         poly = reduction_generating_poly(h)
         ok = ok and poly == shifted_legendre(h)
-        ok = ok and sum(poly.terms.values()) == (-1) ** (h - 1)  # F(1)
+        ok = ok and sum(coeffs(poly).values()) == (-1) ** (h - 1)  # F(1)
     report(8, ok, "36 + 36 channel constants equal the parity closed forms; F(z) is the shifted Legendre polynomial for h <= 8")
 
 
 def test_criterion_09_two_dimensional_restriction():
     bme = restrict_2d(build_structure("BminusHalfE"))
-    ok = bme.numerator == {
+    ok = coeffs(bme.numerator) == {
         (1, 0, 1, 0): F(1),
         (1, 0, 0, 1): F(-1),
         (0, 1, 1, 0): F(-1),
@@ -242,7 +244,7 @@ def test_criterion_09_two_dimensional_restriction():
     }
     b = restrict_2d(build_structure("B"))
     series = b.series(10)
-    for (a, bb, c, d), coeff in series.terms.items():
+    for (a, bb, c, d), coeff in coeffs(series).items():
         ok = ok and coeff == 1 and a + bb > 0 and c + d > 0
     for key in ((1, 0, 1, 0), (3, 2, 1, 4), (0, 1, 0, 2)):
         ok = ok and series.coefficient(key) == (1 if sum(key) <= 10 else 0)

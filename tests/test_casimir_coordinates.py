@@ -21,7 +21,7 @@ F = Fraction
 def left_operator(ps: PairSum, dims, i: int) -> PairSum:
     """Sum over points after i: x_jk^2 d_j d_k + 2 d_j (x_jk d_k) + c - c^2."""
     n = len(dims)
-    total = PairSum.zero(ps.points)
+    total = PairSum(ps.points)
     for j in range(i + 1, n + 1):
         for k in range(j + 1, n + 1):
             total = total + ps.differentiate(j).differentiate(k).mul_monomial(
@@ -42,7 +42,7 @@ def left_operator(ps: PairSum, dims, i: int) -> PairSum:
 
 def right_operator(ps: PairSum, dims, i: int) -> PairSum:
     """Same operator built from the points up to and including i."""
-    total = PairSum.zero(ps.points)
+    total = PairSum(ps.points)
     for j in range(1, i + 1):
         for k in range(j + 1, i + 1):
             total = total + ps.differentiate(j).differentiate(k).mul_monomial(

@@ -320,5 +320,5 @@ def test_diagonal_filter_on_the_benchmark_wave(monkeypatch):
     assert len(kept.terms) == sum(1 for ells in wave.series.terms if spec.a(2) + ells[0] <= h)
     assert len(kept.terms) < len(wave.series.terms)
     for key in kept.terms:
-        assert F(dict(key)[(1, 2)], kept.den) == spec.a(2)
+        assert F(dict(key)[(1, 2)], kept.exp_den) == spec.a(2)
     assert match_reduction(red, spec, (1, 2), h) is not None

@@ -15,30 +15,15 @@ from hypothesis import strategies as st
 from exactcft.pairs import PairSum, TwoChiralSum, bump
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
-from oracles import ptolemy_zero, two_chiral_is_zero_twelve_point, two_chiral_monomial
+from oracles import coeffs, fraction_product, is_canonical, power, ptolemy_zero, two_chiral_is_zero_twelve_point, two_chiral_monomial
 
 F = Fraction
 VARS = ("x", "y")
 
 
-def naive_mul(a, b, cap=None):
-    """Fraction double loop over two {exponents: Fraction} dicts."""
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if cap is None or sum(e) <= cap:
-                out[e] = out.get(e, F(0)) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def all_fractions(terms):
-    return all(type(c) is Fraction for c in terms.values())
-
-
 # few distinct exponents and mixed denominators, so products often cancel
-coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-3, 4), F(5, 6), F(-7, 10), F(4)])
-poly_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeffs, max_size=6)
+coeff_values = st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-3, 4), F(5, 6), F(-7, 10), F(4)])
+poly_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), coeff_values, max_size=6)
 
 
 @given(poly_terms, poly_terms)
@@ -46,8 +31,8 @@ poly_terms = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), co
 def test_poly_product_matches_fraction_double_loop(t1, t2):
     a, b = MultiPoly(VARS, t1), MultiPoly(VARS, t2)
     prod = a * b
-    assert prod.terms == naive_mul(a.terms, b.terms)
-    assert all_fractions(prod.terms)
+    assert coeffs(prod) == fraction_product(coeffs(a), coeffs(b))
+    assert is_canonical(prod)
 
 
 @given(poly_terms, poly_terms, st.integers(0, 5), st.integers(0, 5))
@@ -56,21 +41,22 @@ def test_series_product_matches_fraction_double_loop(t1, t2, cap1, cap2):
     a, b = TruncatedSeries(VARS, cap1, t1), TruncatedSeries(VARS, cap2, t2)
     prod = a * b
     assert prod.cap == min(cap1, cap2)
-    assert prod.terms == naive_mul(a.terms, b.terms, min(cap1, cap2))
-    assert all_fractions(prod.terms)
+    assert coeffs(prod) == fraction_product(coeffs(a), coeffs(b), min(cap1, cap2))
+    assert is_canonical(prod)
 
 
 def test_products_cancel_to_exact_zeros():
     x, y = MultiPoly.var(VARS, "x"), MultiPoly.var(VARS, "y")
     half = F(1, 2)
     p = (x * half + y * F(1, 3)) * (x * half - y * F(1, 3))
-    assert p.terms == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
-    assert all_fractions(p.terms)
+    assert coeffs(p) == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+    assert is_canonical(p)
     # every product term lies past the smaller cap
     s = TruncatedSeries(VARS, 3, {(1, 0): half}) * TruncatedSeries(VARS, 1, {(0, 1): F(2, 3)})
-    assert s.terms == {} and s.cap == 1
-    # integral operands still give Fraction coefficients
-    assert all_fractions(((x + 1) ** 3).terms)
+    assert s.terms == {} and s.den == 1 and s.cap == 1
+    # integral operands give integral numerators over den 1
+    cube = power(x + 1, 3)
+    assert is_canonical(cube) and cube.den == 1
 
 
 # -- pair-difference sums ------------------------------------------------------
@@ -95,7 +81,7 @@ def naive_expansions(points, keys):
                 for m in range(pos[pr[0]], pos[pr[1]])
             }
             for _ in range(int(rel)):
-                poly = naive_mul(poly, lin)
+                poly = fraction_product(poly, lin)
         out.append(poly)
     return out
 
@@ -111,8 +97,8 @@ def naive_weighted(points, union, weights):
 
 def naive_classes(ps):
     groups = {}
-    for key, c in ps.terms.items():
-        key = tuple((pr, F(e, ps.den)) for pr, e in key)  # exponents as Fractions
+    for key, c in coeffs(ps).items():
+        key = tuple((pr, F(e, ps.exp_den)) for pr, e in key)  # exponents as Fractions
         ck = tuple((pr, e - (e.numerator // e.denominator)) for pr, e in key if e.denominator != 1)
         groups.setdefault(ck, {})[key] = c
     return groups
@@ -151,14 +137,14 @@ PAIRS = [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 4)]
 # half-integer offsets put terms into several exponent classes
 exponents = st.sampled_from([F(-1), F(1), F(2), F(1, 2), F(3, 2), F(-1, 2)])
 pair_terms = st.lists(
-    st.tuples(coeffs, st.dictionaries(st.sampled_from(PAIRS), exponents, max_size=3)),
+    st.tuples(coeff_values, st.dictionaries(st.sampled_from(PAIRS), exponents, max_size=3)),
     min_size=1,
     max_size=4,
 )
 
 
 def pair_sum(terms):
-    out = PairSum.zero(PTS)
+    out = PairSum(PTS)
     for c, exps in terms:
         out.add_scaled(PairSum.monomial(PTS, c, exps))
     return out
@@ -193,17 +179,17 @@ def naive_two_chiral_is_zero(t):
 
 
 int_exps = st.dictionaries(st.sampled_from(PAIRS), st.sampled_from([F(-1), F(1), F(2)]), max_size=2)
-chiral_terms = st.lists(st.tuples(coeffs, int_exps, int_exps), min_size=1, max_size=4)
+chiral_terms = st.lists(st.tuples(coeff_values, int_exps, int_exps), min_size=1, max_size=4)
 
 
 def _ptolemy_on(t, side):
     """t times x13 - x12 - x23 on one chiral side: zero as a function."""
-    z = TwoChiralSum(t.points)
-    for (kp, km), c in t.terms.items():
+    items = []
+    for (kp, km), c in coeffs(t).items():
         for pr, sign in (((1, 3), 1), ((1, 2), -1), ((2, 3), -1)):
             key = (bump(kp, {pr: 1}), km) if side == "plus" else (kp, bump(km, {pr: 1}))
-            z.add_term(key, c * sign)
-    return z
+            items.append((key, c * sign))
+    return TwoChiralSum(t.points).set_values(items)
 
 
 @given(chiral_terms, chiral_terms)

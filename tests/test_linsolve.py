@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactcft import tensor_ops
-from exactcft.linsolve import _echelon, _int_row, linear_solve_exact, symmetric_inertia
+from exactcft.linsolve import _echelon, _primitive, linear_solve_exact, symmetric_inertia
 from exactcft.tensor_ops import coefficient_table, solve_intertwiner_space
-from oracles import symmetric_inertia_eliminated
+from oracles import coeffs, int_rows, kernel_fractions, symmetric_inertia_eliminated
 
 
 def mat_vec(matrix, vec):
@@ -29,7 +29,7 @@ def dense(rows, ncols):
 
 
 def kernel(matrix):
-    return linear_solve_exact(sparse(matrix), len(matrix[0]))
+    return kernel_fractions(sparse(matrix), len(matrix[0]))
 
 
 def solve(matrix, rhs):
@@ -38,7 +38,7 @@ def solve(matrix, rhs):
     other free column, so its first entries solve the system. None where the
     extra column is a pivot, i.e. b is outside the column space of A."""
     n = len(matrix[0])
-    vecs = linear_solve_exact(sparse([list(row) + [-b] for row, b in zip(matrix, rhs)]), n + 1)
+    vecs = kernel_fractions(sparse([list(row) + [-b] for row, b in zip(matrix, rhs)]), n + 1)
     return vecs[-1][:n] if vecs and vecs[-1][n] else None
 
 
@@ -70,10 +70,10 @@ def test_dimension_mismatch():
 
 
 def test_no_rows_has_the_identity_kernel():
-    assert linear_solve_exact([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert linear_solve_exact([], 3) == [(1, {0: 1}), (1, {1: 1}), (1, {2: 1})]
     # kappa = 0 gives no recursion row at all: c_00 alone is free
     for L in range(3):
-        assert coefficient_table(0, L).entries == {(0, 0): 1}
+        assert coeffs(coefficient_table(0, L).entries) == {(0, 0): 1}
 
 
 matrix_entries = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -164,7 +164,7 @@ def test_sparse_systems_match_sympy(system, data):
     a = sympy.Matrix(len(rows), ncols, lambda i, j: rows[i].get(j, 0))
     rank = a.rank()
 
-    basis = linear_solve_exact(rows, ncols)
+    basis = kernel_fractions(rows, ncols)
     assert len(basis) == ncols - rank
     for k in basis:
         assert mat_vec(dense(rows, ncols), k) == [0] * len(rows)
@@ -247,22 +247,22 @@ def test_integer_echelon_matches_fraction_gauss_jordan(system):
     rows = _with_copies(rows, copies)
     matrix = dense(rows, ncols)
 
-    pivots = _echelon([_int_row(row, ncols) for row in rows])
+    pivots = _echelon([_primitive({c: v for c, v in row.items() if v}) for row in int_rows(rows)])
     assert sorted(pivots) == gauss_jordan([list(row) for row in matrix], ncols)
     for col, row in pivots.items():  # primitive integer rows, each led by its pivot
         assert min(row) == col
         assert all(type(v) is int for v in row.values()) and gcd(*row.values()) == 1
 
-    assert linear_solve_exact(rows, ncols) == oracle_kernel(matrix, ncols)
+    assert kernel_fractions(rows, ncols) == oracle_kernel(matrix, ncols)
 
 
 @given(integer_kernel_systems, st.data())
 @settings(max_examples=150, deadline=None)
 def test_kernel_ignores_row_order_duplicates_and_zero_rows(system, data):
     ncols, rows, copies = system
-    basis = linear_solve_exact(rows, ncols)
+    basis = kernel_fractions(rows, ncols)
     extended = _with_copies(rows, copies) + list(rows) + [{}, {c: 0 for c in range(ncols)}]
-    assert linear_solve_exact(data.draw(st.permutations(extended)), ncols) == basis
+    assert kernel_fractions(data.draw(st.permutations(extended)), ncols) == basis
 
 
 def _captured_systems(build):
@@ -296,7 +296,7 @@ def test_operator_systems_match_the_fraction_oracle(build):
     """The tall, sparse systems of the operator commands (206 x 60, 634 x 140
     and 72 x 45), solved shortest row first, against dense Gauss-Jordan."""
     ((rows, ncols),) = _captured_systems(build)
-    assert linear_solve_exact(rows, ncols) == oracle_kernel(dense(rows, ncols), ncols)
+    assert kernel_fractions(rows, ncols) == oracle_kernel(dense(rows, ncols), ncols)
 
 
 def _sign_changes(coeffs):

@@ -20,85 +20,24 @@ from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.errors import ConsistencyError, SingularDiagonalError
 from exactcft.pairs import PairSum, cross_ratio
 from exactcft.waves import WaveSpec, chiral_wave_series, wave_prefactor
-from oracles import ptolemy_zero
+from oracles import (
+    add_fraction_term,
+    coeffs,
+    frac_key,
+    frac_terms,
+    is_canonical,
+    ptolemy_zero,
+    ref_differentiate,
+    ref_merge_adjacent,
+    ref_relabel,
+)
 
 F = Fraction
 PTS = (1, 2, 3, 4)
 PAIRS = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
 
 
-# -- the Fraction-key reference ------------------------------------------------
-
-
-def frac_key(exps):
-    return tuple(sorted((pr, F(e)) for pr, e in exps.items() if e))
-
-
-def add_term(terms, key, c):
-    s = terms.get(key, 0) + c
-    if s:
-        terms[key] = s
-    else:
-        terms.pop(key, None)
-
-
-def ref_differentiate(terms, point):
-    out = {}
-    for key, c in terms.items():
-        exps = dict(key)
-        for (i, j), e in key:
-            if point == i:
-                sign = 1
-            elif point == j:
-                sign = -1
-            else:
-                continue
-            new = dict(exps)
-            new[(i, j)] = e - 1
-            add_term(out, frac_key(new), c * e * sign)
-    return out
-
-
-def ref_merge_adjacent(terms, i):
-    j = i + 1
-    out = {}
-    for key, c in terms.items():
-        exps = dict(key)
-        e_diag = exps.pop((i, j), F(0))
-        if e_diag > 0:
-            continue
-        if e_diag < 0:
-            raise SingularDiagonalError(
-                f"x_{i}{j}^{e_diag} survives the diagonal limit (pole bound violated)"
-            )
-        merged = {}
-        for (a, b), e in exps.items():
-            a2 = i if a == j else a
-            b2 = i if b == j else b
-            if a2 >= b2:
-                raise ConsistencyError("adjacent merge collapsed or flipped a pair")
-            merged[(a2, b2)] = merged.get((a2, b2), F(0)) + e
-        add_term(out, frac_key(merged), c)
-    return out
-
-
-def ref_relabel(terms, mapping, antisym):
-    out = {}
-    for key, c in terms.items():
-        sign = F(1)
-        exps = {}
-        for (a, b), e in key:
-            a2, b2 = mapping[a], mapping[b]
-            if a2 > b2:
-                a2, b2 = b2, a2
-                if antisym:
-                    if e.denominator != 1:
-                        raise ValueError("cannot flip a pair with non-integer exponent")
-                    if e.numerator % 2:
-                        sign = -sign
-            exps[(a2, b2)] = exps.get((a2, b2), F(0)) + e
-        add_term(out, frac_key(exps), c * sign)
-    return out
+# -- the Fraction-key reference (differentiate, merge_adjacent and relabel are in oracles)
 
 
 def ref_classes(terms):
@@ -168,19 +107,16 @@ def ref_proportional_to(points, terms1, terms2):
 # -- reading a PairSum back in Fraction keys ------------------------------------
 
 
-def frac_terms(ps):
-    return {tuple((pr, F(e, ps.den)) for pr, e in key): c for key, c in ps.terms.items()}
-
-
 def frac_classes(ps):
     return {
-        tuple((pr, F(e, ps.den)) for pr, e in ck): frac_terms(PairSum(ps.points, g, ps.antisym, ps.den))
+        tuple((pr, F(e, ps.exp_den)) for pr, e in ck):
+            frac_terms(PairSum(ps.points, {k: F(n, ps.den) for k, n in g.items()}, ps.antisym, ps.exp_den))
         for ck, g in ps._classes().items()
     }
 
 
 def assert_integer_keys(ps):
-    assert all(type(c) is Fraction for c in ps.terms.values())
+    assert is_canonical(ps)
     assert all(type(e) is int and e != 0 for key in ps.terms for _, e in key)
     for c, exps in ps:
         assert type(c) is Fraction and all(type(e) is Fraction for e in exps.values())
@@ -204,9 +140,9 @@ def same_outcome(new, ref):
 
 # denominators 1, 2, 3 and 6 in one sum; the sum's denominator grows with them
 exponents = st.builds(F, st.integers(-7, 7), st.sampled_from([1, 2, 3, 6]))
-coeffs = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 6), F(3)])
+coeff_values = st.sampled_from([F(1), F(-1), F(1, 2), F(-2, 3), F(5, 6), F(3)])
 monomials = st.lists(
-    st.tuples(coeffs, st.dictionaries(st.sampled_from(PAIRS), exponents, max_size=3)),
+    st.tuples(coeff_values, st.dictionaries(st.sampled_from(PAIRS), exponents, max_size=3)),
     min_size=1,
     max_size=5,
 )
@@ -214,14 +150,14 @@ monomials = st.lists(
 
 def build(monos, antisym=True):
     """(PairSum, reference terms), one monomial added at a time."""
-    ps = PairSum.zero(PTS, antisym)
+    ps = PairSum(PTS, None, antisym)
     ref = {}
     for c, exps in monos:
-        before = ps.den
+        before = ps.exp_den
         ps.add_scaled(PairSum.monomial(PTS, c, exps, antisym))
-        den = PairSum.monomial(PTS, 1, exps).den
-        assert ps.den % before == 0 and ps.den % den == 0
-        add_term(ref, frac_key(exps), c)
+        den = PairSum.monomial(PTS, 1, exps).exp_den
+        assert ps.exp_den % before == 0 and ps.exp_den % den == 0
+        add_fraction_term(ref, frac_key(exps), c)
     return ps, ref
 
 
@@ -311,9 +247,9 @@ def test_flip_with_non_integer_exponent_message_matches():
 
 def test_denominator_grows_and_keys_stay_sorted():
     s = PairSum.monomial(PTS, 1, {(1, 2): F(1, 2)})
-    assert s.den == 2
+    assert s.exp_den == 2
     s.add_scaled(PairSum.monomial(PTS, 1, {(1, 2): F(1, 3), (3, 4): 1}))
-    assert s.den == 6
+    assert s.exp_den == 6
     assert sorted(s.terms) == [(((1, 2), 2), ((3, 4), 6)), (((1, 2), 3),)]
     assert_integer_keys(s)
     assert [e for _, e in s] == [{(1, 2): F(1, 3), (3, 4): 1}, {(1, 2): F(1, 2)}]
@@ -329,13 +265,13 @@ def test_wave_term_keys_match_fraction_keys():
                                 (2, F(7, 6), 3))
     wave = chiral_wave_series(spec, 4)
     expected = {}
-    for ells, c in wave.series.terms.items():
+    for ells, c in coeffs(wave.series).items():
         exps = wave_prefactor(spec)
         for k, lk in enumerate(ells, start=1):
             for pr, e in cross_ratio(k).items():
                 exps[pr] = exps.get(pr, 0) + lk * e
-        add_term(expected, frac_key(exps), c)
+        add_fraction_term(expected, frac_key(exps), c)
     got = reference_wave_pair_sum(spec, 4, tuple(range(1, 7)))
-    assert got.den == 6
+    assert got.exp_den == 6
     assert_integer_keys(got)
     assert frac_terms(got) == expected

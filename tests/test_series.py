@@ -11,7 +11,7 @@ from exactcft.errors import VariableMismatchError
 from exactcft.poly import MultiPoly
 from exactcft.series import TruncatedSeries
 from exactcft.waves import WaveSpec, chiral_wave_series
-from oracles import series_from_ratios
+from oracles import coeffs, series_from_ratios
 
 U = ("u",)
 
@@ -49,8 +49,8 @@ def test_series_product_matches_poly_product(t1, t2):
     p1 = MultiPoly(U, t1)
     p2 = MultiPoly(U, t2)
     full = p1 * p2
-    truncated = {e: c for e, c in full.terms.items() if sum(e) <= cap}
-    assert (s1 * s2).terms == truncated
+    truncated = {e: c for e, c in coeffs(full).items() if sum(e) <= cap}
+    assert coeffs(s1 * s2) == truncated
 
 
 series_terms = st.dictionaries(
@@ -113,7 +113,7 @@ def test_from_coefficients_matches_filtered_product(nv, cap):
     s = TruncatedSeries.from_coefficients(variables, cap, coeff)
     oracle = _filtered_product_oracle(nv, cap, coeff)
     assert s.cap == cap
-    assert list(s.terms.items()) == list(oracle.items())  # same lex order
+    assert list(coeffs(s).items()) == list(oracle.items())  # same lex order
     full = TruncatedSeries.from_coefficients(variables, cap, lambda e: 1)
     assert len(full) == comb(cap + nv, nv)
 
@@ -136,7 +136,7 @@ def test_from_ratios_matches_closed_coefficients(nv, cap):
 
     oracle = TruncatedSeries.from_coefficients(variables, cap, closed)
     assert s.cap == cap
-    assert list(s.terms.items()) == list(oracle.terms.items())  # same lex order
+    assert list(coeffs(s).items()) == list(coeffs(oracle).items())  # same lex order
 
 
 def test_from_ratios_calls_ratio_after_a_zero_term():
@@ -145,7 +145,7 @@ def test_from_ratios_calls_ratio_after_a_zero_term():
             raise ZeroDivisionError(f"pole at {e}")
         return 1 - e[k], 1  # every term past x^1 is zero
 
-    assert series_from_ratios(U, 2, ratio).terms == {(0,): 1, (1,): 1}
+    assert coeffs(series_from_ratios(U, 2, ratio)) == {(0,): 1, (1,): 1}
     with pytest.raises(ZeroDivisionError, match=r"pole at \(2,\)"):
         series_from_ratios(U, 3, ratio)
 
@@ -153,7 +153,7 @@ def test_from_ratios_calls_ratio_after_a_zero_term():
 def test_three_point_wave_has_no_variables():
     # nv = 0 above; the n = 3 wave has no cross ratios and one constant term
     wave = chiral_wave_series(WaveSpec((1, 2, 3), (1, 3)), 5)
-    assert wave.series == TruncatedSeries.constant((), 5, 1)
+    assert wave.series == TruncatedSeries((), 5, {(): 1})
 
 
 def test_derivative_lowers_the_cap():
@@ -164,4 +164,4 @@ def test_derivative_lowers_the_cap():
     s = TruncatedSeries(("u", "v"), 3, {(1, 2): 3, (0, 3): 1, (2, 0): Fraction(1, 2)})
     assert s.differentiate("v") == TruncatedSeries(("u", "v"), 2, {(1, 1): 6, (0, 2): 3})
     with pytest.raises(ValueError):
-        TruncatedSeries.constant(("u",), 0, 1).differentiate("u")
+        TruncatedSeries(("u",), 0, {(0,): 1}).differentiate("u")

@@ -14,7 +14,8 @@ from exactcft.sixpoint import (
     build_structure,
     restrict_2d,
 )
-from oracles import restriction_series_geometric
+from exactcft.poly import MultiPoly
+from oracles import coeffs, is_canonical, restriction_series_geometric
 
 F = Fraction
 
@@ -65,7 +66,7 @@ def test_restriction_b():
 
 def test_restriction_b_minus_half_e():
     r = restrict_2d(build_structure("BminusHalfE"))
-    assert r.numerator == {
+    assert coeffs(r.numerator) == {
         (1, 0, 1, 0): F(1),
         (1, 0, 0, 1): F(-1),
         (0, 1, 1, 0): F(-1),
@@ -126,7 +127,7 @@ def test_series_matches_the_geometric_product(name):
     for cap in range(11):
         got = r.series(cap)
         assert got == restriction_series_geometric(r, cap)
-        assert all(type(c) is F for c in got.terms.values())
+        assert is_canonical(got)
 
 
 def _bumped(terms: dict, key, delta: int) -> dict:
@@ -144,13 +145,38 @@ def test_one_unit_off_any_coefficient_breaks_the_identity(name, monkeypatch, cap
     numerator = sixpoint._u_polynomial(name)
     for delta in (1, -1):
         for key in s.monomials.terms:
-            broken = PairSum(POINTS, _bumped(s.monomials.terms, key, delta), antisym=False)
+            broken = PairSum(POINTS, _bumped(coeffs(s.monomials), key, delta), antisym=False)
             with pytest.raises(ConsistencyError):
                 restrict_2d(SixPointStructure(name, broken))
-        for key in numerator:
-            monkeypatch.setattr(sixpoint, "_u_polynomial", lambda _, k=key: _bumped(numerator, k, delta))
+        for key in numerator.terms:
+            bumped = MultiPoly(SERIES_VARS, _bumped(coeffs(numerator), key, delta))
+            monkeypatch.setattr(sixpoint, "_u_polynomial", lambda _, b=bumped: b)
             with pytest.raises(ConsistencyError):
                 restrict_2d(s)
     # the last broken numerator is still in place
     assert main(["exotic", "restrict", "--name", name]) == 4
     assert "does not factor" in capsys.readouterr().err
+
+
+def test_structure_check_holds_and_catches_mutants(monkeypatch, capsys):
+    """exotic build checks every monomial's point weights (-3 at each point,
+    d = 3) and the antisymmetry under 1 <-> 2 and 5 <-> 6; a structure broken
+    either way raises, and the CLI exits 4."""
+    sizes = {}
+    for name in NAMES:
+        s = build_structure(name)
+        sixpoint.verify_structure(s)
+        sizes[name] = len(s.monomials)
+    assert sizes == {"E6": 10, "B": 4, "BminusHalfE": 14}
+    b = build_structure("B").monomials
+    key = next(iter(b.terms))
+    mutants = {
+        "point weight": b + PairSum.monomial(POINTS, 1, {(1, 2): -1, (3, 4): -1, (5, 6): -1}, antisym=False),
+        "antisymmetric": b + PairSum(POINTS, {key: 1}, antisym=False),
+    }
+    for message, broken in mutants.items():
+        with pytest.raises(ConsistencyError, match=message):
+            sixpoint.verify_structure(SixPointStructure("B", broken))
+        monkeypatch.setattr(sixpoint, "build_structure", lambda name, m=broken: SixPointStructure(name, m))
+        assert main(["exotic", "build", "--name", "B"]) == 4
+        assert message in capsys.readouterr().err

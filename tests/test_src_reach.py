@@ -170,3 +170,51 @@ def test_every_oracle_is_used_by_a_test():
         if "." not in name and total[name] <= _references(node)[name]
     ]
     assert not unused, "oracles no test uses:\n" + "\n".join(unused)
+
+
+def test_terms_are_written_only_by_the_normaliser():
+    """A sparse sum holds int numerators over one denominator in one canonical
+    form, kept by one normaliser, poly.SparseSum.set_ints. No src module
+    outside poly.py, series.py and pairs.py assigns to ``.terms``, and inside
+    them only set_ints does: no assignment, augmented assignment, item
+    assignment, deletion or mutating method call on a ``.terms`` anywhere
+    else."""
+
+    def is_terms(node) -> bool:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+    writes = []
+    for fname, tree in _trees().items():
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.Delete)):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("pop", "update", "setdefault", "clear", "popitem")):
+                    targets = [node.func.value]
+                else:
+                    continue
+                flat = [t for target in targets for t in ast.walk(target)]
+                if any(is_terms(t) for t in flat):
+                    writes.append((fname, func.name))
+    assert set(writes) == {("poly.py", "set_ints")}, writes
+
+
+def test_only_the_int_kernel_is_imported_from_poly():
+    """The modules that build sums take den and terms directly; the only
+    private names any of them imports from poly are the two int kernels."""
+    private = {
+        (fname, alias.name)
+        for fname, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "poly" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert {name for _, name in private} <= {"_int_product", "_int_combination"}, sorted(private)

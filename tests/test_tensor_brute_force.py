@@ -14,7 +14,7 @@ from exactcft.tensor_ops import (
     solve_intertwiner_space,
     tensor_pde_residual,
 )
-from oracles import igen, lapv
+from oracles import coeffs, igen, lapv
 
 P = sp.symbols("p0:4")
 Q = sp.symbols("q0:4")
@@ -37,7 +37,7 @@ SUBS = {
 
 def to_components(poly):
     expr = sp.Integer(0)
-    for exps, c in poly.terms.items():
+    for exps, c in coeffs(poly).items():
         term = sp.Rational(c.numerator, c.denominator)
         for name, e in zip(IVARS, exps):
             if e:

@@ -20,6 +20,7 @@ from exactcft.waves import (
 )
 from oracles import (
     casimir_residual_series,
+    coeffs,
     chiral_wave_series_by_ratios,
     fourpoint_reference,
     reversed_spec,
@@ -43,7 +44,7 @@ def test_spec_validation():
 def test_three_point_wave_is_pure_prefactor():
     spec = WaveSpec.from_middle((F(1), F(3, 2), F(2)), ())
     wave = chiral_wave_series(spec, 5)
-    assert wave.series.terms == {(): F(1)}
+    assert coeffs(wave.series) == {(): F(1)}
     # x12 exponent: -(d1+d2-a0-a2) with a2 = d3
     pre = wave_prefactor(spec)
     assert pre.get((1, 2), 0) == -(F(1) + F(3, 2) - F(2))
@@ -130,7 +131,7 @@ def test_ratio_walk_matches_closed_form(n, cap, data):
     spec = WaveSpec.from_middle(dims, middle)
     series = chiral_wave_series(spec, cap).series
     assert series == _closed_form_series(spec, cap)
-    for ells, c in series.terms.items():
+    for ells, c in coeffs(series).items():
         assert c == wave_coefficient(spec, ells)
 
 
@@ -160,7 +161,7 @@ def test_interior_degenerate_projection():
 def test_pole_after_a_zero_term_still_raises():
     # A_1 = d1 + a2 - d2 = 0 zeroes every term from u^1 on; (2 a_2)_3 = (-2)(-1)(0)
     spec = WaveSpec.from_middle((1, 0, 1, 1), (-1,))
-    assert chiral_wave_series(spec, 2).series.terms == {(0,): 1}
+    assert coeffs(chiral_wave_series(spec, 2).series) == {(0,): 1}
     with pytest.raises(DegenerateParameterError, match=r"^\(2 a_2\)_3 vanishes: a_2 = -1 is"):
         chiral_wave_series(spec, 3)
     with pytest.raises(DegenerateParameterError, match=r"^\(2 a_2\)_3 vanishes"):
@@ -172,7 +173,7 @@ def test_fourpoint_reference_values():
     assert s.coefficient((0,)) == 1
     assert s.coefficient((1,)) == 1
     trivial = fourpoint_reference(3, -3, 1, 6)
-    assert trivial.terms == {(0,): F(1)}
+    assert coeffs(trivial) == {(0,): F(1)}
     with pytest.raises(DegenerateParameterError):
         fourpoint_reference(0, 1, 1, 2)  # (2a)_1 = 0
 
@@ -185,7 +186,7 @@ def test_fourpoint_reference_cross_checks_wave():
         spec = WaveSpec.from_middle(d, (a2,))
         wave = chiral_wave_series(spec, 7)
         ref = fourpoint_reference(a2, d[0] - d[1], d[3] - d[2], 7)
-        assert wave.series.terms == ref.terms
+        assert coeffs(wave.series) == coeffs(ref)
 
 
 SIX = WaveSpec.from_middle((1, 1, 2, 2, 1, 1), (F(3, 2), F(2), F(5, 2)))
@@ -463,7 +464,7 @@ walk_dims = st.sampled_from([F(-1, 2), F(-1), F(0), F(1), F(3, 2), F(2), F(5, 2)
 def _walk_outcome(build):
     """The terms in insertion order, or the DegenerateParameterError message."""
     try:
-        return list(build().terms.items())
+        return list(coeffs(build()).items())
     except DegenerateParameterError as exc:
         return str(exc)
 
