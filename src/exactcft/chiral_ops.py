@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import DegenerateParameterError
 from .poly import MultiPoly
@@ -21,7 +21,7 @@ from .special import format_rational, pochhammer
 # the reduction imports pairs and waves inside its functions, so the operator tables
 # load neither; the benchmark tracer names its functions chiral_ops.*, so it stays here
 if TYPE_CHECKING:
-    from .pairs import ExpKey, PairSum
+    from .pairs import PairSum
     from .waves import ChiralWave, WaveSpec
 
 DVARS = ("D1", "D2")
@@ -154,18 +154,11 @@ def reduce_correlator(
     i, j = pair
     if j != i + 1:
         raise ValueError("reduction pair must be adjacent")
-    power = Fraction(d1) + Fraction(d2)
-    if op.kind == "D":
-        power -= 1
-    work = target.mul_monomial(1, {(i, j): power})
+    power = Fraction(d1) + Fraction(d2) - (op.kind == "D")
     # a derivative lowers the power of x_ij by at most one, and merge_adjacent
     # drops every positive power: a term above the degree never reaches the
     # diagonal, so it is dropped before any derivative is taken
-    top = op.degree() * work.exp_den
-    work.set_ints({
-        key: n for key, n in work.terms.items()
-        if all(e <= top for pr, e in key if pr == (i, j))
-    }, work.den)
+    work = target.mul_monomial(1, {(i, j): power}).capped((i, j), op.degree())
     return apply_operator_pair(work, op, i, j).merge_adjacent(i)
 
 
@@ -185,32 +178,14 @@ class ReducedWave(NamedTuple):
     reliable_cap: int
 
 
-def _wave_term(spec: WaveSpec) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
-    """(exp_den, key): key(ells) is the exponent key, over exp_den, of
-    wave_prefactor(spec) * prod u_k^{l_k} over points 1..n.
-
-    The prefactor's numerators and each cross ratio's offsets are laid out
-    once per wave on the pairs they touch, in key order; a key is then a few
-    int additions.
-    """
-    from .pairs import cross_ratio, norm_exps
+def _wave_pair_sum(spec: WaveSpec, terms: Mapping[tuple[int, ...], int], den: int) -> PairSum:
+    """wave_prefactor(spec) * sum terms[l] / den * prod u_k^{l_k} as a PairSum
+    over points 1..n."""
+    from .pairs import PairSum, cross_ratio, monomial_keys
     from .waves import wave_prefactor
-    den, base = norm_exps(wave_prefactor(spec))
-    base = dict(base)
-    ratios = [cross_ratio(k) for k in range(1, spec.n - 2)]
-    pairs = sorted(base.keys() | set().union(*ratios))
-    start = [base.get(pr, 0) for pr in pairs]
-    offsets = [[(s, u[pr] * den) for s, pr in enumerate(pairs) if pr in u] for u in ratios]
-
-    def key(ells: tuple[int, ...]) -> ExpKey:
-        exps = start.copy()
-        for lk, offset in zip(ells, offsets):
-            if lk:
-                for s, e in offset:
-                    exps[s] += lk * e
-        return tuple([(pr, e) for pr, e in zip(pairs, exps) if e])
-
-    return den, key
+    exp_den, key = monomial_keys(wave_prefactor(spec), [cross_ratio(k) for k in range(1, spec.n - 2)])
+    return PairSum(range(1, spec.n + 1), None, exp_den=exp_den).set_ints(
+        {key(ells): n for ells, n in terms.items()}, den)
 
 
 def reduce_wave(
@@ -223,7 +198,6 @@ def reduce_wave(
     orders above cap - max(0, h - a), so the result is only reported through
     that order.
     """
-    from .pairs import PairSum
     n = wave.spec.n
     i, j = pair
     if (i, j) not in ((1, 2), (n - 1, n)):
@@ -239,9 +213,8 @@ def reduce_wave(
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = cap - spill
 
-    exp_den, key = _wave_term(wave.spec)
-    target = PairSum(range(1, n + 1), None, exp_den=exp_den).set_ints({
-        key(ells): c
+    target = _wave_pair_sum(wave.spec, {
+        ells: c
         for ells, c in wave.series.terms.items()
         if (sum(ells[1:]) if first else sum(ells[:-1])) <= reliable
     }, wave.series.den)
@@ -266,16 +239,11 @@ def reduced_reference_spec(spec: WaveSpec, pair: tuple[int, int], h: int) -> Wav
 
 def reference_wave_pair_sum(spec: WaveSpec, cap: int, points: tuple[int, ...]) -> PairSum:
     """Expand a wave as a finite pair-monomial sum on the given point labels."""
-    from .pairs import PairSum
     from .waves import chiral_wave_series
-    wave = chiral_wave_series(spec, cap)
-    n = spec.n
-    if len(points) != n:
+    if len(points) != spec.n:
         raise ValueError("label count mismatch")
-    exp_den, key = _wave_term(spec)
-    terms = {key(ells): c for ells, c in wave.series.terms.items()}
-    out = PairSum(range(1, n + 1), None, exp_den=exp_den).set_ints(terms, wave.series.den)
-    return out.relabel({k + 1: points[k] for k in range(n)})
+    series = chiral_wave_series(spec, cap).series
+    return _wave_pair_sum(spec, series.terms, series.den).relabel({k + 1: p for k, p in enumerate(points)})
 
 
 def match_reduction(reduced: ReducedWave, spec: WaveSpec, pair: tuple[int, int], h: int) -> Fraction | None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import lcm, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, SingularDiagonalError
 from .poly import SparseSum, _int_combination, _int_product
@@ -57,12 +57,36 @@ def cross_ratio(k: int) -> dict[Pair, int]:
     return {(k, k + 1): 1, (k + 2, k + 3): 1, (k, k + 2): -1, (k + 1, k + 3): -1}
 
 
-def bump(key: ExpKey, add: Mapping[Pair, int], times: int = 1) -> ExpKey:
-    """Key of the monomial key times (prod x_pr^add[pr])^times, with add's
-    numerators over the same denominator as key's."""
+def monomial_keys(
+    prefactor: Mapping[Pair, Fraction], generators: Sequence[Mapping[Pair, int]]
+) -> tuple[int, Callable[[tuple[int, ...]], ExpKey]]:
+    """(exp_den, key): key(e) is the exponent key, over exp_den, of
+    prefactor * prod generators[k]^e[k] (integer generator exponents). Both are
+    laid out once on the pairs they touch, in key order, so a key is a few int
+    additions."""
+    den, base = norm_exps(prefactor)
+    base = dict(base)
+    pairs = sorted(base.keys() | set().union(*generators))
+    start = [base.get(pr, 0) for pr in pairs]
+    offsets = [[(s, g[pr] * den) for s, pr in enumerate(pairs) if pr in g] for g in generators]
+
+    def key(powers: tuple[int, ...]) -> ExpKey:
+        exps = start.copy()
+        for p, offset in zip(powers, offsets):
+            if p:
+                for s, e in offset:
+                    exps[s] += p * e
+        return tuple([(pr, e) for pr, e in zip(pairs, exps) if e])
+
+    return den, key
+
+
+def bump(key: ExpKey, add: Mapping[Pair, int]) -> ExpKey:
+    """Key of the monomial key times prod x_pr^add[pr], with add's numerators
+    over the same denominator as key's."""
     cur = dict(key)
     for pr, e in add.items():
-        e = cur.get(pr, 0) + e * times
+        e = cur.get(pr, 0) + e
         if e:
             cur[pr] = e
         else:
@@ -221,6 +245,12 @@ class PairSum(SparseSum):
         base = self._rescaled(exp_den)
         return base._like({bump(key, add): n * coeff.numerator for key, n in base.terms.items()},
                           base.den * coeff.denominator)
+
+    def capped(self, pair: Pair, power) -> "PairSum":
+        """self without the terms whose exponent on x_pair exceeds power."""
+        top = power * self.exp_den
+        return self._like({key: n for key, n in self.terms.items()
+                           if next((e for pr, e in key if pr == pair), 0) <= top}, self.den)
 
     def __mul__(self, other: "PairSum") -> "PairSum":
         """The product, on ints over the lcm of both exponent denominators."""

@@ -18,7 +18,7 @@ follow graded-lexicographic order so output is deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Iterator, Mapping
 
@@ -35,21 +35,16 @@ def _rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-def _int_product(left: Mapping, right: Mapping, cap: int | None = None) -> dict:
-    """The product of two int dicts keyed by exponent tuples, as an int dict.
-
-    With a cap, only pairs of total degree <= cap contribute. Cancelled keys
-    may hold 0.
-    """
+def _int_product(left: Mapping, right: Mapping) -> dict:
+    """The product of two int dicts keyed by exponent tuples, as an int dict;
+    cancelled keys may hold 0."""
     out: dict = {}
     get = out.get
-    rows = [(e, sum(e), c) for e, c in right.items()]
+    rows = list(right.items())
     for e1, a in left.items():
-        room = inf if cap is None else cap - sum(e1)
-        for e2, d2, b in rows:
-            if d2 <= room:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + a * b
+        for e2, b in rows:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + a * b
     return out
 
 

@@ -34,17 +34,8 @@ STRUCTURES = tuple(TERMS)
 
 def helicity_labels(h_max: int, sign: int) -> list[tuple[int, int]]:
     """Odd-helicity pairs (h+, h-) with the given helicity sign, sorted."""
-    out = []
-    for hp in range(1, h_max + 1):
-        for hm in range(1, h_max + 1):
-            h = hp - hm
-            if h % 2 == 0:
-                continue
-            if sign > 0 and h > 0:
-                out.append((hp, hm))
-            if sign < 0 and h < 0:
-                out.append((hp, hm))
-    return sorted(out)
+    hs = range(1, h_max + 1)
+    return [(hp, hm) for hp in hs for hm in hs if (hp - hm) % 2 and (hp - hm) * sign > 0]
 
 
 class PositivityBlock(NamedTuple):

@@ -78,7 +78,8 @@ class TruncatedSeries(MultiPoly):
         other = self._coerce(other)
         cap = min(self.cap, other.cap)
         return TruncatedSeries(self.variables, cap).set_ints(
-            _int_product(self.terms, other.terms, cap), self.den * other.den
+            {e: n for e, n in _int_product(self.terms, other.terms).items() if sum(e) <= cap},
+            self.den * other.den,
         )
 
     __rmul__ = __mul__

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConsistencyError
-from .pairs import PairSum, TwoChiralSum, bump, cross_ratio
+from .pairs import PairSum, TwoChiralSum, cross_ratio, monomial_keys
 from .poly import MultiPoly
 from .series import TruncatedSeries
 from .special import format_rational
@@ -106,9 +106,10 @@ def verify_structure(structure: SixPointStructure) -> None:
     -3 (field dimension d = 3), and the structure changes sign under the swaps
     1 <-> 2 and 5 <-> 6, term by term."""
     s = structure.monomials
-    for key in s.terms:
-        if any(sum(e for pr, e in key if p in pr) != -3 * s.exp_den for p in POINTS):
-            raise ConsistencyError(f"{structure.name}: the monomial {key} has a point weight other than -3")
+    for _, exps in s:
+        for p in POINTS:
+            if (w := sum(e for pr, e in exps.items() if p in pr)) != -3:
+                raise ConsistencyError(f"{structure.name}: a monomial has point weight {w} at point {p}, not -3")
     for i, j in ((1, 2), (5, 6)):
         if s + s.relabel(_swap(i, j)):
             raise ConsistencyError(f"{structure.name} is not antisymmetric under {i} <-> {j}")
@@ -180,12 +181,12 @@ def restrict_2d(structure: SixPointStructure) -> ChiralRestriction:
     monomials = structure.monomials
     if monomials.exp_den != 1:
         raise ValueError(f"2D restriction of {structure.name} needs integer exponents")
-    shift = dict(bump(bump((), PREFACTOR_2D, -1), PTOLEMY_DENOMINATOR))
-    lhs = {(b, b): n for key, n in monomials.terms.items() for b in [bump(key, shift)]}
-    u1, u3 = cross_ratio(1), cross_ratio(3)
-    rhs = {(bump(bump((), u1, a), u3, c), bump(bump((), u1, b), u3, d)): n
-           for (a, b, c, d), n in numerator.terms.items()}
-    diff = TwoChiralSum(POINTS).set_ints(lhs, monomials.den) - TwoChiralSum(POINTS).set_ints(rhs, numerator.den)
+    shifted = monomials.mul_monomial(1, {pr: PTOLEMY_DENOMINATOR.get(pr, 0) - PREFACTOR_2D.get(pr, 0)
+                                         for pr in PTOLEMY_DENOMINATOR.keys() | PREFACTOR_2D.keys()})
+    lhs = {(k, k): n for k, n in shifted.terms.items()}
+    _, key = monomial_keys({}, (cross_ratio(1), cross_ratio(3)))
+    rhs = {(key((a, c)), key((b, d))): n for (a, b, c, d), n in numerator.terms.items()}
+    diff = TwoChiralSum(POINTS).set_ints(lhs, shifted.den) - TwoChiralSum(POINTS).set_ints(rhs, numerator.den)
 
     if not diff.is_zero_function():
         raise ConsistencyError(

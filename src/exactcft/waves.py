@@ -185,6 +185,8 @@ class ChiralWave(NamedTuple):
                 )
             if tuple(exps) in terms:
                 raise ValueError(f"series lists the exponent tuple {tuple(exps)} twice")
+            if sum(exps) > cap:
+                raise ValueError(f"series exponent tuple {tuple(exps)} lies above the cap {cap}")
             terms[tuple(exps)] = parse_rational(item.get("coeff"))
         series = TruncatedSeries(wave_series_vars(spec.n), cap, terms)
         pre_data = _expect(data["prefactor"], dict, "prefactor")

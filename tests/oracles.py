@@ -11,15 +11,10 @@ from math import factorial, gcd, lcm
 
 from exactcft import gseries
 from exactcft.channels import channel_coefficients, reduction_coefficient
-from exactcft.chiral_ops import (
-    ReducedWave,
-    _wave_term,
-    apply_operator_pair,
-    chiral_intertwiner_normalized,
-)
+from exactcft.chiral_ops import ReducedWave, apply_operator_pair, chiral_intertwiner_normalized
 from exactcft.errors import ConsistencyError, DegenerateParameterError, SingularDiagonalError
 from exactcft.linsolve import linear_solve_exact
-from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, norm_exps
+from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, cross_ratio, norm_exps
 from exactcft.poly import MultiPoly, _int_combination, _int_product
 from exactcft.series import TruncatedSeries
 from exactcft.sixpoint import SERIES_VARS
@@ -233,7 +228,7 @@ def _sw_series_chained(weights: dict, cap: int) -> TruncatedSeries:
     w = {(1, 0): 1, (0, 1): 1, (1, 1): -1}
     wpow = [{(0, 0): 1}]
     for _ in range(max((j for _, j in used), default=0)):
-        wpow.append(_int_product(wpow[-1], w, cap))
+        wpow.append({e: c for e, c in _int_product(wpow[-1], w).items() if sum(e) <= cap})
     parts = {
         (n, j): {(a + n, b + n): c for (a, b), c in wpow[j].items() if a + b + 2 * n <= cap}
         for n, j in used
@@ -559,10 +554,20 @@ def reduce_correlator_unfiltered(target: PairSum, pair: tuple[int, int], op, d1,
     return work.merge_adjacent(i)
 
 
+def wave_term_exps(spec: WaveSpec, ells: tuple[int, ...]) -> dict:
+    """Fraction pair exponents of wave_prefactor(spec) * prod u_k^{l_k}, added
+    up pair by pair; zero exponents may stay."""
+    exps = wave_prefactor(spec)
+    for k, lk in enumerate(ells, start=1):
+        for pr, e in cross_ratio(k).items():
+            exps[pr] = exps.get(pr, 0) + lk * e
+    return exps
+
+
 def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
     """chiral_ops.reduce_wave one series term at a time: each reliable term
-    is its own one-term PairSum, reduced by reduce_correlator_unfiltered and
-    added up."""
+    is its own one-term PairSum, built from its Fraction exponents, reduced by
+    reduce_correlator_unfiltered and added up."""
     n = wave.spec.n
     i, j = pair
     first = (i, j) == (1, 2)
@@ -571,13 +576,12 @@ def reduce_wave_termwise(wave, pair: tuple[int, int], op) -> ReducedWave:
     spill = int(spill) if spill == int(spill) and spill > 0 else 0
     reliable = wave.series.cap - spill
     points = tuple(range(1, n + 1))
-    den, key = _wave_term(wave.spec)
     out = PairSum(tuple(p for p in points if p != j))
     for ells, c in coeffs(wave.series).items():
         tail_order = sum(ells[1:]) if first else sum(ells[:-1])
         if tail_order > reliable:
             continue
-        mono = PairSum(points, {key(ells): c}, exp_den=den)
+        mono = PairSum.monomial(points, c, wave_term_exps(wave.spec, ells))
         out.add_scaled(reduce_correlator_unfiltered(mono, pair, op, wave.spec.d(i), wave.spec.d(j)))
     return ReducedWave(out, reliable)
 

@@ -315,6 +315,16 @@ def test_reduce_accepts_the_unchanged_wave(tmp_path, capsys):
     assert code == 0
 
 
+def test_reduce_rejects_a_series_term_above_the_cap(tmp_path, capsys):
+    # the constructor's truncation would drop the term silently
+    wave_path = tmp_path / "past-cap.json"
+    wave_path.write_text(json.dumps({**GOOD_WAVE4, "cap": 1,
+                                     "series": [{"exponents": [5], "coeff": "7"}]}))
+    code, out, err = run_cli(capsys, "reduce", "--wave", str(wave_path), "--pair", "1,2", "--h", "2")
+    _one_line_usage_error(code, out, err)
+    assert "(5,)" in err and "cap 1" in err
+
+
 @pytest.mark.parametrize("h", ["-1", "0"])
 def test_amplitudes_reject_weight_below_one(capsys, h):
     code, out, err = run_cli(

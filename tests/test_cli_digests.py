@@ -91,6 +91,10 @@ EXAMPLES = {
                    "--proj", "2,2,5/2,2,3/2", "--cap", "8"),
     "casimir-n10": ("casimir-check", "--n", "10", "--dims", "1,1,2,2,1,1,2,2,1,1",
                     "--proj", "2,2,5/2,2,3/2,2,5/2", "--cap", "8"),
+    # two paths no other example enters: the Legendre closed form of the
+    # rank-zero operator, and the constant normalized operator at h = 1
+    "tensor-legendre": ("intertwiner", "tensor", "--kappa", "0", "--L", "3"),
+    "chiral-normalized-h1": ("intertwiner", "chiral", "--h", "1", "--normalized"),
 }
 
 DIGESTS = {
@@ -108,6 +112,7 @@ DIGESTS = {
     "casimir-n7": "8a359ce550ee1e1c7b0ed91675387be1162ea7a314a3a15476e2283c12af3f7d",
     "casimir-n8": "44f7a08519eb5ecf91cc1bc325814171d07f9dd1b5edd50b4cb8e4d1f01e38a0",
     "chiral": "f1d301c7ff35407dd2e909907204d390c7a9dd600cae00277636479f30758a69",
+    "chiral-normalized-h1": "86fe10adaa595b093da41acfd6b3f07f256360d04719e8ebeb0deb0347a23c7b",
     "coeff": "a4f46eadab8e018d04376e7cdac8ab6654a34198c91c6900ea9f99b1185a918d",
     "exotic-reduce": "f3e13b5e4964dba05504f6262e1722e8535d314537b351938f2bd60ea624eaab",
     "exotic-reduce-B-2343": "9540f7db8cfebbad072e5b4625119972eba0ad6b97782357b0489402e34243ae",
@@ -135,6 +140,7 @@ DIGESTS = {
     "restrict-E6": "83a7636465e4c8ab89e77f7f88912a1d29c35ff9945c2bb493cf07f0c6cb12f2",
     "tensor": "e91eba58961f2e8c43c50b002cc67d20986b352061105305ea5b5e4a3fad18b9",
     "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
+    "tensor-legendre": "c87541f3e4626e736496b45aa0912d796f864f4ced9d4321cebac016d692d74d",
     "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",
     "wave-n10": "2324686dbee6f53ec1703788bed3489dfb2e86fcc1995c0de59118e2eecd7f1d",
     "wave-sixths": "c592cc3c3caae0f65919f71e22d9f874c2b4c6f1ec0b5a1fe53cd5ac585600bb",

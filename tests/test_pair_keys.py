@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from exactcft.chiral_ops import reference_wave_pair_sum
 from exactcft.errors import ConsistencyError, SingularDiagonalError
-from exactcft.pairs import PairSum, cross_ratio
-from exactcft.waves import WaveSpec, chiral_wave_series, wave_prefactor
+from exactcft.pairs import PairSum, monomial_keys
+from exactcft.waves import WaveSpec, chiral_wave_series
 from oracles import (
     add_fraction_term,
     coeffs,
@@ -30,6 +30,7 @@ from oracles import (
     ref_differentiate,
     ref_merge_adjacent,
     ref_relabel,
+    wave_term_exps,
 )
 
 F = Fraction
@@ -176,6 +177,31 @@ def test_keys_differentiate_and_merge_match_fraction_keys(monos):
     assert frac_terms(d2) == ref_differentiate(ref_differentiate(ref, 1), 2)
 
 
+@given(monomials, st.sampled_from(PAIRS), exponents)
+@settings(max_examples=60, deadline=None)
+def test_capped_matches_fraction_keys(monos, pair, power):
+    ps, ref = build(monos)
+    got = ps.capped(pair, power)
+    assert_integer_keys(got)
+    assert frac_terms(got) == {k: c for k, c in ref.items() if dict(k).get(pair, 0) <= power}
+
+
+generators = st.lists(st.dictionaries(st.sampled_from(PAIRS), st.integers(-2, 2), max_size=4), max_size=3)
+
+
+@given(st.dictionaries(st.sampled_from(PAIRS), exponents, max_size=4), generators, st.data())
+@settings(max_examples=60, deadline=None)
+def test_monomial_keys_match_fraction_keys(prefactor, gens, data):
+    powers = data.draw(st.tuples(*(st.integers(0, 3) for _ in gens)), label="powers")
+    den, key = monomial_keys(prefactor, gens)
+    assert den == PairSum.monomial(PTS, 1, prefactor).exp_den
+    exps = dict(prefactor)
+    for g, p in zip(gens, powers):
+        for pr, e in g.items():
+            exps[pr] = exps.get(pr, 0) + p * e
+    assert tuple((pr, F(e, den)) for pr, e in key(powers)) == frac_key(exps)
+
+
 @given(monomials, st.sampled_from(list(permutations(PTS))), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_keys_relabel_matches_fraction_keys(monos, image, antisym):
@@ -266,11 +292,7 @@ def test_wave_term_keys_match_fraction_keys():
     wave = chiral_wave_series(spec, 4)
     expected = {}
     for ells, c in coeffs(wave.series).items():
-        exps = wave_prefactor(spec)
-        for k, lk in enumerate(ells, start=1):
-            for pr, e in cross_ratio(k).items():
-                exps[pr] = exps.get(pr, 0) + lk * e
-        add_fraction_term(expected, frac_key(exps), c)
+        add_fraction_term(expected, frac_key(wave_term_exps(spec, ells)), c)
     got = reference_wave_pair_sum(spec, 4, tuple(range(1, 7)))
     assert got.exp_den == 6
     assert_integer_keys(got)

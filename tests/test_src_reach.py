@@ -218,3 +218,21 @@ def test_only_the_int_kernel_is_imported_from_poly():
         if alias.name.startswith("_")
     }
     assert {name for _, name in private} <= {"_int_product", "_int_combination"}, sorted(private)
+
+
+def test_pair_keys_are_built_and_read_only_in_pairs():
+    """A pair-monomial key (pairs.ExpKey: sorted (pair, numerator) tuples over
+    the sum's exp_den) is built and read inside pairs.py alone. No other src
+    module imports ExpKey or the key helpers norm_exps and bump from pairs,
+    whether at the top, in a function or in a TYPE_CHECKING block; they build
+    keys through pairs.monomial_keys and PairSum methods."""
+    inside = {"ExpKey", "norm_exps", "bump"}
+    imports = sorted(
+        (fname, alias.name)
+        for fname, tree in _trees().items() if fname != "pairs.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "pairs"), (0, "exactcft.pairs"))
+        for alias in node.names
+        if alias.name in inside
+    )
+    assert not imports, imports

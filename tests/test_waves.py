@@ -392,6 +392,7 @@ def _malformed(good: dict, **changes) -> dict:
         {"series": [{"exponents": [-1], "coeff": "1"}]},
         {"series": [{"exponents": 0, "coeff": "1"}]},
         {"series": [{"exponents": [0]}]},
+        {"cap": 1, "series": [{"exponents": [5], "coeff": "7"}]},
         {"series": ["x"]},
         {"series": {}},
         {"spec": []},
