@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from math import comb
 from types import SimpleNamespace
 
 try:  # the built-in module: hashlib would load OpenSSL's libcrypto for one digest
@@ -29,6 +30,7 @@ USAGE_EXIT = 2
 DOMAIN_EXIT = 3
 INTERNAL_EXIT = 4
 BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
+SERIES_TERM_BUDGET = 100_000  # wave terms a run may ask for: about 1 s and 90 MiB at n = 12
 
 
 def canonical_json(obj) -> str:
@@ -74,6 +76,11 @@ def _spec_from_args(args):
     proj = _parse_rational_list(args.proj) if args.proj else []
     if len(dims) != args.n:
         raise ValueError(f"--dims lists {len(dims)} values but --n is {args.n}")
+    # C(cap + n - 3, n - 3) exponent tuples of total order <= cap; n < 3 and cap < 0 are refused later
+    terms = comb(args.cap + args.n - 3, args.n - 3) if args.n >= 3 and args.cap >= 0 else 0
+    if terms > SERIES_TERM_BUDGET:
+        raise ValueError(f"--n {args.n} --cap {args.cap} asks for {terms} series terms,"
+                         f" above the budget of {SERIES_TERM_BUDGET}")
     from .waves import WaveSpec  # after parsing: a malformed value exits 2 without compiling waves
     return WaveSpec.from_middle(dims, proj)
 
@@ -374,6 +381,16 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(handler=then, **{k.strip("-").replace("-", "_"): v for k, v in values.items()})
 
 
+def run() -> None:
+    """The program's entry: exit with main's code, freezing the heap on the way out
+    so that interpreter shutdown's collections skip every object still alive."""
+    import gc
+    try:
+        sys.exit(main())
+    finally:  # atexit handlers, the stream flushes and refcount deallocation still run
+        gc.freeze()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -429,7 +446,7 @@ def _run(args, argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
 else:  # cftbench/traced_cli.py wraps only modules loaded before it installs, so a library import
     # loads every command module; this fork goes once the tracer imports its own targets
     from . import amplitudes, channels, chiral_ops, gseries, positivity, sixpoint, tensor_ops, waves

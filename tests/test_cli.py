@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactcft.cli import main
+from exactcft.cli import SERIES_TERM_BUDGET, main
 
 
 def run_cli(capsys, *argv):
@@ -115,6 +116,19 @@ def test_fewer_than_three_points_names_the_minimum(capsys, command, n, dims):
     code, out, err = run_cli(capsys, command, "--n", n, "--dims", dims)
     assert (code, out) == (2, "")
     assert err == f"error: need at least 3 points, got {n}\n"
+
+
+@pytest.mark.parametrize("command", ["wave", "casimir-check"])
+@pytest.mark.parametrize("n, cap, terms", [(30, 30, comb(57, 27)), (12, 11, comb(20, 9))])
+def test_a_series_above_the_term_budget_is_refused_before_the_walk(capsys, command, n, cap, terms):
+    # C(cap + n - 3, n - 3) terms: about 1.4e16 at n = 30, cap 30, a walk that would not end
+    code, out, err = run_cli(capsys, command, "--n", str(n), "--dims", ",".join(["1"] * n),
+                             "--proj", ",".join(["2"] * (n - 3)), "--cap", str(cap))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --n {n} --cap {cap} asks for {terms} series terms,"
+                   f" above the budget of {SERIES_TERM_BUDGET}\n")
+    # the benchmark's wave-n10 (n = 10, cap 8) and an n = 12, cap 8 wave stay within it
+    assert comb(15, 7) < comb(17, 9) <= SERIES_TERM_BUDGET < terms
 
 
 def test_reduce_round_trip(tmp_path, capsys):
