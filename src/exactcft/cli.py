@@ -76,8 +76,15 @@ def _spec_from_args(args):
     proj = _parse_rational_list(args.proj) if args.proj else []
     if len(dims) != args.n:
         raise ValueError(f"--dims lists {len(dims)} values but --n is {args.n}")
-    # C(cap + n - 3, n - 3) exponent tuples of total order <= cap; n < 3 and cap < 0 are refused later
-    terms = comb(args.cap + args.n - 3, args.n - 3) if args.n >= 3 and args.cap >= 0 else 0
+    # C(cap + n - 3, n - 3) exponent tuples of total order <= cap; n < 3 and cap < 0 are refused later.
+    # The count passes C(130, 65) when both n - 3 and cap pass 64, and max(n - 3, cap) when both are
+    # >= 1: far above the budget, it is refused uncounted (the product takes seconds at min(n - 3, cap)
+    # = 10**5, and its digits can pass str's 4,300-digit limit)
+    low, high = sorted((args.n - 3, args.cap))
+    if low > 64 or (low > 0 and high > SERIES_TERM_BUDGET):
+        raise ValueError(f"--n {args.n} --cap {args.cap} asks for more series terms than the budget"
+                         f" of {SERIES_TERM_BUDGET}")
+    terms = comb(low + high, low) if low >= 0 else 0
     if terms > SERIES_TERM_BUDGET:
         raise ValueError(f"--n {args.n} --cap {args.cap} asks for {terms} series terms,"
                          f" above the budget of {SERIES_TERM_BUDGET}")

@@ -95,10 +95,6 @@ class SparseSum:
             nums[k] = nums.get(k, 0) + v.numerator * (den // v.denominator)
         return self.set_ints(nums, den)
 
-    def _start(self, other):
-        """A fresh copy of self to accumulate other into."""
-        return self._empty().set_ints(self.terms, self.den)
-
     def add_scaled(self, other, factor=1):
         """In place: self += other * factor (other is not self), over the lcm of
         the two denominators. Returns self."""
@@ -131,10 +127,10 @@ class SparseSum:
         return self.set_ints(acc, den)
 
     def __add__(self, other):
-        return self._start(other).add_scaled(other)
+        return self._empty().set_ints(self.terms, self.den).add_scaled(other)
 
     def __sub__(self, other):
-        return self._start(other).add_scaled(other, -1)
+        return self._empty().set_ints(self.terms, self.den).add_scaled(other, -1)
 
     def __neg__(self):
         return self.scale(-1)

@@ -54,9 +54,6 @@ class TruncatedSeries(MultiPoly):
     def _empty(self) -> "TruncatedSeries":
         return TruncatedSeries(self.variables, self.cap)
 
-    def _start(self, other) -> "TruncatedSeries":
-        return self.truncate(min(self.cap, self._coerce(other).cap))
-
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncatedSeries):
             return self.cap == other.cap and super().__eq__(other)

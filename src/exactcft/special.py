@@ -1,5 +1,5 @@
-"""Exact special values: rising factorials, Legendre polynomials, hypergeometric
-series coefficients, and the "num/den" string form used by every serializer.
+"""Exact special values: rising factorials, hypergeometric series coefficients,
+and the "num/den" string form used by every serializer.
 """
 
 from __future__ import annotations
@@ -63,23 +63,3 @@ def gauss_2f1_coeff(a, b, c, ell: int) -> Fraction:
         pa.denominator * pb.denominator * denom.numerator * factorial(ell),
     )
 
-
-def legendre_coeffs(L: int) -> dict[int, Fraction]:
-    """Coefficients {power: value} of the Legendre polynomial P_L, P_L(1) = 1.
-
-    Built from the three-term recurrence (L+1) P_{L+1} = (2L+1) r P_L - L P_{L-1}.
-    """
-    if L < 0:
-        raise ValueError(f"Legendre degree must be >= 0, got {L}")
-    prev = {0: Fraction(1)}
-    if L == 0:
-        return prev
-    cur = {1: Fraction(1)}
-    for n in range(1, L):
-        nxt: dict[int, Fraction] = {}
-        for p, c in cur.items():
-            nxt[p + 1] = nxt.get(p + 1, Fraction(0)) + Fraction(2 * n + 1, n + 1) * c
-        for p, c in prev.items():
-            nxt[p] = nxt.get(p, Fraction(0)) - Fraction(n, n + 1) * c
-        prev, cur = cur, {p: c for p, c in nxt.items() if c != 0}
-    return cur

@@ -44,7 +44,7 @@ from typing import NamedTuple
 from .errors import ConsistencyError, DegenerateParameterError
 from .linsolve import linear_solve_exact
 from .poly import MultiPoly, _int_combination, _int_product
-from .special import format_rational, legendre_coeffs, pochhammer
+from .special import pochhammer
 
 IVARS = ("t12", "b1", "b2", "s1", "s2", "V")
 _T12, _B1, _B2, _S1, _S2, _V = range(6)
@@ -107,10 +107,12 @@ def _lapv_monomial(exps: tuple[int, ...]) -> dict:
     return out
 
 
-def _harmonic_ints(nums: dict, n: int) -> tuple[int, dict]:
+def harmonic_project(nums: dict, n: int) -> tuple[int, dict]:
     """(D, D [P]_0) for the int dict P of v-degree n, D = prod_{k <= n/2} 4 k (n - k + 1).
 
-    [P]_0 = sum_k alpha_k V^k lapv^k P with alpha_0 = 1 and
+    [P]_0 is the unique harmonic representative of P: V times lower harmonics
+    subtracted, so that lapv [P]_0 = 0 and [V Q]_0 = 0. It is
+    sum_k alpha_k V^k lapv^k P with alpha_0 = 1 and
     alpha_k = -alpha_{k-1} / (4 k (n - k + 1)) in spacetime dimension 4, so
     D alpha_k is an integer and the sum is one int combination.
     """
@@ -126,17 +128,6 @@ def _harmonic_ints(nums: dict, n: int) -> tuple[int, dict]:
     )
 
 
-def harmonic_project(poly: MultiPoly) -> MultiPoly:
-    """Unique harmonic representative [P]_0 of a v-homogeneous polynomial:
-    V times lower harmonics subtracted, so that lapv of the result vanishes
-    identically and [V Q]_0 = 0."""
-    degs = {v_degree_of(e) for e in poly.terms}
-    if len(degs) > 1:
-        raise ValueError(f"input is not v-homogeneous: v-degrees {sorted(degs)}")
-    hden, terms = _harmonic_ints(poly.terms, degs.pop() if degs else 0)
-    return MultiPoly(IVARS).set_ints(terms, poly.den * hden)
-
-
 # ---------------------------------------------------------------------------
 # radial polynomials and the coefficient recursion
 # ---------------------------------------------------------------------------
@@ -145,7 +136,10 @@ RVAR = ("r",)
 
 
 def legendre_poly(L: int) -> MultiPoly:
-    return MultiPoly(RVAR, {(p,): c for p, c in legendre_coeffs(L).items()})
+    """P_L(r) = 2^-L sum_k (-1)^k C(L, k) C(2L - 2k, L) r^(L - 2k), P_L(1) = 1."""
+    return MultiPoly(RVAR).set_ints(
+        {(L - 2 * k,): (-1) ** k * comb(L, k) * comb(2 * L - 2 * k, L) for k in range(L // 2 + 1)}, 1 << L
+    )
 
 
 def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
@@ -175,15 +169,6 @@ def radial_poly(kappa: int, L: int, delta: int) -> MultiPoly:
 
 
 TVARS = ("p", "q")
-
-
-class CoefficientTable(NamedTuple):
-    """Solution of the double recursion for the expansion coefficients c_{mn},
-    held as the polynomial sum c_{mn} p^m q^n."""
-
-    kappa: int
-    L: int
-    entries: MultiPoly
 
 
 def _recursion_rows(kappa: int, L: int):
@@ -217,8 +202,9 @@ def _recursion_rows(kappa: int, L: int):
     return pos, rows
 
 
-def coefficient_table(kappa: int, L: int) -> CoefficientTable:
-    """Solve the full recursion system exactly.
+def coefficient_table(kappa: int, L: int) -> MultiPoly:
+    """Solve the full recursion system exactly for the expansion coefficients
+    c_{mn}, returned as the polynomial sum c_{mn} p^m q^n.
 
     A global solve is used instead of forward substitution because the
     prefactor 4(m^2 - 1) vanishes at m = 1. The table is the first kernel
@@ -242,15 +228,13 @@ def coefficient_table(kappa: int, L: int) -> CoefficientTable:
         vec = _int_combination(dict(enumerate(x for _, x in kernel)),
                                {i: den // d for i, (d, _) in enumerate(kernel)})
     entries = MultiPoly(TVARS).set_ints({mn: vec.get(k, 0) for mn, k in pos.items()}, den)
-    table = CoefficientTable(kappa, L, entries)
-    _check_recursions(table)
-    return table
+    _check_recursions(kappa, L, entries)
+    return entries
 
 
-def _check_recursions(table: CoefficientTable):
-    """Both recursions at every (m, n), on the int numerators of the table."""
-    kappa, L = table.kappa, table.L
-    c = table.entries.terms.get
+def _check_recursions(kappa: int, L: int, entries: MultiPoly):
+    """Both recursions at every (m, n), on the int numerators of the entries."""
+    c = entries.terms.get
     for m in range(kappa + 1):
         for n in range(kappa + 1 - m):
             k = kappa - m - n
@@ -282,11 +266,9 @@ class TensorIntertwiner(NamedTuple):
 
     def to_json(self) -> dict:
         out = {}
-        for exps, c in self.poly.sorted_terms():
-            key = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(IVARS, exps) if e
-            )
-            out[key or "1"] = format_rational(c)
+        for term in self.poly.to_json():
+            key = "*".join(f"{v}^{e}" if e > 1 else v for v, e in zip(IVARS, term["exponents"]) if e)
+            out[key or "1"] = term["coeff"]
         return out
 
 
@@ -298,7 +280,7 @@ def _bracket(L: int, rpoly_by_delta) -> dict[int, tuple[int, dict]]:
     for ladder, sign in ((plus, 1), (minus, -1)):
         for _ in range(L):
             ladder.append(_int_product(ladder[-1], {(0, 0, 0, 1, 0, 0): 1, (0, 0, 0, 0, 1, 0): sign}))
-    projected = [_harmonic_ints(_int_product(minus[j], plus[L - j]), L) for j in range(L + 1)]
+    projected = [harmonic_project(_int_product(minus[j], plus[L - j]), L) for j in range(L + 1)]
     hden, parts = projected[0][0], [terms for _, terms in projected]
     out = {}
     for delta, rp in rpoly_by_delta.items():
@@ -323,7 +305,7 @@ def assemble_tensor_intertwiner(kappa: int, L: int) -> TensorIntertwiner:
         else:
             rps = {0: MultiPoly(RVAR, {(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")}
     else:
-        entries = coefficient_table(kappa, L).entries
+        entries = coefficient_table(kappa, L)
         rps = {d: radial_poly(kappa, L, d) for d in {m - n for (m, n) in entries.terms}}
     bras = _bracket(L, rps)
     # the entries' numerators over entries.den, each bracket over its own
@@ -403,7 +385,7 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
     # by D leaves the kernel as it is
     columns = []
     for delta in range(L + 1):
-        den, seed = _harmonic_ints({(0, 0, 0, delta, L - delta, 0): 1}, L)
+        den, seed = harmonic_project({(0, 0, 0, delta, L - delta, 0): 1}, L)
         for alpha in range(kappa + 1):
             for beta in range(kappa + 1 - alpha):
                 columns.append(_shift(seed, alpha, beta, kappa - alpha - beta))

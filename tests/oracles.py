@@ -18,7 +18,7 @@ from exactcft.pairs import PairSum, TwoChiralSum, _adjacent_expansions, cross_ra
 from exactcft.poly import MultiPoly, _int_combination, _int_product
 from exactcft.series import TruncatedSeries
 from exactcft.sixpoint import SERIES_VARS
-from exactcft.special import gauss_2f1_coeff, legendre_coeffs, pochhammer
+from exactcft.special import gauss_2f1_coeff, pochhammer
 from exactcft.tensor_ops import (
     IVARS,
     RVAR,
@@ -29,6 +29,7 @@ from exactcft.tensor_ops import (
     legendre_poly,
     radial_poly,
     tensor_pde_residual,
+    v_degree_of,
 )
 from exactcft.waves import WaveSpec, wave_prefactor
 
@@ -86,12 +87,22 @@ def reduction_generating_poly(h: int) -> MultiPoly:
     return MultiPoly(("z",), terms)
 
 
+def legendre_by_recurrence(L: int) -> MultiPoly:
+    """The Legendre polynomial P_L(r) from P_0 = 1, P_1 = r and the three-term
+    recurrence (n + 1) P_{n+1} = (2n + 1) r P_n - n P_{n-1}."""
+    r = MultiPoly.var(RVAR, "r")
+    prev, cur = MultiPoly(RVAR), MultiPoly.constant(RVAR, 1)  # P_{-1} = 0 and P_0
+    for n in range(L):
+        prev, cur = cur, (r * cur * (2 * n + 1) - prev * n) * Fraction(1, n + 1)
+    return cur
+
+
 def shifted_legendre(h: int) -> MultiPoly:
     """P_{h-1}(1 - 2z) as a polynomial in z."""
     z = MultiPoly.var(("z",), "z")
     arg = MultiPoly.constant(("z",), 1) - 2 * z
     out = MultiPoly(("z",))
-    for p, c in legendre_coeffs(h - 1).items():
+    for (p,), c in coeffs(legendre_by_recurrence(h - 1)).items():
         out.add_scaled(power(arg, p), c)
     return out
 
@@ -277,6 +288,16 @@ def lapv(f: MultiPoly) -> MultiPoly:
     return MultiPoly(IVARS).set_ints(_int_combination({e: _lapv_monomial(e) for e in f.terms}, f.terms), f.den)
 
 
+def harmonic_project_poly(poly: MultiPoly) -> MultiPoly:
+    """tensor_ops.harmonic_project on a polynomial in IVARS, which must be
+    v-homogeneous: [P]_0 over the polynomial's den times D."""
+    degs = {v_degree_of(e) for e in poly.terms}
+    if len(degs) > 1:
+        raise ValueError(f"input is not v-homogeneous: v-degrees {sorted(degs)}")
+    hden, terms = harmonic_project(poly.terms, degs.pop() if degs else 0)
+    return MultiPoly(IVARS).set_ints(terms, poly.den * hden)
+
+
 def harmonic_project_fractions(poly: MultiPoly) -> MultiPoly:
     """tensor_ops.harmonic_project in Fractions: alpha_k = -alpha_{k-1} /
     (4 k (N - k + 1)) times V^k lapv^k P, accumulated term by term."""
@@ -317,7 +338,7 @@ def assemble_tensor_fractions(kappa: int, L: int) -> MultiPoly:
             rp = MultiPoly(RVAR, {(0,): 1, (2,): -1}) * legendre_poly(L - 1).differentiate("r")
         rps = {0: rp}
     else:
-        entries = coeffs(coefficient_table(kappa, L).entries)
+        entries = coeffs(coefficient_table(kappa, L))
         rps = {d: radial_poly_fractions(kappa, L, d) for d in {m - n for m, n in entries}}
     plus, minus = igen("s1") + igen("s2"), igen("s1") - igen("s2")
     bras = {}
@@ -371,16 +392,15 @@ def rank_zero_closed_form(L: int) -> MultiPoly:
             c = -c
         if c == 0:
             continue
-        total.add_scaled(harmonic_project(power(s1, p) * power(s2, q)), c)
+        total.add_scaled(harmonic_project_poly(power(s1, p) * power(s2, q)), c)
     return total
 
 
 def twist_table_poly(kappa: int, L: int, seed=Fraction(1)) -> MultiPoly:
     """e(p, q, r) = sum c_{mn} p^m q^n f_{kappa L; m-n}(r) as a polynomial, with
     c_00 = seed (the coefficient table is linear in c_00)."""
-    table = coefficient_table(kappa, L)
     items = []
-    for (m, n), c in coeffs(table.entries).items():
+    for (m, n), c in coeffs(coefficient_table(kappa, L)).items():
         rp = radial_poly(kappa, L, m - n)
         items += [((m, n, j), seed * c * fj) for (j,), fj in coeffs(rp).items()]
     return MultiPoly(("p", "q", "r")).set_values(items)
@@ -450,7 +470,7 @@ def twist_table_display(L: int) -> MultiPoly:
     """(1 + p/2 (r-1) d_r + q/2 (1+r) d_r) P_L(r): the kappa = 1 table with
     c_00 = 1/L!."""
     pqr = ("p", "q", "r")
-    pl = MultiPoly(pqr, {(0, 0, j): c for j, c in legendre_coeffs(L).items()})
+    pl = MultiPoly(pqr, {(0, 0, j): c for (j,), c in coeffs(legendre_by_recurrence(L)).items()})
     dpl = pl.differentiate("r")
     p, q, r = (MultiPoly.var(pqr, v) for v in pqr)
     return pl + p * (r - 1) * dpl * Fraction(1, 2) + q * (1 + r) * dpl * Fraction(1, 2)

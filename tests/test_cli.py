@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactcft import cli
 from exactcft.cli import SERIES_TERM_BUDGET, main
 
 
@@ -129,6 +130,21 @@ def test_a_series_above_the_term_budget_is_refused_before_the_walk(capsys, comma
                    f" above the budget of {SERIES_TERM_BUDGET}\n")
     # the benchmark's wave-n10 (n = 10, cap 8) and an n = 12, cap 8 wave stay within it
     assert comb(15, 7) < comb(17, 9) <= SERIES_TERM_BUDGET < terms
+
+
+@pytest.mark.parametrize("command", ["wave", "casimir-check"])
+@pytest.mark.parametrize("n, cap", [(7203, 7200), (100_003, 10**9), (67, 10**70)])
+def test_a_series_far_above_the_term_budget_is_refused_uncounted(capsys, monkeypatch, command, n, cap):
+    # C(14400, 7200) and C(10**70 + 64, 64) have over 4,300 digits, past str's limit for a message,
+    # and C(10**9 + 10**5, 10**5) takes a second to compute; with n - 3 and cap both past 64, or both
+    # >= 1 and one past the budget, the count is far above the budget and is not computed
+    monkeypatch.setattr(cli, "comb", lambda *args: pytest.fail(f"counted C{args}"))
+    code, out, err = run_cli(capsys, command, "--n", str(n), "--dims", ",".join(["1"] * n),
+                             "--proj", ",".join(["2"] * (n - 3)), "--cap", str(cap))
+    assert (code, out) == (2, "")
+    assert err == (f"error: --n {n} --cap {cap} asks for more series terms than the budget"
+                   f" of {SERIES_TERM_BUDGET}\n")
+    assert comb(130, 65) > SERIES_TERM_BUDGET
 
 
 def test_reduce_round_trip(tmp_path, capsys):

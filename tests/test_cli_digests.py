@@ -94,6 +94,10 @@ EXAMPLES = {
     # two paths no other example enters: the Legendre closed form of the
     # rank-zero operator, and the constant normalized operator at h = 1
     "tensor-legendre": ("intertwiner", "tensor", "--kappa", "0", "--L", "3"),
+    # and around it: the constant at L = 0, the zero operator at L = 1 (P'_0 = 0), and L = 6
+    "tensor-legendre-L0": ("intertwiner", "tensor", "--kappa", "0", "--L", "0"),
+    "tensor-legendre-L1": ("intertwiner", "tensor", "--kappa", "0", "--L", "1"),
+    "tensor-legendre-L6": ("intertwiner", "tensor", "--kappa", "0", "--L", "6"),
     "chiral-normalized-h1": ("intertwiner", "chiral", "--h", "1", "--normalized"),
 }
 
@@ -141,6 +145,9 @@ DIGESTS = {
     "tensor": "e91eba58961f2e8c43c50b002cc67d20986b352061105305ea5b5e4a3fad18b9",
     "tensor-kernel": "b798c08d7514fd160a00b016f665c8652631177a0ac35081e3f47f466ba8f899",
     "tensor-legendre": "c87541f3e4626e736496b45aa0912d796f864f4ced9d4321cebac016d692d74d",
+    "tensor-legendre-L0": "471f6d88284710689cacdb6e67cea2968c28f428f639de3df5323106bf94b8ae",
+    "tensor-legendre-L1": "d1a6218cf83d3dc33f8c6c4065dfbd89bc5e7be1ac38ee76d5905d7c19591f7a",
+    "tensor-legendre-L6": "f5cc03e2ba5087fbe68e285b5a9d3917118dc7d53559ce90fcf54e5d1982aef9",
     "wave-json": "683f6d467822386822b622cd6baccf0369a33cef04cbf861ea6bb469e04c86d7",
     "wave-n10": "2324686dbee6f53ec1703788bed3489dfb2e86fcc1995c0de59118e2eecd7f1d",
     "wave-sixths": "c592cc3c3caae0f65919f71e22d9f874c2b4c6f1ec0b5a1fe53cd5ac585600bb",

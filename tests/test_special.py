@@ -9,10 +9,11 @@ from exactcft.errors import DegenerateParameterError
 from exactcft.special import (
     format_rational,
     gauss_2f1_coeff,
-    legendre_coeffs,
     parse_rational,
     pochhammer,
 )
+from exactcft.tensor_ops import legendre_poly
+from oracles import coeffs
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -90,6 +91,11 @@ def test_gauss_coeff_matches_fraction_quotient(a, b, c, ell):
     else:
         expected = fraction_pochhammer(a, ell) * fraction_pochhammer(b, ell) / denom
         assert gauss_2f1_coeff(a, b, c, ell) == expected / factorial(ell)
+
+
+def legendre_coeffs(L: int) -> dict[int, Fraction]:
+    """{power of r: coefficient} of tensor_ops.legendre_poly(L)."""
+    return {p: c for (p,), c in coeffs(legendre_poly(L)).items()}
 
 
 def test_legendre_low_orders():

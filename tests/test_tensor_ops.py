@@ -14,7 +14,6 @@ from exactcft.tensor_ops import (
     _recursion_rows,
     assemble_tensor_intertwiner,
     coefficient_table,
-    harmonic_project,
     legendre_poly,
     radial_poly,
     solve_intertwiner_space,
@@ -27,6 +26,8 @@ from oracles import (
     is_canonical,
     power,
     harmonic_project_fractions,
+    harmonic_project_poly,
+    legendre_by_recurrence,
     igen,
     ipoly,
     lapv,
@@ -55,9 +56,9 @@ def test_laplacian_rewrite_rules():
 def test_harmonic_projection_basics():
     V = igen("V")
     s1, s2, t12 = igen("s1"), igen("s2"), igen("t12")
-    assert harmonic_project(V).is_zero()
-    assert harmonic_project(s1) == s1
-    assert harmonic_project(s1 * s2) == s1 * s2 - V * t12 * F(1, 4)
+    assert harmonic_project_poly(V).is_zero()
+    assert harmonic_project_poly(s1) == s1
+    assert harmonic_project_poly(s1 * s2) == s1 * s2 - V * t12 * F(1, 4)
 
 
 def test_harmonic_projection_annihilates_v_multiples():
@@ -76,14 +77,26 @@ def test_harmonic_projection_annihilates_v_multiples():
             q = q + mono
         if q.is_zero():
             continue
-        assert harmonic_project(V * q).is_zero()
-        assert lapv(harmonic_project(q)).is_zero()
+        assert harmonic_project_poly(V * q).is_zero()
+        assert lapv(harmonic_project_poly(q)).is_zero()
 
 
 def test_harmonic_projection_requires_homogeneous():
     s1, V = igen("s1"), igen("V")
     with pytest.raises(ValueError):
-        harmonic_project(s1 + V)
+        harmonic_project_poly(s1 + V)
+
+
+def test_legendre_poly_matches_the_recurrence():
+    """The closed int form of P_L is the three-term recurrence's polynomial,
+    with P_L(1) = 1."""
+    r = MultiPoly.var(RVAR, "r")
+    assert legendre_poly(0) == 1 and legendre_poly(1) == r
+    assert legendre_poly(2) == (3 * r * r - 1) * F(1, 2)
+    for L in range(41):
+        got = legendre_poly(L)
+        assert got == legendre_by_recurrence(L), L
+        assert is_canonical(got) and sum(coeffs(got).values()) == 1
 
 
 def test_radial_poly_examples():
@@ -148,8 +161,7 @@ def test_radial_degenerate_rejected():
 
 
 def test_coefficient_table_kappa0():
-    t = coefficient_table(0, 4)
-    assert coeffs(t.entries) == {(0, 0): F(1)}
+    assert coeffs(coefficient_table(0, 4)) == {(0, 0): F(1)}
     # no recursion row constrains c_00, and there is nothing else to fix
     assert _recursion_rows(0, 4) == ({(0, 0): 0}, [])
 
@@ -159,7 +171,7 @@ def test_coefficient_table_matches_seeded_solve():
     kernel sum where the recursions force c_00 = 0."""
     for kappa in range(11):
         for L in range(9):
-            assert coeffs(coefficient_table(kappa, L).entries) == coefficient_table_seeded(kappa, L)
+            assert coeffs(coefficient_table(kappa, L)) == coefficient_table_seeded(kappa, L)
 
 
 def test_coefficient_table_kappa1():
@@ -167,14 +179,14 @@ def test_coefficient_table_kappa1():
         # the table is linear in c_00; the display takes c_00 = 1/L!
         t = coefficient_table(1, L)
         expected = F(1, 2 * factorial(L - 1)) * factorial(L)
-        assert t.entries.coefficient((1, 0)) == expected
-        assert t.entries.coefficient((0, 1)) == expected
+        assert t.coefficient((1, 0)) == expected
+        assert t.coefficient((0, 1)) == expected
 
 
 def test_coefficient_table_kappa1_L0():
     t = coefficient_table(1, 0)
-    assert t.entries.coefficient((1, 0)) == 0
-    assert t.entries.coefficient((0, 1)) == 0
+    assert t.coefficient((1, 0)) == 0
+    assert t.coefficient((0, 1)) == 0
 
 
 def test_twist_two_table_matches_display():
@@ -207,7 +219,7 @@ def test_assembled_operators_satisfy_pde(kappa, L):
     assert verify_tensor_pde(op).is_zero()
     # assembled operators are already harmonic
     if not op.poly.is_zero():
-        assert harmonic_project(op.poly) == op.poly
+        assert harmonic_project_poly(op.poly) == op.poly
 
 
 def test_pde_detects_non_solution():
@@ -250,8 +262,8 @@ def test_seedless_recursion_kappa2():
     # at kappa=2, L>=1 the recursions force c00 = 0; the table is then the sum
     # of the homogeneous solution space, as the seeded solve's fallback gives
     table = coefficient_table(2, 1)
-    assert (0, 0) not in table.entries.terms
-    assert table.entries and coeffs(table.entries) == coefficient_table_seeded(2, 1)
+    assert (0, 0) not in table.terms
+    assert table and coeffs(table) == coefficient_table_seeded(2, 1)
     op = assemble_tensor_intertwiner(2, 1)
     assert not op.poly.is_zero()
     assert verify_tensor_pde(op).is_zero()
@@ -341,7 +353,7 @@ def test_harmonic_projection_matches_the_fraction_route():
             mono = power(gens[3], d) * power(gens[4], vdeg - 2 * a - d) * power(gens[5], a)
             mono = mono * power(gens[rng.randint(0, 2)], rng.randint(0, 2))
             q = q + mono * F(rng.randint(-9, 9), rng.randint(1, 6))
-        got = harmonic_project(q)
+        got = harmonic_project_poly(q)
         assert got == harmonic_project_fractions(q)
         assert is_canonical(got)
 
@@ -356,16 +368,15 @@ def test_one_unit_off_a_table_entry_breaks_the_recursions(monkeypatch, capsys):
             table = coefficient_table(kappa, L)
             pos, rows = _recursion_rows(kappa, L)
             read = {mn for mn, k in pos.items() if any(k in row for row in rows)}
-            values = coeffs(table.entries)
+            values = coeffs(table)
             for mn in values:
                 for step in (1, -1):
-                    entries = MultiPoly(table.entries.variables, {**values, mn: values[mn] + step})
-                    mutant = tensor_ops.CoefficientTable(kappa, L, entries)
+                    mutant = MultiPoly(table.variables, {**values, mn: values[mn] + step})
                     if mn in read:
                         with pytest.raises(ConsistencyError, match=f"kappa={kappa}, L={L}"):
-                            tensor_ops._check_recursions(mutant)
+                            tensor_ops._check_recursions(kappa, L, mutant)
                     else:
-                        tensor_ops._check_recursions(mutant)
+                        tensor_ops._check_recursions(kappa, L, mutant)
     real = tensor_ops.linear_solve_exact
 
     def perturbed(rows, ncols):

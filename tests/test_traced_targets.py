@@ -69,6 +69,13 @@ def test_a_traced_run_counts_the_calls_of_lazily_imported_functions(tmp_path):
     assert kernel["linsolve.linear_solve_exact"] >= 1
 
 
+def test_a_traced_kernel_solve_counts_the_harmonic_projection(tmp_path):
+    """The operators benchmark's kernel job projects its ansatz seeds through
+    tensor_ops.harmonic_project, the route the program runs."""
+    calls = _traced_calls("intertwiner tensor --kappa 4 --L 3 --d1 5 --d2 3", tmp_path)
+    assert calls["tensor_ops.harmonic_project"] >= 1
+
+
 def test_a_traced_reduce_counts_its_reference_wave(tmp_path):
     """chiral_ops imports waves inside the reduction functions; the reference
     wave that a matched reduction builds must still be counted. The reduced
