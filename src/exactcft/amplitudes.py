@@ -57,12 +57,12 @@ def fourpoint_amplitudes(h: int, h_prime: int, cap_n: int) -> AmplitudeMatrix:
     })
 
 
-def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> "TruncatedSeries":
-    """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1, truncated at the cap."""
-    from .series import TruncatedSeries  # here, so positivity jobs never compile series
-    terms = [((0,), -1)] + [
-        ((n + ell,), bk * gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell))
-        for n, bk in am.entries.items()
-        for ell in range(cap - n + 1)
-    ]
-    return TruncatedSeries(("u",), cap).set_values(terms)
+def reconstruction_residual(am: AmplitudeMatrix, cap: int) -> dict[int, Fraction]:
+    """sum_k B^k u^n 2F1(n+h, n+h'; 2n+3; u) - 1 through order cap, as its
+    nonzero coefficients {order: c}: empty when the tower sums back to 1."""
+    res = {0: Fraction(-1)}
+    for n, bk in am.entries.items():
+        for ell in range(cap - n + 1):
+            term = bk * gauss_2f1_coeff(n + am.h, n + am.h_prime, 2 * n + 3, ell)
+            res[n + ell] = res.get(n + ell, 0) + term
+    return {order: c for order, c in res.items() if c}

@@ -12,7 +12,6 @@ finite sums computed here.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import comb
 from typing import NamedTuple
 
@@ -39,14 +38,13 @@ def weighted_tail_at_one(h: int, b: int) -> Fraction:
     return f_at_one - 2 * b * total
 
 
-@cache
 def channel_coefficients(h_plus: int, h_minus: int, weighting: str) -> Fraction:
     """One channel's reduction constant, from the finite first-principles sums.
 
     (-1)^{h+ + h-} sum_{a+b>0} w(a,b) c_{a,h+} c_{b,h-}, organized through the
     generating polynomial F and, for the odd weighting, the exactly integrated
-    tails G_b(1). Cached: every caller asks for a few small weight pairs many
-    times, and the Fraction result is immutable.
+    tails G_b(1). Each program run asks for each weight pair once: a
+    positivity report once per label and weighting, `exotic coeff` once.
     """
     if h_plus < 1 or h_minus < 1:
         raise DegenerateParameterError("only chiral dimensions h >= 1 occur")

@@ -15,7 +15,6 @@ from math import factorial
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .errors import DegenerateParameterError
-from .poly import MultiPoly
 from .special import format_rational, pochhammer
 
 # the reduction imports pairs and waves inside its functions, so the operator tables
@@ -23,8 +22,6 @@ from .special import format_rational, pochhammer
 if TYPE_CHECKING:
     from .pairs import PairSum
     from .waves import ChiralWave, WaveSpec
-
-DVARS = ("D1", "D2")
 
 
 class ChiralIntertwiner(NamedTuple):
@@ -44,9 +41,6 @@ class ChiralIntertwiner(NamedTuple):
 
     def degree(self) -> int:
         return self.h if self.kind == "E" else self.h - 1
-
-    def as_poly(self) -> MultiPoly:
-        return MultiPoly(DVARS, {pq: c for pq, c in self.coeffs.items()})
 
     def to_json(self) -> dict:
         return {
@@ -87,35 +81,42 @@ def chiral_intertwiner_normalized(h: int) -> ChiralIntertwiner:
     return ChiralIntertwiner(h, Fraction(0), Fraction(0), "D", coeffs)
 
 
-def nabla(poly: MultiPoly, slot: int) -> MultiPoly:
-    """Derivative with respect to the formal symbol d<slot>."""
-    return poly.differentiate(DVARS[slot - 1])
+def _lower(table, weight1, weight2) -> dict[tuple[int, int], Fraction]:
+    """sum c (weight1(p) d1^(p-1) d2^q + weight2(q) d1^p d2^(q-1)) over the entries
+    c d1^p d2^q, without zeros; each weight has p or q as a factor, so no entry
+    at a negative exponent survives."""
+    out: dict = {}
+    for (p, q), c in table.items():
+        out[p - 1, q] = out.get((p - 1, q), 0) + weight1(p) * c
+        out[p, q - 1] = out.get((p, q - 1), 0) + weight2(q) * c
+    return {pq: c for pq, c in out.items() if c}
 
 
-def verify_chiral_pde(op: ChiralIntertwiner) -> MultiPoly:
-    """Residual of the chiral intertwining condition on the operator symbol.
+def verify_chiral_pde(op: ChiralIntertwiner) -> dict[tuple[int, int], Fraction]:
+    """Residual of the chiral intertwining condition on the operator table, as
+    its nonzero entries {(p, q): c}: empty exactly when the condition holds.
 
-    For kind E: (d1 nab1^2 + d2 nab2^2 + (dim1 - dim2)(nab1 - nab2)) E.
+    For kind E: (d1 nab1^2 + d2 nab2^2 + (dim1 - dim2)(nab1 - nab2)) E, which
+    sends d1^p d2^q to p (p - 1 + gap) d1^(p-1) d2^q + q (q - 1 - gap) d1^p d2^(q-1).
     For kind D the E-condition does not apply; the residual checked is the
     cross-multiplied defect of D_h being proportional to
-    (nab1 - nab2) E_h(d, d), its defining relation.
+    (nab1 - nab2) E_h(0, 0), its defining relation.
     """
-    poly = op.as_poly()
+    table = {pq: c for pq, c in op.coeffs.items() if c}
     if op.kind == "E":
-        p1 = MultiPoly.var(DVARS, "D1")
-        p2 = MultiPoly.var(DVARS, "D2")
-        res = p1 * nabla(nabla(poly, 1), 1) + p2 * nabla(nabla(poly, 2), 2)
-        return res.add_scaled(nabla(poly, 1) - nabla(poly, 2), op.d1 - op.d2)
+        gap = op.d1 - op.d2
+        return _lower(table, lambda p: p * (p - 1 + gap), lambda q: q * (q - 1 - gap))
     if op.h == 1:
         # constant operator: the relation degenerates (E_1 vanishes at equal dims)
-        return poly - MultiPoly.constant(DVARS, op.coeffs.get((0, 0), Fraction(0)))
-    ref = chiral_intertwiner(op.h, 0, 0).as_poly()
-    ref = nabla(ref, 1) - nabla(ref, 2)
-    if ref.is_zero() or poly.is_zero():
-        return poly
-    _, lc_ref = ref.leading()
-    _, lc_op = poly.leading()
-    return poly * lc_ref - ref * lc_op
+        return {pq: c for pq, c in table.items() if pq != (0, 0)}
+    ref = _lower(chiral_intertwiner(op.h, 0, 0).coeffs, lambda p: p, lambda q: -q)
+    if not ref:
+        return table
+    # the cross products at one key of ref all vanish iff the table is a multiple of ref
+    key = max(ref)
+    res = {pq: table.get(pq, 0) * ref[key] - ref.get(pq, 0) * table.get(key, 0)
+           for pq in table.keys() | ref}
+    return {pq: c for pq, c in res.items() if c}
 
 
 # ---------------------------------------------------------------------------

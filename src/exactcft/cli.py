@@ -72,10 +72,6 @@ def _render_table(obj, indent=0) -> list[str]:
 
 
 def _spec_from_args(args):
-    dims = _parse_rational_list(args.dims)
-    proj = _parse_rational_list(args.proj) if args.proj else []
-    if len(dims) != args.n:
-        raise ValueError(f"--dims lists {len(dims)} values but --n is {args.n}")
     # C(cap + n - 3, n - 3) exponent tuples of total order <= cap; n < 3 and cap < 0 are refused later.
     # The count passes C(130, 65) when both n - 3 and cap pass 64, and max(n - 3, cap) when both are
     # >= 1: far above the budget, it is refused uncounted (the product takes seconds at min(n - 3, cap)
@@ -88,6 +84,11 @@ def _spec_from_args(args):
     if terms > SERIES_TERM_BUDGET:
         raise ValueError(f"--n {args.n} --cap {args.cap} asks for {terms} series terms,"
                          f" above the budget of {SERIES_TERM_BUDGET}")
+    # the budget needs only --n and --cap, so a refused request parses no value
+    dims = _parse_rational_list(args.dims)
+    proj = _parse_rational_list(args.proj) if args.proj else []
+    if len(dims) != args.n:
+        raise ValueError(f"--dims lists {len(dims)} values but --n is {args.n}")
     from .waves import WaveSpec  # after parsing: a malformed value exits 2 without compiling waves
     return WaveSpec.from_middle(dims, proj)
 
@@ -127,12 +128,11 @@ def cmd_intertwiner(args) -> dict:
             raise ValueError("chiral operators need --d1 and --d2 (or --normalized)")
         else:
             op = chiral_intertwiner(args.h, parse_rational(args.d1), parse_rational(args.d2))
-        residual_zero = verify_chiral_pde(op).is_zero()
         return {
             "kind": op.kind,
             "h": args.h,
             "coefficients": op.to_json(),
-            "intertwines": residual_zero,
+            "intertwines": not verify_chiral_pde(op),
         }
     from .tensor_ops import assemble_tensor_intertwiner, solve_intertwiner_space, verify_tensor_pde
     if args.d1 is not None or args.d2 is not None:
@@ -153,7 +153,7 @@ def cmd_intertwiner(args) -> dict:
         "kappa": args.kappa,
         "L": args.L,
         "coefficients": op.to_json(),
-        "intertwines": verify_tensor_pde(op).is_zero(),
+        "intertwines": not verify_tensor_pde(op),
     }
 
 
@@ -240,9 +240,7 @@ def cmd_exotic(args) -> dict:
         from .amplitudes import fourpoint_amplitudes, reconstruction_residual
         am = fourpoint_amplitudes(args.h, args.hprime, args.cap)
         out = am.to_json()
-        out["reconstruction_residual_zero"] = reconstruction_residual(
-            am, args.cap
-        ).is_zero()
+        out["reconstruction_residual_zero"] = not reconstruction_residual(am, args.cap)
         return out
     if args.exotic_cmd == "positivity":
         from .positivity import positivity_report

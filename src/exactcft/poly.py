@@ -6,10 +6,10 @@ den = 1 when empty) through the one normaliser ``SparseSum.set_ints``, which
 every write to ``terms`` goes through. Fractions meet the ints in two places
 only: values handed in (the constructors and ``set_values`` scale them once
 to their least common denominator) and one value read out (``coefficient``,
-iteration, ``sorted_terms``, ``leading`` and ``repr``; ``to_json`` formats
-each numerator over den directly). In between, products and combinations are
-int multiply-accumulate loops (_int_product, _int_combination), and a loop
-that adds term by term fixes its denominator first and normalises once.
+iteration, ``sorted_terms`` and ``repr``; ``to_json`` formats each numerator
+over den directly). In between, products and combinations are int
+multiply-accumulate loops (_int_product, _int_combination), and a loop that
+adds term by term fixes its denominator first and normalises once.
 
 Polynomial terms are keyed by exponent tuples; iteration and serialization
 follow graded-lexicographic order so output is deterministic.
@@ -24,10 +24,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import NegativeExponentError, VariableMismatchError
 from .special import format_ratio, format_rational
-
-
-def _grlex_key(exps: tuple[int, ...]):
-    return (sum(exps), exps)
 
 
 def _rational(x):
@@ -213,13 +209,6 @@ class MultiPoly(SparseSum):
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Fraction]]:
         return iter(self.sorted_terms())
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
-        """Highest term in graded-lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, Fraction(self.terms[exps], self.den)
 
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return Fraction(self.terms.get(tuple(exps), 0), self.den)

@@ -6,7 +6,7 @@ the two derivative vectors and the polarization vector:
     t12 = (d1.d2)   b1 = d1^2   b2 = d2^2   s1 = (v.d1)   s2 = (v.d2)   V = v^2
 
 A vector-valued expression A d1 + B d2 + C v is held as its three invariant
-coefficients (InvVector). The differential operators act in closed form.
+coefficients (a, b, c). The differential operators act in closed form.
 Write f_x for the partial derivative in the invariant x, t = t12, and
 E1 = 2 b1 d/db1 + t d/dt + s1 d/ds1 for the d1 Euler operator, which
 multiplies a monomial by 2 e_b1 + e_t + e_s1 (E2: swap 1 and 2). In
@@ -62,27 +62,6 @@ def v_degree_of(exps: tuple[int, ...]) -> int:
 
 def d_degree_of(exps: tuple[int, ...]) -> int:
     return 2 * (exps[_T12] + exps[_B1] + exps[_B2]) + exps[_S1] + exps[_S2]
-
-
-def homogeneous_degrees(poly: MultiPoly) -> tuple[int, int]:
-    """(derivative degree, v degree); raises if the polynomial is mixed."""
-    degs = {(d_degree_of(e), v_degree_of(e)) for e in poly.terms}
-    if len(degs) > 1:
-        raise ValueError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-    if not degs:
-        return (0, 0)
-    return degs.pop()
-
-
-class InvVector(NamedTuple):
-    """A d1 + B d2 + C v with invariant-polynomial components."""
-
-    a: MultiPoly
-    b: MultiPoly
-    c: MultiPoly
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero() and self.c.is_zero()
 
 
 def _put(out: dict, coeff: int, key: tuple[int, ...]) -> None:
@@ -342,28 +321,28 @@ def _residual_monomial(exps: tuple[int, ...], p: int, q: int) -> tuple[dict, dic
     return a, b, c
 
 
-def tensor_pde_residual(poly: MultiPoly, dim_gap=Fraction(0)) -> InvVector:
+def tensor_pde_residual(poly: MultiPoly, dim_gap=Fraction(0)) -> dict[tuple[int, tuple[int, ...]], int]:
     """Special-conformal intertwining condition in the invariant algebra:
     sum_i [2 (d_i.grad_i) grad_i - d_i lap_i] + gap (grad_1 - grad_2),
-    summed monomial by monomial from the closed forms in the module docstring."""
+    summed monomial by monomial from the closed forms in the module docstring.
+    At the gap p/q, the nonzero int numerators of its components a, b, c over
+    q poly.den, as {(0, 1 or 2 for a, b or c, exponents): int}: empty exactly
+    when poly intertwines."""
     gap = Fraction(dim_gap)
     p, q = gap.numerator, gap.denominator
     parts = {e: _residual_monomial(e, p, q) for e in poly.terms}
-    return InvVector(*(
-        MultiPoly(IVARS).set_ints(_int_combination({e: part[k] for e, part in parts.items()}, poly.terms),
-                                  poly.den * q)
-        for k in range(3)
-    ))
+    return {(k, e): c for k in range(3)
+            for e, c in _int_combination({e: part[k] for e, part in parts.items()}, poly.terms).items() if c}
 
 
-def verify_tensor_pde(op: TensorIntertwiner) -> InvVector:
-    if not op.poly.is_zero():
-        d_deg, v_deg = homogeneous_degrees(op.poly)
-        if v_deg != op.L or d_deg != 2 * op.kappa + op.L:
-            raise ValueError(
-                f"homogeneity mismatch: expected ({2 * op.kappa + op.L}, {op.L}),"
-                f" found ({d_deg}, {v_deg})"
-            )
+def verify_tensor_pde(op: TensorIntertwiner) -> dict[tuple[int, tuple[int, ...]], int]:
+    """The residual table of the operator at gap 0, once each of its terms has
+    derivative degree 2 kappa + L and v degree L (ConsistencyError otherwise)."""
+    expected = (2 * op.kappa + op.L, op.L)
+    degrees = {(d_degree_of(e), v_degree_of(e)) for e in op.poly.terms}
+    if degrees - {expected}:
+        raise ConsistencyError(f"homogeneity mismatch at kappa={op.kappa}, L={op.L}:"
+                               f" expected degrees {expected}, found {sorted(degrees)}")
     return tensor_pde_residual(op.poly)
 
 
@@ -401,7 +380,7 @@ def solve_intertwiner_space(kappa: int, L: int, d1, d2) -> list[TensorIntertwine
     out = []
     for index, (xden, x) in enumerate(linear_solve_exact(list(rows.values()), len(columns))):
         poly = MultiPoly(IVARS).set_ints(_int_combination(columns, x), xden * den)
-        if not tensor_pde_residual(poly, gap).is_zero():
+        if tensor_pde_residual(poly, gap):
             raise ConsistencyError(f"kernel basis operator {index} fails the intertwining"
                                    f" condition at kappa={kappa}, L={L}, d1={d1}, d2={d2}")
         out.append(TensorIntertwiner(kappa, L, poly))

@@ -49,6 +49,13 @@ def is_canonical(s) -> bool:
             and gcd(s.den, *nums) == 1)
 
 
+def leading(p: MultiPoly) -> tuple[tuple[int, ...], Fraction]:
+    """The highest term of a nonzero polynomial in graded-lex order, as
+    (exponents, coefficient)."""
+    exps = max(p.terms, key=lambda e: (sum(e), e))
+    return exps, p.coefficient(exps)
+
+
 def power(p: MultiPoly, n: int) -> MultiPoly:
     """p ** n for n >= 0, by repeated multiplication."""
     out = p._coerce(1)
@@ -367,10 +374,9 @@ def solve_intertwiner_space_fractions(kappa: int, L: int, d1, d2) -> list[MultiP
                 columns.append(seed * _imono(alpha, beta, kappa - alpha - beta))
     rows = {}
     for col, p in enumerate(columns):
-        res = tensor_pde_residual(p, gap)
-        for ci, comp in enumerate((res.a, res.b, res.c)):
-            for exps, c in coeffs(comp).items():
-                rows.setdefault((ci, exps), {})[col] = c
+        # the residual table holds int numerators over the gap's denominator times p.den
+        for key, n in tensor_pde_residual(p, gap).items():
+            rows.setdefault(key, {})[col] = Fraction(n, gap.denominator * p.den)
     out = []
     for vec in kernel_fractions(list(rows.values()), len(columns)):
         poly = ipoly()
@@ -667,7 +673,7 @@ def proportional_to_expanded(a: PairSum, b: PairSum):
         expansions = dict(zip(union, _adjacent_expansions(a.points, union, den)))
         p2 = MultiPoly(zvars).set_ints(_int_combination(expansions, t2), b.den)
         if p2:
-            exps, c2 = p2.leading()
+            exps, c2 = leading(p2)
             lam = MultiPoly(zvars).set_ints(_int_combination(expansions, t1), a.den).coefficient(exps) / c2
             return lam if lam and is_zero_function_expanded(a - b.scale(lam)) else None
     return None

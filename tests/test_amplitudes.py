@@ -41,13 +41,13 @@ def test_symmetry_in_weights():
 def test_reconstruction_residual_vanishes():
     for h, hp in ((1, 1), (2, 3), (3, 3)):
         am = fourpoint_amplitudes(h, hp, 10)
-        assert reconstruction_residual(am, 10).is_zero()
+        assert not reconstruction_residual(am, 10)
 
 
 def test_truncated_table_mismatch_is_visible():
     am = fourpoint_amplitudes(2, 2, 3)
     res = reconstruction_residual(am, 5)
-    assert res.coefficient((4,)) != 0
+    assert res[4] != 0
 
 
 def test_json_shape():

@@ -60,13 +60,13 @@ def test_pde_closed_form_random_dims():
         d1 = F(rng.randint(-5, 9), rng.randint(1, 4))
         d2 = F(rng.randint(-5, 9), rng.randint(1, 4))
         for h in range(7):
-            assert verify_chiral_pde(chiral_intertwiner(h, d1, d2)).is_zero()
+            assert not verify_chiral_pde(chiral_intertwiner(h, d1, d2))
 
 
 def test_pde_detects_perturbation():
     op = chiral_intertwiner(2, 1, 1)
     broken = type(op)(2, F(1), F(1), "E", {(1, 1): F(-1), (2, 0): F(1)})
-    assert not verify_chiral_pde(broken).is_zero()
+    assert verify_chiral_pde(broken)
 
 
 def test_normalized_relation_to_difference_derivative():
@@ -74,10 +74,10 @@ def test_normalized_relation_to_difference_derivative():
     # multiple of (nab1 - nab2) E_h(0, 0); so with a nonzero operator the multiple is nonzero
     for h in (2, 3, 4):
         op = chiral_intertwiner_normalized(h)
-        assert op.kind == "D" and not op.as_poly().is_zero()
-        assert verify_chiral_pde(op).is_zero()
+        assert op.kind == "D" and any(op.coeffs.values())
+        assert not verify_chiral_pde(op)
     # h = 1 is the constant operator
-    assert verify_chiral_pde(chiral_intertwiner_normalized(1)).is_zero()
+    assert not verify_chiral_pde(chiral_intertwiner_normalized(1))
 
 
 def test_apply_operator_pair_is_linearity_sanity():

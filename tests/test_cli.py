@@ -139,6 +139,8 @@ def test_a_series_far_above_the_term_budget_is_refused_uncounted(capsys, monkeyp
     # and C(10**9 + 10**5, 10**5) takes a second to compute; with n - 3 and cap both past 64, or both
     # >= 1 and one past the budget, the count is far above the budget and is not computed
     monkeypatch.setattr(cli, "comb", lambda *args: pytest.fail(f"counted C{args}"))
+    # the budget needs only --n and --cap: no --dims or --proj value is parsed
+    monkeypatch.setattr(cli, "_parse_rational_list", lambda text: pytest.fail("parsed a value"))
     code, out, err = run_cli(capsys, command, "--n", str(n), "--dims", ",".join(["1"] * n),
                              "--proj", ",".join(["2"] * (n - 3)), "--cap", str(cap))
     assert (code, out) == (2, "")

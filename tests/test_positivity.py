@@ -5,6 +5,7 @@ import pytest
 
 from exactcft.amplitudes import fourpoint_amplitudes
 from exactcft.channels import channel_coefficients
+from exactcft import positivity
 from exactcft.cli import canonical_json
 from exactcft.positivity import helicity_labels, positivity_report
 from oracles import report_block, symmetric_inertia_eliminated
@@ -127,8 +128,9 @@ def test_large_report_digest():
     assert digest == "091edce65db0fb0cdef827eaf0f7ad7233af1bc509e72df10132fd56d1ebf16f"
 
 
-def test_channel_constants_computed_once_per_label():
-    channel_coefficients.cache_clear()
+def test_channel_constants_computed_once_per_label(monkeypatch):
+    calls = []
+    monkeypatch.setattr(positivity, "channel_coefficients", lambda *args: calls.append(args) or F(1))
     positivity_report("H", 6, 1)
     labels = helicity_labels(6, 1) + helicity_labels(6, -1)
-    assert channel_coefficients.cache_info().misses <= len(labels)
+    assert sorted(calls) == sorted((*r, "H") for r in labels)

@@ -24,6 +24,7 @@ from oracles import (
     assemble_tensor_fractions,
     coeffs,
     is_canonical,
+    leading,
     power,
     harmonic_project_fractions,
     harmonic_project_poly,
@@ -200,7 +201,7 @@ def test_assemble_rank_only():
     # e(r) = 1 - r^2 brackets to 4 [s1 s2]_0
     assert op.poly == 4 * (s1 * s2 - V * t12 * F(1, 4))
     closed = rank_zero_closed_form(2)
-    assert op.poly * closed.leading()[1] == closed * op.poly.leading()[1]
+    assert op.poly * leading(closed)[1] == closed * leading(op.poly)[1]
 
 
 def test_assemble_zero_operator():
@@ -216,7 +217,7 @@ def test_assemble_kappa1_L0():
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
 def test_assembled_operators_satisfy_pde(kappa, L):
     op = assemble_tensor_intertwiner(kappa, L)
-    assert verify_tensor_pde(op).is_zero()
+    assert not verify_tensor_pde(op)
     # assembled operators are already harmonic
     if not op.poly.is_zero():
         assert harmonic_project_poly(op.poly) == op.poly
@@ -225,7 +226,7 @@ def test_assembled_operators_satisfy_pde(kappa, L):
 def test_pde_detects_non_solution():
     op = assemble_tensor_intertwiner(0, 2)
     broken = type(op)(0, 2, op.poly + igen("s1") * igen("s1"))
-    assert not verify_tensor_pde(broken).is_zero()
+    assert verify_tensor_pde(broken)
 
 
 def test_rank_zero_closed_form_proportionality():
@@ -233,8 +234,8 @@ def test_rank_zero_closed_form_proportionality():
         closed = rank_zero_closed_form(L)
         op = assemble_tensor_intertwiner(0, L)
         ratio = None
-        lead_c = closed.leading()[1]
-        lead_o = op.poly.leading()[1]
+        lead_c = leading(closed)[1]
+        lead_o = leading(op.poly)[1]
         assert closed * lead_o == op.poly * lead_c
 
 
@@ -243,7 +244,7 @@ def test_solve_space_equal_dims_L2():
     assert len(basis) == 1
     ref = assemble_tensor_intertwiner(0, 2).poly
     got = basis[0].poly
-    assert got * ref.leading()[1] == ref * got.leading()[1]
+    assert got * leading(ref)[1] == ref * leading(got)[1]
 
 
 def test_solve_space_equal_dims_L1():
@@ -254,7 +255,7 @@ def test_solve_space_equal_dims_L1():
     basis = solve_intertwiner_space(0, 1, 1, 1)
     assert len(basis) == 2
     for op in basis:
-        assert tensor_pde_residual(op.poly).is_zero()
+        assert not tensor_pde_residual(op.poly)
     assert assemble_tensor_intertwiner(0, 1).poly.is_zero()
 
 
@@ -266,14 +267,14 @@ def test_seedless_recursion_kappa2():
     assert table and coeffs(table) == coefficient_table_seeded(2, 1)
     op = assemble_tensor_intertwiner(2, 1)
     assert not op.poly.is_zero()
-    assert verify_tensor_pde(op).is_zero()
+    assert not verify_tensor_pde(op)
 
 
 def test_solve_space_unequal_dims():
     basis = solve_intertwiner_space(1, 0, 3, 1)
     assert len(basis) >= 1
     for op in basis:
-        assert tensor_pde_residual(op.poly, F(2)).is_zero()
+        assert not tensor_pde_residual(op.poly, F(2))
 
 
 def test_solve_space_rejects_odd_gap():
@@ -284,7 +285,7 @@ def test_solve_space_rejects_odd_gap():
 def test_solve_space_contains_assembled():
     # kappa=1, L=2, equal dims: assembled operator must lie in the kernel
     op = assemble_tensor_intertwiner(1, 2)
-    assert tensor_pde_residual(op.poly).is_zero()
+    assert not tensor_pde_residual(op.poly)
     basis = solve_intertwiner_space(1, 2, 2, 2)
     assert len(basis) >= 1
 
@@ -304,6 +305,26 @@ def test_kernel_basis_check_catches_a_wrong_solve(monkeypatch, capsys):
     argv = ["intertwiner", "tensor", "--kappa", "1", "--L", "2", "--d1", "3", "--d2", "1"]
     assert main(argv) == 4
     assert capsys.readouterr().err.startswith("internal consistency failure: kernel basis operator 0")
+
+
+def _mixed_degree_operator():
+    """A kappa = 1, L = 0 operator whose t12 term has the expected degrees (2, 0)
+    and whose s1 term has (1, 1)."""
+    return tensor_ops.TensorIntertwiner(1, 0, igen("t12") + igen("s1"))
+
+
+def test_a_mixed_degree_operator_is_a_consistency_failure():
+    with pytest.raises(ConsistencyError, match=r"kappa=1, L=0: expected degrees \(2, 0\)"):
+        verify_tensor_pde(_mixed_degree_operator())
+
+
+def test_a_mixed_degree_assembly_exits_4_with_one_line(monkeypatch, capsys):
+    """A fault in the program's own operator is an internal failure, not a usage error."""
+    monkeypatch.setattr(tensor_ops, "assemble_tensor_intertwiner", lambda kappa, L: _mixed_degree_operator())
+    assert main(["intertwiner", "tensor", "--kappa", "1", "--L", "0"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal consistency failure: homogeneity mismatch at kappa=1, L=0")
+    assert len(err.splitlines()) == 1
 
 
 # -- the integer routes against the Fraction routes ------------------------------------
